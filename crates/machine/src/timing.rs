@@ -279,7 +279,7 @@ const LSQ_DEPTH: usize = 4;
 
 /// The pipelined backend: fetch/decode/execute issue costs, a
 /// scoreboard marking trap-filled windows busy until their fill drains,
-/// and a depth-[`LSQ_DEPTH`] load/store queue that turns spill/fill
+/// and a depth-`LSQ_DEPTH` load/store queue that turns spill/fill
 /// bursts and switch-time flushes into queue-depth-dependent latency.
 ///
 /// Software trap/switch work (handler entry/exit, WIM recompute,

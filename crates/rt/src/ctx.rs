@@ -1,27 +1,37 @@
 //! The API a thread body programs against.
+//!
+//! Operations that can block — stream reads and writes, the record lock
+//! and procedure calls, whose bodies may block — are `async`. A blocked
+//! operation registers what it waits for and returns `Pending` once,
+//! which hands control back to the executor in
+//! [`StartedSim::step`](crate::StartedSim::step). When a wake requeues
+//! the thread and the scheduler picks it, the next poll resumes the
+//! operation, which checks its stream again. Everything else is
+//! synchronous.
 
 use crate::error::RtError;
-use crate::sim::{Shared, SimState, Turn, Wait};
+use crate::sim::{SimState, Wait};
 use crate::stream::{RemoteEnd, StreamId};
 use crate::trace::TraceEvent;
-use parking_lot::MutexGuard;
+use parking_lot::Mutex;
 use regwin_machine::ThreadId;
 use regwin_obs::Metric;
-use regwin_traps::RestoreInstr;
+use std::future::poll_fn;
 use std::sync::Arc;
+use std::task::Poll;
 
 /// Handle through which a simulated thread computes, calls procedures and
 /// performs stream I/O. Every operation is accounted on the simulated CPU;
 /// blocking operations suspend the thread and hand control to the
 /// scheduler, exactly as the paper's non-preemptive runtime does.
 pub struct Ctx {
-    shared: Arc<Shared>,
+    state: Arc<Mutex<SimState>>,
     tid: ThreadId,
 }
 
 impl Ctx {
-    pub(crate) fn new(shared: Arc<Shared>, tid: ThreadId) -> Self {
-        Ctx { shared, tid }
+    pub(crate) fn new(state: Arc<Mutex<SimState>>, tid: ThreadId) -> Self {
+        Ctx { state, tid }
     }
 
     /// This thread's id.
@@ -29,82 +39,38 @@ impl Ctx {
         self.tid
     }
 
-    fn lock(&self) -> MutexGuard<'_, SimState> {
-        let st = self.shared.state.lock();
-        debug_assert_eq!(st.turn, Turn::Worker(self.tid), "ctx op outside the thread's turn");
-        st
-    }
-
     /// Charges `cycles` of application compute to the simulated CPU.
     pub fn compute(&mut self, cycles: u64) {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         st.record(TraceEvent::Compute(cycles));
         st.cpu.compute(cycles);
     }
 
     /// Performs a procedure call: executes `save`, runs `f`, then
     /// executes `restore` — the fundamental operation whose cost the
-    /// register windows exist to minimise.
+    /// register windows exist to minimise. If the simulation is dropped
+    /// while `f` is blocked, the thread never resumes, so the `restore`
+    /// never runs.
     ///
     /// # Errors
     ///
     /// Propagates errors from `f` and from the window machinery.
-    pub fn call<R>(
+    pub async fn call<R>(
         &mut self,
-        f: impl FnOnce(&mut Ctx) -> Result<R, RtError>,
+        f: impl AsyncFnOnce(&mut Ctx) -> Result<R, RtError>,
     ) -> Result<R, RtError> {
         {
-            let mut st = self.lock();
+            let mut st = self.state.lock();
             st.record(TraceEvent::Save);
             st.cpu.save()?;
         }
-        let result = f(self);
+        let result = f(self).await;
         // The restore must happen even if the body failed, to keep the
         // simulated stack balanced for diagnostics; the body error wins.
-        // If the thread lost its turn while the body was blocked (the
-        // sim stopped or the thread was quarantined), the shared
-        // machine is no longer ours to touch — skip the balancing
-        // restore and let the body's abort error propagate.
         let restored = {
-            let mut st = self.shared.state.lock();
-            if st.turn == Turn::Worker(self.tid) && !st.stop {
-                st.record(TraceEvent::Restore);
-                st.cpu.restore()
-            } else {
-                Ok(())
-            }
-        };
-        let value = result?;
-        restored?;
-        Ok(value)
-    }
-
-    /// Like [`Ctx::call`], but the return uses the peephole-optimised
-    /// `restore`-with-add form of paper §4.3.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from `f` and from the window machinery.
-    pub fn call_with_restore_add<R>(
-        &mut self,
-        instr: RestoreInstr,
-        f: impl FnOnce(&mut Ctx) -> Result<R, RtError>,
-    ) -> Result<R, RtError> {
-        {
-            let mut st = self.lock();
-            st.record(TraceEvent::Save);
-            st.cpu.save()?;
-        }
-        let result = f(self);
-        // Same lost-turn guard as [`Ctx::call`].
-        let restored = {
-            let mut st = self.shared.state.lock();
-            if st.turn == Turn::Worker(self.tid) && !st.stop {
-                st.record(TraceEvent::Restore);
-                st.cpu.restore_with(&instr)
-            } else {
-                Ok(())
-            }
+            let mut st = self.state.lock();
+            st.record(TraceEvent::Restore);
+            st.cpu.restore()
         };
         let value = result?;
         restored?;
@@ -116,10 +82,10 @@ impl Ctx {
     ///
     /// # Errors
     ///
-    /// Fails if the simulation is aborted while blocked.
-    pub fn read_byte(&mut self, stream: StreamId) -> Result<Option<u8>, RtError> {
+    /// Fails on an unknown stream or an injected stream-read fault.
+    pub async fn read_byte(&mut self, stream: StreamId) -> Result<Option<u8>, RtError> {
         loop {
-            let mut st = self.lock();
+            let mut st = self.state.lock();
             if st.streams.get(stream.0).is_none() {
                 return Err(RtError::UnknownStream(stream.0));
             }
@@ -143,10 +109,11 @@ impl Ctx {
             if st.streams[stream.0].is_closed() {
                 return Ok(None);
             }
-            st.waiting.insert(self.tid, Wait::ReadEmpty(stream));
+            st.park(self.tid, Wait::ReadEmpty(stream));
             st.blocked_on_read[self.tid.index()] += 1;
             st.bump(Metric::StreamWaitsRead, 1);
-            self.block(st)?;
+            drop(st);
+            suspend().await;
         }
     }
 
@@ -155,10 +122,11 @@ impl Ctx {
     ///
     /// # Errors
     ///
-    /// Fails if the stream is fully closed or the simulation aborts.
-    pub fn write_byte(&mut self, stream: StreamId, byte: u8) -> Result<(), RtError> {
+    /// Fails if the stream is unknown or fully closed, or on an injected
+    /// stream-write fault.
+    pub async fn write_byte(&mut self, stream: StreamId, byte: u8) -> Result<(), RtError> {
         loop {
-            let mut st = self.lock();
+            let mut st = self.state.lock();
             if st.streams.get(stream.0).is_none() {
                 return Err(RtError::UnknownStream(stream.0));
             }
@@ -188,10 +156,11 @@ impl Ctx {
                 st.wake_one_reader(stream);
                 return Ok(());
             }
-            st.waiting.insert(self.tid, Wait::WriteFull(stream));
+            st.park(self.tid, Wait::WriteFull(stream));
             st.blocked_on_write[self.tid.index()] += 1;
             st.bump(Metric::StreamWaitsWrite, 1);
-            self.block(st)?;
+            drop(st);
+            suspend().await;
         }
     }
 
@@ -204,9 +173,9 @@ impl Ctx {
     /// # Errors
     ///
     /// Same conditions as [`Ctx::write_byte`].
-    pub fn write_all(&mut self, stream: StreamId, bytes: &[u8]) -> Result<(), RtError> {
+    pub async fn write_all(&mut self, stream: StreamId, bytes: &[u8]) -> Result<(), RtError> {
         for &b in bytes {
-            self.write_byte(stream, b)?;
+            self.write_byte(stream, b).await?;
         }
         Ok(())
     }
@@ -223,9 +192,9 @@ impl Ctx {
     /// # Errors
     ///
     /// Same conditions as [`Ctx::write_byte`].
-    pub fn write_record(&mut self, stream: StreamId, bytes: &[u8]) -> Result<(), RtError> {
-        self.lock_record(stream)?;
-        let result = self.write_all(stream, bytes);
+    pub async fn write_record(&mut self, stream: StreamId, bytes: &[u8]) -> Result<(), RtError> {
+        self.lock_record(stream).await?;
+        let result = self.write_all(stream, bytes).await;
         // Release even when the write failed, so other writers are not
         // wedged behind a dead record.
         self.unlock_record(stream);
@@ -234,9 +203,9 @@ impl Ctx {
 
     /// Acquires the record lock on `stream`, blocking (and
     /// context-switching) while another writer holds it.
-    fn lock_record(&mut self, stream: StreamId) -> Result<(), RtError> {
+    async fn lock_record(&mut self, stream: StreamId) -> Result<(), RtError> {
         loop {
-            let mut st = self.lock();
+            let mut st = self.state.lock();
             if st.streams.get(stream.0).is_none() {
                 return Err(RtError::UnknownStream(stream.0));
             }
@@ -247,18 +216,19 @@ impl Ctx {
                 }
                 Some(owner) => {
                     debug_assert_ne!(*owner, self.tid, "record lock is not reentrant");
-                    st.waiting.insert(self.tid, Wait::WriteLocked(stream));
+                    st.park(self.tid, Wait::WriteLocked(stream));
                     st.blocked_on_write[self.tid.index()] += 1;
                     st.bump(Metric::StreamWaitsWrite, 1);
-                    self.block(st)?;
                 }
             }
+            drop(st);
+            suspend().await;
         }
     }
 
     /// Releases the record lock on `stream` and wakes one waiting writer.
     fn unlock_record(&mut self, stream: StreamId) {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         if st.record_locks.remove(&stream).is_some() {
             st.wake_one_lock_waiter(stream);
         }
@@ -271,7 +241,7 @@ impl Ctx {
     ///
     /// Fails on an unknown stream id.
     pub fn close_writer(&mut self, stream: StreamId) -> Result<(), RtError> {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         if st.streams.get(stream.0).is_none() {
             return Err(RtError::UnknownStream(stream.0));
         }
@@ -292,7 +262,7 @@ impl Ctx {
     ///
     /// Propagates machine errors.
     pub fn write_local(&mut self, reg: usize, value: u64) -> Result<(), RtError> {
-        Ok(self.lock().cpu.write_local(reg, value)?)
+        Ok(self.state.lock().cpu.write_local(reg, value)?)
     }
 
     /// Reads a `local` register of the thread's current window.
@@ -301,21 +271,7 @@ impl Ctx {
     ///
     /// Propagates machine errors.
     pub fn read_local(&mut self, reg: usize) -> Result<u64, RtError> {
-        Ok(self.lock().cpu.read_local(reg)?)
-    }
-
-    /// Suspends this thread until the scheduler dispatches it again. The
-    /// waiting-reason must already be registered in `st`.
-    fn block(&self, mut st: MutexGuard<'_, SimState>) -> Result<(), RtError> {
-        st.turn = Turn::Scheduler;
-        self.shared.sched_cv.notify_one();
-        while st.turn != Turn::Worker(self.tid) && !st.stop {
-            self.shared.worker_cv(self.tid).wait(&mut st);
-        }
-        if st.stop {
-            return Err(RtError::Aborted);
-        }
-        Ok(())
+        Ok(self.state.lock().cpu.read_local(reg)?)
     }
 }
 
@@ -323,4 +279,20 @@ impl std::fmt::Debug for Ctx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx").field("tid", &self.tid).finish()
     }
+}
+
+/// Suspends the running thread: returns `Pending` once, handing control
+/// back to the executor, and `Ready` when the thread is polled again
+/// after a wake. The caller must have registered its wait already.
+async fn suspend() {
+    let mut suspended = false;
+    poll_fn(|_| {
+        if suspended {
+            Poll::Ready(())
+        } else {
+            suspended = true;
+            Poll::Pending
+        }
+    })
+    .await;
 }

@@ -19,8 +19,6 @@ pub enum RtError {
         /// Human-readable description of who is blocked on what.
         detail: String,
     },
-    /// The simulation was aborted (another thread failed).
-    Aborted,
     /// A thread body panicked.
     ThreadPanicked {
         /// The thread's name.
@@ -90,7 +88,6 @@ impl fmt::Display for RtError {
         match self {
             RtError::Scheme(e) => write!(f, "scheme error: {e}"),
             RtError::Deadlock { detail } => write!(f, "deadlock: {detail}"),
-            RtError::Aborted => write!(f, "simulation aborted"),
             RtError::ThreadPanicked { name } => write!(f, "thread '{name}' panicked"),
             RtError::UnknownStream(id) => write!(f, "unknown stream id {id}"),
             RtError::WriteAfterClose(id) => write!(f, "write to stream {id} after close"),
@@ -135,7 +132,7 @@ mod tests {
         let e = RtError::from(SchemeError::NoCurrentThread);
         assert!(!e.to_string().is_empty());
         assert!(Error::source(&e).is_some());
-        assert!(Error::source(&RtError::Aborted).is_none());
+        assert!(Error::source(&RtError::UnknownStream(0)).is_none());
         assert!(RtError::Deadlock { detail: "x".into() }.to_string().contains("deadlock"));
         assert!(RtError::BadConfig { detail: "m = 0".into() }.to_string().contains("m = 0"));
         let fault = RtError::FaultInjected { site: "stream-read", index: 3 };

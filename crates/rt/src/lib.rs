@@ -19,27 +19,29 @@
 //!   pair on the simulated CPU (via [`Ctx::call`]), so the window
 //!   activity of the workload is what drives the schemes' behaviour.
 //!
-//! Thread bodies are ordinary Rust closures driven on dedicated OS
-//! threads, but *exactly one* simulated thread executes at a time, gated
-//! by the scheduler — execution is fully deterministic and independent of
-//! OS scheduling.
+//! Thread bodies are async closures polled by a small executor on the
+//! caller's OS thread. Blocking [`Ctx`] operations suspend the body and
+//! return control to the scheduler, which picks the next thread from
+//! its ready queue, so *exactly one* simulated thread executes at a
+//! time: execution is fully deterministic, and a context switch costs
+//! no OS handoff.
 //!
 //! ```rust
-//! use regwin_rt::{SchedulingPolicy, Simulation};
+//! use regwin_rt::{Ctx, SchedulingPolicy, Simulation};
 //! use regwin_traps::SchemeKind;
 //!
 //! # fn main() -> Result<(), regwin_rt::RtError> {
 //! let mut sim = Simulation::new(8, SchemeKind::Sp)?;
 //! let pipe = sim.add_stream("pipe", 4, 1);
-//! sim.spawn("producer", move |ctx| {
+//! sim.spawn_async("producer", async move |ctx: &mut Ctx| {
 //!     for b in 0u8..16 {
-//!         ctx.write_byte(pipe, b)?;
+//!         ctx.write_byte(pipe, b).await?;
 //!     }
 //!     ctx.close_writer(pipe)
 //! });
-//! sim.spawn("consumer", move |ctx| {
+//! sim.spawn_async("consumer", async move |ctx: &mut Ctx| {
 //!     let mut sum = 0u64;
-//!     while let Some(b) = ctx.read_byte(pipe)? {
+//!     while let Some(b) = ctx.read_byte(pipe).await? {
 //!         sum += u64::from(b);
 //!     }
 //!     assert_eq!(sum, 120);
@@ -74,7 +76,7 @@ pub use sched::{
     AgingPolicy, FifoPolicy, ReadyQueue, SchedPolicy, SchedulingPolicy, WakeInfo,
     WindowGreedyPolicy, WorkingSetPolicy, AGING_LIMIT,
 };
-pub use sim::{SendEvent, SimOptions, Simulation, StartedSim, StepOutcome, ThreadBody};
+pub use sim::{SendEvent, SimOptions, Simulation, StartedSim, StepOutcome};
 pub use stream::{Stream, StreamId};
 pub use trace::{Trace, TraceEvent};
 

@@ -1,10 +1,14 @@
 //! The simulation driver: deterministic non-preemptive execution of
 //! thread bodies over the simulated CPU.
 //!
-//! Each simulated thread runs on a dedicated OS thread, but a single
-//! turn-token (guarded by one mutex) ensures exactly one of them — or the
-//! scheduler — executes at any moment. Execution order therefore depends
-//! only on the workload and the scheduling policy, never on the OS.
+//! Every simulated thread body is a future, and [`StartedSim::step`]
+//! runs them all on the calling OS thread. It pops the next thread from
+//! the [`ReadyQueue`], switches the simulated CPU to it, and polls its
+//! future until the body blocks in a [`Ctx`] stream operation
+//! (`Pending`) or returns (`Ready`). Wakes go through the ready queue
+//! rather than a [`Waker`], so execution order depends only on the
+//! workload and the scheduling policy, and a switch costs no kernel
+//! handoff.
 
 use crate::ctx::Ctx;
 use crate::error::RtError;
@@ -13,23 +17,25 @@ use crate::report::{RunReport, ThreadReport};
 use crate::sched::{ReadyQueue, SchedPolicy, SchedulingPolicy, WakeInfo};
 use crate::stream::{RemoteEnd, Stream, StreamId};
 use crate::trace::{Trace, TraceEvent};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use regwin_machine::{MachineConfig, ThreadId, WindowIndex};
 use regwin_obs::{Metric, Probe, ProbeEvent, SpanKind};
 use regwin_traps::{build_scheme, Cpu, Scheme, SchemeKind};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, OnceLock};
+use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
+use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
-/// A thread body: a closure run once on its own coroutine, communicating
-/// and computing exclusively through the [`Ctx`] it receives.
-pub type ThreadBody = Box<dyn FnOnce(&mut Ctx) -> Result<(), RtError> + Send + 'static>;
+/// A running thread body: the future [`StartedSim::step`] polls.
+type Task = Pin<Box<dyn Future<Output = Result<(), RtError>>>>;
 
-/// Whose turn it is to execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Turn {
-    Scheduler,
-    Worker(ThreadId),
-}
+/// A spawned thread body that has not started yet: it builds the
+/// thread's [`Task`] from its [`Ctx`] at [`Simulation::start`]. Only
+/// this builder has to be `Send`, so a [`Simulation`] can move between
+/// OS threads while the tasks themselves never do.
+type ThreadBody = Box<dyn FnOnce(Ctx) -> Task + Send>;
 
 /// What a blocked thread is waiting for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,18 +47,30 @@ pub(crate) enum Wait {
     WriteLocked(StreamId),
 }
 
+/// The threads blocked on one stream, one set per wait kind. Each set
+/// is ordered by [`ThreadId`], so a wake picks the lowest id first.
+#[derive(Debug, Default)]
+struct Waiters {
+    read_empty: BTreeSet<ThreadId>,
+    write_full: BTreeSet<ThreadId>,
+    write_locked: BTreeSet<ThreadId>,
+}
+
 pub(crate) struct SimState {
     pub(crate) cpu: Cpu,
     pub(crate) streams: Vec<Stream>,
     pub(crate) ready: ReadyQueue,
+    /// Every blocked thread and what it waits for, in id order (the
+    /// deadlock report and the bus-progress check read it).
     pub(crate) waiting: BTreeMap<ThreadId, Wait>,
-    pub(crate) turn: Turn,
+    /// The same blocked threads, indexed by stream and wait kind, so a
+    /// wake never scans `waiting`.
+    waiters: Vec<Waiters>,
     pub(crate) finished: Vec<bool>,
     /// Threads abandoned after unrecoverable window corruption (their
     /// machine state was evicted; the rest of the run continues).
     pub(crate) quarantined: Vec<bool>,
     pub(crate) error: Option<RtError>,
-    pub(crate) stop: bool,
     pub(crate) names: Vec<String>,
     pub(crate) blocked_on_read: Vec<u64>,
     pub(crate) blocked_on_write: Vec<u64>,
@@ -113,52 +131,59 @@ impl SimState {
         }
     }
 
-    /// Wakes the lowest-id thread blocked reading `s` (one byte arrived).
-    pub(crate) fn wake_one_reader(&mut self, s: StreamId) {
-        let woken = self.waiting.iter().find(|(_, w)| **w == Wait::ReadEmpty(s)).map(|(t, _)| *t);
-        if let Some(t) = woken {
-            self.waiting.remove(&t);
-            let wake = self.wake_snapshot(t);
-            self.ready.enqueue_woken(t, wake);
+    fn waiter_set(&mut self, w: Wait) -> &mut BTreeSet<ThreadId> {
+        match w {
+            Wait::ReadEmpty(s) => &mut self.waiters[s.0].read_empty,
+            Wait::WriteFull(s) => &mut self.waiters[s.0].write_full,
+            Wait::WriteLocked(s) => &mut self.waiters[s.0].write_locked,
         }
     }
 
-    /// Wakes every thread blocked reading `s` (the stream closed; they
-    /// must observe EOF).
+    /// Registers the running thread `t` as blocked on `w`; it runs again
+    /// once a wake puts it back on the ready queue.
+    pub(crate) fn park(&mut self, t: ThreadId, w: Wait) {
+        self.waiting.insert(t, w);
+        self.waiter_set(w).insert(t);
+    }
+
+    /// Moves the blocked thread `t`, already taken out of its waiter
+    /// set, to the ready queue.
+    fn unpark(&mut self, t: ThreadId) {
+        self.waiting.remove(&t);
+        let wake = self.wake_snapshot(t);
+        self.ready.enqueue_woken(t, wake);
+    }
+
+    /// Wakes the lowest-id thread blocked on `w`, if any.
+    fn wake_first(&mut self, w: Wait) {
+        if let Some(t) = self.waiter_set(w).pop_first() {
+            self.unpark(t);
+        }
+    }
+
+    /// Wakes the lowest-id thread blocked reading `s` (one byte arrived).
+    pub(crate) fn wake_one_reader(&mut self, s: StreamId) {
+        self.wake_first(Wait::ReadEmpty(s));
+    }
+
+    /// Wakes every thread blocked reading `s`, lowest id first (the
+    /// stream closed; they must observe EOF).
     pub(crate) fn wake_all_readers(&mut self, s: StreamId) {
-        let woken: Vec<ThreadId> = self
-            .waiting
-            .iter()
-            .filter(|(_, w)| **w == Wait::ReadEmpty(s))
-            .map(|(t, _)| *t)
-            .collect();
-        for t in woken {
-            self.waiting.remove(&t);
-            let wake = self.wake_snapshot(t);
-            self.ready.enqueue_woken(t, wake);
+        for t in std::mem::take(&mut self.waiters[s.0].read_empty) {
+            self.unpark(t);
         }
     }
 
     /// Wakes the lowest-id thread blocked writing `s` (one byte of space
     /// appeared).
     pub(crate) fn wake_one_writer(&mut self, s: StreamId) {
-        let woken = self.waiting.iter().find(|(_, w)| **w == Wait::WriteFull(s)).map(|(t, _)| *t);
-        if let Some(t) = woken {
-            self.waiting.remove(&t);
-            let wake = self.wake_snapshot(t);
-            self.ready.enqueue_woken(t, wake);
-        }
+        self.wake_first(Wait::WriteFull(s));
     }
 
     /// Wakes the lowest-id thread waiting for the record lock on `s`
     /// (the previous holder released it).
     pub(crate) fn wake_one_lock_waiter(&mut self, s: StreamId) {
-        let woken = self.waiting.iter().find(|(_, w)| **w == Wait::WriteLocked(s)).map(|(t, _)| *t);
-        if let Some(t) = woken {
-            self.waiting.remove(&t);
-            let wake = self.wake_snapshot(t);
-            self.ready.enqueue_woken(t, wake);
-        }
+        self.wake_first(Wait::WriteLocked(s));
     }
 
     /// Abandons `t` after unrecoverable window corruption: evicts its
@@ -173,7 +198,9 @@ impl SimState {
         }
         self.quarantined[t.index()] = true;
         self.finished[t.index()] = true;
-        self.waiting.remove(&t);
+        if let Some(w) = self.waiting.remove(&t) {
+            self.waiter_set(w).remove(&t);
+        }
         let held: Vec<StreamId> =
             self.record_locks.iter().filter(|(_, h)| **h == t).map(|(s, _)| *s).collect();
         for s in held {
@@ -182,37 +209,6 @@ impl SimState {
         }
         let _ = self.cpu.release_thread(t);
         self.bump(Metric::ThreadsQuarantined, 1);
-    }
-}
-
-pub(crate) struct Shared {
-    pub(crate) state: Mutex<SimState>,
-    pub(crate) sched_cv: Condvar,
-    /// One condvar per worker thread, sized at run start. The turn
-    /// protocol admits exactly one runnable worker at a time, so the
-    /// scheduler wakes precisely that worker's condvar — a shared
-    /// condvar would make every dispatch a thundering herd in which
-    /// all parked workers wake, contend for the state lock, find it is
-    /// not their turn, and park again (two futex round-trips per
-    /// bystander per context switch).
-    pub(crate) worker_cvs: OnceLock<Box<[Condvar]>>,
-}
-
-impl Shared {
-    /// The dispatch condvar worker `tid` parks on. Only callable after
-    /// the run has started (the slice is sized when workers spawn).
-    pub(crate) fn worker_cv(&self, tid: ThreadId) -> &Condvar {
-        &self.worker_cvs.get().expect("worker condvars sized at run start")[tid.index()]
-    }
-
-    /// Wakes every parked worker (stop/teardown paths). Each condvar
-    /// has at most one waiter, so `notify_one` per condvar suffices.
-    pub(crate) fn notify_all_workers(&self) {
-        if let Some(cvs) = self.worker_cvs.get() {
-            for cv in cvs.iter() {
-                cv.notify_one();
-            }
-        }
     }
 }
 
@@ -241,8 +237,8 @@ pub struct SimOptions {
 /// and a set of threads to run to completion. See the crate docs for an
 /// example.
 pub struct Simulation {
-    shared: Arc<Shared>,
-    bodies: Vec<Option<ThreadBody>>,
+    state: Arc<Mutex<SimState>>,
+    bodies: Vec<ThreadBody>,
     scheme: SchemeKind,
     nwindows: usize,
 }
@@ -275,11 +271,10 @@ impl Simulation {
             streams: Vec::new(),
             ready: ReadyQueue::new(SchedulingPolicy::Fifo),
             waiting: BTreeMap::new(),
-            turn: Turn::Scheduler,
+            waiters: Vec::new(),
             finished: Vec::new(),
             quarantined: Vec::new(),
             error: None,
-            stop: false,
             names: Vec::new(),
             blocked_on_read: Vec::new(),
             blocked_on_write: Vec::new(),
@@ -294,11 +289,7 @@ impl Simulation {
             stream_writes_seen: 0,
         };
         Ok(Simulation {
-            shared: Arc::new(Shared {
-                state: Mutex::new(state),
-                sched_cv: Condvar::new(),
-                worker_cvs: OnceLock::new(),
-            }),
+            state: Arc::new(Mutex::new(state)),
             bodies: Vec::new(),
             scheme: kind,
             nwindows,
@@ -337,7 +328,7 @@ impl Simulation {
     /// Sets the scheduling policy (default: FIFO).
     #[must_use]
     pub fn with_policy(self, policy: SchedulingPolicy) -> Self {
-        self.shared.state.lock().ready = ReadyQueue::new(policy);
+        self.state.lock().ready = ReadyQueue::new(policy);
         self
     }
 
@@ -348,7 +339,7 @@ impl Simulation {
     #[must_use]
     pub fn with_sched_policy(self, imp: Box<dyn SchedPolicy>) -> Self {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = self.state.lock();
             debug_assert!(st.ready.is_empty(), "install the policy before spawning threads");
             st.ready = ReadyQueue::with_impl(imp);
         }
@@ -358,7 +349,7 @@ impl Simulation {
     /// Sets the cycles charged per stream byte transferred (default: 4).
     #[must_use]
     pub fn with_stream_byte_cycles(self, cycles: u64) -> Self {
-        self.shared.state.lock().stream_byte_cycles = cycles;
+        self.state.lock().stream_byte_cycles = cycles;
         self
     }
 
@@ -366,7 +357,7 @@ impl Simulation {
     /// recorded trace is returned by [`Simulation::run_with_trace`].
     #[must_use]
     pub fn with_trace_recording(self) -> Self {
-        self.shared.state.lock().trace = Some(Trace::new());
+        self.state.lock().trace = Some(Trace::new());
         self
     }
 
@@ -377,7 +368,7 @@ impl Simulation {
     /// is wrapped in a `Simulation` span named after the scheme.
     #[must_use]
     pub fn with_probe(self, probe: Arc<dyn Probe>) -> Self {
-        self.shared.state.lock().cpu.set_probe(Some(probe));
+        self.state.lock().cpu.set_probe(Some(probe));
         self
     }
 
@@ -390,7 +381,7 @@ impl Simulation {
     /// keeps running.
     #[must_use]
     pub fn with_window_audit(self) -> Self {
-        self.shared.state.lock().cpu.enable_window_audit();
+        self.state.lock().cpu.enable_window_audit();
         self
     }
 
@@ -401,7 +392,7 @@ impl Simulation {
     #[must_use]
     pub fn with_fault_plan(self, plan: &FaultPlan) -> Self {
         {
-            let mut st = self.shared.state.lock();
+            let mut st = self.state.lock();
             let schedule = plan.machine_schedule();
             st.cpu.set_fault_schedule(if schedule.is_empty() { None } else { Some(schedule) });
             st.stream_read_fails = plan.stream_read_fails();
@@ -423,9 +414,10 @@ impl Simulation {
         capacity: usize,
         writers: usize,
     ) -> StreamId {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.lock();
         let id = StreamId(st.streams.len());
         st.streams.push(Stream::new(name, capacity, writers));
+        st.waiters.push(Waiters::default());
         id
     }
 
@@ -458,7 +450,7 @@ impl Simulation {
     /// driver ([`Simulation::start`]); the plain [`Simulation::run`]
     /// path never drains it.
     pub fn mark_stream_outbound(&mut self, stream: StreamId) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.lock();
         st.streams[stream.0].set_remote(RemoteEnd::Outbound);
     }
 
@@ -467,17 +459,23 @@ impl Simulation {
     /// it with one writer (the bus); it closes when the sending PE's
     /// close message is delivered.
     pub fn mark_stream_inbound(&mut self, stream: StreamId) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.lock();
         st.streams[stream.0].set_remote(RemoteEnd::Inbound);
     }
 
-    /// Spawns a simulated thread. Threads are dispatched in spawn order.
-    pub fn spawn(
-        &mut self,
-        name: impl Into<String>,
-        body: impl FnOnce(&mut Ctx) -> Result<(), RtError> + Send + 'static,
-    ) -> ThreadId {
-        let mut st = self.shared.state.lock();
+    /// Spawns a simulated thread whose body is an async closure: it can
+    /// block in the `async` [`Ctx`] stream operations and make nested
+    /// [`Ctx::call`]s. Threads are dispatched in spawn order.
+    ///
+    /// The body must await only [`Ctx`] operations: the scheduler
+    /// treats every suspension as a stream wait, and a body that
+    /// suspends on anything else fails the run with
+    /// [`RtError::Internal`].
+    pub fn spawn_async<F>(&mut self, name: impl Into<String>, body: F) -> ThreadId
+    where
+        F: AsyncFnOnce(&mut Ctx) -> Result<(), RtError> + Send + 'static,
+    {
+        let mut st = self.state.lock();
         let t = st.cpu.add_thread();
         st.names.push(name.into());
         st.finished.push(false);
@@ -486,8 +484,21 @@ impl Simulation {
         st.blocked_on_write.push(0);
         st.ready.enqueue_new(t);
         drop(st);
-        self.bodies.push(Some(Box::new(body)));
+        self.bodies.push(Box::new(move |mut ctx: Ctx| -> Task {
+            Box::pin(async move { body(&mut ctx).await })
+        }));
         t
+    }
+
+    /// Spawns a simulated thread whose body never blocks: it can only
+    /// use the synchronous [`Ctx`] operations (compute, local registers,
+    /// closing a writer). A thin adapter onto [`Simulation::spawn_async`].
+    pub fn spawn(
+        &mut self,
+        name: impl Into<String>,
+        body: impl FnOnce(&mut Ctx) -> Result<(), RtError> + Send + 'static,
+    ) -> ThreadId {
+        self.spawn_async(name, async move |ctx: &mut Ctx| body(ctx))
     }
 
     /// Runs every thread to completion and returns the report.
@@ -519,40 +530,32 @@ impl Simulation {
         started.finish()
     }
 
-    /// Spawns the worker threads and hands back a [`StartedSim`] that an
-    /// external discrete-event driver (the `regwin-cluster` scheduler)
-    /// clocks explicitly via [`StartedSim::step`]. The plain
-    /// [`Simulation::run`] path is implemented on top of this and runs
-    /// exactly one step.
-    pub fn start(mut self) -> StartedSim {
-        let nthreads = self.bodies.len();
-        let probe = self.shared.state.lock().cpu.machine().probe().cloned();
+    /// Creates every thread's task (none runs yet) and hands back a
+    /// [`StartedSim`] that an external discrete-event driver (the
+    /// `regwin-cluster` scheduler) clocks explicitly via
+    /// [`StartedSim::step`]. The plain [`Simulation::run`] path is
+    /// implemented on top of this and runs exactly one step.
+    pub fn start(self) -> StartedSim {
+        let probe = self.state.lock().cpu.machine().probe().cloned();
         if let Some(p) = &probe {
             p.record(&ProbeEvent::SpanStart {
                 kind: SpanKind::Simulation,
                 name: self.scheme.name(),
             });
         }
-        self.shared
-            .worker_cvs
-            .set((0..nthreads).map(|_| Condvar::new()).collect())
-            .unwrap_or_else(|_| unreachable!("start consumes the simulation"));
-        let mut workers = Vec::with_capacity(nthreads);
-        for (i, slot) in self.bodies.iter_mut().enumerate() {
-            let body = slot.take().expect("body taken once");
-            let shared = Arc::clone(&self.shared);
-            let tid = ThreadId::new(i);
-            workers.push(std::thread::spawn(move || worker_main(shared, tid, body)));
-        }
+        let tasks = self
+            .bodies
+            .into_iter()
+            .enumerate()
+            .map(|(i, body)| Some(body(Ctx::new(Arc::clone(&self.state), ThreadId::new(i)))))
+            .collect();
         StartedSim {
-            shared: Arc::clone(&self.shared),
-            workers,
+            state: self.state,
+            tasks,
             scheme: self.scheme,
             nwindows: self.nwindows,
-            nthreads,
             probe,
             loop_result: Ok(()),
-            shut_down: false,
         }
     }
 }
@@ -590,152 +593,182 @@ pub struct SendEvent {
     pub tick: u64,
 }
 
-/// A running simulation under external control: worker threads are
-/// spawned and parked, and the embedded scheduler only advances when
+/// A running simulation under external control: every thread's task
+/// exists, and the embedded scheduler only advances when
 /// [`StartedSim::step`] is called. Between steps, an external driver
 /// drains outbound bytes, grants bus requests and delivers inbound
 /// bytes — the PE-side half of the cluster's discrete-event protocol.
 ///
-/// Dropping a `StartedSim` without calling [`StartedSim::finish`] stops
-/// and joins the workers (aborting unfinished threads), so an external
-/// driver that fails mid-run leaks nothing.
+/// Dropping a `StartedSim` without calling [`StartedSim::finish`] just
+/// drops the unfinished tasks: a suspended thread never resumes, so
+/// nothing of it runs again, not even the `restore` of an open
+/// [`Ctx::call`].
 pub struct StartedSim {
-    shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    state: Arc<Mutex<SimState>>,
+    /// One task per thread, `None` once it has finished or panicked.
+    tasks: Vec<Option<Task>>,
     scheme: SchemeKind,
     nwindows: usize,
-    nthreads: usize,
     probe: Option<Arc<dyn Probe>>,
     /// The scheduler loop's terminal result, reproduced by
     /// [`StartedSim::finish`] in exactly the position the legacy
     /// single-call path reported it.
     loop_result: Result<(), RtError>,
-    shut_down: bool,
 }
 
 impl StartedSim {
     /// Runs the embedded scheduler until every thread finished
     /// ([`StepOutcome::Done`]), no thread can run without bus progress
     /// ([`StepOutcome::Blocked`]), or the run fails. Deterministic: the
-    /// turn-token protocol serializes all execution, so the outcome
-    /// depends only on workload state at entry.
+    /// threads run one at a time on the calling OS thread, each until it
+    /// blocks or returns, so the outcome depends only on workload state
+    /// at entry.
     ///
     /// # Errors
     ///
     /// Returns the first thread error or a deadlock description exactly
-    /// as [`Simulation::run`] would.
+    /// as [`Simulation::run`] would. Once a step has failed, every later
+    /// step returns the same error.
     pub fn step(&mut self) -> Result<StepOutcome, RtError> {
-        let shared = Arc::clone(&self.shared);
-        let mut st = shared.state.lock();
+        self.loop_result.clone()?;
+        let result = self.schedule();
+        if let Err(e) = &result {
+            self.loop_result = Err(e.clone());
+        }
+        result
+    }
+
+    fn schedule(&mut self) -> Result<StepOutcome, RtError> {
+        let nthreads = self.tasks.len();
         loop {
-            while st.turn != Turn::Scheduler && st.error.is_none() && !st.stop {
-                shared.sched_cv.wait(&mut st);
+            let mut st = self.state.lock();
+            if let Some(e) = &st.error {
+                return Err(e.clone());
             }
-            if st.error.is_some() || st.stop {
-                st.stop = true;
-                // The stop flag can be raised with no recorded error
-                // (e.g. an external driver tearing the PE down); surface
-                // that as a typed error rather than panicking on the
-                // empty error slot.
-                let e = st.error.clone().unwrap_or_else(|| RtError::Internal {
-                    detail: "scheduler observed the stop flag with no recorded error".to_string(),
-                });
-                self.loop_result = Err(e.clone());
-                return Err(e);
-            }
-            let finished_count = st.finished.iter().filter(|f| **f).count();
-            if finished_count == self.nthreads {
+            if st.finished.iter().filter(|f| **f).count() == nthreads {
                 return Ok(StepOutcome::Done);
             }
-            match st.ready.pop() {
-                Some(next) => {
-                    if st.quarantined[next.index()] {
-                        continue;
+            let Some(next) = st.ready.pop() else {
+                // A thread blocked on a cross-PE stream is waiting on the
+                // bus, not on a local peer: an inbound read can be
+                // satisfied by a future delivery, and an outbound write
+                // frees up when a pending byte is granted. Only when no
+                // such external progress is possible is this a real
+                // deadlock.
+                let bus_can_progress = st.waiting.values().any(|w| match w {
+                    Wait::ReadEmpty(s) => {
+                        st.streams[s.0].remote() == Some(RemoteEnd::Inbound)
+                            && !st.streams[s.0].is_closed()
                     }
-                    // The switch-boundary audit may quarantine either
-                    // side: the outgoing thread (retry the dispatch once
-                    // without it) or `next` itself (skip it and pick
-                    // another thread).
-                    let mut dispatched = false;
-                    for _ in 0..2 {
-                        match st.cpu.switch_to(next) {
-                            Ok(()) => {
-                                dispatched = true;
-                                break;
-                            }
-                            Err(e) => {
-                                let e = RtError::from(e);
-                                let Some(owner) = e.unrecoverable_owner() else {
-                                    st.stop = true;
-                                    self.loop_result = Err(e.clone());
-                                    return Err(e);
-                                };
-                                st.quarantine_thread(owner);
-                                if owner == next {
-                                    break;
-                                }
-                            }
-                        }
+                    Wait::WriteFull(s) => {
+                        st.streams[s.0].remote() == Some(RemoteEnd::Outbound)
+                            && st.streams[s.0].pending_send() > 0
                     }
-                    if !dispatched {
-                        continue;
-                    }
-                    // The queue length *after* popping is the number of
-                    // other runnable threads: the parallel slackness.
-                    st.slack_sum += st.ready.len() as u64;
-                    st.dispatches += 1;
-                    st.bump(Metric::Dispatches, 1);
-                    if let Some(p) = st.cpu.machine().probe() {
-                        p.record(&ProbeEvent::Gauge {
-                            name: "ready_queue_depth",
-                            value: st.ready.len() as u64,
-                        });
-                    }
-                    st.record(TraceEvent::SwitchTo(next));
-                    st.turn = Turn::Worker(next);
-                    shared.worker_cv(next).notify_one();
+                    Wait::WriteLocked(_) => false,
+                });
+                if bus_can_progress {
+                    return Ok(StepOutcome::Blocked);
                 }
-                None => {
-                    // A thread blocked on a cross-PE stream is waiting
-                    // on the bus, not on a local peer: an inbound read
-                    // can be satisfied by a future delivery, and an
-                    // outbound write frees up when a pending byte is
-                    // granted. Only when no such external progress is
-                    // possible is this a real deadlock.
-                    let bus_can_progress = st.waiting.values().any(|w| match w {
-                        Wait::ReadEmpty(s) => {
-                            st.streams[s.0].remote() == Some(RemoteEnd::Inbound)
-                                && !st.streams[s.0].is_closed()
-                        }
-                        Wait::WriteFull(s) => {
-                            st.streams[s.0].remote() == Some(RemoteEnd::Outbound)
-                                && st.streams[s.0].pending_send() > 0
-                        }
-                        Wait::WriteLocked(_) => false,
-                    });
-                    if bus_can_progress {
-                        return Ok(StepOutcome::Blocked);
+                return Err(RtError::Deadlock { detail: blocked_detail(&st) });
+            };
+            if st.quarantined[next.index()] {
+                continue;
+            }
+            // The switch-boundary audit may quarantine either side: the
+            // outgoing thread (retry the dispatch once without it) or
+            // `next` itself (skip it and pick another thread).
+            let mut dispatched = false;
+            for _ in 0..2 {
+                match st.cpu.switch_to(next) {
+                    Ok(()) => {
+                        dispatched = true;
+                        break;
                     }
-                    st.stop = true;
-                    let e = RtError::Deadlock { detail: blocked_detail(&st) };
-                    self.loop_result = Err(e.clone());
-                    return Err(e);
+                    Err(e) => {
+                        let e = RtError::from(e);
+                        let owner = e.unrecoverable_owner().ok_or_else(|| e.clone())?;
+                        st.quarantine_thread(owner);
+                        if owner == next {
+                            break;
+                        }
+                    }
+                }
+            }
+            if !dispatched {
+                continue;
+            }
+            // The queue length *after* popping is the number of other
+            // runnable threads: the parallel slackness.
+            st.slack_sum += st.ready.len() as u64;
+            st.dispatches += 1;
+            st.bump(Metric::Dispatches, 1);
+            if let Some(p) = st.cpu.machine().probe() {
+                p.record(&ProbeEvent::Gauge {
+                    name: "ready_queue_depth",
+                    value: st.ready.len() as u64,
+                });
+            }
+            st.record(TraceEvent::SwitchTo(next));
+            drop(st);
+            self.run_until_blocked(next);
+        }
+    }
+
+    /// Polls `t`'s task until the thread blocks (`Pending`) or its body
+    /// returns or panics (`Ready`), and settles the outcome in the
+    /// state. Wakes go through the ready queue, so the waker is a no-op.
+    fn run_until_blocked(&mut self, t: ThreadId) {
+        let task = self.tasks[t.index()].as_mut().expect("a dispatched thread has a live task");
+        let mut cx = Context::from_waker(Waker::noop());
+        let polled = catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx)));
+        let mut st = self.state.lock();
+        let result = match polled {
+            Ok(Poll::Pending) => {
+                if !st.waiting.contains_key(&t) && st.error.is_none() {
+                    st.error = Some(RtError::Internal {
+                        detail: format!(
+                            "thread {} suspended outside a Ctx stream operation",
+                            st.names[t.index()]
+                        ),
+                    });
+                }
+                return;
+            }
+            Ok(Poll::Ready(result)) => result,
+            Err(_) => Err(RtError::ThreadPanicked { name: st.names[t.index()].clone() }),
+        };
+        self.tasks[t.index()] = None;
+        st.finished[t.index()] = true;
+        match result {
+            Ok(()) => {
+                // Release the thread's windows on the simulated CPU.
+                if st.cpu.current_thread() == Some(t) {
+                    st.record(TraceEvent::Terminate);
+                    if let Err(e) = st.cpu.terminate_current() {
+                        if st.error.is_none() {
+                            st.error = Some(e.into());
+                        }
+                    }
+                }
+            }
+            Err(e) if e.unrecoverable_owner() == Some(t) => st.quarantine_thread(t),
+            Err(e) => {
+                if st.error.is_none() {
+                    st.error = Some(e);
                 }
             }
         }
     }
 
-    /// Stops and joins the workers, closes the probe span and builds
-    /// the report — byte-for-byte the tail of the legacy
-    /// [`Simulation::run_with_trace`] path.
+    /// Closes the probe span and builds the report — byte-for-byte the
+    /// tail of the legacy [`Simulation::run_with_trace`] path.
     ///
     /// # Errors
     ///
     /// Reports the first thread error, then any scheduler-loop error
     /// from a prior [`StartedSim::step`], in that precedence order.
-    pub fn finish(mut self) -> Result<(RunReport, Option<Trace>), RtError> {
-        self.shutdown();
-        let mut st = self.shared.state.lock();
+    pub fn finish(self) -> Result<(RunReport, Option<Trace>), RtError> {
+        let mut st = self.state.lock();
         // Deliver whatever counter deltas the machine still holds before
         // the Simulation span closes, so every event lands inside it.
         st.cpu.flush_probe();
@@ -750,6 +783,17 @@ impl StartedSim {
             return Err(e.clone());
         }
         self.loop_result.clone()?;
+        let slackness =
+            if st.dispatches == 0 { 0.0 } else { st.slack_sum as f64 / st.dispatches as f64 };
+        let trace = st.trace.take().map(|mut t| {
+            t.set_threads(
+                st.names.clone(),
+                st.blocked_on_read.clone(),
+                st.blocked_on_write.clone(),
+                slackness,
+            );
+            t
+        });
         let machine = st.cpu.machine();
         let threads = st
             .names
@@ -775,32 +819,15 @@ impl StartedSim {
             cycles: machine.cycles().clone(),
             stats: machine.stats().clone(),
             threads,
-            avg_parallel_slackness: if st.dispatches == 0 {
-                0.0
-            } else {
-                st.slack_sum as f64 / st.dispatches as f64
-            },
+            avg_parallel_slackness: slackness,
             bus: None,
         };
-        drop(st);
-        let mut st = self.shared.state.lock();
-        let slackness =
-            if st.dispatches == 0 { 0.0 } else { st.slack_sum as f64 / st.dispatches as f64 };
-        let trace = st.trace.take().map(|mut t| {
-            t.set_threads(
-                st.names.clone(),
-                st.blocked_on_read.clone(),
-                st.blocked_on_write.clone(),
-                slackness,
-            );
-            t
-        });
         Ok((report, trace))
     }
 
     /// The PE's local clock: total simulated cycles so far.
     pub fn local_tick(&self) -> u64 {
-        self.shared.state.lock().cpu.total_cycles()
+        self.state.lock().cpu.total_cycles()
     }
 
     /// Drains every outbound cross-PE stream: buffered bytes become
@@ -809,7 +836,7 @@ impl StartedSim {
     /// exactly once, after all its bytes. Drained bytes stay in flight —
     /// they occupy sender capacity until [`StartedSim::grant_send`].
     pub fn drain_outbound(&mut self) -> Vec<SendEvent> {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.lock();
         let mut out = Vec::new();
         for i in 0..st.streams.len() {
             if st.streams[i].remote() != Some(RemoteEnd::Outbound) {
@@ -833,7 +860,7 @@ impl StartedSim {
     /// The bus granted one in-flight byte of the outbound `stream`:
     /// frees a unit of sender capacity and wakes one blocked writer.
     pub fn grant_send(&mut self, stream: StreamId) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.lock();
         st.streams[stream.0].grant_send();
         st.bump(Metric::BusGrants, 1);
         st.wake_one_writer(stream);
@@ -846,7 +873,7 @@ impl StartedSim {
     /// `tick`, charging the gap as bus-stall idle time — the receiving
     /// PE really did sit idle until the delivery arrived.
     pub fn deliver(&mut self, stream: StreamId, payload: Option<u8>, tick: u64) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.lock();
         if st.ready.is_empty() {
             st.cpu.step_to_tick(tick);
         }
@@ -868,30 +895,7 @@ impl StartedSim {
     /// waiting for — the per-PE fragment of a cluster-level deadlock
     /// report.
     pub fn blocked_detail(&self) -> String {
-        blocked_detail(&self.shared.state.lock())
-    }
-
-    fn shutdown(&mut self) {
-        if self.shut_down {
-            return;
-        }
-        self.shut_down = true;
-        // Release any still-parked workers and join them.
-        {
-            let mut st = self.shared.state.lock();
-            st.stop = true;
-            self.shared.notify_all_workers();
-            drop(st);
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for StartedSim {
-    fn drop(&mut self) {
-        self.shutdown();
+        blocked_detail(&self.state.lock())
     }
 }
 
@@ -900,7 +904,7 @@ impl std::fmt::Debug for StartedSim {
         f.debug_struct("StartedSim")
             .field("scheme", &self.scheme)
             .field("nwindows", &self.nwindows)
-            .field("threads", &self.nthreads)
+            .field("threads", &self.tasks.len())
             .finish()
     }
 }
@@ -929,112 +933,78 @@ fn blocked_detail(st: &SimState) -> String {
     detail.join("; ")
 }
 
-fn worker_main(shared: Arc<Shared>, tid: ThreadId, body: ThreadBody) {
-    // Wait for the first dispatch.
-    {
-        let mut st = shared.state.lock();
-        while st.turn != Turn::Worker(tid) && !st.stop {
-            shared.worker_cv(tid).wait(&mut st);
-        }
-        if st.stop {
-            st.finished[tid.index()] = true;
-            return;
-        }
-    }
-    let mut ctx = Ctx::new(Arc::clone(&shared), tid);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-
-    let mut st = shared.state.lock();
-    st.finished[tid.index()] = true;
-    match outcome {
-        Ok(Ok(())) => {
-            // Release the thread's windows on the simulated CPU.
-            if st.cpu.current_thread() == Some(tid) {
-                st.record(TraceEvent::Terminate);
-                if let Err(e) = st.cpu.terminate_current() {
-                    if st.error.is_none() {
-                        st.error = Some(e.into());
-                    }
-                }
-            }
-        }
-        Ok(Err(RtError::Aborted)) => {}
-        Ok(Err(e)) => {
-            if e.unrecoverable_owner() == Some(tid) {
-                st.quarantine_thread(tid);
-            } else if st.error.is_none() {
-                st.error = Some(e);
-            }
-        }
-        Err(_) => {
-            if st.error.is_none() {
-                st.error = Some(RtError::ThreadPanicked { name: st.names[tid.index()].clone() });
-            }
-        }
-    }
-    st.turn = Turn::Scheduler;
-    shared.sched_cv.notify_one();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The stop flag raised with no recorded error (the corner an
-    /// external driver can produce) must surface as a typed
-    /// [`RtError::Internal`], not a panic on the empty error slot.
+    /// A configured simulation can still move to another OS thread
+    /// (sweep workers build and run it there); only the started tasks
+    /// are confined to the thread that steps them.
     #[test]
-    fn stop_without_error_is_a_typed_internal_error() {
+    fn simulation_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<Simulation>();
+    }
+
+    /// A failed step is sticky: stepping again reproduces the same
+    /// error, and `finish` reports it.
+    #[test]
+    fn a_failed_step_is_sticky() {
         let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
         let pipe = sim.add_stream("pipe", 1, 1);
-        sim.spawn("blocked", move |ctx| {
+        sim.spawn_async("blocked", async move |ctx: &mut Ctx| {
             // Blocks forever: nothing ever writes the stream.
-            ctx.read_byte(pipe)?;
+            ctx.read_byte(pipe).await?;
             Ok(())
         });
         let mut started = sim.start();
-        started.shared.state.lock().stop = true;
         let err = started.step().unwrap_err();
-        assert!(matches!(err, RtError::Internal { .. }), "got {err:?}");
-        // finish() reproduces the scheduler-loop error and tears the
-        // workers down cleanly.
-        let finished = started.finish();
-        assert!(matches!(finished, Err(RtError::Internal { .. })), "got {finished:?}");
+        assert_eq!(err.to_string(), "deadlock: blocked reading empty pipe");
+        assert_eq!(started.step().unwrap_err(), err);
+        assert_eq!(started.finish().unwrap_err(), err);
     }
 
-    /// The same corner while the scheduler is parked waiting for a
-    /// worker turn: the wait loop must wake up and exit on the stop
-    /// flag instead of hanging.
+    /// Dropping a `StartedSim` after a `Blocked` step, with a thread
+    /// suspended inside `Ctx::call`, drops the task without resuming
+    /// it: no hang, no panic, and no balancing `restore` from a
+    /// destructor.
     #[test]
-    fn stop_mid_wait_wakes_the_scheduler() {
+    fn dropping_a_blocked_sim_runs_no_restore() {
+        let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap().with_trace_recording();
+        let inbound = sim.add_stream("inbound", 4, 1);
+        sim.mark_stream_inbound(inbound);
+        sim.spawn_async("reader", async move |ctx: &mut Ctx| {
+            ctx.call(async |c: &mut Ctx| {
+                c.read_byte(inbound).await?;
+                Ok(())
+            })
+            .await
+        });
+        let mut started = sim.start();
+        assert_eq!(started.step(), Ok(StepOutcome::Blocked));
+        let state = Arc::clone(&started.state);
+        let counts = |st: &SimState| {
+            let stats = st.cpu.machine().stats();
+            let events = st.trace.as_ref().map_or(0, |t| t.events().len());
+            (stats.saves_executed, stats.restores_executed, events)
+        };
+        let before = counts(&state.lock());
+        assert_eq!((before.0, before.1), (1, 0), "suspended inside the call");
+        drop(started);
+        assert_eq!(counts(&state.lock()), before);
+        assert_eq!(Arc::strong_count(&state), 1, "the task and its Ctx were dropped");
+    }
+
+    /// A body that suspends on anything but a `Ctx` stream wait fails
+    /// the run with a typed error instead of silently never resuming.
+    #[test]
+    fn suspending_outside_a_ctx_wait_is_an_internal_error() {
         let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
-        sim.spawn("spin", move |ctx| {
-            for _ in 0..64 {
-                ctx.call(|c| {
-                    c.compute(1);
-                    Ok(())
-                })?;
-            }
+        sim.spawn_async("stray", async |_: &mut Ctx| {
+            std::future::pending::<()>().await;
             Ok(())
         });
-        let started = sim.start();
-        let shared = Arc::clone(&started.shared);
-        let stopper = std::thread::spawn(move || {
-            let mut st = shared.state.lock();
-            st.stop = true;
-            shared.sched_cv.notify_one();
-            shared.notify_all_workers();
-            drop(st);
-        });
-        let mut started = started;
-        // Either the worker finished first (Done) or the stop landed
-        // mid-run (typed Internal error) — both are clean exits; the
-        // test is that neither path hangs or panics.
-        match started.step() {
-            Ok(StepOutcome::Done) => {}
-            Err(RtError::Internal { .. }) | Err(RtError::Aborted) => {}
-            other => panic!("unexpected step outcome: {other:?}"),
-        }
-        stopper.join().unwrap();
+        let err = sim.run().unwrap_err();
+        assert!(matches!(err, RtError::Internal { .. }), "got {err:?}");
     }
 }

@@ -20,31 +20,35 @@ fn pipeline(
     let s1 = sim.add_stream("s1", capacity, 1);
     let s2 = sim.add_stream("s2", capacity, 1);
 
-    sim.spawn("producer", move |ctx| {
+    sim.spawn_async("producer", async move |ctx| {
         for i in 0..items {
             // A small helper-call tree per item, to generate window
             // activity the way real code does.
-            let byte = ctx.call(|ctx| {
-                ctx.compute(5);
-                Ok((i % 251) as u8)
-            })?;
-            ctx.write_byte(s1, byte)?;
+            let byte = ctx
+                .call(async |ctx| {
+                    ctx.compute(5);
+                    Ok((i % 251) as u8)
+                })
+                .await?;
+            ctx.write_byte(s1, byte).await?;
         }
         ctx.close_writer(s1)
     });
-    sim.spawn("doubler", move |ctx| {
-        while let Some(b) = ctx.read_byte(s1)? {
-            let doubled = ctx.call(|ctx| {
-                ctx.compute(3);
-                Ok(b.wrapping_mul(2))
-            })?;
-            ctx.write_byte(s2, doubled)?;
+    sim.spawn_async("doubler", async move |ctx| {
+        while let Some(b) = ctx.read_byte(s1).await? {
+            let doubled = ctx
+                .call(async |ctx| {
+                    ctx.compute(3);
+                    Ok(b.wrapping_mul(2))
+                })
+                .await?;
+            ctx.write_byte(s2, doubled).await?;
         }
         ctx.close_writer(s2)
     });
     let sum2 = Arc::clone(&sum);
-    sim.spawn("consumer", move |ctx| {
-        while let Some(b) = ctx.read_byte(s2)? {
+    sim.spawn_async("consumer", async move |ctx| {
+        while let Some(b) = ctx.read_byte(s2).await? {
             ctx.compute(2);
             sum2.fetch_add(u64::from(b), Ordering::Relaxed);
         }
@@ -144,14 +148,14 @@ fn countable_first_dispatches(report: &RunReport) -> u64 {
 fn deadlock_is_detected_and_described() {
     let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
     let s = sim.add_stream("starved", 4, 1);
-    sim.spawn("reader", move |ctx| {
+    sim.spawn_async("reader", async move |ctx| {
         // The writer never writes: this blocks forever.
-        let _ = ctx.read_byte(s)?;
+        let _ = ctx.read_byte(s).await?;
         Ok(())
     });
-    sim.spawn("idler", move |ctx| {
+    sim.spawn_async("idler", async move |ctx| {
         // Blocks on its own read of the same stream.
-        let _ = ctx.read_byte(s)?;
+        let _ = ctx.read_byte(s).await?;
         Ok(())
     });
     match sim.run() {
@@ -176,12 +180,12 @@ fn thread_panic_is_reported_with_name() {
 fn write_after_close_is_an_error() {
     let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
     let s = sim.add_stream("s", 4, 1);
-    sim.spawn("bad-writer", move |ctx| {
+    sim.spawn_async("bad-writer", async move |ctx| {
         ctx.close_writer(s)?;
-        ctx.write_byte(s, 1)
+        ctx.write_byte(s, 1).await
     });
-    sim.spawn("reader", move |ctx| {
-        while ctx.read_byte(s)?.is_some() {}
+    sim.spawn_async("reader", async move |ctx| {
+        while ctx.read_byte(s).await?.is_some() {}
         Ok(())
     });
     assert!(matches!(sim.run(), Err(RtError::WriteAfterClose(_))));
@@ -195,16 +199,16 @@ fn two_writers_one_stream() {
     let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
     let s = sim.add_stream("merged", 2, 2);
     for w in 0..2 {
-        sim.spawn(format!("writer{w}"), move |ctx| {
+        sim.spawn_async(format!("writer{w}"), async move |ctx| {
             for _ in 0..30 {
-                ctx.write_byte(s, 1)?;
+                ctx.write_byte(s, 1).await?;
             }
             ctx.close_writer(s)
         });
     }
     let got2 = Arc::clone(&got);
-    sim.spawn("reader", move |ctx| {
-        while let Some(b) = ctx.read_byte(s)? {
+    sim.spawn_async("reader", async move |ctx| {
+        while let Some(b) = ctx.read_byte(s).await? {
             got2.fetch_add(u64::from(b), Ordering::Relaxed);
         }
         Ok(())
@@ -217,29 +221,30 @@ fn two_writers_one_stream() {
 fn deep_recursion_inside_a_thread() {
     // Recursion deeper than the window file, interleaved with another
     // thread, exercising trap handling under runtime control.
-    fn recurse(ctx: &mut regwin_rt::Ctx, depth: u32) -> Result<u64, RtError> {
+    async fn recurse(ctx: &mut regwin_rt::Ctx, depth: u32) -> Result<u64, RtError> {
         if depth == 0 {
             return Ok(0);
         }
-        ctx.call(|ctx| {
+        ctx.call(async |ctx| {
             ctx.compute(1);
-            let below = recurse(ctx, depth - 1)?;
+            let below = Box::pin(recurse(ctx, depth - 1)).await?;
             Ok(below + 1)
         })
+        .await
     }
     for scheme in SchemeKind::ALL {
         let mut sim = Simulation::new(5, scheme).unwrap();
         let s = sim.add_stream("tick", 1, 1);
-        sim.spawn("recurser", move |ctx| {
+        sim.spawn_async("recurser", async move |ctx| {
             for _ in 0..4 {
-                let depth = recurse(ctx, 12)?;
+                let depth = recurse(ctx, 12).await?;
                 assert_eq!(depth, 12);
-                ctx.write_byte(s, 1)?;
+                ctx.write_byte(s, 1).await?;
             }
             ctx.close_writer(s)
         });
-        sim.spawn("ticker", move |ctx| {
-            while ctx.read_byte(s)?.is_some() {}
+        sim.spawn_async("ticker", async move |ctx| {
+            while ctx.read_byte(s).await?.is_some() {}
             Ok(())
         });
         let report = sim.run().unwrap();
@@ -261,24 +266,26 @@ fn working_set_policy_reduces_switch_cost_under_pressure() {
         }
         for (i, &out) in streams.iter().enumerate() {
             let inp = prev;
-            sim.spawn(format!("stage{i}"), move |ctx| match inp {
+            sim.spawn_async(format!("stage{i}"), async move |ctx| match inp {
                 None => {
                     for b in 0..120u32 {
-                        ctx.call(|ctx| {
+                        ctx.call(async |ctx| {
                             ctx.compute(2);
                             Ok(())
-                        })?;
-                        ctx.write_byte(out, (b % 256) as u8)?;
+                        })
+                        .await?;
+                        ctx.write_byte(out, (b % 256) as u8).await?;
                     }
                     ctx.close_writer(out)
                 }
                 Some(inp) => {
-                    while let Some(b) = ctx.read_byte(inp)? {
-                        ctx.call(|ctx| {
+                    while let Some(b) = ctx.read_byte(inp).await? {
+                        ctx.call(async |ctx| {
                             ctx.compute(2);
                             Ok(())
-                        })?;
-                        ctx.write_byte(out, b)?;
+                        })
+                        .await?;
+                        ctx.write_byte(out, b).await?;
                     }
                     ctx.close_writer(out)
                 }
@@ -286,8 +293,8 @@ fn working_set_policy_reduces_switch_cost_under_pressure() {
             prev = Some(out);
         }
         let last = prev.unwrap();
-        sim.spawn("sink", move |ctx| {
-            while ctx.read_byte(last)?.is_some() {}
+        sim.spawn_async("sink", async move |ctx| {
+            while ctx.read_byte(last).await?.is_some() {}
             Ok(())
         });
         sim.run().unwrap()
@@ -300,4 +307,38 @@ fn working_set_policy_reduces_switch_cost_under_pressure() {
         ws_traffic <= fifo_traffic,
         "working set {ws_traffic} must not exceed FIFO {fifo_traffic}"
     );
+}
+
+/// The calling OS thread's voluntary context switches so far, from
+/// `/proc/thread-self/status`; `None` where that file does not exist.
+fn voluntary_ctxt_switches() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/thread-self/status").ok()?;
+    status.lines().find_map(|l| l.strip_prefix("voluntary_ctxt_switches:")?.trim().parse().ok())
+}
+
+#[test]
+fn simulated_switches_cost_no_os_context_switches() {
+    let Some(before) = voluntary_ctxt_switches() else {
+        return;
+    };
+    let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
+    let ping = sim.add_stream("ping", 1, 1);
+    let pong = sim.add_stream("pong", 1, 1);
+    sim.spawn_async("pinger", async move |ctx| {
+        for i in 0..6000u32 {
+            ctx.write_byte(ping, i as u8).await?;
+            ctx.read_byte(pong).await?;
+        }
+        ctx.close_writer(ping)
+    });
+    sim.spawn_async("ponger", async move |ctx| {
+        while let Some(b) = ctx.read_byte(ping).await? {
+            ctx.write_byte(pong, b).await?;
+        }
+        ctx.close_writer(pong)
+    });
+    let report = sim.run().unwrap();
+    let os_switches = voluntary_ctxt_switches().unwrap() - before;
+    assert!(report.stats.context_switches >= 10_000, "{} switches", report.stats.context_switches);
+    assert!(os_switches < 50, "{os_switches} OS context switches for a single-threaded run");
 }

@@ -91,9 +91,44 @@ fn effective_workers(workers: usize) -> usize {
     }
 }
 
+/// Caps the process's glibc malloc arenas at `arenas` (at least 2).
+/// Only the first call in a process takes effect.
+///
+/// glibc hands a thread that finds every arena busy a new arena of its
+/// own, up to eight per core, and an arena keeps the pages it has
+/// touched. The daemon starts a thread per session, so without a cap its
+/// resident size depends on how many session, worker and client threads
+/// happened to overlap, and the same traffic ends at a different peak
+/// from run to run. The admission gate lets at most `workers` jobs
+/// execute at once, so that many arenas spare executing jobs from lock
+/// contention; session threads mostly wait on their socket.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn cap_malloc_arenas(arenas: usize) {
+    extern "C" {
+        // std links the C library already, so no extra crate is needed.
+        fn mallopt(param: i32, value: i32) -> i32;
+    }
+    const M_ARENA_MAX: i32 = -8;
+    static CAPPED: std::sync::Once = std::sync::Once::new();
+    CAPPED.call_once(|| {
+        let arenas = i32::try_from(arenas.max(2)).unwrap_or(i32::MAX);
+        // A rejected value leaves glibc's default in place, which is
+        // only a footprint cost.
+        // SAFETY: mallopt takes two plain integers and is thread-safe.
+        unsafe { mallopt(M_ARENA_MAX, arenas) };
+    });
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn cap_malloc_arenas(_arenas: usize) {}
+
 impl Server {
     /// Binds the listening socket. A stale socket file left by a dead
     /// daemon is replaced; a live daemon on the same path is an error.
+    ///
+    /// On glibc, the first bind in a process also caps its malloc arenas
+    /// at the worker count (at least 2), so the daemon's resident size
+    /// does not depend on how its session threads happen to overlap.
     ///
     /// # Errors
     ///
@@ -115,6 +150,7 @@ impl Server {
             Err(e) => return Err(e),
         };
         listener.set_nonblocking(true)?;
+        cap_malloc_arenas(effective_workers(config.workers));
         let gate = Arc::new(AdmissionGate::new(effective_workers(config.workers)));
         let shared = Arc::new(Shared { config, gate, shutdown, active: AtomicUsize::new(0) });
         Ok(Server { listener, shared })

@@ -18,50 +18,58 @@ const IO_CHUNK: usize = 4;
 
 /// T4 — the input kernel thread: copies the document from its internal
 /// buffer ("disk cache") into S1.
-pub(crate) fn run_input(ctx: &mut Ctx, document: &[u8], s1: StreamId) -> Result<(), RtError> {
+pub(crate) async fn run_input(ctx: &mut Ctx, document: &[u8], s1: StreamId) -> Result<(), RtError> {
     for chunk in document.chunks(IO_CHUNK) {
-        ctx.call(|ctx| {
+        ctx.call(async |ctx| {
             ctx.compute(2);
             for &b in chunk {
-                ctx.write_byte(s1, b)?;
+                ctx.write_byte(s1, b).await?;
             }
             Ok(())
-        })?;
+        })
+        .await?;
     }
     ctx.close_writer(s1)
 }
 
 /// T6 / T7 — a dictionary kernel thread: streams a dictionary file.
-pub(crate) fn run_dict_feed(ctx: &mut Ctx, dict: &[u8], out: StreamId) -> Result<(), RtError> {
+pub(crate) async fn run_dict_feed(
+    ctx: &mut Ctx,
+    dict: &[u8],
+    out: StreamId,
+) -> Result<(), RtError> {
     for chunk in dict.chunks(IO_CHUNK) {
-        ctx.call(|ctx| {
+        ctx.call(async |ctx| {
             ctx.compute(2);
             for &b in chunk {
-                ctx.write_byte(out, b)?;
+                ctx.write_byte(out, b).await?;
             }
             Ok(())
-        })?;
+        })
+        .await?;
     }
     ctx.close_writer(out)
 }
 
 /// T5 — the output kernel thread: drains S4 into its internal buffer.
-pub(crate) fn run_output(
+pub(crate) async fn run_output(
     ctx: &mut Ctx,
     s4: StreamId,
     sink: Arc<Mutex<Vec<u8>>>,
 ) -> Result<(), RtError> {
     loop {
-        let eof = ctx.call(|ctx| {
-            ctx.compute(2);
-            for _ in 0..IO_CHUNK {
-                match ctx.read_byte(s4)? {
-                    Some(b) => sink.lock().expect("sink poisoned").push(b),
-                    None => return Ok(true),
+        let eof = ctx
+            .call(async |ctx| {
+                ctx.compute(2);
+                for _ in 0..IO_CHUNK {
+                    match ctx.read_byte(s4).await? {
+                        Some(b) => sink.lock().expect("sink poisoned").push(b),
+                        None => return Ok(true),
+                    }
                 }
-            }
-            Ok(false)
-        })?;
+                Ok(false)
+            })
+            .await?;
         if eof {
             return Ok(());
         }
@@ -74,22 +82,24 @@ pub(crate) fn run_output(
 /// call-frame structure and per-chunk compute charge match
 /// [`run_output`] exactly, so a PE's window behaviour is independent of
 /// which variant it runs.
-pub(crate) fn run_output_to_stream(
+pub(crate) async fn run_output_to_stream(
     ctx: &mut Ctx,
     s4: StreamId,
     uplink: StreamId,
 ) -> Result<(), RtError> {
     loop {
-        let eof = ctx.call(|ctx| {
-            ctx.compute(2);
-            for _ in 0..IO_CHUNK {
-                match ctx.read_byte(s4)? {
-                    Some(b) => ctx.write_byte(uplink, b)?,
-                    None => return Ok(true),
+        let eof = ctx
+            .call(async |ctx| {
+                ctx.compute(2);
+                for _ in 0..IO_CHUNK {
+                    match ctx.read_byte(s4).await? {
+                        Some(b) => ctx.write_byte(uplink, b).await?,
+                        None => return Ok(true),
+                    }
                 }
-            }
-            Ok(false)
-        })?;
+                Ok(false)
+            })
+            .await?;
         if eof {
             return ctx.close_writer(uplink);
         }
@@ -104,41 +114,47 @@ pub(crate) fn run_output_to_stream(
 /// at its locally-deepest frame resumes into dead windows it may re-enter
 /// trap-free, which is what makes the sharing schemes' trap probability
 /// collapse at large window counts (paper Figure 13).
-pub(crate) fn run_delatex(ctx: &mut Ctx, s1: StreamId, s2: StreamId) -> Result<(), RtError> {
+pub(crate) async fn run_delatex(ctx: &mut Ctx, s1: StreamId, s2: StreamId) -> Result<(), RtError> {
     let mut scanner = Delatex::new();
     loop {
         let mut words: Vec<String> = Vec::new();
-        let byte = ctx.call(|ctx| {
-            // The process_char frame. Its helpers — getc, accumulate,
-            // putc — all run one level deeper, so the thread blocks at
-            // its maximum oscillation depth and resumes into windows it
-            // can re-enter trap-free.
-            ctx.compute(1);
-            let b = ctx.call(|ctx| {
-                // getc: the blocking read lives in its own frame.
+        let byte = ctx
+            .call(async |ctx| {
+                // The process_char frame. Its helpers — getc, accumulate,
+                // putc — all run one level deeper, so the thread blocks at
+                // its maximum oscillation depth and resumes into windows it
+                // can re-enter trap-free.
                 ctx.compute(1);
-                ctx.read_byte(s1)
-            })?;
-            match b {
-                Some(b) if b.is_ascii_alphabetic() => {
-                    ctx.call(|ctx| {
+                let b = ctx
+                    .call(async |ctx| {
+                        // getc: the blocking read lives in its own frame.
                         ctx.compute(1);
-                        scanner.push(b, |w| words.push(w.to_string()));
-                        Ok(())
-                    })?;
+                        ctx.read_byte(s1).await
+                    })
+                    .await?;
+                match b {
+                    Some(b) if b.is_ascii_alphabetic() => {
+                        ctx.call(async |ctx| {
+                            ctx.compute(1);
+                            scanner.push(b, |w| words.push(w.to_string()));
+                            Ok(())
+                        })
+                        .await?;
+                    }
+                    Some(b) => scanner.push(b, |w| words.push(w.to_string())),
+                    None => scanner.finish(|w| words.push(w.to_string())),
                 }
-                Some(b) => scanner.push(b, |w| words.push(w.to_string())),
-                None => scanner.finish(|w| words.push(w.to_string())),
-            }
-            Ok(b)
-        })?;
+                Ok(b)
+            })
+            .await?;
         for w in &words {
             // Emit with the word write one frame below the emit frame
             // (puts), matching the depth of the getc suspensions.
-            ctx.call(|ctx| {
+            ctx.call(async |ctx| {
                 ctx.compute(1);
-                emit_word(ctx, w, s2)
-            })?;
+                emit_word(ctx, w, s2).await
+            })
+            .await?;
         }
         if byte.is_none() {
             return ctx.close_writer(s2);
@@ -147,8 +163,8 @@ pub(crate) fn run_delatex(ctx: &mut Ctx, s1: StreamId, s2: StreamId) -> Result<(
 }
 
 /// Writes one word plus the line terminator (a call frame of its own).
-fn emit_word(ctx: &mut Ctx, word: &str, out: StreamId) -> Result<(), RtError> {
-    ctx.call(|ctx| {
+async fn emit_word(ctx: &mut Ctx, word: &str, out: StreamId) -> Result<(), RtError> {
+    ctx.call(async |ctx| {
         ctx.compute(word.len() as u64);
         // One atomic record: S4 has two writers (T2's stop-list hits and
         // T3's misspellings), and without record atomicity a writer that
@@ -157,19 +173,26 @@ fn emit_word(ctx: &mut Ctx, word: &str, out: StreamId) -> Result<(), RtError> {
         let mut record = Vec::with_capacity(word.len() + 1);
         record.extend_from_slice(word.as_bytes());
         record.push(b'\n');
-        ctx.write_record(out, &record)
+        ctx.write_record(out, &record).await
     })
+    .await
 }
 
 /// Reads one newline-terminated line (a call frame per byte, like a
 /// `getc`-based reader). Returns `None` at end-of-stream.
-fn read_line(ctx: &mut Ctx, input: StreamId, line: &mut String) -> Result<Option<()>, RtError> {
+async fn read_line(
+    ctx: &mut Ctx,
+    input: StreamId,
+    line: &mut String,
+) -> Result<Option<()>, RtError> {
     line.clear();
     loop {
-        let b = ctx.call(|ctx| {
-            ctx.compute(1);
-            ctx.read_byte(input)
-        })?;
+        let b = ctx
+            .call(async |ctx| {
+                ctx.compute(1);
+                ctx.read_byte(input).await
+            })
+            .await?;
         match b {
             Some(b'\n') => return Ok(Some(())),
             Some(b) => line.push(b as char),
@@ -181,46 +204,49 @@ fn read_line(ctx: &mut Ctx, input: StreamId, line: &mut String) -> Result<Option
 }
 
 /// Builds a dictionary from a stream (phase 1 of T2 and T3).
-fn build_dictionary(ctx: &mut Ctx, input: StreamId) -> Result<Dictionary, RtError> {
+async fn build_dictionary(ctx: &mut Ctx, input: StreamId) -> Result<Dictionary, RtError> {
     let mut dict = Dictionary::new();
     let mut line = String::new();
-    while read_line(ctx, input, &mut line)?.is_some() {
+    while read_line(ctx, input, &mut line).await?.is_some() {
         if line.is_empty() {
             continue;
         }
         let word = std::mem::take(&mut line);
-        ctx.call(|ctx| {
+        ctx.call(async |ctx| {
             ctx.compute(2 + word.len() as u64); // hash + insert
             dict.insert(word);
             Ok(())
-        })?;
+        })
+        .await?;
     }
     Ok(dict)
 }
 
 /// T2 — spell1: builds the stop list from S5, then routes each word from
 /// S2 — stop-list hits ("incorrect derivatives") to S4, the rest to S3.
-pub(crate) fn run_spell1(
+pub(crate) async fn run_spell1(
     ctx: &mut Ctx,
     s5: StreamId,
     s2: StreamId,
     s3: StreamId,
     s4: StreamId,
 ) -> Result<(), RtError> {
-    let stop = build_dictionary(ctx, s5)?;
+    let stop = build_dictionary(ctx, s5).await?;
     let mut word = String::new();
-    while read_line(ctx, s2, &mut word)?.is_some() {
+    while read_line(ctx, s2, &mut word).await?.is_some() {
         if word.is_empty() {
             continue;
         }
-        let is_stop = ctx.call(|ctx| {
-            ctx.compute(3 + word.len() as u64); // hash + probe
-            Ok(word.len() >= MIN_CHECKED_LEN && stop.contains(&word))
-        })?;
+        let is_stop = ctx
+            .call(async |ctx| {
+                ctx.compute(3 + word.len() as u64); // hash + probe
+                Ok(word.len() >= MIN_CHECKED_LEN && stop.contains(&word))
+            })
+            .await?;
         if is_stop {
-            emit_word(ctx, &word, s4)?;
+            emit_word(ctx, &word, s4).await?;
         } else {
-            emit_word(ctx, &word, s3)?;
+            emit_word(ctx, &word, s3).await?;
         }
     }
     ctx.close_writer(s3)?;
@@ -230,40 +256,44 @@ pub(crate) fn run_spell1(
 /// T3 — spell2: builds the main dictionary from S6, then filters words
 /// from S3 — correct words (including derivatives) are dropped,
 /// misspellings go to S4.
-pub(crate) fn run_spell2(
+pub(crate) async fn run_spell2(
     ctx: &mut Ctx,
     s6: StreamId,
     s3: StreamId,
     s4: StreamId,
 ) -> Result<(), RtError> {
-    let main = build_dictionary(ctx, s6)?;
+    let main = build_dictionary(ctx, s6).await?;
     let mut word = String::new();
-    while read_line(ctx, s3, &mut word)?.is_some() {
+    while read_line(ctx, s3, &mut word).await?.is_some() {
         if word.is_empty() {
             continue;
         }
         if word.len() < MIN_CHECKED_LEN {
             continue; // fragments are never reported
         }
-        let correct = ctx.call(|ctx| {
-            ctx.compute(3 + word.len() as u64); // hash + probe
-            if main.contains(&word) {
-                return Ok(true);
-            }
-            // Derivative handling: one lookup frame per stem candidate.
-            for stem in crate::affix::stems(&word) {
-                let hit = ctx.call(|ctx| {
-                    ctx.compute(3 + stem.len() as u64);
-                    Ok(main.contains(&stem))
-                })?;
-                if hit {
+        let correct = ctx
+            .call(async |ctx| {
+                ctx.compute(3 + word.len() as u64); // hash + probe
+                if main.contains(&word) {
                     return Ok(true);
                 }
-            }
-            Ok(false)
-        })?;
+                // Derivative handling: one lookup frame per stem candidate.
+                for stem in crate::affix::stems(&word) {
+                    let hit = ctx
+                        .call(async |ctx| {
+                            ctx.compute(3 + stem.len() as u64);
+                            Ok(main.contains(&stem))
+                        })
+                        .await?;
+                    if hit {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            })
+            .await?;
         if !correct {
-            emit_word(ctx, &word, s4)?;
+            emit_word(ctx, &word, s4).await?;
         }
     }
     ctx.close_writer(s4)

@@ -53,7 +53,7 @@ impl ResultCache {
     /// Loads the cached report for `key`, or `None` on miss. Corrupt,
     /// truncated, checksum-mismatched or old-format entries count as
     /// misses and are reclaimed (so the next store rewrites the slot) —
-    /// via [`ResultCache::reclaim_invalid`], which re-validates before
+    /// via `ResultCache::reclaim_invalid`, which re-validates before
     /// destroying anything, so a concurrent fresh store is never lost.
     pub fn load(&self, key: &JobKey) -> Option<RunReport> {
         let path = self.path_for(key);

@@ -2127,7 +2127,7 @@ mod tests {
                 let key = JobKey::for_cell(&spec, spec.behaviors[0], SchemeKind::Sp, w);
                 Job::new(key, || {
                     std::thread::sleep(Duration::from_secs(30));
-                    Err(RtError::Aborted)
+                    Err(RtError::Internal { detail: "unreachable".to_string() })
                 })
             })
             .collect();
@@ -2277,7 +2277,7 @@ mod tests {
         // job. Its detached attempt thread is abandoned, never joined.
         let jobs = vec![Job::new(key, || {
             std::thread::sleep(Duration::from_secs(30));
-            Err(RtError::Aborted)
+            Err(RtError::Internal { detail: "unreachable".to_string() })
         })];
         let t0 = Instant::now();
         let reports = engine.run_jobs(&jobs);

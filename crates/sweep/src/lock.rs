@@ -12,7 +12,7 @@
 //! acquisition treats a lock file whose recorded pid no longer exists
 //! (checked via `/proc/<pid>`) as stale and steals it. On platforms
 //! without `/proc` a stale lock is instead stolen after
-//! [`STALE_AFTER`], judged by the lock file's modification time.
+//! `STALE_AFTER`, judged by the lock file's modification time.
 
 use std::io;
 use std::path::{Path, PathBuf};

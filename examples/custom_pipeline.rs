@@ -21,34 +21,38 @@ fn main() -> Result<(), RtError> {
     let counts: Arc<Mutex<BTreeMap<String, u32>>> = Arc::new(Mutex::new(BTreeMap::new()));
 
     // Stage 1: a "file reader" copying the text into the pipeline.
-    sim.spawn("reader", move |ctx| {
+    sim.spawn_async("reader", async move |ctx| {
         for chunk in TEXT.as_bytes().chunks(4) {
-            ctx.call(|ctx| {
+            ctx.call(async |ctx| {
                 ctx.compute(2);
-                ctx.write_all(raw, chunk)
-            })?;
+                ctx.write_all(raw, chunk).await
+            })
+            .await?;
         }
         ctx.close_writer(raw)
     });
 
     // Stage 2: a tokenizer emitting newline-separated words.
-    sim.spawn("tokenizer", move |ctx| {
+    sim.spawn_async("tokenizer", async move |ctx| {
         let mut word = Vec::new();
         loop {
-            let b = ctx.call(|ctx| {
-                ctx.compute(1);
-                ctx.read_byte(raw)
-            })?;
+            let b = ctx
+                .call(async |ctx| {
+                    ctx.compute(1);
+                    ctx.read_byte(raw).await
+                })
+                .await?;
             match b {
                 Some(b) if b.is_ascii_alphabetic() => word.push(b),
                 byte => {
                     if !word.is_empty() {
                         let w = std::mem::take(&mut word);
-                        ctx.call(|ctx| {
+                        ctx.call(async |ctx| {
                             ctx.compute(w.len() as u64);
-                            ctx.write_all(words, &w)?;
-                            ctx.write_byte(words, b'\n')
-                        })?;
+                            ctx.write_all(words, &w).await?;
+                            ctx.write_byte(words, b'\n').await
+                        })
+                        .await?;
                     }
                     if byte.is_none() {
                         return ctx.close_writer(words);
@@ -60,21 +64,24 @@ fn main() -> Result<(), RtError> {
 
     // Stage 3: the counter.
     let counts2 = Arc::clone(&counts);
-    sim.spawn("counter", move |ctx| {
+    sim.spawn_async("counter", async move |ctx| {
         let mut word = String::new();
         loop {
-            let b = ctx.call(|ctx| {
-                ctx.compute(1);
-                ctx.read_byte(words)
-            })?;
+            let b = ctx
+                .call(async |ctx| {
+                    ctx.compute(1);
+                    ctx.read_byte(words).await
+                })
+                .await?;
             match b {
                 Some(b'\n') => {
                     let w = std::mem::take(&mut word);
-                    ctx.call(|ctx| {
+                    ctx.call(async |ctx| {
                         ctx.compute(3 + w.len() as u64);
                         *counts2.lock().expect("counts poisoned").entry(w).or_insert(0) += 1;
                         Ok(())
-                    })?;
+                    })
+                    .await?;
                 }
                 Some(b) => word.push(b as char),
                 None => return Ok(()),

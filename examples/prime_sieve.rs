@@ -27,12 +27,13 @@ fn main() -> Result<(), RtError> {
 
         // The generator feeds 2..LIMIT into the chain.
         let first = input;
-        sim.spawn("generator", move |ctx| {
+        sim.spawn_async("generator", async move |ctx| {
             for n in 2..=LIMIT {
-                ctx.call(|ctx| {
+                ctx.call(async |ctx| {
                     ctx.compute(1);
-                    ctx.write_byte(first, n)
-                })?;
+                    ctx.write_byte(first, n).await
+                })
+                .await?;
             }
             ctx.close_writer(first)
         });
@@ -44,22 +45,27 @@ fn main() -> Result<(), RtError> {
             let output = sim.add_stream(format!("chain{i}"), 1, 1);
             let inlet = input;
             let found = Arc::clone(&found);
-            sim.spawn(format!("filter{i}"), move |ctx| {
-                let mine = match ctx.call(|ctx| {
-                    ctx.compute(1);
-                    ctx.read_byte(inlet)
-                })? {
+            sim.spawn_async(format!("filter{i}"), async move |ctx| {
+                let mine = match ctx
+                    .call(async |ctx| {
+                        ctx.compute(1);
+                        ctx.read_byte(inlet).await
+                    })
+                    .await?
+                {
                     Some(p) => p,
                     None => return ctx.close_writer(output),
                 };
                 found.lock().expect("primes").push(mine);
                 loop {
-                    let n = ctx.call(|ctx| {
-                        ctx.compute(1);
-                        ctx.read_byte(inlet)
-                    })?;
+                    let n = ctx
+                        .call(async |ctx| {
+                            ctx.compute(1);
+                            ctx.read_byte(inlet).await
+                        })
+                        .await?;
                     match n {
-                        Some(n) if n % mine != 0 => ctx.write_byte(output, n)?,
+                        Some(n) if n % mine != 0 => ctx.write_byte(output, n).await?,
                         Some(_) => ctx.compute(1), // a multiple: drop it
                         None => return ctx.close_writer(output),
                     }
@@ -72,8 +78,8 @@ fn main() -> Result<(), RtError> {
         // own, up to the square of the last filter prime).
         let tail = input;
         let found_tail = Arc::clone(&primes_found);
-        sim.spawn("tail", move |ctx| {
-            while let Some(n) = ctx.read_byte(tail)? {
+        sim.spawn_async("tail", async move |ctx| {
+            while let Some(n) = ctx.read_byte(tail).await? {
                 found_tail.lock().expect("primes").push(n);
             }
             Ok(())

@@ -100,6 +100,15 @@ pub fn read_frame(r: &mut impl BufRead) -> std::io::Result<Option<Value>> {
     })
 }
 
+/// The longest frame a [`FrameReader`] accepts, newline excluded. The
+/// largest frames the protocol sends — a 108-cell `records` frame and a
+/// session's `artifact` — are a few hundred KiB; a peer that streams a
+/// longer line is refused rather than buffered without bound.
+pub const MAX_FRAME_BYTES: usize = 16 << 20;
+
+/// Bytes requested from the stream per `read`.
+const READ_CHUNK: usize = 64 << 10;
+
 /// A timeout-tolerant frame reader.
 ///
 /// Unlike [`read_frame`] over a `BufRead`, a `FrameReader` keeps
@@ -111,12 +120,15 @@ pub fn read_frame(r: &mut impl BufRead) -> std::io::Result<Option<Value>> {
 pub struct FrameReader<R> {
     inner: R,
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched for a newline.
+    scanned: usize,
+    chunk: Box<[u8]>,
 }
 
 impl<R: std::io::Read> FrameReader<R> {
     /// Wraps a byte stream.
     pub fn new(inner: R) -> Self {
-        FrameReader { inner, buf: Vec::new() }
+        FrameReader { inner, buf: Vec::new(), scanned: 0, chunk: vec![0; READ_CHUNK].into() }
     }
 
     /// The next frame; `Ok(None)` at end of stream.
@@ -124,21 +136,29 @@ impl<R: std::io::Read> FrameReader<R> {
     /// # Errors
     ///
     /// Timeouts (`WouldBlock`/`TimedOut`) propagate with the partial
-    /// frame retained — call again to continue. Unparseable lines
-    /// surface as [`std::io::ErrorKind::InvalidData`].
+    /// frame retained — call again to continue. Unparseable lines, and
+    /// lines longer than [`MAX_FRAME_BYTES`], surface as
+    /// [`std::io::ErrorKind::InvalidData`]; the reader never buffers
+    /// more than one byte past the limit.
     pub fn next_frame(&mut self) -> std::io::Result<Option<Value>> {
+        let invalid = |detail: String| std::io::Error::new(std::io::ErrorKind::InvalidData, detail);
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let line: Vec<u8> = self.buf.drain(..=pos).collect();
-                let text = String::from_utf8_lossy(&line);
-                return parse(text.trim_end()).map(Some).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad frame: {e}"))
-                });
+            if let Some(pos) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let end = self.scanned + pos;
+                let frame = parse(String::from_utf8_lossy(&self.buf[..end]).trim_end())
+                    .map_err(|e| invalid(format!("bad frame: {e}")));
+                self.buf.drain(..=end);
+                self.scanned = 0;
+                return frame.map(Some);
             }
-            let mut chunk = [0u8; 4096];
-            match self.inner.read(&mut chunk)? {
+            self.scanned = self.buf.len();
+            if self.buf.len() > MAX_FRAME_BYTES {
+                return Err(invalid(format!("frame longer than {MAX_FRAME_BYTES} bytes")));
+            }
+            let want = self.chunk.len().min(MAX_FRAME_BYTES + 1 - self.buf.len());
+            match self.inner.read(&mut self.chunk[..want])? {
                 0 => return Ok(None),
-                n => self.buf.extend_from_slice(&chunk[..n]),
+                n => self.buf.extend_from_slice(&self.chunk[..n]),
             }
         }
     }
@@ -427,6 +447,62 @@ mod tests {
         let g2 = read_frame(&mut r).unwrap().unwrap();
         assert_eq!(frame_type(&g2).unwrap(), "bye");
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    /// A reader that hands out its bytes one per `read` call.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl std::io::Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            match (self.0.split_first(), out.first_mut()) {
+                (Some((&b, rest)), Some(slot)) => {
+                    *slot = b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_delivered_one_byte_per_read_still_parses() {
+        let mut bytes = Vec::new();
+        let mut s = spec();
+        s.windows = vec![4];
+        let records = regwin_core::run_matrix(&s, |_, _| {}).expect("matrix runs");
+        let frame = obj(vec![
+            ("type", Value::Str("records".into())),
+            ("records", records_to_value(&records)),
+        ]);
+        write_frame(&mut bytes, &frame).unwrap();
+        write_frame(&mut bytes, &obj(vec![("type", Value::Str("bye".into()))])).unwrap();
+        let mut reader = FrameReader::new(Trickle(&bytes));
+        assert_eq!(reader.next_frame().unwrap(), Some(frame));
+        assert_eq!(frame_type(&reader.next_frame().unwrap().unwrap()).unwrap(), "bye");
+        assert!(reader.next_frame().unwrap().is_none(), "clean EOF");
+    }
+
+    /// An endless line of `[`, counting what the reader asks for.
+    struct Endless {
+        served: usize,
+    }
+
+    impl std::io::Read for Endless {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            out.fill(b'[');
+            self.served += out.len();
+            Ok(out.len())
+        }
+    }
+
+    #[test]
+    fn an_oversized_unterminated_line_is_refused_without_buffering_past_the_cap() {
+        let mut reader = FrameReader::new(Endless { served: 0 });
+        let err = reader.next_frame().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("longer than"), "{err}");
+        assert_eq!(reader.inner.served, MAX_FRAME_BYTES + 1);
     }
 
     #[test]

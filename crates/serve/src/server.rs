@@ -30,6 +30,7 @@ use regwin_obs::{Probe, StreamProbe};
 use regwin_sweep::json::{obj, Value};
 use regwin_sweep::{fnv1a, AdmissionGate, SweepConfigError, SweepEngine};
 use std::io::{ErrorKind, Write};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -122,6 +123,38 @@ fn cap_malloc_arenas(arenas: usize) {
 #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
 fn cap_malloc_arenas(_arenas: usize) {}
 
+/// How long the accept loop waits for a connection before it checks
+/// the shutdown flag again.
+const ACCEPT_POLL: Duration = Duration::from_millis(20);
+
+/// Blocks until `listener` has a connection to accept or `timeout`
+/// passes, whichever is first.
+fn wait_readable(listener: &UnixListener, timeout: Duration) -> std::io::Result<()> {
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::ffi::c_uint;
+    extern "C" {
+        // std links the C library already, so no extra crate is needed.
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut fd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+    let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `fd` is one valid pollfd that outlives the call, and the
+    // listener keeps its descriptor open until `run` returns.
+    if unsafe { poll(&mut fd, 1, ms) } < 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    Ok(())
+}
+
 impl Server {
     /// Binds the listening socket. A stale socket file left by a dead
     /// daemon is replaced; a live daemon on the same path is an error.
@@ -166,10 +199,14 @@ impl Server {
     /// (in-flight jobs finish and journal; queued ones are skipped) and
     /// removes the socket file.
     ///
+    /// A connection is accepted as soon as it arrives: between accepts
+    /// the loop sleeps in `poll(2)` on the listener, waking early for a
+    /// connection and at least every 20 ms to check the shutdown flag.
+    ///
     /// # Errors
     ///
-    /// Propagates accept errors other than the nonblocking poll's
-    /// `WouldBlock`.
+    /// Propagates accept and poll errors other than the nonblocking
+    /// accept's `WouldBlock` and a signal's `Interrupted`.
     pub fn run(self) -> std::io::Result<()> {
         let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
         while !self.shared.shutdown.load(Ordering::SeqCst) {
@@ -201,7 +238,10 @@ impl Server {
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     sessions.retain(|h| !h.is_finished());
-                    std::thread::sleep(Duration::from_millis(20));
+                    match wait_readable(&self.listener, ACCEPT_POLL) {
+                        Err(e) if e.kind() != ErrorKind::Interrupted => return Err(e),
+                        _ => {}
+                    }
                 }
                 Err(e) => return Err(e),
             }
@@ -218,8 +258,14 @@ impl Server {
 
 /// Reads frames off `reader`, treating the poll timeout as "check the
 /// shutdown flag and keep waiting". Returns `None` on EOF, a dead peer,
-/// or daemon shutdown.
-fn next_frame(reader: &mut FrameReader<UnixStream>, shared: &Shared) -> Option<Value> {
+/// daemon shutdown, or a frame that is not JSON or too long — the last
+/// answered with a `sweep_error`, since the stream cannot be trusted to
+/// resynchronize.
+fn next_frame(
+    reader: &mut FrameReader<UnixStream>,
+    writer: &Mutex<UnixStream>,
+    shared: &Shared,
+) -> Option<Value> {
     loop {
         match reader.next_frame() {
             Ok(frame) => return frame,
@@ -228,9 +274,22 @@ fn next_frame(reader: &mut FrameReader<UnixStream>, shared: &Shared) -> Option<V
                     return None;
                 }
             }
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                let _ = send(writer, &sweep_error(e.to_string(), false));
+                return None;
+            }
             Err(_) => return None,
         }
     }
+}
+
+/// A `sweep_error` frame.
+fn sweep_error(detail: String, draining: bool) -> Value {
+    obj(vec![
+        ("type", Value::Str("sweep_error".into())),
+        ("detail", Value::Str(detail)),
+        ("draining", Value::Bool(draining)),
+    ])
 }
 
 fn send(writer: &Mutex<UnixStream>, frame: &Value) -> bool {
@@ -297,18 +356,14 @@ fn serve_session(stream: UnixStream, shared: &Shared) {
     let mut reader = FrameReader::new(stream);
 
     // Handshake.
-    let Some(hello) = next_frame(&mut reader, shared) else { return };
+    let Some(hello) = next_frame(&mut reader, &writer, shared) else { return };
     let ok = frame_type(&hello) == Ok("hello")
         && hello.get("proto").and_then(Value::as_u64) == Some(PROTO_VERSION);
     let Some(session) = hello.get("session").and_then(Value::as_str) else { return };
     if !ok {
         let _ = send(
             &writer,
-            &obj(vec![
-                ("type", Value::Str("sweep_error".into())),
-                ("detail", Value::Str(format!("expected hello with proto {PROTO_VERSION}"))),
-                ("draining", Value::Bool(false)),
-            ]),
+            &sweep_error(format!("expected hello with proto {PROTO_VERSION}"), false),
         );
         return;
     }
@@ -325,19 +380,12 @@ fn serve_session(stream: UnixStream, shared: &Shared) {
         return;
     }
 
-    while let Some(frame) = next_frame(&mut reader, shared) {
+    while let Some(frame) = next_frame(&mut reader, &writer, shared) {
         match frame_type(&frame).unwrap_or("?") {
             "sweep" => {
                 let spec = match frame.get("spec").ok_or(()).and_then(|v| {
                     spec_from_value(v).map_err(|e| {
-                        let _ = send(
-                            &writer,
-                            &obj(vec![
-                                ("type", Value::Str("sweep_error".into())),
-                                ("detail", Value::Str(e.to_string())),
-                                ("draining", Value::Bool(false)),
-                            ]),
-                        );
+                        let _ = send(&writer, &sweep_error(e.to_string(), false));
                     })
                 }) {
                     Ok(spec) => spec,
@@ -347,28 +395,20 @@ fn serve_session(stream: UnixStream, shared: &Shared) {
                 let outcome = engine.run_matrix(&spec);
                 let skipped = engine.shutdown_skipped() - skipped_before;
                 let reply = match outcome {
-                    Ok(_) if skipped > 0 => obj(vec![
-                        ("type", Value::Str("sweep_error".into())),
-                        (
-                            "detail",
-                            Value::Str(format!(
-                                "daemon draining: {skipped} job(s) were not admitted; completed \
-                                 jobs are journaled — reconnect after restart to resume"
-                            )),
+                    Ok(_) if skipped > 0 => sweep_error(
+                        format!(
+                            "daemon draining: {skipped} job(s) were not admitted; completed jobs \
+                             are journaled — reconnect after restart to resume"
                         ),
-                        ("draining", Value::Bool(true)),
-                    ]),
+                        true,
+                    ),
                     Ok(records) => obj(vec![
                         ("type", Value::Str("records".into())),
                         ("records", records_to_value(&records)),
                         ("summary", summary_to_value(&engine.summary())),
                         ("quarantine", quarantine_to_value(&engine.quarantine())),
                     ]),
-                    Err(e) => obj(vec![
-                        ("type", Value::Str("sweep_error".into())),
-                        ("detail", Value::Str(e.to_string())),
-                        ("draining", Value::Bool(false)),
-                    ]),
+                    Err(e) => sweep_error(e.to_string(), false),
                 };
                 if !send(&writer, &reply) {
                     return;
@@ -393,14 +433,7 @@ fn serve_session(stream: UnixStream, shared: &Shared) {
             }
             "bye" => return,
             other => {
-                let _ = send(
-                    &writer,
-                    &obj(vec![
-                        ("type", Value::Str("sweep_error".into())),
-                        ("detail", Value::Str(format!("unknown frame type '{other}'"))),
-                        ("draining", Value::Bool(false)),
-                    ]),
-                );
+                let _ = send(&writer, &sweep_error(format!("unknown frame type '{other}'"), false));
             }
         }
     }

@@ -5,12 +5,17 @@
 use regwin_core::{Behavior, Concurrency, Granularity, MatrixSpec};
 use regwin_machine::{SchemeKind, TimingKind};
 use regwin_rt::SchedulingPolicy;
+use regwin_serve::protocol::{frame_type, write_frame, FrameReader, PROTO_VERSION};
 use regwin_serve::{ClientError, ServeClient, Server, ServerConfig};
 use regwin_spell::CorpusSpec;
+use regwin_sweep::json::{obj, Value};
 use regwin_sweep::{SweepConfig, SweepEngine};
+use std::io::Write;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn spec_a() -> MatrixSpec {
     MatrixSpec {
@@ -238,5 +243,68 @@ fn the_client_limit_turns_extra_connections_away_with_busy() {
         other => panic!("expected busy, got {other:?}"),
     }
     client.bye();
+    daemon.cleanup();
+}
+
+#[test]
+fn a_deeply_nested_frame_closes_only_its_own_session() {
+    let daemon = TestDaemon::start("nesting", 4);
+    let (_, want_artifact) = reference(&[spec_a()]);
+
+    std::thread::scope(|scope| {
+        let socket: &Path = &daemon.socket;
+        let good = scope.spawn(move || {
+            let mut client = ServeClient::connect(socket, "well-behaved").expect("connects");
+            client.run_matrix(&spec_a()).expect("sweeps");
+            let artifact = client.artifact().expect("artifact");
+            client.bye();
+            artifact
+        });
+
+        let stream = UnixStream::connect(socket).expect("hostile client connects");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = FrameReader::new(stream);
+        write_frame(
+            &mut writer,
+            &obj(vec![
+                ("type", Value::Str("hello".into())),
+                ("proto", Value::Int(PROTO_VERSION)),
+                ("session", Value::Str("hostile".into())),
+            ]),
+        )
+        .unwrap();
+        let ready = reader.next_frame().unwrap().expect("ready frame");
+        assert_eq!(frame_type(&ready).unwrap(), "ready");
+        // One mebibyte of `[`: without a nesting limit the parser
+        // recurses until the session thread's stack overflows, which
+        // aborts the whole daemon.
+        let mut line = vec![b'['; 1 << 20];
+        line.push(b'\n');
+        writer.write_all(&line).unwrap();
+        let reply = reader.next_frame().unwrap().expect("an error frame");
+        assert_eq!(frame_type(&reply).unwrap(), "sweep_error");
+        let detail = reply.get("detail").and_then(Value::as_str).unwrap();
+        assert!(detail.contains("nesting"), "{detail}");
+        assert!(reader.next_frame().unwrap().is_none(), "the daemon closes the session");
+
+        let artifact = good.join().unwrap();
+        assert_eq!(artifact, want_artifact, "a concurrent client is unaffected");
+    });
+    daemon.cleanup();
+}
+
+#[test]
+fn connections_are_accepted_as_soon_as_they_arrive() {
+    let daemon = TestDaemon::start("accept", 8);
+    let t0 = Instant::now();
+    for i in 0..100 {
+        let client = daemon.connect(&format!("accept-{i}")).expect("client connects");
+        client.bye();
+    }
+    let elapsed = t0.elapsed();
+    // A loop that sleeps 20 ms whenever no connection is pending takes
+    // about 1.1 s for these 100 sessions.
+    assert!(elapsed < Duration::from_millis(500), "100 sessions took {elapsed:?}");
     daemon.cleanup();
 }

@@ -19,7 +19,7 @@ use crate::journal::{replay_journal, JournalOpenError, JournalReplay, SweepJourn
 use crate::json::{obj, Value};
 use crate::key::JobKey;
 use crate::lock::DirLock;
-use regwin_core::{MatrixSpec, RunRecord};
+use regwin_core::{Behavior, MatrixSpec, RunRecord};
 use regwin_machine::MachineConfig;
 use regwin_obs::jsonl::Row;
 use regwin_obs::{AtomicMetricSet, Histogram, Metric, MetricSet, Probe, ProbeEvent, SpanKind};
@@ -70,8 +70,11 @@ pub struct SweepConfig {
     /// counters. `None` (the default) costs one branch per event site.
     pub probe: Option<Arc<dyn Probe>>,
     /// Write-ahead journal path: every completed or quarantined job is
-    /// appended (checksummed and fsync'd) the moment it finishes, so a
-    /// killed sweep can resume. Journaling also switches the
+    /// appended as a checksummed line, so a killed sweep can resume. An
+    /// executed job is fsync'd the moment it finishes; a batch's cache
+    /// hits are group-committed with one fsync before the batch's misses
+    /// start, so they are durable before [`SweepEngine::run_jobs`] (or
+    /// [`SweepEngine::run_matrix`]) returns. Journaling also switches the
     /// `BENCH_sweep.json` artifact into deterministic mode — wall-clock
     /// fields are zeroed and the job/quarantine logs are sorted by key —
     /// so an interrupted-then-resumed sweep produces an artifact
@@ -394,6 +397,25 @@ pub struct SweepSummary {
     pub cache_misses: usize,
     /// Jobs quarantined after exhausting every attempt.
     pub quarantined: usize,
+}
+
+/// What a batch's cache probe found for one job.
+enum Lookup<'e> {
+    /// Finished by the interrupted run whose journal this engine
+    /// resumed: served from the journaled record and report.
+    Journaled(&'e JobRecord, &'e RunReport),
+    /// Quarantined by the resumed journal: skipped.
+    Quarantined,
+    /// A valid cache entry, and the milliseconds its load and
+    /// validation took.
+    Hit {
+        /// The cached report.
+        report: Box<RunReport>,
+        /// Load-and-validate time.
+        load_ms: f64,
+    },
+    /// Nothing to serve: the job must execute.
+    Miss,
 }
 
 /// One schedulable unit: a key plus the closure computing its report.
@@ -909,70 +931,120 @@ impl SweepEngine {
     /// `None` in its slot instead of aborting the batch — the remaining
     /// cells always complete.
     pub fn run_jobs(&self, jobs: &[Job]) -> Vec<Option<RunReport>> {
-        let mut results: Vec<Option<RunReport>> = (0..jobs.len()).map(|_| None).collect();
+        let keys: Vec<&JobKey> = jobs.iter().map(Job::key).collect();
+        let lookups: Vec<Lookup<'_>> = keys.iter().map(|key| self.lookup(key)).collect();
+        let misses = lookups
+            .iter()
+            .zip(jobs)
+            .enumerate()
+            .filter(|(_, (lookup, _))| matches!(lookup, Lookup::Miss))
+            .map(|(i, (_, job))| (i, job))
+            .collect();
+        self.serve_batch(&keys, lookups, misses)
+    }
+
+    /// The batch's one look at the journal and the cache for `key`. A
+    /// resumed journal outranks the cache: it records exactly what the
+    /// interrupted run completed, including each job's original hit/miss
+    /// flag, which is what keeps the resumed artifact byte-identical to
+    /// an uninterrupted one.
+    fn lookup(&self, key: &JobKey) -> Lookup<'_> {
+        let canonical = key.canonical();
+        if let Some((record, report)) = self.resumed.get(&canonical) {
+            return Lookup::Journaled(record, report);
+        }
+        if self.resumed_quarantine.contains(&canonical) {
+            return Lookup::Quarantined;
+        }
+        let t_load = Instant::now();
+        match self.cache.as_ref().and_then(|c| c.load(key)) {
+            Some(report) => Lookup::Hit {
+                report: Box::new(report),
+                load_ms: t_load.elapsed().as_secs_f64() * 1e3,
+            },
+            None => Lookup::Miss,
+        }
+    }
+
+    /// Serves a batch whose jobs have been looked up: journaled and
+    /// cached jobs come from what the lookup loaded, the hits are
+    /// journaled as one group commit, then `misses` — each
+    /// [`Lookup::Miss`] slot with its job — execute across the worker
+    /// pool. Returns the reports in slot order.
+    fn serve_batch(
+        &self,
+        keys: &[&JobKey],
+        lookups: Vec<Lookup<'_>>,
+        mut misses: Vec<(usize, &Job)>,
+    ) -> Vec<Option<RunReport>> {
+        let mut results: Vec<Option<RunReport>> = (0..keys.len()).map(|_| None).collect();
         let mut main_sink = BatchSink::new(self, MAIN_SLOT);
-        let mut miss_indices = Vec::new();
-        for (i, job) in jobs.iter().enumerate() {
-            let canonical = job.key.canonical();
-            // A resumed journal outranks the cache: it records exactly
-            // what the interrupted run completed, including each job's
-            // original hit/miss flag, which is what keeps the resumed
-            // artifact byte-identical to an uninterrupted one.
-            if let Some((record, report)) = self.resumed.get(&canonical) {
-                self.emit(obj(vec![
-                    ("event", Value::Str("job_done".into())),
-                    ("id", Value::Str(record.id.clone())),
-                    ("label", Value::Str(record.label.clone())),
-                    ("cache", Value::Str("journal".into())),
-                    ("wall_ms", Value::Float(0.0)),
-                    ("cycles", Value::Int(record.total_cycles)),
-                ]));
-                main_sink.log_job(record.clone());
-                main_sink.observe_job(&job.key, report, record.cache_hit, 0.0);
-                results[i] = Some(report.clone());
-                continue;
-            }
-            if self.resumed_quarantine.contains(&canonical) {
-                // The interrupted run already gave up on this job; its
-                // quarantine record was replayed at engine construction.
-                continue;
-            }
-            let t_load = Instant::now();
-            let cached = self.cache.as_ref().and_then(|c| c.load(&job.key));
-            match cached {
-                Some(report) => {
+        let mut hits: Vec<(usize, JobRecord)> = Vec::new();
+        for (i, lookup) in lookups.into_iter().enumerate() {
+            let key = keys[i];
+            match lookup {
+                Lookup::Journaled(record, report) => {
+                    self.emit(obj(vec![
+                        ("event", Value::Str("job_done".into())),
+                        ("id", Value::Str(record.id.clone())),
+                        ("label", Value::Str(record.label.clone())),
+                        ("cache", Value::Str("journal".into())),
+                        ("wall_ms", Value::Float(0.0)),
+                        ("cycles", Value::Int(record.total_cycles)),
+                    ]));
+                    main_sink.log_job(record.clone());
+                    main_sink.observe_job(key, report, record.cache_hit, 0.0);
+                    results[i] = Some(report.clone());
+                }
+                Lookup::Hit { report, load_ms } => {
                     // A hit's wall time is the load-and-validate cost —
                     // real, if small; deterministic artifacts zero it.
-                    let load_ms = t_load.elapsed().as_secs_f64() * 1e3;
                     let wall_ms = if self.deterministic { 0.0 } else { load_ms };
                     self.emit(obj(vec![
                         ("event", Value::Str("job_done".into())),
-                        ("id", Value::Str(job.key.id())),
-                        ("label", Value::Str(job.key.label())),
+                        ("id", Value::Str(key.id())),
+                        ("label", Value::Str(key.label())),
                         ("cache", Value::Str("hit".into())),
                         ("wall_ms", Value::Float(wall_ms)),
                         ("cycles", Value::Int(report.total_cycles())),
                     ]));
-                    let record = JobRecord {
-                        id: job.key.id(),
-                        key: canonical,
-                        label: job.key.label(),
-                        cache_hit: true,
-                        wall_ms,
-                        total_cycles: report.total_cycles(),
-                    };
-                    self.journal_job(&record, &report);
-                    main_sink.log_job(record);
-                    main_sink.observe_job(&job.key, &report, true, wall_ms);
-                    results[i] = Some(report);
+                    main_sink.observe_job(key, &report, true, wall_ms);
+                    hits.push((
+                        i,
+                        JobRecord {
+                            id: key.id(),
+                            key: key.canonical(),
+                            label: key.label(),
+                            cache_hit: true,
+                            wall_ms,
+                            total_cycles: report.total_cycles(),
+                        },
+                    ));
+                    results[i] = Some(*report);
                 }
-                None => miss_indices.push(i),
+                // The interrupted run already gave up on a quarantined
+                // job (its record was replayed at engine construction);
+                // misses run below.
+                Lookup::Quarantined | Lookup::Miss => {}
             }
+        }
+        // Group commit: every hit of the batch in one locked append with
+        // one fsync, before any miss starts and before the batch returns.
+        if let Some(journal) = &self.journal {
+            let entries = hits.iter().map(|(i, record)| {
+                (record, results[*i].as_ref().expect("a hit's slot holds its report"))
+            });
+            if let Err(e) = journal.append_jobs(entries) {
+                eprintln!("warning: cannot journal {} cache hit(s): {e}", hits.len());
+            }
+        }
+        for (_, record) in hits {
+            main_sink.log_job(record);
         }
         // Hits merge before the miss pool spawns, keeping the job log's
         // hits-before-misses order.
         self.absorb(main_sink.into_batch());
-        if miss_indices.is_empty() {
+        if misses.is_empty() {
             return results;
         }
 
@@ -987,27 +1059,27 @@ impl SweepEngine {
         // the caller's deterministic matrix order (which also keeps
         // worker-fault sequence targeting stable — fault plans disable
         // the cache, so they can never load hints).
-        if miss_indices.len() > 1 {
+        if misses.len() > 1 {
             let hints = self.load_wall_hints();
             if !hints.is_empty() {
-                let mut decorated: Vec<(usize, f64, String)> = miss_indices
-                    .iter()
-                    .map(|&i| {
-                        let hint = hints.get(&jobs[i].key.id()).copied().unwrap_or(0.0);
-                        (i, hint, jobs[i].key.canonical())
+                let mut decorated: Vec<((usize, &Job), f64, String)> = misses
+                    .into_iter()
+                    .map(|(i, job)| {
+                        let hint = hints.get(&job.key.id()).copied().unwrap_or(0.0);
+                        ((i, job), hint, job.key.canonical())
                     })
                     .collect();
                 decorated.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.2.cmp(&b.2)));
-                miss_indices = decorated.into_iter().map(|(i, ..)| i).collect();
+                misses = decorated.into_iter().map(|(miss, ..)| miss).collect();
             }
         }
 
-        let total = miss_indices.len();
+        let total = misses.len();
         let base_seq = self.seq.fetch_add(total as u64, Ordering::Relaxed);
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             let next = &next;
-            let miss_indices = &miss_indices;
+            let misses = &misses;
             let handles: Vec<_> = (0..self.effective_workers(total))
                 .map(|w| {
                     scope.spawn(move || {
@@ -1020,7 +1092,7 @@ impl SweepEngine {
                             if mi >= total {
                                 break;
                             }
-                            let i = miss_indices[mi];
+                            let (i, job) = misses[mi];
                             // Under a shared admission gate, hold a
                             // granted slot for the job's duration —
                             // the global bound plus round-robin
@@ -1037,7 +1109,7 @@ impl SweepEngine {
                                 },
                                 None => None,
                             };
-                            let report = execute_job(&mut sink, &jobs[i], base_seq + mi as u64);
+                            let report = execute_job(&mut sink, job, base_seq + mi as u64);
                             out.push((i, report));
                         }
                         (sink.into_batch(), out)
@@ -1092,27 +1164,14 @@ impl SweepEngine {
                 JobKey::for_cell(spec, behavior, scheme, nwindows)
             })
             .collect();
-        // Unlogged pre-probe: which cells will actually run? Decides
-        // which behaviours need a recorded trace and how wide the miss
-        // fan-out will really be. (run_jobs does the authoritative,
-        // logged probe.)
-        let (behavior_missing, missing_cells) = {
-            let mut missing = vec![false; spec.behaviors.len()];
-            let mut missing_cells = 0usize;
-            for (&(bi, ..), key) in cells.iter().zip(&keys) {
-                let canonical = key.canonical();
-                if self.resumed.contains_key(&canonical)
-                    || self.resumed_quarantine.contains(&canonical)
-                {
-                    continue;
-                }
-                if self.cache.as_ref().and_then(|c| c.load(key)).is_none() {
-                    missing[bi] = true;
-                    missing_cells += 1;
-                }
-            }
-            (missing, missing_cells)
-        };
+        // The sweep's one cache probe. Its misses decide which
+        // behaviours need a recorded trace and which cells get a job at
+        // all; its hits are served from the reports it loaded, so a cell
+        // judged cached is never executed.
+        let keys: Vec<&JobKey> = keys.iter().collect();
+        let lookups: Vec<Lookup<'_>> = keys.iter().map(|key| self.lookup(key)).collect();
+        let missing: Vec<usize> =
+            (0..cells.len()).filter(|&i| matches!(lookups[i], Lookup::Miss)).collect();
         self.emit(obj(vec![
             ("event", Value::Str("sweep_start".into())),
             ("jobs", Value::Int(cells.len() as u64)),
@@ -1121,15 +1180,61 @@ impl SweepEngine {
             // pool width, and a fully warm sweep spawns none at all.
             (
                 "workers",
-                Value::Int(if missing_cells == 0 {
+                Value::Int(if missing.is_empty() {
                     0
                 } else {
-                    self.effective_workers(missing_cells) as u64
+                    self.effective_workers(missing.len()) as u64
                 }),
             ),
             ("policy", Value::Str(spec.policy.name().into())),
         ]));
         let sweep_t0 = Instant::now();
+        let jobs = self.matrix_jobs(spec, &cells, &keys, &missing)?;
+        let reports =
+            self.serve_batch(&keys, lookups, jobs.iter().map(|(i, job)| (*i, job)).collect());
+        let summary = self.summary();
+        self.emit(obj(vec![
+            ("event", Value::Str("sweep_done".into())),
+            ("jobs", Value::Int(cells.len() as u64)),
+            ("cache_hits", Value::Int(summary.cache_hits as u64)),
+            ("cache_misses", Value::Int(summary.cache_misses as u64)),
+            ("quarantined", Value::Int(summary.quarantined as u64)),
+            ("wall_ms", Value::Float(sweep_t0.elapsed().as_secs_f64() * 1e3)),
+        ]));
+
+        Ok(cells
+            .into_iter()
+            .zip(reports)
+            .filter_map(|((_, behavior, scheme, nwindows), report)| {
+                report.map(|report| RunRecord {
+                    behavior,
+                    scheme,
+                    nwindows,
+                    policy: spec.policy,
+                    report,
+                })
+            })
+            .collect())
+    }
+
+    /// The jobs for the cells of `spec` at `missing` (indices into
+    /// `cells` and `keys`), paired with their index. Generates the corpus
+    /// and records the FIFO traces only when some cell is missing, and
+    /// then only for the behaviours that own one.
+    fn matrix_jobs(
+        &self,
+        spec: &MatrixSpec,
+        cells: &[(usize, Behavior, SchemeKind, usize)],
+        keys: &[&JobKey],
+        missing: &[usize],
+    ) -> Result<Vec<(usize, Job)>, RtError> {
+        if missing.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut behavior_missing = vec![false; spec.behaviors.len()];
+        for &i in missing {
+            behavior_missing[cells[i].0] = true;
+        }
 
         // Shared job data goes in `Arc`s (not borrows): a timed-out
         // attempt's detached thread may outlive this call.
@@ -1180,22 +1285,21 @@ impl SweepEngine {
         let policy = spec.policy;
         let timing = spec.timing;
         let audit = self.config.audit;
-        let jobs: Vec<Job> = cells
+        Ok(missing
             .iter()
-            .zip(keys)
-            .map(|(&(bi, behavior, scheme, nwindows), key)| {
+            .map(|&i| {
+                let (bi, behavior, scheme, nwindows) = cells[i];
                 let corpus = Arc::clone(&corpus);
                 let traces = Arc::clone(&traces);
                 let sim_plan = sim_plan.clone();
-                Job::new(key, move || match &traces[bi] {
+                let job = Job::new(keys[i].clone(), move || match &traces[bi] {
                     Some(trace) => trace.replay_with_options(
                         MachineConfig::new(nwindows).with_timing(timing),
                         build_scheme(scheme),
                         sim_plan.as_deref().map(FaultPlan::machine_schedule),
                         audit,
                     ),
-                    // No trace: direct run (working-set policy, or a
-                    // cache entry that vanished after the pre-probe).
+                    // No trace: a non-FIFO policy runs every cell directly.
                     None => {
                         let (m, n) = behavior.buffers();
                         let config = SpellConfig::new(corpus_spec, m, n)
@@ -1210,32 +1314,8 @@ impl SweepEngine {
                             None => Ok(pipeline.run(nwindows, scheme)?.report),
                         }
                     }
-                })
-            })
-            .collect();
-
-        let reports = self.run_jobs(&jobs);
-        let summary = self.summary();
-        self.emit(obj(vec![
-            ("event", Value::Str("sweep_done".into())),
-            ("jobs", Value::Int(cells.len() as u64)),
-            ("cache_hits", Value::Int(summary.cache_hits as u64)),
-            ("cache_misses", Value::Int(summary.cache_misses as u64)),
-            ("quarantined", Value::Int(summary.quarantined as u64)),
-            ("wall_ms", Value::Float(sweep_t0.elapsed().as_secs_f64() * 1e3)),
-        ]));
-
-        Ok(cells
-            .into_iter()
-            .zip(reports)
-            .filter_map(|((_, behavior, scheme, nwindows), report)| {
-                report.map(|report| RunRecord {
-                    behavior,
-                    scheme,
-                    nwindows,
-                    policy: spec.policy,
-                    report,
-                })
+                });
+                (i, job)
             })
             .collect())
     }

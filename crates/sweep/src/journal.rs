@@ -1,14 +1,18 @@
 //! Crash-safe write-ahead journal for resumable sweeps.
 //!
 //! Alongside the `BENCH_sweep.json` artifact the engine can keep a
-//! `*.journal.jsonl` file: one checksummed JSON line appended — and
-//! fsync'd — the moment each job completes or is quarantined. Killing a
-//! sweep at any instant (including `kill -9` mid-append) therefore
-//! loses at most the in-flight jobs: on `--resume` the journal is
+//! `*.journal.jsonl` file: one checksummed JSON line per completed or
+//! quarantined job. An executed job's line is appended and fsync'd the
+//! moment the job finishes. The cache hits of a batch are group-committed
+//! instead: their lines are written one by one under one lock and made
+//! durable by a single fsync, before the batch's misses start and before
+//! the batch returns. Killing a sweep at any instant (including
+//! `kill -9` mid-append) therefore loses at most the in-flight jobs and
+//! an unsynced suffix of a hit batch: on `--resume` the journal is
 //! replayed, finished jobs are served from their journaled reports, and
-//! only the unfinished remainder re-runs. A torn final line (the only
-//! kind of damage an append-then-fsync discipline can leave) fails its
-//! checksum and is skipped.
+//! only the unfinished remainder re-runs (lost hits are simply hits
+//! again). A torn final line (the only kind of damage an append-then-fsync
+//! discipline can leave) fails its checksum and is skipped.
 //!
 //! Line format: `{"sum":"<16-hex>","payload":{...}}` where `sum` is the
 //! FNV-1a hash of the payload's compact serialization. Payloads carry a
@@ -165,16 +169,35 @@ impl SweepJournal {
     /// before this returns, so a success means the entry survives
     /// `kill -9`.
     pub fn append_job(&self, record: &JobRecord, report: &RunReport) -> std::io::Result<()> {
-        self.append_payload(obj(vec![
-            ("type", Value::Str("job".into())),
-            ("version", Value::Int(u64::from(FORMAT_VERSION))),
-            ("id", Value::Str(record.id.clone())),
-            ("key", Value::Str(record.key.clone())),
-            ("label", Value::Str(record.label.clone())),
-            ("cache", Value::Str(if record.cache_hit { "hit" } else { "miss" }.into())),
-            ("total_cycles", Value::Int(record.total_cycles)),
-            ("report", report_to_value(report)),
-        ]))
+        self.append_jobs([(record, report)])
+    }
+
+    /// Journals a batch of completed jobs as one group commit: under one
+    /// lock, each line is serialized and written in turn, then a single
+    /// fsync makes the whole batch durable. An empty batch writes and
+    /// syncs nothing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors. On success every line survives
+    /// `kill -9`; a crash before the fsync can lose a suffix of the
+    /// batch or tear its last line, which replay skips by checksum.
+    pub fn append_jobs<'a>(
+        &self,
+        jobs: impl IntoIterator<Item = (&'a JobRecord, &'a RunReport)>,
+    ) -> std::io::Result<()> {
+        self.append_payloads(jobs.into_iter().map(|(record, report)| {
+            obj(vec![
+                ("type", Value::Str("job".into())),
+                ("version", Value::Int(u64::from(FORMAT_VERSION))),
+                ("id", Value::Str(record.id.clone())),
+                ("key", Value::Str(record.key.clone())),
+                ("label", Value::Str(record.label.clone())),
+                ("cache", Value::Str(if record.cache_hit { "hit" } else { "miss" }.into())),
+                ("total_cycles", Value::Int(record.total_cycles)),
+                ("report", report_to_value(report)),
+            ])
+        }))
     }
 
     /// Journals one quarantined job.
@@ -184,7 +207,7 @@ impl SweepJournal {
     /// Propagates filesystem errors (flushed and fsync'd like
     /// [`SweepJournal::append_job`]).
     pub fn append_quarantine(&self, q: &QuarantineRecord) -> std::io::Result<()> {
-        self.append_payload(obj(vec![
+        self.append_payloads([obj(vec![
             ("type", Value::Str("quarantine".into())),
             ("version", Value::Int(u64::from(FORMAT_VERSION))),
             ("id", Value::Str(q.id.clone())),
@@ -194,19 +217,27 @@ impl SweepJournal {
             ("attempts", Value::Int(u64::from(q.attempts))),
             ("detail", Value::Str(q.detail.clone())),
             ("repro", Value::Str(q.repro.clone())),
-        ]))
+        ])])
     }
 
-    fn append_payload(&self, payload: Value) -> std::io::Result<()> {
-        let payload_text = payload.to_json();
-        let sum = fnv1a(payload_text.as_bytes());
-        let line = format!("{{\"sum\":\"{sum:016x}\",\"payload\":{payload_text}}}\n");
+    /// Appends one checksummed line per payload, then fsyncs once.
+    fn append_payloads(&self, payloads: impl IntoIterator<Item = Value>) -> std::io::Result<()> {
         // Poison recovery: a panicking appender can at worst leave a
         // torn final line, which replay already skips by checksum.
         let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.write_all(line.as_bytes())?;
-        file.flush()?;
-        file.sync_data()
+        let mut written = false;
+        for payload in payloads {
+            let payload_text = payload.to_json();
+            let sum = fnv1a(payload_text.as_bytes());
+            let line = format!("{{\"sum\":\"{sum:016x}\",\"payload\":{payload_text}}}\n");
+            file.write_all(line.as_bytes())?;
+            written = true;
+        }
+        if written {
+            file.flush()?;
+            file.sync_data()?;
+        }
+        Ok(())
     }
 }
 

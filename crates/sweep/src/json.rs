@@ -160,6 +160,13 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so without a bound one line of `[[[[…`
+/// would overflow the parsing thread's stack and abort the process. The
+/// deepest document the workspace writes (a run report's switch shapes
+/// inside a `records` frame) nests seven levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure with byte position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -181,9 +188,10 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Fails on malformed input or trailing garbage.
+/// Fails on malformed input, trailing garbage, or nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -196,6 +204,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -237,11 +247,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -440,6 +463,18 @@ mod tests {
     fn whitespace_tolerated() {
         let v = parse(" { \"a\" : [ 1 , 2 ] } ").unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        // Far past any stack: one mebibyte of openers, objects mixed in.
+        let err = parse(&"[{\"a\":".repeat(1 << 18)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

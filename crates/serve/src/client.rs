@@ -100,15 +100,25 @@ impl ServeClient {
             summary: SweepSummary::default(),
             quarantine: Vec::new(),
         };
-        write_frame(
+        let hello = write_frame(
             &mut client.writer,
             &obj(vec![
                 ("type", Value::Str("hello".into())),
                 ("proto", Value::Int(PROTO_VERSION)),
                 ("session", Value::Str(session.to_string())),
             ]),
-        )?;
-        let frame = client.expect_frame()?;
+        );
+        // A daemon at its client limit writes `busy` and closes without
+        // reading, so the hello can fail with a broken pipe while the
+        // `busy` frame waits unread: read one frame either way, and
+        // report the write error only if that frame is not `busy`.
+        let frame = client.expect_frame();
+        let is_busy = |f: &Value| frame_type(f).is_ok_and(|t| t == "busy");
+        let frame = match (hello, frame) {
+            (_, Ok(frame)) if is_busy(&frame) => frame,
+            (Err(e), _) => return Err(ClientError::Io(e)),
+            (Ok(()), frame) => frame?,
+        };
         match frame_type(&frame).unwrap_or("?") {
             "ready" => {
                 client.session_id =

@@ -33,8 +33,8 @@ use regwin_machine::{SchemeKind, TimingKind};
 use regwin_rt::SchedulingPolicy;
 use regwin_spell::CorpusSpec;
 use regwin_sweep::json::{obj, parse, Value};
-use regwin_sweep::serial::{report_from_value, report_to_value};
-use regwin_sweep::{QuarantineRecord, SweepSummary};
+use regwin_sweep::serial::report_from_value;
+use regwin_sweep::{records_to_json, QuarantineRecord, SweepSummary};
 use std::fmt;
 use std::io::{BufRead, Write};
 
@@ -260,23 +260,12 @@ pub fn spec_from_value(v: &Value) -> Result<MatrixSpec, ProtoError> {
     Ok(MatrixSpec { corpus, behaviors, schemes, windows, policy, timing })
 }
 
-/// Encodes run records for a `records` frame (the same per-record shape
-/// as [`regwin_sweep::records_to_json`]).
+/// Encodes run records for a `records` frame: exactly the text of
+/// [`regwin_sweep::records_to_json`], embedded as a pre-encoded
+/// [`Value::Raw`], so every report is written once and straight to
+/// text.
 pub fn records_to_value(records: &[RunRecord]) -> Value {
-    Value::Arr(
-        records
-            .iter()
-            .map(|r| {
-                obj(vec![
-                    ("behavior", Value::Str(r.behavior.to_string())),
-                    ("scheme", Value::Str(r.scheme.name().into())),
-                    ("policy", Value::Str(r.policy.name().into())),
-                    ("nwindows", Value::Int(r.nwindows as u64)),
-                    ("report", report_to_value(&r.report)),
-                ])
-            })
-            .collect(),
-    )
+    Value::Raw(records_to_json(records))
 }
 
 /// Decodes the records of a `records` frame.
@@ -478,7 +467,9 @@ mod tests {
         write_frame(&mut bytes, &frame).unwrap();
         write_frame(&mut bytes, &obj(vec![("type", Value::Str("bye".into()))])).unwrap();
         let mut reader = FrameReader::new(Trickle(&bytes));
-        assert_eq!(reader.next_frame().unwrap(), Some(frame));
+        // The built frame holds `Raw` records, which never equal their
+        // parsed form; compare against the frame as parsed whole.
+        assert_eq!(reader.next_frame().unwrap(), Some(parse(&frame.to_json()).unwrap()));
         assert_eq!(frame_type(&reader.next_frame().unwrap().unwrap()).unwrap(), "bye");
         assert!(reader.next_frame().unwrap().is_none(), "clean EOF");
     }

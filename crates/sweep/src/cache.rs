@@ -8,6 +8,16 @@
 //! data; `sum` is an FNV-1a content checksum of the serialized report,
 //! so a truncated or bit-flipped entry is also a miss.
 //!
+//! The layout is canonical and the report comes last, so an entry's
+//! report bytes are exactly the text between `,"report":` and the
+//! closing brace. A load checks the entry's head (everything before the
+//! report) byte for byte against the one [`ResultCache::store`] would
+//! write, verifies the checksum over the report bytes, and decodes the
+//! report from them; the engine then journals those same bytes instead
+//! of serializing the report again. An entry that is valid JSON but not
+//! in canonical layout (hand-reformatted, say) is therefore a miss and
+//! is reclaimed, never a wrong hit.
+//!
 //! Reclaiming an invalid entry is multi-client safe. A reader holding
 //! stale bytes must never `remove_file` the slot directly: between its
 //! failed validation and the delete, a concurrent [`ResultCache::store`]
@@ -22,9 +32,9 @@
 //! so the rename-back can never clobber newer different data.
 
 use crate::engine::write_file_atomic;
-use crate::json::{obj, parse, Value};
+use crate::json::write_string;
 use crate::key::{fnv1a, JobKey, FORMAT_VERSION};
-use crate::serial::{report_from_value, report_to_value};
+use crate::serial::{report_from_json, report_to_json};
 use regwin_rt::RunReport;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,17 +61,22 @@ impl ResultCache {
     }
 
     /// Loads the cached report for `key`, or `None` on miss. Corrupt,
-    /// truncated, checksum-mismatched or old-format entries count as
-    /// misses and are reclaimed (so the next store rewrites the slot) —
-    /// via `ResultCache::reclaim_invalid`, which re-validates before
-    /// destroying anything, so a concurrent fresh store is never lost.
+    /// truncated, checksum-mismatched, old-format or non-canonical
+    /// entries count as misses and are reclaimed (so the next store
+    /// rewrites the slot) — via `ResultCache::reclaim_invalid`, which
+    /// re-validates before destroying anything, so a concurrent fresh
+    /// store is never lost.
     pub fn load(&self, key: &JobKey) -> Option<RunReport> {
+        self.load_verified(key).map(|(report, _)| report)
+    }
+
+    /// [`ResultCache::load`], also returning the entry's report bytes:
+    /// the exact text the checksum was verified over and the report was
+    /// decoded from.
+    pub(crate) fn load_verified(&self, key: &JobKey) -> Option<(RunReport, String)> {
         let path = self.path_for(key);
         let text = std::fs::read_to_string(&path).ok()?;
-        match decode_entry(&text, key) {
-            Some(report) => Some(report),
-            None => self.reclaim_invalid(&path, key),
-        }
+        decode_entry(text, key).or_else(|| self.reclaim_invalid(&path, key))
     }
 
     /// Reclaims a slot whose bytes failed validation, without trusting
@@ -70,8 +85,8 @@ impl ResultCache {
     /// bytes that validate mean the reader raced a fresh store — they
     /// are renamed back and served as a hit; captured bytes that are
     /// still invalid are deleted, freeing the slot. Returns the rescued
-    /// report, if any.
-    fn reclaim_invalid(&self, path: &Path, key: &JobKey) -> Option<RunReport> {
+    /// report and its bytes, if any.
+    fn reclaim_invalid(&self, path: &Path, key: &JobKey) -> Option<(RunReport, String)> {
         // Process-unique + counter-unique, so concurrent reclaims (even
         // within one process) never collide on the quarantine name.
         static RECLAIM_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -88,9 +103,9 @@ impl ResultCache {
             return None;
         }
         let rescued =
-            std::fs::read_to_string(&aside).ok().and_then(|captured| decode_entry(&captured, key));
+            std::fs::read_to_string(&aside).ok().and_then(|captured| decode_entry(captured, key));
         match rescued {
-            Some(report) => {
+            Some(hit) => {
                 // We captured a *fresh* entry a concurrent store just
                 // published. Put it back; stores of the same key write
                 // identical bytes, so clobbering an even newer one is
@@ -100,7 +115,7 @@ impl ResultCache {
                 if std::fs::rename(&aside, path).is_err() {
                     let _ = std::fs::remove_file(&aside);
                 }
-                Some(report)
+                Some(hit)
             }
             None => {
                 // Invalid even after atomic capture: genuinely damaged.
@@ -114,47 +129,61 @@ impl ResultCache {
     /// stderr but do not fail the sweep — the cache is an accelerator,
     /// not a correctness dependency.
     pub fn store(&self, key: &JobKey, report: &RunReport) {
+        self.store_json(key, &report_to_json(report));
+    }
+
+    /// [`ResultCache::store`] for a report already serialized by
+    /// [`report_to_json`].
+    pub(crate) fn store_json(&self, key: &JobKey, report_json: &str) {
         if let Err(e) = std::fs::create_dir_all(&self.dir) {
             eprintln!("warning: cannot create cache dir {}: {e}", self.dir.display());
             return;
         }
-        let report_v = report_to_value(report);
-        let sum = fnv1a(report_v.to_json().as_bytes());
-        let entry = obj(vec![
-            ("version", Value::Int(u64::from(FORMAT_VERSION))),
-            ("key", Value::Str(key.canonical())),
-            ("sum", Value::Str(format!("{sum:016x}"))),
-            ("report", report_v),
-        ]);
+        let mut entry = entry_head(key, fnv1a(report_json.as_bytes()));
+        entry.push_str(report_json);
+        entry.push('}');
         let path = self.path_for(key);
         // Write-then-rename so a concurrent reader never sees a torn
         // entry (two workers may race to store the same key; both write
         // identical bytes, so either rename winning is fine).
-        if let Err(e) = write_file_atomic(&path, &entry.to_json()) {
+        if let Err(e) = write_file_atomic(&path, &entry) {
             eprintln!("warning: cannot write cache entry {}: {e}", path.display());
         }
     }
 }
 
-/// Validates one cache file's text against `key`: format version,
-/// canonical key, and the report's content checksum (the stored report
-/// sub-value re-serializes to the exact bytes that were hashed at store
-/// time, because `Value::to_json` is deterministic and parsing
-/// round-trips it).
-fn decode_entry(text: &str, key: &JobKey) -> Option<RunReport> {
-    let v = parse(text).ok()?;
-    if v.get("version")?.as_u64()? != u64::from(FORMAT_VERSION) {
+/// Everything an entry holds before its report:
+/// `{"version":V,"key":"<canonical>","sum":"<16 hex>","report":`. The
+/// one encoder of the entry layout, used to write entries and to check
+/// them.
+fn entry_head(key: &JobKey, sum: u64) -> String {
+    let mut head = format!("{{\"version\":{FORMAT_VERSION},\"key\":");
+    write_string(&key.canonical(), &mut head);
+    head.push_str(&format!(",\"sum\":\"{sum:016x}\",\"report\":"));
+    head
+}
+
+/// Validates one cache file's text against `key` and returns the
+/// decoded report with its bytes. The head must be byte-identical to
+/// the one a store of `key` writes — which checks the format version,
+/// the canonical key and the canonical layout at once — the text must
+/// end with the entry's closing brace, and the bytes in between must
+/// hash to the head's `sum` and decode as a report.
+fn decode_entry(mut text: String, key: &JobKey) -> Option<(RunReport, String)> {
+    // Every sum renders as 16 hex digits, so the head's length is known
+    // before the sum is.
+    let head_len = entry_head(key, 0).len();
+    if text.len() <= head_len || !text.ends_with('}') || !text.is_char_boundary(head_len) {
         return None;
     }
-    if v.get("key")?.as_str()? != key.canonical() {
+    let sum = fnv1a(&text.as_bytes()[head_len..text.len() - 1]);
+    if text[..head_len] != entry_head(key, sum) {
         return None;
     }
-    let report_v = v.get("report")?;
-    let sum = u64::from_str_radix(v.get("sum")?.as_str()?, 16).ok()?;
-    if fnv1a(report_v.to_json().as_bytes()) != sum {
-        return None;
-    }
-    report_from_value(report_v).ok()
+    text.truncate(text.len() - 1);
+    text.drain(..head_len);
+    let report = report_from_json(&text).ok()?;
+    Some((report, text))
 }
 
 #[cfg(test)]
@@ -260,7 +289,7 @@ mod tests {
         // The reader's stale view: garbage that fails validation.
         std::fs::write(&path, "{not json").unwrap();
         let stale_text = std::fs::read_to_string(&path).unwrap();
-        assert!(decode_entry(&stale_text, &key).is_none(), "reader's view must be invalid");
+        assert!(decode_entry(stale_text, &key).is_none(), "reader's view must be invalid");
         // Concurrent store lands fresh bytes before the reader acts.
         let report =
             SpellPipeline::new(SpellConfig::small()).run(8, SchemeKind::Sp).unwrap().report;
@@ -269,7 +298,7 @@ mod tests {
         // and rescues it as a hit.
         let rescued = cache.reclaim_invalid(&path, &key);
         assert_eq!(
-            rescued.map(|r| r.total_cycles()),
+            rescued.map(|(r, _)| r.total_cycles()),
             Some(report.total_cycles()),
             "reclaim must rescue the freshly stored entry"
         );
@@ -322,6 +351,56 @@ mod tests {
         });
         cache.store(&key, &report);
         assert!(cache.load(&key).is_some(), "a final store must always leave a hit");
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn a_hit_returns_the_exact_bytes_its_checksum_covers() {
+        let cache = ResultCache::new(tmpdir("bytes"));
+        let key = sample_key();
+        let report =
+            SpellPipeline::new(SpellConfig::small()).run(8, SchemeKind::Sp).unwrap().report;
+        cache.store(&key, &report);
+        let (loaded, bytes) = cache.load_verified(&key).expect("hit after store");
+        assert_eq!(loaded, report);
+        assert_eq!(bytes, report_to_json(&report));
+        let text = std::fs::read_to_string(cache.dir().join(format!("{}.json", key.id()))).unwrap();
+        assert!(text.ends_with(&format!(",\"report\":{bytes}}}")), "the report is stored last");
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn a_reformatted_entry_is_a_miss_and_is_rewritten_canonically() {
+        let cache = ResultCache::new(tmpdir("reformatted"));
+        let key = sample_key();
+        let report =
+            SpellPipeline::new(SpellConfig::small()).run(8, SchemeKind::Sp).unwrap().report;
+        cache.store(&key, &report);
+        let path = cache.dir().join(format!("{}.json", key.id()));
+        let canonical = std::fs::read_to_string(&path).unwrap();
+        // Still valid JSON with the right version, key, checksum and
+        // report, but no longer in canonical layout: whitespace after
+        // the envelope's separators, the fields reordered, and a
+        // trailing newline.
+        let v = crate::json::parse(&canonical).unwrap();
+        let reordered = crate::json::Value::Obj(
+            ["report", "sum", "key", "version"]
+                .iter()
+                .map(|&k| (k.to_string(), v.get(k).unwrap().clone()))
+                .collect(),
+        )
+        .to_json();
+        for edited in
+            [canonical.replacen("\",\"", "\", \"", 1), format!("{canonical}\n"), reordered]
+        {
+            assert_eq!(crate::json::parse(&edited).unwrap().get("sum"), v.get("sum"));
+            std::fs::write(&path, &edited).unwrap();
+            assert!(cache.load(&key).is_none(), "non-canonical entry must miss: {edited:.60}");
+            assert!(!path.exists(), "the non-canonical entry must be reclaimed");
+            cache.store(&key, &report);
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), canonical);
+            assert_eq!(cache.load(&key).as_ref(), Some(&report));
+        }
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

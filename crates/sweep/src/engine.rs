@@ -19,6 +19,7 @@ use crate::journal::{replay_journal, JournalOpenError, JournalReplay, SweepJourn
 use crate::json::{obj, Value};
 use crate::key::JobKey;
 use crate::lock::DirLock;
+use crate::serial::report_to_json;
 use regwin_core::{Behavior, MatrixSpec, RunRecord};
 use regwin_machine::MachineConfig;
 use regwin_obs::jsonl::Row;
@@ -411,6 +412,8 @@ enum Lookup<'e> {
     Hit {
         /// The cached report.
         report: Box<RunReport>,
+        /// The entry's verified report bytes, journaled as they are.
+        json: String,
         /// Load-and-validate time.
         load_ms: f64,
     },
@@ -821,12 +824,13 @@ impl SweepEngine {
         }
     }
 
-    /// Appends a completed job to the write-ahead journal, if one is
+    /// Appends a completed job, with its report serialized by
+    /// [`report_to_json`], to the write-ahead journal, if one is
     /// configured. Journal write failures degrade resumability, not
     /// correctness, so they warn instead of failing the job.
-    fn journal_job(&self, record: &JobRecord, report: &RunReport) {
+    fn journal_job(&self, record: &JobRecord, report_json: &str) {
         if let Some(journal) = &self.journal {
-            if let Err(e) = journal.append_job(record, report) {
+            if let Err(e) = journal.append_jobs([(record, report_json)]) {
                 eprintln!("warning: cannot journal job {}: {e}", record.id);
             }
         }
@@ -957,9 +961,10 @@ impl SweepEngine {
             return Lookup::Quarantined;
         }
         let t_load = Instant::now();
-        match self.cache.as_ref().and_then(|c| c.load(key)) {
-            Some(report) => Lookup::Hit {
+        match self.cache.as_ref().and_then(|c| c.load_verified(key)) {
+            Some((report, json)) => Lookup::Hit {
                 report: Box::new(report),
+                json,
                 load_ms: t_load.elapsed().as_secs_f64() * 1e3,
             },
             None => Lookup::Miss,
@@ -979,7 +984,7 @@ impl SweepEngine {
     ) -> Vec<Option<RunReport>> {
         let mut results: Vec<Option<RunReport>> = (0..keys.len()).map(|_| None).collect();
         let mut main_sink = BatchSink::new(self, MAIN_SLOT);
-        let mut hits: Vec<(usize, JobRecord)> = Vec::new();
+        let mut hits: Vec<(JobRecord, String)> = Vec::new();
         for (i, lookup) in lookups.into_iter().enumerate() {
             let key = keys[i];
             match lookup {
@@ -996,7 +1001,7 @@ impl SweepEngine {
                     main_sink.observe_job(key, report, record.cache_hit, 0.0);
                     results[i] = Some(report.clone());
                 }
-                Lookup::Hit { report, load_ms } => {
+                Lookup::Hit { report, json, load_ms } => {
                     // A hit's wall time is the load-and-validate cost —
                     // real, if small; deterministic artifacts zero it.
                     let wall_ms = if self.deterministic { 0.0 } else { load_ms };
@@ -1010,7 +1015,6 @@ impl SweepEngine {
                     ]));
                     main_sink.observe_job(key, &report, true, wall_ms);
                     hits.push((
-                        i,
                         JobRecord {
                             id: key.id(),
                             key: key.canonical(),
@@ -1019,6 +1023,7 @@ impl SweepEngine {
                             wall_ms,
                             total_cycles: report.total_cycles(),
                         },
+                        json,
                     ));
                     results[i] = Some(*report);
                 }
@@ -1030,15 +1035,14 @@ impl SweepEngine {
         }
         // Group commit: every hit of the batch in one locked append with
         // one fsync, before any miss starts and before the batch returns.
+        // Each line carries the entry's verified bytes, not a re-encoding.
         if let Some(journal) = &self.journal {
-            let entries = hits.iter().map(|(i, record)| {
-                (record, results[*i].as_ref().expect("a hit's slot holds its report"))
-            });
+            let entries = hits.iter().map(|(record, json)| (record, json.as_str()));
             if let Err(e) = journal.append_jobs(entries) {
                 eprintln!("warning: cannot journal {} cache hit(s): {e}", hits.len());
             }
         }
-        for (_, record) in hits {
+        for (record, _) in hits {
             main_sink.log_job(record);
         }
         // Hits merge before the miss pool spawns, keeping the job log's
@@ -1596,7 +1600,8 @@ fn histogram_value(h: &Histogram) -> Value {
 
 /// Serializes run records (without any timing data) to deterministic
 /// JSON: the same matrix produces byte-identical output no matter the
-/// worker count or cache state.
+/// worker count or cache state. The one encoder of the per-record
+/// shape; the daemon's `records` frame embeds its output.
 pub fn records_to_json(records: &[RunRecord]) -> String {
     Value::Arr(
         records
@@ -1607,7 +1612,7 @@ pub fn records_to_json(records: &[RunRecord]) -> String {
                     ("scheme", Value::Str(r.scheme.name().into())),
                     ("policy", Value::Str(r.policy.name().into())),
                     ("nwindows", Value::Int(r.nwindows as u64)),
-                    ("report", crate::serial::report_to_value(&r.report)),
+                    ("report", Value::Raw(report_to_json(&r.report))),
                 ])
             })
             .collect(),
@@ -1765,8 +1770,12 @@ fn execute_job(sink: &mut BatchSink<'_>, job: &Job, seq: u64) -> Option<RunRepor
                 // Deterministic (journaled) artifacts zero the one
                 // nondeterministic per-job field.
                 let wall_ms = if engine.deterministic { 0.0 } else { wall_ms };
-                if let Some(cache) = &engine.cache {
-                    cache.store(&job.key, &report);
+                // The report's one serialization, made only when a cache
+                // or a journal will keep the bytes.
+                let json = (engine.cache.is_some() || engine.journal.is_some())
+                    .then(|| report_to_json(&report));
+                if let (Some(cache), Some(json)) = (&engine.cache, &json) {
+                    cache.store_json(&job.key, json);
                 }
                 engine.emit(obj(vec![
                     ("event", Value::Str("job_done".into())),
@@ -1784,7 +1793,9 @@ fn execute_job(sink: &mut BatchSink<'_>, job: &Job, seq: u64) -> Option<RunRepor
                     wall_ms,
                     total_cycles: report.total_cycles(),
                 };
-                engine.journal_job(&record, &report);
+                if let Some(json) = &json {
+                    engine.journal_job(&record, json);
+                }
                 sink.log_job(record);
                 sink.observe_job(&job.key, &report, false, wall_ms);
                 return Some(*report);
@@ -1950,6 +1961,61 @@ mod tests {
         assert_eq!(second.summary().cache_hits, total);
         assert_eq!(second.summary().cache_misses, 0);
         assert_eq!(records_to_json(&cold), records_to_json(&warm));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_lines_equal_append_job_for_misses_and_for_hits() {
+        let dir = std::env::temp_dir()
+            .join(format!("regwin-sweep-hit-journal-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = small_spec();
+        let engine = |journal: &str| {
+            SweepEngine::with_config(
+                SweepConfig::builder()
+                    .cache_dir(dir.join("cache"))
+                    .journal(dir.join(journal))
+                    .build()
+                    .unwrap(),
+            )
+        };
+        let cold = engine("cold.jsonl").run_matrix(&spec).unwrap();
+        let warm = engine("warm.jsonl");
+        warm.run_matrix(&spec).unwrap();
+        assert_eq!(warm.summary().cache_hits, spec.len());
+        drop(warm);
+
+        // The oracle: the lines `append_job` writes for the cold run's
+        // reports. The cold journal holds each miss's one serialization
+        // and the warm journal each hit's cache-entry bytes.
+        let written = |name: &str| -> Vec<String> {
+            let mut lines: Vec<String> = std::fs::read_to_string(dir.join(name))
+                .unwrap()
+                .lines()
+                .map(str::to_string)
+                .collect();
+            lines.sort();
+            lines
+        };
+        let expected = |cache_hit: bool| -> Vec<String> {
+            let name = format!("oracle-{cache_hit}.jsonl");
+            let oracle = SweepJournal::create(dir.join(&name)).unwrap();
+            for r in &cold {
+                let key = JobKey::for_cell(&spec, r.behavior, r.scheme, r.nwindows);
+                let record = JobRecord {
+                    id: key.id(),
+                    key: key.canonical(),
+                    label: key.label(),
+                    cache_hit,
+                    wall_ms: 0.0,
+                    total_cycles: r.report.total_cycles(),
+                };
+                oracle.append_job(&record, &r.report).unwrap();
+            }
+            written(&name)
+        };
+        assert_eq!(written("cold.jsonl"), expected(false));
+        assert_eq!(written("warm.jsonl"), expected(true));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

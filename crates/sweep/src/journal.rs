@@ -18,6 +18,14 @@
 //! FNV-1a hash of the payload's compact serialization. Payloads carry a
 //! `"type"` of `"job"` (a [`JobRecord`] plus its full [`RunReport`]) or
 //! `"quarantine"` (a [`QuarantineRecord`]).
+//!
+//! A job payload's report is never re-encoded for the journal: it is
+//! embedded verbatim as the text [`crate::serial::report_to_json`]
+//! wrote, which is the executed job's one serialization (shared with
+//! its cache store) or, for a cache hit, the entry's checksum-verified
+//! report bytes. Both are the same bytes, so a hit's line is
+//! byte-identical to the line [`SweepJournal::append_job`] writes for
+//! the decoded report.
 
 //! A journal is a **single-writer** file: two engines appending to the
 //! same path would interleave torn lines and corrupt each other's
@@ -32,7 +40,7 @@ use crate::engine::{JobRecord, QuarantineRecord};
 use crate::json::{obj, parse, Value};
 use crate::key::{fnv1a, FORMAT_VERSION};
 use crate::lock::DirLock;
-use crate::serial::{report_from_value, report_to_value};
+use crate::serial::{report_from_value, report_to_json};
 use regwin_rt::RunReport;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -169,13 +177,17 @@ impl SweepJournal {
     /// before this returns, so a success means the entry survives
     /// `kill -9`.
     pub fn append_job(&self, record: &JobRecord, report: &RunReport) -> std::io::Result<()> {
-        self.append_jobs([(record, report)])
+        self.append_jobs([(record, report_to_json(report).as_str())])
     }
 
     /// Journals a batch of completed jobs as one group commit: under one
     /// lock, each line is serialized and written in turn, then a single
     /// fsync makes the whole batch durable. An empty batch writes and
     /// syncs nothing.
+    ///
+    /// Each report comes as the text [`report_to_json`] wrote for it —
+    /// a fresh job's one serialization, or a cache hit's verified entry
+    /// bytes — and is embedded verbatim.
     ///
     /// # Errors
     ///
@@ -184,9 +196,9 @@ impl SweepJournal {
     /// batch or tear its last line, which replay skips by checksum.
     pub fn append_jobs<'a>(
         &self,
-        jobs: impl IntoIterator<Item = (&'a JobRecord, &'a RunReport)>,
+        jobs: impl IntoIterator<Item = (&'a JobRecord, &'a str)>,
     ) -> std::io::Result<()> {
-        self.append_payloads(jobs.into_iter().map(|(record, report)| {
+        self.append_payloads(jobs.into_iter().map(|(record, report_json)| {
             obj(vec![
                 ("type", Value::Str("job".into())),
                 ("version", Value::Int(u64::from(FORMAT_VERSION))),
@@ -195,7 +207,7 @@ impl SweepJournal {
                 ("label", Value::Str(record.label.clone())),
                 ("cache", Value::Str(if record.cache_hit { "hit" } else { "miss" }.into())),
                 ("total_cycles", Value::Int(record.total_cycles)),
-                ("report", report_to_value(report)),
+                ("report", Value::Raw(report_json.to_string())),
             ])
         }))
     }

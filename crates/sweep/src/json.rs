@@ -7,7 +7,7 @@
 //! (cycle counts exceed `f64`'s 53-bit integer range in principle), and
 //! object keys keep their insertion order so output is byte-stable.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,6 +26,12 @@ pub enum Value {
     Arr(Vec<Value>),
     /// An object; keys keep insertion order for deterministic output.
     Obj(Vec<(String, Value)>),
+    /// One complete JSON value exactly as this module writes it,
+    /// emitted verbatim: lets a caller embed text it already holds (a
+    /// report's verified cache bytes, say) without decoding and
+    /// re-encoding it. [`parse`] never produces it, so a value holding
+    /// `Raw` never equals its own parsed form.
+    Raw(String),
 }
 
 impl Value {
@@ -90,9 +96,10 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(n) => out.push_str(&n.to_string()),
+            Value::Int(n) => write_u64(*n, out),
             Value::Float(x) => write_f64(*x, out),
             Value::Str(s) => write_string(s, out),
+            Value::Raw(text) => out.push_str(text),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -125,38 +132,54 @@ impl fmt::Display for Value {
     }
 }
 
+/// Writes `n` in decimal without a temporary `String`.
+pub(crate) fn write_u64(n: u64, out: &mut String) {
+    write!(out, "{n}").expect("writing to a String cannot fail");
+}
+
 /// Rust's shortest-roundtrip `f64` formatting is deterministic, but
 /// bare `Display` omits the decimal point for integral values, which
 /// would parse back as `Int`; force a fractional form.
-fn write_f64(x: f64, out: &mut String) {
+pub(crate) fn write_f64(x: f64, out: &mut String) {
     if !x.is_finite() {
         // JSON has no Inf/NaN; the sweep never produces them, but a
         // defined encoding beats a panic in a reporting path.
         out.push_str("null");
         return;
     }
-    let s = x.to_string();
-    out.push_str(&s);
-    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+    let start = out.len();
+    write!(out, "{x}").expect("writing to a String cannot fail");
+    if !out[start..].contains(['.', 'e', 'E']) {
         out.push_str(".0");
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Writes `s` as a quoted JSON string. Every byte that needs an escape
+/// is ASCII, so the runs between them are copied whole.
+pub(crate) fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -450,6 +473,66 @@ mod tests {
     fn string_escapes() {
         let v = Value::Str("a\"b\\c\nd".into());
         assert_eq!(parse(&v.to_json()).unwrap(), v);
+    }
+
+    /// The char-at-a-time escaper `write_string` replaced: the oracle.
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn write_string_matches_the_char_escaper() {
+        let cases = [
+            "",
+            "plain ascii",
+            "say \"hi\"",
+            "back\\slash\\",
+            "\u{1}",
+            "\u{1f}",
+            "\u{0}\u{1}\u{1f}\u{7f}",
+            "tab\tnew\nret\r",
+            "naïve café — ünïcödé",
+            "emoji 🦀 and \"quotes\" 🦀",
+            "\u{1f}🦀\\\"\u{1}é",
+        ];
+        for s in cases {
+            let mut fast = String::new();
+            write_string(s, &mut fast);
+            assert_eq!(fast, escape_by_char(s), "{s:?}");
+            assert_eq!(parse(&fast).unwrap(), Value::Str(s.into()), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn integers_write_like_display() {
+        for n in [0, 1, 9, 10, 99, 100, 4_294_967_296, u64::MAX - 1, u64::MAX] {
+            assert_eq!(Value::Int(n).to_json(), n.to_string());
+        }
+    }
+
+    #[test]
+    fn raw_values_are_emitted_verbatim() {
+        let v = obj(vec![("a", Value::Int(1)), ("r", Value::Raw("{\"x\":[1,2.5,\"s\"]}".into()))]);
+        let text = v.to_json();
+        assert_eq!(text, "{\"a\":1,\"r\":{\"x\":[1,2.5,\"s\"]}}");
+        // `parse` never produces `Raw`: the parsed form differs as a
+        // value but writes the same bytes.
+        let back = parse(&text).unwrap();
+        assert_ne!(back, v);
+        assert_eq!(back.to_json(), text);
     }
 
     #[test]

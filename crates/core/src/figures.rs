@@ -1,7 +1,10 @@
-//! Drivers for every table and figure in the paper's evaluation.
+//! Every table and figure in the paper's evaluation: the matrix each
+//! one needs (`*_spec`) and its assembly from executed records
+//! (`*_from_records`). Execute a spec with `regwin_sweep::SweepEngine`
+//! or, serially, with [`run_matrix`](crate::run_matrix).
 
 use crate::behavior::{Behavior, Concurrency, Granularity};
-use crate::matrix::{run_matrix, MatrixSpec, RunRecord};
+use crate::matrix::{MatrixSpec, RunRecord};
 use crate::report::{series_table, Series, TextTable};
 use regwin_machine::{CostModel, SchemeKind, SwitchShape, TimingKind};
 use regwin_rt::{RtError, SchedulingPolicy};
@@ -36,8 +39,8 @@ pub struct Sweep {
 impl Sweep {
     /// The matrix behind the high-concurrency sweep (Figures 11–13 with
     /// [`SchedulingPolicy::Fifo`], Figure 15 with
-    /// [`SchedulingPolicy::WorkingSet`]). Execute it with
-    /// [`run_matrix`] or an external engine, then assemble with
+    /// [`SchedulingPolicy::WorkingSet`]). Execute it with the sweep
+    /// engine or [`run_matrix`](crate::run_matrix), then assemble with
     /// [`Sweep::from_records`].
     pub fn high_spec(
         corpus: CorpusSpec,
@@ -62,40 +65,10 @@ impl Sweep {
         }
     }
 
-    /// Wraps already-executed records (from [`run_matrix`] or the sweep
-    /// engine) as a sweep.
+    /// Wraps already-executed records (from the sweep engine or
+    /// [`run_matrix`](crate::run_matrix)) as a sweep.
     pub fn from_records(records: Vec<RunRecord>) -> Self {
         Sweep { records }
-    }
-
-    /// Runs the high-concurrency sweep (Figures 11–13 with
-    /// [`SchedulingPolicy::Fifo`], Figure 15 with
-    /// [`SchedulingPolicy::WorkingSet`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failed run.
-    pub fn high(
-        corpus: CorpusSpec,
-        windows: &[usize],
-        policy: SchedulingPolicy,
-        progress: impl Fn(usize, usize) + Sync,
-    ) -> Result<Self, RtError> {
-        Ok(Self::from_records(run_matrix(&Self::high_spec(corpus, windows, policy), progress)?))
-    }
-
-    /// Runs the low-concurrency sweep (Figure 14).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failed run.
-    pub fn low(
-        corpus: CorpusSpec,
-        windows: &[usize],
-        policy: SchedulingPolicy,
-        progress: impl Fn(usize, usize) + Sync,
-    ) -> Result<Self, RtError> {
-        Ok(Self::from_records(run_matrix(&Self::low_spec(corpus, windows, policy), progress)?))
     }
 
     /// The raw run records.
@@ -173,20 +146,6 @@ pub fn table1_spec(corpus: CorpusSpec) -> MatrixSpec {
         policy: SchedulingPolicy::Fifo,
         timing: TimingKind::S20,
     }
-}
-
-/// Reproduces Table 1: per-thread context-switch counts for the six
-/// behaviours under FIFO scheduling, plus dynamic `save` counts. The
-/// counts are scheme-independent (§5.2), so a single scheme is run.
-///
-/// # Errors
-///
-/// Propagates the first failed run.
-pub fn table1(
-    corpus: CorpusSpec,
-    progress: impl Fn(usize, usize) + Sync,
-) -> Result<Table1Result, RtError> {
-    table1_from_records(&run_matrix(&table1_spec(corpus), progress)?)
 }
 
 /// Assembles Table 1 from already-executed [`table1_spec`] records.
@@ -290,19 +249,6 @@ pub fn table2_observed_spec(corpus: CorpusSpec) -> MatrixSpec {
     }
 }
 
-/// Reproduces Table 2: the calibrated cost model's cycles per context
-/// switch for each transfer shape, checked against the paper's measured
-/// ranges, plus the shapes *observed* in an actual spell-checker run
-/// (confirming each scheme really performs the transfers the paper
-/// tabulates).
-///
-/// # Errors
-///
-/// Propagates the first failed run.
-pub fn table2(corpus: CorpusSpec) -> Result<Table2Result, RtError> {
-    Ok(table2_from_records(&run_matrix(&table2_observed_spec(corpus), |_, _| {})?))
-}
-
 /// Assembles Table 2 from already-executed [`table2_observed_spec`]
 /// records. The model-vs-paper section needs no simulation at all; the
 /// records feed only the observed-shapes histogram.
@@ -355,7 +301,7 @@ pub fn table2_from_records(records: &[RunRecord]) -> Table2Result {
 
 /// Which sweep-derived figure of the paper an exhibit reproduces. All
 /// five share the same structure — a [`MatrixSpec`] sweep plus one
-/// metric — and differ only in the data below, so drivers can be fully
+/// metric — and differ only in the data below, so callers can be fully
 /// generic over the figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FigureId {
@@ -431,93 +377,10 @@ impl FigureId {
         };
         figure(self.title(), self.value_name(), series)
     }
-
-    /// Runs the figure's sweep and assembles the result.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failed run.
-    pub fn run(
-        self,
-        corpus: CorpusSpec,
-        windows: &[usize],
-        progress: impl Fn(usize, usize) + Sync,
-    ) -> Result<FigureResult, RtError> {
-        let records = run_matrix(&self.spec(corpus, windows), progress)?;
-        Ok(self.from_sweep(&Sweep::from_records(records)))
-    }
-}
-
-/// Figure 11: execution time vs window count, high concurrency, FIFO.
-///
-/// # Errors
-///
-/// Propagates the first failed run.
-pub fn fig11(
-    corpus: CorpusSpec,
-    windows: &[usize],
-    progress: impl Fn(usize, usize) + Sync,
-) -> Result<FigureResult, RtError> {
-    FigureId::Fig11.run(corpus, windows, progress)
-}
-
-/// Figure 12: average context-switch time vs window count, high
-/// concurrency, FIFO.
-///
-/// # Errors
-///
-/// Propagates the first failed run.
-pub fn fig12(
-    corpus: CorpusSpec,
-    windows: &[usize],
-    progress: impl Fn(usize, usize) + Sync,
-) -> Result<FigureResult, RtError> {
-    FigureId::Fig12.run(corpus, windows, progress)
-}
-
-/// Figure 13: window-trap probability vs window count, high concurrency.
-///
-/// # Errors
-///
-/// Propagates the first failed run.
-pub fn fig13(
-    corpus: CorpusSpec,
-    windows: &[usize],
-    progress: impl Fn(usize, usize) + Sync,
-) -> Result<FigureResult, RtError> {
-    FigureId::Fig13.run(corpus, windows, progress)
-}
-
-/// Figure 14: execution time vs window count, low concurrency, FIFO.
-///
-/// # Errors
-///
-/// Propagates the first failed run.
-pub fn fig14(
-    corpus: CorpusSpec,
-    windows: &[usize],
-    progress: impl Fn(usize, usize) + Sync,
-) -> Result<FigureResult, RtError> {
-    FigureId::Fig14.run(corpus, windows, progress)
-}
-
-/// Figure 15: execution time vs window count, high concurrency, with the
-/// working-set scheduling of §4.6.
-///
-/// # Errors
-///
-/// Propagates the first failed run.
-pub fn fig15(
-    corpus: CorpusSpec,
-    windows: &[usize],
-    progress: impl Fn(usize, usize) + Sync,
-) -> Result<FigureResult, RtError> {
-    FigureId::Fig15.run(corpus, windows, progress)
 }
 
 /// Assembles a [`FigureResult`] from ready-made series — the last step
-/// of every `figNN` driver, usable directly with sweeps executed by an
-/// external engine.
+/// of [`FigureId::from_sweep`], usable directly for any series.
 pub fn figure(title: &str, value_name: &str, series: Vec<Series>) -> FigureResult {
     let table = series_table(title, value_name, &series);
     FigureResult { title: title.to_string(), series, table }
@@ -526,19 +389,25 @@ pub fn figure(title: &str, value_name: &str, series: Vec<Series>) -> FigureResul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::run_matrix;
 
-    fn quiet(_d: usize, _t: usize) {}
+    fn run_figure(fig: FigureId, windows: &[usize]) -> FigureResult {
+        let records = run_matrix(&fig.spec(CorpusSpec::small(), windows)).unwrap();
+        fig.from_sweep(&Sweep::from_records(records))
+    }
 
     #[test]
     fn table2_model_is_fully_in_range() {
-        let r = table2(CorpusSpec::small()).unwrap();
+        let records = run_matrix(&table2_observed_spec(CorpusSpec::small())).unwrap();
+        let r = table2_from_records(&records);
         assert!(r.all_in_range, "\n{}", r.table);
         assert!(!r.observed.is_empty());
     }
 
     #[test]
     fn table1_counts_are_plausible() {
-        let r = table1(CorpusSpec::small(), quiet).unwrap();
+        let records = run_matrix(&table1_spec(CorpusSpec::small())).unwrap();
+        let r = table1_from_records(&records).unwrap();
         assert_eq!(r.thread_names.len(), 7);
         // Finer granularity ⇒ more switches, per concurrency level.
         let totals = r.totals();
@@ -553,7 +422,7 @@ mod tests {
 
     #[test]
     fn table1_assembly_is_order_independent_and_rejects_gaps() {
-        let records = run_matrix(&table1_spec(CorpusSpec::small()), quiet).unwrap();
+        let records = run_matrix(&table1_spec(CorpusSpec::small())).unwrap();
         let direct = table1_from_records(&records).unwrap();
 
         // Identity-keyed assembly: shuffling the records changes nothing.
@@ -575,7 +444,7 @@ mod tests {
 
     #[test]
     fn fig11_small_sweep_has_nine_series() {
-        let r = fig11(CorpusSpec::small(), &[4, 8, 16], quiet).unwrap();
+        let r = run_figure(FigureId::Fig11, &[4, 8, 16]);
         assert_eq!(r.series.len(), 9, "3 schemes × 3 granularities");
         for s in &r.series {
             assert_eq!(s.points.len(), 3);
@@ -585,7 +454,7 @@ mod tests {
 
     #[test]
     fn fig13_probabilities_are_probabilities() {
-        let r = fig13(CorpusSpec::small(), &[4, 16], quiet).unwrap();
+        let r = run_figure(FigureId::Fig13, &[4, 16]);
         for s in &r.series {
             for (_, p) in &s.points {
                 assert!((0.0..=1.0).contains(p), "{} has p={p}", s.label);

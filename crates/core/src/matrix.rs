@@ -1,11 +1,11 @@
-//! Run matrices: execute the spell checker across (behaviour × scheme ×
-//! window count × policy) combinations, in parallel across OS threads.
+//! Run matrices: the spell checker across (behaviour × scheme × window
+//! count × policy) combinations, plus the serial direct-run reference
+//! that executes one.
 
 use crate::behavior::Behavior;
 use regwin_machine::{SchemeKind, TimingKind};
 use regwin_rt::{RtError, RunReport, SchedulingPolicy};
 use regwin_spell::{Corpus, CorpusSpec, SpellConfig, SpellPipeline};
-use std::sync::Mutex;
 
 /// One cell of a run matrix.
 #[derive(Debug, Clone)]
@@ -69,239 +69,41 @@ impl MatrixSpec {
     }
 }
 
-/// Executes every run in `spec`, distributing work across OS threads
-/// (each simulation is itself deterministic; the records are returned in
-/// a deterministic order regardless of completion order). `progress` is
-/// invoked once per completed cell with `(done, total)`.
+/// Executes every run in `spec` serially, one direct simulation per
+/// cell, and returns the records in behaviour-major order (then scheme,
+/// then window count).
 ///
-/// Under FIFO scheduling the window-event trace of a run depends only on
-/// the buffer configuration (paper §5.2), so the matrix is computed the
-/// way the paper's register-window emulator works: one recorded execution
-/// per behaviour, replayed for every (scheme × window count) cell — with
-/// exact equality to direct runs guaranteed by the replay test suite.
-/// Other policies (working set) make the schedule window-dependent, so
-/// every cell runs directly.
+/// This is the reference the sweep engine is checked against. Every
+/// cell is a full simulation of its own, so under FIFO it checks the
+/// engine's record-once fast path (paper §5.2) against an independent
+/// computation. Parallelism and caching live in
+/// `regwin_sweep::SweepEngine`.
 ///
 /// # Errors
 ///
 /// Returns the first run error encountered.
-pub fn run_matrix(
-    spec: &MatrixSpec,
-    progress: impl Fn(usize, usize) + Sync,
-) -> Result<Vec<RunRecord>, RtError> {
-    if spec.policy == SchedulingPolicy::Fifo {
-        run_matrix_replayed(spec, progress)
-    } else {
-        run_matrix_direct(spec, progress)
-    }
-}
-
-/// The replay-based FIFO fast path: record once per behaviour, replay
-/// each cell.
-fn run_matrix_replayed(
-    spec: &MatrixSpec,
-    progress: impl Fn(usize, usize) + Sync,
-) -> Result<Vec<RunRecord>, RtError> {
-    use regwin_machine::MachineConfig;
-    use regwin_rt::Trace;
-    use regwin_traps::build_scheme;
-
+pub fn run_matrix(spec: &MatrixSpec) -> Result<Vec<RunRecord>, RtError> {
     let corpus = Corpus::generate(&spec.corpus);
-
-    // Phase 1: one recorded execution per behaviour, in parallel.
-    let traces: Mutex<Vec<Option<Trace>>> = Mutex::new(vec![None; spec.behaviors.len()]);
-    let error: Mutex<Option<RtError>> = Mutex::new(None);
-    let next_b = Mutex::new(0usize);
-    std::thread::scope(|scope| {
-        for _ in 0..spec.behaviors.len().min(worker_count(spec.behaviors.len())) {
-            scope.spawn(|| loop {
-                let idx = {
-                    let mut n = next_b.lock().expect("queue poisoned");
-                    if *n >= spec.behaviors.len() || error.lock().expect("err").is_some() {
-                        return;
-                    }
-                    let i = *n;
-                    *n += 1;
-                    i
-                };
-                let behavior = spec.behaviors[idx];
-                let (m, n_buf) = behavior.buffers();
-                let config = SpellConfig::new(spec.corpus, m, n_buf)
-                    .with_policy(spec.policy)
-                    .with_timing(spec.timing);
-                let pipeline = SpellPipeline::with_corpus(corpus.clone(), config);
-                match pipeline.run_traced(8, SchemeKind::Sp) {
-                    Ok((_, trace)) => {
-                        traces.lock().expect("traces poisoned")[idx] = Some(trace);
-                    }
-                    Err(e) => {
-                        let mut slot = error.lock().expect("err poisoned");
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(e) = error.into_inner().expect("err poisoned") {
-        return Err(e);
-    }
-    let traces: Vec<Trace> = traces
-        .into_inner()
-        .expect("traces poisoned")
-        .into_iter()
-        .map(|t| t.expect("recorded"))
-        .collect();
-
-    // Phase 2: replay every cell, in parallel.
-    let mut cells = Vec::new();
-    for (bi, &behavior) in spec.behaviors.iter().enumerate() {
-        for &scheme in &spec.schemes {
-            for &nwindows in &spec.windows {
-                cells.push((bi, behavior, scheme, nwindows));
-            }
-        }
-    }
-    let total = cells.len();
-    let next = Mutex::new(0usize);
-    let done = Mutex::new(0usize);
-    let results: Mutex<Vec<Option<RunRecord>>> = Mutex::new(vec![None; total]);
-    let error: Mutex<Option<RtError>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..worker_count(total) {
-            scope.spawn(|| loop {
-                let idx = {
-                    let mut n = next.lock().expect("queue poisoned");
-                    if *n >= total || error.lock().expect("err").is_some() {
-                        return;
-                    }
-                    let i = *n;
-                    *n += 1;
-                    i
-                };
-                let (bi, behavior, scheme, nwindows) = cells[idx];
-                let config = MachineConfig::new(nwindows).with_timing(spec.timing);
-                match traces[bi].replay(config, build_scheme(scheme)) {
-                    Ok(report) => {
-                        results.lock().expect("results poisoned")[idx] = Some(RunRecord {
-                            behavior,
-                            scheme,
-                            nwindows,
-                            policy: spec.policy,
-                            report,
-                        });
-                        let mut d = done.lock().expect("done poisoned");
-                        *d += 1;
-                        progress(*d, total);
-                    }
-                    Err(e) => {
-                        let mut slot = error.lock().expect("err poisoned");
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(e) = error.into_inner().expect("err poisoned") {
-        return Err(e);
-    }
-    Ok(results
-        .into_inner()
-        .expect("results poisoned")
-        .into_iter()
-        .map(|r| r.expect("all cells completed"))
-        .collect())
-}
-
-fn worker_count(work: usize) -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(work.max(1))
-}
-
-/// The direct path: one full simulation per cell.
-fn run_matrix_direct(
-    spec: &MatrixSpec,
-    progress: impl Fn(usize, usize) + Sync,
-) -> Result<Vec<RunRecord>, RtError> {
-    let corpus = Corpus::generate(&spec.corpus);
-    let mut cells = Vec::new();
+    let mut records = Vec::with_capacity(spec.len());
     for &behavior in &spec.behaviors {
+        let (m, n) = behavior.buffers();
+        let config =
+            SpellConfig::new(spec.corpus, m, n).with_policy(spec.policy).with_timing(spec.timing);
+        let pipeline = SpellPipeline::with_corpus(corpus.clone(), config);
         for &scheme in &spec.schemes {
             for &nwindows in &spec.windows {
-                cells.push((behavior, scheme, nwindows));
+                let report = pipeline.run(nwindows, scheme)?.report;
+                records.push(RunRecord { behavior, scheme, nwindows, policy: spec.policy, report });
             }
         }
     }
-    let total = cells.len();
-    let next = Mutex::new(0usize);
-    let done = Mutex::new(0usize);
-    let results: Mutex<Vec<Option<RunRecord>>> = Mutex::new(vec![None; total]);
-    let error: Mutex<Option<RtError>> = Mutex::new(None);
-
-    let workers = worker_count(total);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let idx = {
-                    let mut n = next.lock().expect("queue poisoned");
-                    if *n >= total || error.lock().expect("err poisoned").is_some() {
-                        return;
-                    }
-                    let i = *n;
-                    *n += 1;
-                    i
-                };
-                let (behavior, scheme, nwindows) = cells[idx];
-                let (m, n_buf) = behavior.buffers();
-                let config = SpellConfig::new(spec.corpus, m, n_buf)
-                    .with_policy(spec.policy)
-                    .with_timing(spec.timing);
-                let pipeline = SpellPipeline::with_corpus(corpus.clone(), config);
-                match pipeline.run(nwindows, scheme) {
-                    Ok(outcome) => {
-                        results.lock().expect("results poisoned")[idx] = Some(RunRecord {
-                            behavior,
-                            scheme,
-                            nwindows,
-                            policy: spec.policy,
-                            report: outcome.report,
-                        });
-                        let mut d = done.lock().expect("done poisoned");
-                        *d += 1;
-                        progress(*d, total);
-                    }
-                    Err(e) => {
-                        let mut slot = error.lock().expect("err poisoned");
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = error.into_inner().expect("err poisoned") {
-        return Err(e);
-    }
-    Ok(results
-        .into_inner()
-        .expect("results poisoned")
-        .into_iter()
-        .map(|r| r.expect("all cells completed"))
-        .collect())
+    Ok(records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::behavior::{Concurrency, Granularity};
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn matrix_runs_every_cell_in_order() {
@@ -314,13 +116,8 @@ mod tests {
             timing: TimingKind::S20,
         };
         assert_eq!(spec.len(), 4);
-        let calls = AtomicUsize::new(0);
-        let records = run_matrix(&spec, |_, _| {
-            calls.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
+        let records = run_matrix(&spec).unwrap();
         assert_eq!(records.len(), 4);
-        assert_eq!(calls.load(Ordering::Relaxed), 4);
         // Deterministic ordering: behaviour-major, then scheme, then windows.
         assert_eq!(records[0].scheme, SchemeKind::Ns);
         assert_eq!(records[0].nwindows, 4);
@@ -329,7 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matrix_equals_individual_runs() {
+    fn matrix_equals_individual_runs() {
         let spec = MatrixSpec {
             corpus: CorpusSpec::small(),
             behaviors: vec![Behavior::new(Concurrency::High, Granularity::Fine)],
@@ -338,10 +135,9 @@ mod tests {
             policy: SchedulingPolicy::Fifo,
             timing: TimingKind::S20,
         };
-        let records = run_matrix(&spec, |_, _| {}).unwrap();
+        let records = run_matrix(&spec).unwrap();
         let config = SpellConfig::new(spec.corpus, 1, 1);
         let direct = SpellPipeline::new(config).run(6, SchemeKind::Snp).unwrap();
-        assert_eq!(records[0].report.total_cycles(), direct.report.total_cycles());
-        assert_eq!(records[0].report.stats.context_switches, direct.report.stats.context_switches);
+        assert_eq!(records[0].report, direct.report);
     }
 }

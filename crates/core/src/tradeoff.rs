@@ -79,7 +79,6 @@ pub fn analyze(sweep: &Sweep, model: AccessTimeModel) -> TradeoffResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CorpusSpec, SchedulingPolicy};
 
     #[test]
     fn cycle_time_grows_with_window_count() {
@@ -89,24 +88,5 @@ mod tests {
         assert!(m.cycle_time(28) > m.cycle_time(14));
         // No speedup below the baseline (clamped).
         assert!((m.cycle_time(4) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn heavy_access_penalty_moves_the_optimum_left() {
-        let windows = vec![4usize, 8, 12, 16, 24, 32];
-        let sweep = Sweep::high(CorpusSpec::scaled(5), &windows, SchedulingPolicy::Fifo, |_, _| {})
-            .unwrap();
-        let cheap = analyze(&sweep, AccessTimeModel { base_windows: 7, per_doubling: 0.01 });
-        let pricey = analyze(&sweep, AccessTimeModel { base_windows: 7, per_doubling: 0.60 });
-        let optimum =
-            |r: &TradeoffResult, label: &str| r.optima.iter().find(|(l, _)| l == label).unwrap().1;
-        // With near-free access scaling the optimum is a big file; with a
-        // punitive one it shrinks.
-        let sp_cheap = optimum(&cheap, "SP fine");
-        let sp_pricey = optimum(&pricey, "SP fine");
-        assert!(sp_pricey <= sp_cheap, "pricey {sp_pricey} vs cheap {sp_cheap}");
-        // NS gains nothing from more windows, so its optimum under any
-        // penalty is the smallest count.
-        assert_eq!(optimum(&pricey, "NS fine"), 4);
     }
 }

@@ -409,7 +409,7 @@ mod tests {
     fn records_round_trip_through_the_wire_encoding() {
         let mut s = spec();
         s.windows = vec![4];
-        let records = regwin_core::run_matrix(&s, |_, _| {}).expect("matrix runs");
+        let records = regwin_core::run_matrix(&s).expect("matrix runs");
         let v = records_to_value(&records);
         let back = records_from_value(&parse(&v.to_json()).unwrap()).unwrap();
         assert_eq!(back.len(), records.len());
@@ -459,7 +459,7 @@ mod tests {
         let mut bytes = Vec::new();
         let mut s = spec();
         s.windows = vec![4];
-        let records = regwin_core::run_matrix(&s, |_, _| {}).expect("matrix runs");
+        let records = regwin_core::run_matrix(&s).expect("matrix runs");
         let frame = obj(vec![
             ("type", Value::Str("records".into())),
             ("records", records_to_value(&records)),

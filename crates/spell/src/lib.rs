@@ -55,7 +55,6 @@ pub mod corpus;
 pub mod delatex;
 pub mod dict;
 mod pipeline;
-mod pipeline_traced;
 pub mod reference;
 mod threads;
 mod words;

@@ -6,7 +6,7 @@ use crate::reference;
 use crate::threads;
 use regwin_machine::{MachineConfig, TimingKind};
 use regwin_rt::{
-    FaultPlan, RtError, RunReport, SchedulingPolicy, SimOptions, Simulation, StreamId,
+    FaultPlan, RtError, RunReport, SchedulingPolicy, SimOptions, Simulation, StreamId, Trace,
 };
 use regwin_traps::{build_scheme, Scheme, SchemeKind};
 use std::sync::{Arc, Mutex};
@@ -196,6 +196,26 @@ impl SpellPipeline {
         Ok(SpellOutcome { report, output })
     }
 
+    /// Runs the pipeline once with window-event recording enabled,
+    /// returning the outcome and the [`Trace`]. Under FIFO scheduling the
+    /// trace replays exactly against any scheme and window count (see
+    /// `regwin-rt`'s replay tests), so a whole sweep needs only one
+    /// simulated execution per buffer configuration (the paper's
+    /// emulator methodology, §6.1).
+    ///
+    /// # Errors
+    ///
+    /// Propagates runtime errors.
+    pub fn run_traced(
+        &self,
+        nwindows: usize,
+        scheme: SchemeKind,
+    ) -> Result<(SpellOutcome, Trace), RtError> {
+        let (report, output, trace) =
+            self.run_inner(self.machine_config(nwindows), build_scheme(scheme), true, None)?;
+        Ok((SpellOutcome { report, output }, trace.expect("recording was enabled")))
+    }
+
     /// Builds the bare simulation for this pipeline — machine
     /// configuration, scheme, scheduling policy and (if enabled) window
     /// auditing — without wiring streams or threads. The entry point
@@ -305,13 +325,13 @@ impl SpellPipeline {
         sim.spawn_async("T7:dict2", async move |ctx| threads::run_dict_feed(ctx, &dict2, s6).await);
     }
 
-    pub(crate) fn run_inner(
+    fn run_inner(
         &self,
         config: MachineConfig,
         scheme: Box<dyn Scheme>,
         traced: bool,
         fault: Option<&FaultPlan>,
-    ) -> Result<(regwin_rt::RunReport, Vec<u8>, Option<regwin_rt::Trace>), RtError> {
+    ) -> Result<(RunReport, Vec<u8>, Option<Trace>), RtError> {
         let mut sim = self.build_sim_with(config, scheme, traced, fault)?;
         let sink = self.wire(&mut sim);
         let (report, trace) = sim.run_with_trace()?;
@@ -385,5 +405,27 @@ mod tests {
             t6_low * 20 < t6_high,
             "T6 switches: low-concurrency {t6_low} vs high-concurrency {t6_high}"
         );
+    }
+
+    #[test]
+    fn traced_run_replays_exactly_across_schemes_and_windows() {
+        let pipeline = SpellPipeline::new(SpellConfig::small());
+        let (outcome, trace) = pipeline.run_traced(8, SchemeKind::Sp).unwrap();
+        // Replay at the recording configuration reproduces it exactly.
+        let same = trace.replay(MachineConfig::new(8), build_scheme(SchemeKind::Sp)).unwrap();
+        assert_eq!(same.total_cycles(), outcome.report.total_cycles());
+        assert_eq!(same.stats.switch_shapes, outcome.report.stats.switch_shapes);
+        // Replay at a different configuration equals that configuration's
+        // direct run.
+        for (scheme, windows) in [(SchemeKind::Ns, 5), (SchemeKind::Snp, 12), (SchemeKind::Sp, 4)] {
+            let direct = pipeline.run(windows, scheme).unwrap();
+            let replayed = trace.replay(MachineConfig::new(windows), build_scheme(scheme)).unwrap();
+            assert_eq!(replayed.total_cycles(), direct.report.total_cycles(), "{scheme}@{windows}");
+            assert_eq!(replayed.stats.overflow_traps, direct.report.stats.overflow_traps);
+            assert_eq!(
+                replayed.threads.iter().map(|t| t.context_switches).collect::<Vec<_>>(),
+                direct.report.threads.iter().map(|t| t.context_switches).collect::<Vec<_>>()
+            );
+        }
     }
 }

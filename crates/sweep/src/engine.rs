@@ -1139,7 +1139,8 @@ impl SweepEngine {
     }
 
     /// Executes every cell of `spec` — the engine's counterpart of
-    /// [`regwin_core::run_matrix`], with caching, events and the
+    /// [`regwin_core::run_matrix`] (the serial direct-run reference it is
+    /// tested against), with parallel workers, caching, events and the
     /// record-once/replay-many FIFO fast path. Records are returned in
     /// the same deterministic behaviour-major order; cells that land in
     /// quarantine are simply absent from the returned records (and
@@ -1246,7 +1247,8 @@ impl SweepEngine {
 
         // FIFO: the schedule depends only on the buffer configuration
         // (paper §5.2), so record once per behaviour and replay each
-        // cell; replay-equals-direct is guaranteed by the rt test suite.
+        // cell; replay-equals-direct is guaranteed by the rt test suite
+        // and checked here against `regwin_core::run_matrix`.
         let traces: Arc<Vec<Option<Trace>>> = Arc::new(if spec.policy == SchedulingPolicy::Fifo {
             let to_record: Vec<usize> =
                 (0..spec.behaviors.len()).filter(|&bi| behavior_missing[bi]).collect();
@@ -1909,19 +1911,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn engine_matches_core_run_matrix() {
-        let spec = small_spec();
+    /// Runs `spec` on a quiet engine and on the serial direct-run
+    /// reference, and asserts the two agree record for record: same
+    /// length, no quarantined cell, same cell coordinates and the same
+    /// whole report.
+    fn assert_engine_matches_core(spec: &MatrixSpec) {
         let engine = SweepEngine::quiet();
-        let ours = engine.run_matrix(&spec).unwrap();
-        let reference = run_matrix(&spec, |_, _| {}).unwrap();
+        let ours = engine.run_matrix(spec).unwrap();
+        assert!(engine.quarantine().is_empty(), "quarantined: {:?}", engine.quarantine());
+        let reference = run_matrix(spec).unwrap();
+        assert_eq!(ours.len(), spec.len());
         assert_eq!(ours.len(), reference.len());
         for (a, b) in ours.iter().zip(&reference) {
-            assert_eq!(a.scheme, b.scheme);
-            assert_eq!(a.nwindows, b.nwindows);
-            assert_eq!(a.report.total_cycles(), b.report.total_cycles());
-            assert_eq!(a.report.stats, b.report.stats);
+            assert_eq!(
+                (a.behavior, a.scheme, a.nwindows, a.policy),
+                (b.behavior, b.scheme, b.nwindows, b.policy)
+            );
+            assert_eq!(a.report, b.report, "{} {}@{}", a.behavior, a.scheme, a.nwindows);
         }
+    }
+
+    /// Under FIFO the engine records one trace per behaviour and replays
+    /// every cell; the reference runs every cell directly.
+    #[test]
+    fn engine_matches_core_run_matrix() {
+        assert_engine_matches_core(&small_spec());
     }
 
     #[test]
@@ -1929,12 +1943,7 @@ mod tests {
         let mut spec = small_spec();
         spec.policy = SchedulingPolicy::WorkingSet;
         spec.windows = vec![6];
-        let engine = SweepEngine::quiet();
-        let ours = engine.run_matrix(&spec).unwrap();
-        let reference = run_matrix(&spec, |_, _| {}).unwrap();
-        for (a, b) in ours.iter().zip(&reference) {
-            assert_eq!(a.report.total_cycles(), b.report.total_cycles());
-        }
+        assert_engine_matches_core(&spec);
     }
 
     #[test]

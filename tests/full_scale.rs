@@ -10,14 +10,25 @@
 
 use regwin::core::figures::Sweep;
 use regwin::core::{CorpusSpec, MatrixSpec, SchedulingPolicy};
+use regwin::sweep::SweepEngine;
 
-fn quiet(_: usize, _: usize) {}
+/// Runs the paper-corpus high-concurrency sweep on the sweep engine (no
+/// cache, one worker per CPU), checking first that no cell was
+/// quarantined away.
+fn high(windows: &[usize], policy: SchedulingPolicy) -> Sweep {
+    let spec = Sweep::high_spec(CorpusSpec::paper(), windows, policy);
+    let engine = SweepEngine::quiet();
+    let records = engine.run_matrix(&spec).unwrap();
+    assert!(engine.quarantine().is_empty(), "quarantined: {:?}", engine.quarantine());
+    assert_eq!(records.len(), spec.len(), "every cell has a record");
+    Sweep::from_records(records)
+}
 
 #[test]
 #[ignore = "paper-scale run (~minutes); run with --ignored --release"]
 fn full_scale_figure_11_12_13_shapes() {
     let windows = MatrixSpec::paper_window_sweep();
-    let sweep = Sweep::high(CorpusSpec::paper(), &windows, SchedulingPolicy::Fifo, quiet).unwrap();
+    let sweep = high(&windows, SchedulingPolicy::Fifo);
 
     let time = sweep.execution_time_series();
     let get = |series: &[regwin::core::Series], label: &str, w: usize| {
@@ -42,8 +53,8 @@ fn full_scale_figure_11_12_13_shapes() {
 #[test]
 #[ignore = "paper-scale run (~minutes); run with --ignored --release"]
 fn full_scale_working_set_rescues_seven_windows() {
-    let fifo = Sweep::high(CorpusSpec::paper(), &[7], SchedulingPolicy::Fifo, quiet).unwrap();
-    let ws = Sweep::high(CorpusSpec::paper(), &[7], SchedulingPolicy::WorkingSet, quiet).unwrap();
+    let fifo = high(&[7], SchedulingPolicy::Fifo);
+    let ws = high(&[7], SchedulingPolicy::WorkingSet);
     let value = |sweep: &Sweep| {
         sweep.execution_time_series().iter().find(|s| s.label == "SP fine").unwrap().at(7).unwrap()
     };

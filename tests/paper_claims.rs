@@ -2,8 +2,10 @@
 //! corpus (the full-scale versions are checked by `repro-all`'s shape
 //! report; see EXPERIMENTS.md).
 
-use regwin::core::figures::{table2, Sweep};
-use regwin::core::{CorpusSpec, MatrixSpec, SchedulingPolicy};
+use regwin::core::figures::{table2_from_records, table2_observed_spec, Sweep, Table2Result};
+use regwin::core::tradeoff::{analyze, AccessTimeModel, TradeoffResult};
+use regwin::core::{CorpusSpec, MatrixSpec, RunRecord, SchedulingPolicy};
+use regwin::sweep::SweepEngine;
 
 fn corpus() -> CorpusSpec {
     CorpusSpec::scaled(5)
@@ -13,11 +15,28 @@ fn windows() -> Vec<usize> {
     MatrixSpec::quick_window_sweep()
 }
 
-fn quiet(_: usize, _: usize) {}
+/// Executes `spec` on the sweep engine (no cache, one worker per CPU).
+/// The engine drops a quarantined cell from its records, so every claim
+/// first checks that no cell is missing.
+fn execute(spec: &MatrixSpec) -> Vec<RunRecord> {
+    let engine = SweepEngine::quiet();
+    let records = engine.run_matrix(spec).unwrap();
+    assert!(engine.quarantine().is_empty(), "quarantined: {:?}", engine.quarantine());
+    assert_eq!(records.len(), spec.len(), "every cell has a record");
+    records
+}
+
+fn high(windows: &[usize], policy: SchedulingPolicy) -> Sweep {
+    Sweep::from_records(execute(&Sweep::high_spec(corpus(), windows, policy)))
+}
+
+fn table2() -> Table2Result {
+    table2_from_records(&execute(&table2_observed_spec(CorpusSpec::small())))
+}
 
 #[test]
 fn table2_costs_match_the_papers_measured_ranges() {
-    let result = table2(CorpusSpec::small()).unwrap();
+    let result = table2();
     assert!(result.all_in_range, "\n{}", result.table);
 }
 
@@ -25,7 +44,7 @@ fn table2_costs_match_the_papers_measured_ranges() {
 fn observed_switch_shapes_match_table2_rows() {
     // Each scheme must only ever perform the transfer shapes the paper
     // tabulates (plus fresh-thread dispatches with zero restores).
-    let result = table2(CorpusSpec::small()).unwrap();
+    let result = table2();
     let rows = &result.observed;
     assert!(!rows.is_empty());
     let csv = rows.to_csv();
@@ -53,7 +72,7 @@ fn observed_switch_shapes_match_table2_rows() {
 
 #[test]
 fn high_concurrency_sweep_reproduces_figure_11_shape() {
-    let sweep = Sweep::high(corpus(), &windows(), SchedulingPolicy::Fifo, quiet).unwrap();
+    let sweep = high(&windows(), SchedulingPolicy::Fifo);
     let series = sweep.execution_time_series();
     let get =
         |label: &str, w: usize| series.iter().find(|s| s.label == label).unwrap().at(w).unwrap();
@@ -69,7 +88,7 @@ fn high_concurrency_sweep_reproduces_figure_11_shape() {
 
 #[test]
 fn figure_12_switch_costs_approach_best_case_with_many_windows() {
-    let sweep = Sweep::high(corpus(), &windows(), SchedulingPolicy::Fifo, quiet).unwrap();
+    let sweep = high(&windows(), SchedulingPolicy::Fifo);
     let series = sweep.avg_switch_series();
     let get =
         |label: &str, w: usize| series.iter().find(|s| s.label == label).unwrap().at(w).unwrap();
@@ -84,7 +103,7 @@ fn figure_12_switch_costs_approach_best_case_with_many_windows() {
 
 #[test]
 fn figure_13_trap_probability_collapses_for_sharing_schemes() {
-    let sweep = Sweep::high(corpus(), &windows(), SchedulingPolicy::Fifo, quiet).unwrap();
+    let sweep = high(&windows(), SchedulingPolicy::Fifo);
     let series = sweep.trap_probability_series();
     let get =
         |label: &str, w: usize| series.iter().find(|s| s.label == label).unwrap().at(w).unwrap();
@@ -99,8 +118,8 @@ fn figure_13_trap_probability_collapses_for_sharing_schemes() {
 fn figure_14_low_concurrency_needs_more_windows_to_saturate() {
     // §6.4: total window activity is larger at low concurrency (coarse
     // granularity), so saturation needs ~20 windows.
-    let sweep =
-        Sweep::low(corpus(), &[4, 8, 12, 16, 20, 32], SchedulingPolicy::Fifo, quiet).unwrap();
+    let spec = Sweep::low_spec(corpus(), &[4, 8, 12, 16, 20, 32], SchedulingPolicy::Fifo);
+    let sweep = Sweep::from_records(execute(&spec));
     let series = sweep.execution_time_series();
     let sp = series.iter().find(|s| s.label == "SP coarse").unwrap();
     let at8 = sp.at(8).unwrap();
@@ -113,8 +132,8 @@ fn figure_14_low_concurrency_needs_more_windows_to_saturate() {
 
 #[test]
 fn figure_15_working_set_rescues_sharing_at_few_windows() {
-    let fifo = Sweep::high(corpus(), &[7, 8], SchedulingPolicy::Fifo, quiet).unwrap();
-    let ws = Sweep::high(corpus(), &[7, 8], SchedulingPolicy::WorkingSet, quiet).unwrap();
+    let fifo = high(&[7, 8], SchedulingPolicy::Fifo);
+    let ws = high(&[7, 8], SchedulingPolicy::WorkingSet);
     let get = |sweep: &Sweep, label: &str, w: usize| {
         sweep.execution_time_series().iter().find(|s| s.label == label).unwrap().at(w).unwrap()
     };
@@ -123,4 +142,22 @@ fn figure_15_working_set_rescues_sharing_at_few_windows() {
         let improvement = get(&fifo, "SP fine", w) / get(&ws, "SP fine", w);
         assert!(improvement > 1.0, "working set must improve SP at {w} windows");
     }
+}
+
+#[test]
+fn heavy_access_penalty_moves_the_optimum_left() {
+    let windows = vec![4usize, 8, 12, 16, 24, 32];
+    let sweep = high(&windows, SchedulingPolicy::Fifo);
+    let cheap = analyze(&sweep, AccessTimeModel { base_windows: 7, per_doubling: 0.01 });
+    let pricey = analyze(&sweep, AccessTimeModel { base_windows: 7, per_doubling: 0.60 });
+    let optimum =
+        |r: &TradeoffResult, label: &str| r.optima.iter().find(|(l, _)| l == label).unwrap().1;
+    // With near-free access scaling the optimum is a big file; with a
+    // punitive one it shrinks.
+    let sp_cheap = optimum(&cheap, "SP fine");
+    let sp_pricey = optimum(&pricey, "SP fine");
+    assert!(sp_pricey <= sp_cheap, "pricey {sp_pricey} vs cheap {sp_cheap}");
+    // NS gains nothing from more windows, so its optimum under any
+    // penalty is the smallest count.
+    assert_eq!(optimum(&pricey, "NS fine"), 4);
 }

@@ -2,7 +2,8 @@
 //!
 //! The reproduction harness: shared plumbing for the `repro-*` binaries
 //! that regenerate each table and figure of the paper's evaluation, and
-//! hosts the criterion micro-benchmarks of the simulator itself.
+//! the host-time microbenchmarks of the simulator itself
+//! ([`microbench`], run by `repro-microbench`).
 //!
 //! Binaries (run with `cargo run --release -p regwin-bench --bin <name>`):
 //!

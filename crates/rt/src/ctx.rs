@@ -13,24 +13,27 @@ use crate::error::RtError;
 use crate::sim::{SimState, Wait};
 use crate::stream::{RemoteEnd, StreamId};
 use crate::trace::TraceEvent;
-use parking_lot::Mutex;
 use regwin_machine::ThreadId;
 use regwin_obs::Metric;
+use std::cell::RefCell;
 use std::future::poll_fn;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::Poll;
+
+/// Cycles charged to the simulated CPU per stream byte transferred.
+const STREAM_BYTE_CYCLES: u64 = 4;
 
 /// Handle through which a simulated thread computes, calls procedures and
 /// performs stream I/O. Every operation is accounted on the simulated CPU;
 /// blocking operations suspend the thread and hand control to the
 /// scheduler, exactly as the paper's non-preemptive runtime does.
 pub struct Ctx {
-    state: Arc<Mutex<SimState>>,
+    state: Rc<RefCell<SimState>>,
     tid: ThreadId,
 }
 
 impl Ctx {
-    pub(crate) fn new(state: Arc<Mutex<SimState>>, tid: ThreadId) -> Self {
+    pub(crate) fn new(state: Rc<RefCell<SimState>>, tid: ThreadId) -> Self {
         Ctx { state, tid }
     }
 
@@ -41,7 +44,7 @@ impl Ctx {
 
     /// Charges `cycles` of application compute to the simulated CPU.
     pub fn compute(&mut self, cycles: u64) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.record(TraceEvent::Compute(cycles));
         st.cpu.compute(cycles);
     }
@@ -60,7 +63,7 @@ impl Ctx {
         f: impl AsyncFnOnce(&mut Ctx) -> Result<R, RtError>,
     ) -> Result<R, RtError> {
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             st.record(TraceEvent::Save);
             st.cpu.save()?;
         }
@@ -68,13 +71,31 @@ impl Ctx {
         // The restore must happen even if the body failed, to keep the
         // simulated stack balanced for diagnostics; the body error wins.
         let restored = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             st.record(TraceEvent::Restore);
             st.cpu.restore()
         };
         let value = result?;
         restored?;
         Ok(value)
+    }
+
+    /// Runs `attempt` on the state until it is `Ready`. An attempt that
+    /// cannot complete parks the thread and returns `Pending`; the
+    /// thread then suspends and tries again after a wake. The borrow of
+    /// the state ends before the suspension, so no other thread ever
+    /// finds it taken.
+    async fn block_on<R>(
+        &mut self,
+        mut attempt: impl FnMut(&mut SimState, ThreadId) -> Poll<R>,
+    ) -> R {
+        loop {
+            let polled = attempt(&mut self.state.borrow_mut(), self.tid);
+            if let Poll::Ready(r) = polled {
+                return r;
+            }
+            suspend().await;
+        }
     }
 
     /// Reads one byte from `stream`, blocking (and context-switching)
@@ -84,37 +105,33 @@ impl Ctx {
     ///
     /// Fails on an unknown stream or an injected stream-read fault.
     pub async fn read_byte(&mut self, stream: StreamId) -> Result<Option<u8>, RtError> {
-        loop {
-            let mut st = self.state.lock();
-            if st.streams.get(stream.0).is_none() {
-                return Err(RtError::UnknownStream(stream.0));
-            }
-            if !st.streams[stream.0].is_empty() {
+        self.block_on(|st, tid| {
+            let Some(s) = st.streams.get(stream.0) else {
+                return Poll::Ready(Err(RtError::UnknownStream(stream.0)));
+            };
+            if !s.is_empty() {
                 // Consult the fault plan before touching the stream, so
                 // a failed read leaves the byte in place — mirroring the
                 // machine's failed-spill-leaves-state-untouched ordering.
                 let index = st.stream_reads_seen;
                 st.stream_reads_seen += 1;
                 if st.stream_read_fails.remove(&index) {
-                    return Err(RtError::FaultInjected { site: "stream-read", index });
+                    return Poll::Ready(Err(RtError::FaultInjected { site: "stream-read", index }));
                 }
-                let b = st.streams[stream.0].pop().expect("non-empty under the lock");
-                let cycles = st.stream_byte_cycles;
-                st.record(TraceEvent::Compute(cycles));
-                st.cpu.compute(cycles);
+                let b = st.streams[stream.0].pop().expect("checked non-empty");
+                st.record(TraceEvent::Compute(STREAM_BYTE_CYCLES));
+                st.cpu.compute(STREAM_BYTE_CYCLES);
                 st.bump(Metric::StreamBytesRead, 1);
                 st.wake_one_writer(stream);
-                return Ok(Some(b));
+                return Poll::Ready(Ok(Some(b)));
             }
-            if st.streams[stream.0].is_closed() {
-                return Ok(None);
+            if s.is_closed() {
+                return Poll::Ready(Ok(None));
             }
-            st.park(self.tid, Wait::ReadEmpty(stream));
-            st.blocked_on_read[self.tid.index()] += 1;
-            st.bump(Metric::StreamWaitsRead, 1);
-            drop(st);
-            suspend().await;
-        }
+            st.park(tid, Wait::ReadEmpty(stream));
+            Poll::Pending
+        })
+        .await
     }
 
     /// Writes one byte to `stream`, blocking (and context-switching)
@@ -125,43 +142,39 @@ impl Ctx {
     /// Fails if the stream is unknown or fully closed, or on an injected
     /// stream-write fault.
     pub async fn write_byte(&mut self, stream: StreamId, byte: u8) -> Result<(), RtError> {
-        loop {
-            let mut st = self.state.lock();
-            if st.streams.get(stream.0).is_none() {
-                return Err(RtError::UnknownStream(stream.0));
+        self.block_on(|st, tid| {
+            let Some(s) = st.streams.get(stream.0) else {
+                return Poll::Ready(Err(RtError::UnknownStream(stream.0)));
+            };
+            if s.is_closed() {
+                return Poll::Ready(Err(RtError::WriteAfterClose(stream.0)));
             }
-            if st.streams[stream.0].is_closed() {
-                return Err(RtError::WriteAfterClose(stream.0));
+            if s.is_full() {
+                st.park(tid, Wait::WriteFull(stream));
+                return Poll::Pending;
             }
-            if !st.streams[stream.0].is_full() {
-                // Fault check before the push: a failed write must not
-                // have buffered the byte (see the read-side comment).
-                let index = st.stream_writes_seen;
-                st.stream_writes_seen += 1;
-                if st.stream_write_fails.remove(&index) {
-                    return Err(RtError::FaultInjected { site: "stream-write", index });
-                }
-                let pushed = st.streams[stream.0].push(byte);
-                debug_assert!(pushed, "non-full under the lock");
-                let cycles = st.stream_byte_cycles;
-                st.record(TraceEvent::Compute(cycles));
-                st.cpu.compute(cycles);
-                st.bump(Metric::StreamBytesWritten, 1);
-                if st.streams[stream.0].remote() == Some(RemoteEnd::Outbound) {
-                    // Timestamp the byte's completion for the cluster
-                    // bus: it becomes the request's arrival tick.
-                    let tick = st.cpu.total_cycles();
-                    st.streams[stream.0].note_send_tick(tick);
-                }
-                st.wake_one_reader(stream);
-                return Ok(());
+            // Fault check before the push: a failed write must not have
+            // buffered the byte (see the read-side comment).
+            let index = st.stream_writes_seen;
+            st.stream_writes_seen += 1;
+            if st.stream_write_fails.remove(&index) {
+                return Poll::Ready(Err(RtError::FaultInjected { site: "stream-write", index }));
             }
-            st.park(self.tid, Wait::WriteFull(stream));
-            st.blocked_on_write[self.tid.index()] += 1;
-            st.bump(Metric::StreamWaitsWrite, 1);
-            drop(st);
-            suspend().await;
-        }
+            let pushed = st.streams[stream.0].push(byte);
+            debug_assert!(pushed, "checked non-full");
+            st.record(TraceEvent::Compute(STREAM_BYTE_CYCLES));
+            st.cpu.compute(STREAM_BYTE_CYCLES);
+            st.bump(Metric::StreamBytesWritten, 1);
+            if st.streams[stream.0].remote() == Some(RemoteEnd::Outbound) {
+                // Timestamp the byte's completion for the cluster bus:
+                // it becomes the request's arrival tick.
+                let tick = st.cpu.total_cycles();
+                st.streams[stream.0].note_send_tick(tick);
+            }
+            st.wake_one_reader(stream);
+            Poll::Ready(Ok(()))
+        })
+        .await
     }
 
     /// Writes a whole byte slice, blocking as needed.
@@ -204,31 +217,28 @@ impl Ctx {
     /// Acquires the record lock on `stream`, blocking (and
     /// context-switching) while another writer holds it.
     async fn lock_record(&mut self, stream: StreamId) -> Result<(), RtError> {
-        loop {
-            let mut st = self.state.lock();
+        self.block_on(|st, tid| {
             if st.streams.get(stream.0).is_none() {
-                return Err(RtError::UnknownStream(stream.0));
+                return Poll::Ready(Err(RtError::UnknownStream(stream.0)));
             }
             match st.record_locks.get(&stream) {
                 None => {
-                    st.record_locks.insert(stream, self.tid);
-                    return Ok(());
+                    st.record_locks.insert(stream, tid);
+                    Poll::Ready(Ok(()))
                 }
                 Some(owner) => {
-                    debug_assert_ne!(*owner, self.tid, "record lock is not reentrant");
-                    st.park(self.tid, Wait::WriteLocked(stream));
-                    st.blocked_on_write[self.tid.index()] += 1;
-                    st.bump(Metric::StreamWaitsWrite, 1);
+                    debug_assert_ne!(*owner, tid, "record lock is not reentrant");
+                    st.park(tid, Wait::WriteLocked(stream));
+                    Poll::Pending
                 }
             }
-            drop(st);
-            suspend().await;
-        }
+        })
+        .await
     }
 
     /// Releases the record lock on `stream` and wakes one waiting writer.
     fn unlock_record(&mut self, stream: StreamId) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if st.record_locks.remove(&stream).is_some() {
             st.wake_one_lock_waiter(stream);
         }
@@ -241,7 +251,7 @@ impl Ctx {
     ///
     /// Fails on an unknown stream id.
     pub fn close_writer(&mut self, stream: StreamId) -> Result<(), RtError> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if st.streams.get(stream.0).is_none() {
             return Err(RtError::UnknownStream(stream.0));
         }
@@ -253,25 +263,6 @@ impl Ctx {
             st.wake_all_readers(stream);
         }
         Ok(())
-    }
-
-    /// Writes a marker into a `local` register of the thread's current
-    /// window (used by tests to observe window preservation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates machine errors.
-    pub fn write_local(&mut self, reg: usize, value: u64) -> Result<(), RtError> {
-        Ok(self.state.lock().cpu.write_local(reg, value)?)
-    }
-
-    /// Reads a `local` register of the thread's current window.
-    ///
-    /// # Errors
-    ///
-    /// Propagates machine errors.
-    pub fn read_local(&mut self, reg: usize) -> Result<u64, RtError> {
-        Ok(self.state.lock().cpu.read_local(reg)?)
     }
 }
 

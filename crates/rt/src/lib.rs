@@ -26,6 +26,12 @@
 //! time: execution is fully deterministic, and a context switch costs
 //! no OS handoff.
 //!
+//! A configured [`Simulation`] owns its state and is `Send`, so it can
+//! be built on one OS thread and run on another. [`Simulation::start`]
+//! shares that state between the [`StartedSim`] and every thread's
+//! [`Ctx`] without a lock; neither is `Send`, so a started simulation
+//! stays on the OS thread that steps it.
+//!
 //! ```rust
 //! use regwin_rt::{Ctx, SchedulingPolicy, Simulation};
 //! use regwin_traps::SchemeKind;

@@ -9,6 +9,13 @@
 //! rather than a [`Waker`], so execution order depends only on the
 //! workload and the scheduling policy, and a switch costs no kernel
 //! handoff.
+//!
+//! A [`Simulation`] owns its [`SimState`] by value, so it can be built
+//! on one OS thread and run on another. [`Simulation::start`] moves the
+//! state into one `Rc<RefCell<_>>` shared by the [`StartedSim`] and
+//! every thread's [`Ctx`]. Neither is `Send`, so the compiler confines
+//! a started simulation to the OS thread that steps it, and no lock is
+//! needed: each borrow ends before the task that took it yields.
 
 use crate::ctx::Ctx;
 use crate::error::RtError;
@@ -17,14 +24,15 @@ use crate::report::{RunReport, ThreadReport};
 use crate::sched::{ReadyQueue, SchedPolicy, SchedulingPolicy, WakeInfo};
 use crate::stream::{RemoteEnd, Stream, StreamId};
 use crate::trace::{Trace, TraceEvent};
-use parking_lot::Mutex;
 use regwin_machine::{MachineConfig, ThreadId, WindowIndex};
 use regwin_obs::{Metric, Probe, ProbeEvent, SpanKind};
 use regwin_traps::{build_scheme, Cpu, Scheme, SchemeKind};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
@@ -74,7 +82,6 @@ pub(crate) struct SimState {
     pub(crate) names: Vec<String>,
     pub(crate) blocked_on_read: Vec<u64>,
     pub(crate) blocked_on_write: Vec<u64>,
-    pub(crate) stream_byte_cycles: u64,
     /// Per-stream record locks: while a writer holds one, other writers
     /// of the same stream block instead of interleaving bytes into its
     /// record (the rt analogue of POSIX `PIPE_BUF` atomicity).
@@ -139,11 +146,18 @@ impl SimState {
         }
     }
 
-    /// Registers the running thread `t` as blocked on `w`; it runs again
-    /// once a wake puts it back on the ready queue.
+    /// Registers the running thread `t` as blocked on `w` and counts the
+    /// wait; it runs again once a wake puts it back on the ready queue.
     pub(crate) fn park(&mut self, t: ThreadId, w: Wait) {
         self.waiting.insert(t, w);
         self.waiter_set(w).insert(t);
+        if let Wait::ReadEmpty(_) = w {
+            self.blocked_on_read[t.index()] += 1;
+            self.bump(Metric::StreamWaitsRead, 1);
+        } else {
+            self.blocked_on_write[t.index()] += 1;
+            self.bump(Metric::StreamWaitsWrite, 1);
+        }
     }
 
     /// Moves the blocked thread `t`, already taken out of its waiter
@@ -237,7 +251,7 @@ pub struct SimOptions {
 /// and a set of threads to run to completion. See the crate docs for an
 /// example.
 pub struct Simulation {
-    state: Arc<Mutex<SimState>>,
+    state: SimState,
     bodies: Vec<ThreadBody>,
     scheme: SchemeKind,
     nwindows: usize,
@@ -278,7 +292,6 @@ impl Simulation {
             names: Vec::new(),
             blocked_on_read: Vec::new(),
             blocked_on_write: Vec::new(),
-            stream_byte_cycles: 4,
             record_locks: BTreeMap::new(),
             trace: None,
             slack_sum: 0,
@@ -288,12 +301,7 @@ impl Simulation {
             stream_reads_seen: 0,
             stream_writes_seen: 0,
         };
-        Ok(Simulation {
-            state: Arc::new(Mutex::new(state)),
-            bodies: Vec::new(),
-            scheme: kind,
-            nwindows,
-        })
+        Ok(Simulation { state, bodies: Vec::new(), scheme: kind, nwindows })
     }
 
     /// Creates a simulation from a machine configuration, a scheme and
@@ -327,8 +335,8 @@ impl Simulation {
 
     /// Sets the scheduling policy (default: FIFO).
     #[must_use]
-    pub fn with_policy(self, policy: SchedulingPolicy) -> Self {
-        self.state.lock().ready = ReadyQueue::new(policy);
+    pub fn with_policy(mut self, policy: SchedulingPolicy) -> Self {
+        self.state.ready = ReadyQueue::new(policy);
         self
     }
 
@@ -337,27 +345,17 @@ impl Simulation {
     /// be called before any [`Simulation::spawn`] (spawned threads are
     /// already queued and would be lost with the old queue).
     #[must_use]
-    pub fn with_sched_policy(self, imp: Box<dyn SchedPolicy>) -> Self {
-        {
-            let mut st = self.state.lock();
-            debug_assert!(st.ready.is_empty(), "install the policy before spawning threads");
-            st.ready = ReadyQueue::with_impl(imp);
-        }
-        self
-    }
-
-    /// Sets the cycles charged per stream byte transferred (default: 4).
-    #[must_use]
-    pub fn with_stream_byte_cycles(self, cycles: u64) -> Self {
-        self.state.lock().stream_byte_cycles = cycles;
+    pub fn with_sched_policy(mut self, imp: Box<dyn SchedPolicy>) -> Self {
+        debug_assert!(self.state.ready.is_empty(), "install the policy before spawning threads");
+        self.state.ready = ReadyQueue::with_impl(imp);
         self
     }
 
     /// Enables window-event trace recording (see [`crate::Trace`]). The
     /// recorded trace is returned by [`Simulation::run_with_trace`].
     #[must_use]
-    pub fn with_trace_recording(self) -> Self {
-        self.state.lock().trace = Some(Trace::new());
+    pub fn with_trace_recording(mut self) -> Self {
+        self.state.trace = Some(Trace::new());
         self
     }
 
@@ -367,8 +365,8 @@ impl Simulation {
     /// wait/byte counters are all reported through it, and the whole run
     /// is wrapped in a `Simulation` span named after the scheme.
     #[must_use]
-    pub fn with_probe(self, probe: Arc<dyn Probe>) -> Self {
-        self.state.lock().cpu.set_probe(Some(probe));
+    pub fn with_probe(mut self, probe: Arc<dyn Probe>) -> Self {
+        self.state.cpu.set_probe(Some(probe));
         self
     }
 
@@ -380,8 +378,8 @@ impl Simulation {
     /// mark in its [`ThreadReport`] — while the rest of the simulation
     /// keeps running.
     #[must_use]
-    pub fn with_window_audit(self) -> Self {
-        self.state.lock().cpu.enable_window_audit();
+    pub fn with_window_audit(mut self) -> Self {
+        self.state.cpu.enable_window_audit();
         self
     }
 
@@ -390,14 +388,11 @@ impl Simulation {
     /// fail the chosen byte transfers with typed errors. Worker faults
     /// in the plan are ignored here (they only apply to sweep jobs).
     #[must_use]
-    pub fn with_fault_plan(self, plan: &FaultPlan) -> Self {
-        {
-            let mut st = self.state.lock();
-            let schedule = plan.machine_schedule();
-            st.cpu.set_fault_schedule(if schedule.is_empty() { None } else { Some(schedule) });
-            st.stream_read_fails = plan.stream_read_fails();
-            st.stream_write_fails = plan.stream_write_fails();
-        }
+    pub fn with_fault_plan(mut self, plan: &FaultPlan) -> Self {
+        let schedule = plan.machine_schedule();
+        self.state.cpu.set_fault_schedule(if schedule.is_empty() { None } else { Some(schedule) });
+        self.state.stream_read_fails = plan.stream_read_fails();
+        self.state.stream_write_fails = plan.stream_write_fails();
         self
     }
 
@@ -414,10 +409,9 @@ impl Simulation {
         capacity: usize,
         writers: usize,
     ) -> StreamId {
-        let mut st = self.state.lock();
-        let id = StreamId(st.streams.len());
-        st.streams.push(Stream::new(name, capacity, writers));
-        st.waiters.push(Waiters::default());
+        let id = StreamId(self.state.streams.len());
+        self.state.streams.push(Stream::new(name, capacity, writers));
+        self.state.waiters.push(Waiters::default());
         id
     }
 
@@ -450,8 +444,7 @@ impl Simulation {
     /// driver ([`Simulation::start`]); the plain [`Simulation::run`]
     /// path never drains it.
     pub fn mark_stream_outbound(&mut self, stream: StreamId) {
-        let mut st = self.state.lock();
-        st.streams[stream.0].set_remote(RemoteEnd::Outbound);
+        self.state.streams[stream.0].set_remote(RemoteEnd::Outbound);
     }
 
     /// Marks `stream` as the *inbound* end of a cross-PE link: the
@@ -459,8 +452,7 @@ impl Simulation {
     /// it with one writer (the bus); it closes when the sending PE's
     /// close message is delivered.
     pub fn mark_stream_inbound(&mut self, stream: StreamId) {
-        let mut st = self.state.lock();
-        st.streams[stream.0].set_remote(RemoteEnd::Inbound);
+        self.state.streams[stream.0].set_remote(RemoteEnd::Inbound);
     }
 
     /// Spawns a simulated thread whose body is an async closure: it can
@@ -475,7 +467,7 @@ impl Simulation {
     where
         F: AsyncFnOnce(&mut Ctx) -> Result<(), RtError> + Send + 'static,
     {
-        let mut st = self.state.lock();
+        let st = &mut self.state;
         let t = st.cpu.add_thread();
         st.names.push(name.into());
         st.finished.push(false);
@@ -483,7 +475,6 @@ impl Simulation {
         st.blocked_on_read.push(0);
         st.blocked_on_write.push(0);
         st.ready.enqueue_new(t);
-        drop(st);
         self.bodies.push(Box::new(move |mut ctx: Ctx| -> Task {
             Box::pin(async move { body(&mut ctx).await })
         }));
@@ -491,8 +482,8 @@ impl Simulation {
     }
 
     /// Spawns a simulated thread whose body never blocks: it can only
-    /// use the synchronous [`Ctx`] operations (compute, local registers,
-    /// closing a writer). A thin adapter onto [`Simulation::spawn_async`].
+    /// use the synchronous [`Ctx`] operations (compute, closing a
+    /// writer). A thin adapter onto [`Simulation::spawn_async`].
     pub fn spawn(
         &mut self,
         name: impl Into<String>,
@@ -536,21 +527,22 @@ impl Simulation {
     /// [`StartedSim::step`]. The plain [`Simulation::run`] path is
     /// implemented on top of this and runs exactly one step.
     pub fn start(self) -> StartedSim {
-        let probe = self.state.lock().cpu.machine().probe().cloned();
+        let probe = self.state.cpu.machine().probe().cloned();
         if let Some(p) = &probe {
             p.record(&ProbeEvent::SpanStart {
                 kind: SpanKind::Simulation,
                 name: self.scheme.name(),
             });
         }
+        let state = Rc::new(RefCell::new(self.state));
         let tasks = self
             .bodies
             .into_iter()
             .enumerate()
-            .map(|(i, body)| Some(body(Ctx::new(Arc::clone(&self.state), ThreadId::new(i)))))
+            .map(|(i, body)| Some(body(Ctx::new(Rc::clone(&state), ThreadId::new(i)))))
             .collect();
         StartedSim {
-            state: self.state,
+            state,
             tasks,
             scheme: self.scheme,
             nwindows: self.nwindows,
@@ -604,7 +596,7 @@ pub struct SendEvent {
 /// nothing of it runs again, not even the `restore` of an open
 /// [`Ctx::call`].
 pub struct StartedSim {
-    state: Arc<Mutex<SimState>>,
+    state: Rc<RefCell<SimState>>,
     /// One task per thread, `None` once it has finished or panicked.
     tasks: Vec<Option<Task>>,
     scheme: SchemeKind,
@@ -641,7 +633,7 @@ impl StartedSim {
     fn schedule(&mut self) -> Result<StepOutcome, RtError> {
         let nthreads = self.tasks.len();
         loop {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             if let Some(e) = &st.error {
                 return Err(e.clone());
             }
@@ -721,7 +713,7 @@ impl StartedSim {
         let task = self.tasks[t.index()].as_mut().expect("a dispatched thread has a live task");
         let mut cx = Context::from_waker(Waker::noop());
         let polled = catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx)));
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let result = match polled {
             Ok(Poll::Pending) => {
                 if !st.waiting.contains_key(&t) && st.error.is_none() {
@@ -768,7 +760,7 @@ impl StartedSim {
     /// Reports the first thread error, then any scheduler-loop error
     /// from a prior [`StartedSim::step`], in that precedence order.
     pub fn finish(self) -> Result<(RunReport, Option<Trace>), RtError> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         // Deliver whatever counter deltas the machine still holds before
         // the Simulation span closes, so every event lands inside it.
         st.cpu.flush_probe();
@@ -825,18 +817,13 @@ impl StartedSim {
         Ok((report, trace))
     }
 
-    /// The PE's local clock: total simulated cycles so far.
-    pub fn local_tick(&self) -> u64 {
-        self.state.lock().cpu.total_cycles()
-    }
-
     /// Drains every outbound cross-PE stream: buffered bytes become
     /// [`SendEvent`]s (bus requests timestamped with their local send
     /// tick), and a closed-and-drained stream emits its close message
     /// exactly once, after all its bytes. Drained bytes stay in flight —
     /// they occupy sender capacity until [`StartedSim::grant_send`].
     pub fn drain_outbound(&mut self) -> Vec<SendEvent> {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let mut out = Vec::new();
         for i in 0..st.streams.len() {
             if st.streams[i].remote() != Some(RemoteEnd::Outbound) {
@@ -860,7 +847,7 @@ impl StartedSim {
     /// The bus granted one in-flight byte of the outbound `stream`:
     /// frees a unit of sender capacity and wakes one blocked writer.
     pub fn grant_send(&mut self, stream: StreamId) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         st.streams[stream.0].grant_send();
         st.bump(Metric::BusGrants, 1);
         st.wake_one_writer(stream);
@@ -873,7 +860,7 @@ impl StartedSim {
     /// `tick`, charging the gap as bus-stall idle time — the receiving
     /// PE really did sit idle until the delivery arrived.
     pub fn deliver(&mut self, stream: StreamId, payload: Option<u8>, tick: u64) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         if st.ready.is_empty() {
             st.cpu.step_to_tick(tick);
         }
@@ -895,7 +882,7 @@ impl StartedSim {
     /// waiting for — the per-PE fragment of a cluster-level deadlock
     /// report.
     pub fn blocked_detail(&self) -> String {
-        blocked_detail(&self.state.lock())
+        blocked_detail(&self.state.borrow())
     }
 }
 
@@ -982,17 +969,17 @@ mod tests {
         });
         let mut started = sim.start();
         assert_eq!(started.step(), Ok(StepOutcome::Blocked));
-        let state = Arc::clone(&started.state);
+        let state = Rc::clone(&started.state);
         let counts = |st: &SimState| {
             let stats = st.cpu.machine().stats();
             let events = st.trace.as_ref().map_or(0, |t| t.events().len());
             (stats.saves_executed, stats.restores_executed, events)
         };
-        let before = counts(&state.lock());
+        let before = counts(&state.borrow());
         assert_eq!((before.0, before.1), (1, 0), "suspended inside the call");
         drop(started);
-        assert_eq!(counts(&state.lock()), before);
-        assert_eq!(Arc::strong_count(&state), 1, "the task and its Ctx were dropped");
+        assert_eq!(counts(&state.borrow()), before);
+        assert_eq!(Rc::strong_count(&state), 1, "the task and its Ctx were dropped");
     }
 
     /// A body that suspends on anything but a `Ctx` stream wait fails

@@ -1,6 +1,9 @@
 //! Integration tests for the runtime: pipelines over simulated windows.
 
-use regwin_rt::{RtError, RunReport, SchedulingPolicy, Simulation};
+use regwin_rt::{
+    Ctx, RtError, RunReport, SchedulingPolicy, Simulation, StartedSim, StepOutcome, StreamId,
+    TraceEvent,
+};
 use regwin_traps::SchemeKind;
 
 /// Builds a three-stage pipeline (producer → doubler → consumer) with the
@@ -341,4 +344,89 @@ fn simulated_switches_cost_no_os_context_switches() {
     let os_switches = voluntary_ctxt_switches().unwrap() - before;
     assert!(report.stats.context_switches >= 10_000, "{} switches", report.stats.context_switches);
     assert!(os_switches < 50, "{os_switches} OS context switches for a single-threaded run");
+}
+
+/// A PE-shaped simulation: `forwarder` passes every byte the bus
+/// delivers on an inbound stream through a call and a local pipe to
+/// `summer`, which checks the bytes' sum.
+fn inbound_pe(scheme: SchemeKind, feed: &[u8]) -> (StartedSim, StreamId) {
+    let expected: u64 = feed.iter().map(|&b| u64::from(b)).sum();
+    let mut sim = Simulation::new(6, scheme).unwrap().with_trace_recording();
+    let inbound = sim.add_stream("inbound", 4, 1);
+    sim.mark_stream_inbound(inbound);
+    let local = sim.add_stream("local", 2, 1);
+    sim.spawn_async("forwarder", async move |ctx: &mut Ctx| {
+        while let Some(b) = ctx.read_byte(inbound).await? {
+            ctx.call(async |c: &mut Ctx| {
+                c.compute(u64::from(b));
+                c.write_byte(local, b).await
+            })
+            .await?;
+        }
+        ctx.close_writer(local)
+    });
+    sim.spawn_async("summer", async move |ctx: &mut Ctx| {
+        let mut sum = 0u64;
+        while let Some(b) = ctx.read_byte(local).await? {
+            sum += u64::from(b);
+            ctx.compute(sum % 7);
+        }
+        assert_eq!(sum, expected);
+        Ok(())
+    });
+    (sim.start(), inbound)
+}
+
+/// Steps the sims in turn on the calling OS thread until all are done.
+/// Whenever one blocks on the bus it is delivered its next message —
+/// a byte of its feed, then the close — 50 cycles after the previous.
+fn drive_in_turn(mut pes: Vec<(StartedSim, StreamId, &[u8])>) -> Vec<(RunReport, Vec<TraceEvent>)> {
+    let mut sent = vec![0usize; pes.len()];
+    let mut done = vec![false; pes.len()];
+    while done.contains(&false) {
+        for (i, (sim, inbound, feed)) in pes.iter_mut().enumerate() {
+            if done[i] {
+                continue;
+            }
+            match sim.step().unwrap() {
+                StepOutcome::Done => done[i] = true,
+                StepOutcome::Blocked => {
+                    sim.deliver(*inbound, feed.get(sent[i]).copied(), 50 * sent[i] as u64);
+                    sent[i] += 1;
+                }
+            }
+        }
+    }
+    pes.into_iter()
+        .map(|(sim, ..)| {
+            let (report, trace) = sim.finish().unwrap();
+            (report, trace.unwrap().events().to_vec())
+        })
+        .collect()
+}
+
+/// Two started simulations stepped alternately on one OS thread (as the
+/// cluster steps its PEs) each produce exactly their solo run: every
+/// sim's state, streams and clock are its own.
+#[test]
+fn alternately_stepped_sims_match_their_solo_runs() {
+    let pes: [(SchemeKind, &[u8]); 2] =
+        [(SchemeKind::Sp, b"multiple threads"), (SchemeKind::Ns, b"cyclic windows!")];
+    let solo: Vec<_> = pes
+        .iter()
+        .map(|&(scheme, feed)| {
+            let (sim, inbound) = inbound_pe(scheme, feed);
+            drive_in_turn(vec![(sim, inbound, feed)]).remove(0)
+        })
+        .collect();
+    let together = drive_in_turn(
+        pes.iter()
+            .map(|&(scheme, feed)| {
+                let (sim, inbound) = inbound_pe(scheme, feed);
+                (sim, inbound, feed)
+            })
+            .collect(),
+    );
+    assert!(solo.iter().all(|(report, _)| report.stats.context_switches > 16));
+    assert_eq!(together, solo);
 }

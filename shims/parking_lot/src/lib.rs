@@ -1,139 +1,7 @@
-//! Offline stand-in for `parking_lot`, backed by `std::sync`.
+//! An empty placeholder for `parking_lot`.
 //!
-//! Provides the exact subset `regwin-rt` uses: [`Mutex`] whose `lock`
-//! returns a guard directly (no `Result`), [`MutexGuard`], and
-//! [`Condvar`] whose `wait` takes the guard by `&mut`. Poisoning is
-//! deliberately ignored — a panicked simulation worker already aborts
-//! the run, and the paper harness never relies on poison propagation.
-
-use std::ops::{Deref, DerefMut};
-use std::sync;
-
-/// A mutual-exclusion primitive (std-backed, poison-ignoring).
-#[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized> {
-    inner: sync::Mutex<T>,
-}
-
-impl<T> Mutex<T> {
-    /// Creates a mutex protecting `value`.
-    pub const fn new(value: T) -> Self {
-        Mutex { inner: sync::Mutex::new(value) }
-    }
-
-    /// Consumes the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquires the lock, blocking until it is available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = self.inner.lock().unwrap_or_else(sync::PoisonError::into_inner);
-        MutexGuard { inner: Some(guard) }
-    }
-
-    /// Mutable access without locking (requires exclusive borrow).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(sync::PoisonError::into_inner)
-    }
-}
-
-/// RAII guard returned by [`Mutex::lock`].
-///
-/// Holds the std guard in an `Option` so [`Condvar::wait`] can take it
-/// by value and put the re-acquired guard back — parking_lot's `&mut`
-/// wait signature over std's move-based one.
-#[derive(Debug)]
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<sync::MutexGuard<'a, T>>,
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present outside wait")
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present outside wait")
-    }
-}
-
-/// A condition variable (std-backed).
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a condition variable.
-    pub const fn new() -> Self {
-        Condvar { inner: sync::Condvar::new() }
-    }
-
-    /// Atomically releases the guard's lock and blocks until notified;
-    /// the lock is re-acquired before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let std_guard = guard.inner.take().expect("guard present before wait");
-        let reacquired = self.inner.wait(std_guard).unwrap_or_else(sync::PoisonError::into_inner);
-        guard.inner = Some(reacquired);
-    }
-
-    /// Wakes one blocked waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes all blocked waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn lock_guards_exclusive_access() {
-        let m = Arc::new(Mutex::new(0u64));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        *m.lock() += 1;
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(*m.lock(), 8000);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let waiter = std::thread::spawn(move || {
-            let (lock, cv) = &*p2;
-            let mut ready = lock.lock();
-            while !*ready {
-                cv.wait(&mut ready);
-            }
-        });
-        {
-            let (lock, cv) = &*pair;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        waiter.join().unwrap();
-    }
-}
+//! Nothing in the workspace locks anything through it any more: a
+//! started simulation shares its state within one OS thread and needs
+//! no lock. The package stays because `regwin-rt`'s manifest still names
+//! it, which keeps the benchmark package's committed lock file
+//! (`repro-e2e/Cargo.lock`) valid; it goes together with that entry.

@@ -11,9 +11,9 @@
 //! * a **clean** window (unmodified since it was filled from the
 //!   backing stack) that fails its check is *repaired* by re-writing
 //!   the pristine frame recorded at fill time — the same bytes the
-//!   backing stack held, which the per-frame backing checksums
-//!   ([`crate::BackingStore::verify_top`]) guarantee were themselves
-//!   spilled intact;
+//!   backing stack held, which were themselves spilled intact: an
+//!   audited spill whose transfer was perturbed is checked against the
+//!   still-resident frame and repaired before it is pushed;
 //! * a **dirty** window (written since it became current) has no
 //!   pristine copy anywhere, so a mismatch surfaces as the typed
 //!   [`crate::MachineError::UnrecoverableCorruption`] error and the
@@ -21,23 +21,31 @@
 //!
 //! The auditor is strictly opt-in ([`crate::Machine::enable_auditor`]);
 //! without it the machine behaves exactly as before, byte for byte.
+//! Checksums exist only on an audited machine: the backing stack is a
+//! plain frame LIFO, and an unaudited machine computes no checksum at
+//! all, with or without faults.
 
 use crate::regfile::Frame;
 use crate::window::WindowIndex;
 
-/// 64-bit FNV-1a over the 16 stored registers of a frame (ins then
-/// locals, little-endian bytes) — the integrity checksum used by the
-/// window auditor and the backing store.
+/// 64-bit FNV-1a over the 16 stored registers of a frame, one 64-bit
+/// word per step (ins then locals) — the integrity checksum used by the
+/// window auditor. Each step is a bijection of the running hash, so a
+/// change to any single register always changes the checksum.
 pub fn frame_checksum(frame: &Frame) -> u64 {
+    count_checksum();
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for r in frame.ins.iter().chain(frame.locals.iter()) {
-        for b in r.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    for &r in frame.ins.iter().chain(frame.locals.iter()) {
+        hash ^= r;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
 }
+
+/// Test builds count every [`frame_checksum`] call (see
+/// `tests::checksums_computed`); other builds count nothing.
+#[cfg(not(test))]
+fn count_checksum() {}
 
 /// What the auditor knows about one physical window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,26 +217,48 @@ impl WindowAuditor {
         self.repairs
     }
 
-    /// Total frame checksums computed for auditing so far. Lazy
-    /// auditing concentrates these at the corruption-capable transfers
-    /// themselves: between two audits the count stays flat no matter
-    /// how many registers are written, and a fault-free run computes
-    /// none at all after the enable-time baseline.
+    /// Total frame checksums computed to verify frames so far: the
+    /// enable-time baseline, audit points, and the fault sites that
+    /// record an eager reference. Lazy auditing concentrates these at
+    /// the corruption-capable transfers themselves: between two audits
+    /// the count stays flat no matter how many registers are written,
+    /// and on a fault-free run it never grows past the baseline. The
+    /// reference sum a fill records for its `Clean` tag belongs to the
+    /// transfer and is not counted here.
     pub fn checksums(&self) -> u64 {
         self.checksums
     }
 }
 
 #[cfg(test)]
-mod tests {
+use tests::count_checksum;
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static COMPUTED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn count_checksum() {
+        COMPUTED.with(|n| n.set(n.get() + 1));
+    }
+
+    /// Frame checksums computed on this thread so far, audited or not
+    /// (per thread, so parallel tests do not disturb each other).
+    pub(crate) fn checksums_computed() -> u64 {
+        COMPUTED.with(Cell::get)
+    }
 
     #[test]
     fn frame_checksum_matches_fnv_reference_on_zeroes() {
-        // 128 zero bytes hashed by the same FNV-1a the reference vector
-        // suite uses; independence check: a one-bit flip changes it.
+        // Sixteen zero words: the FNV-1a offset basis times the FNV
+        // prime to the 16th power (mod 2^64). A one-bit flip changes it.
         let zero = Frame::zeroed();
         let base = frame_checksum(&zero);
+        assert_eq!(base, 0x8820_1fb9_60ff_6465);
         let mut flipped = zero;
         flipped.ins[0] = 1;
         assert_ne!(base, frame_checksum(&flipped));

@@ -1,6 +1,5 @@
 //! Per-thread memory save-areas.
 
-use crate::audit::frame_checksum;
 use crate::regfile::Frame;
 use std::fmt;
 
@@ -24,17 +23,15 @@ use std::fmt;
 /// assert_eq!(store.len(), 1);
 /// assert_eq!(store.pop().unwrap().locals[0], 7);
 /// ```
-/// Each stored frame carries an FNV-1a integrity checksum
-/// ([`frame_checksum`]) recorded at spill time. [`BackingStore::push`]
-/// records the checksum of the frame as pushed;
-/// [`BackingStore::push_with_sum`] lets a caller record the checksum of
-/// the *pristine* frame even when the stored bytes were perturbed in
-/// transfer, so [`BackingStore::verify_top`] can detect the corruption
-/// and [`BackingStore::set_top`] can repair it.
+///
+/// The store is a plain LIFO of frames: it keeps no integrity data. On an
+/// audited machine the [`crate::WindowAuditor`] owns the checksums — a
+/// corrupted spill is caught and repaired before the frame is pushed, so
+/// the store only ever holds pristine frames, and a fill takes its
+/// reference checksum from the frame it pops.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BackingStore {
     frames: Vec<Frame>,
-    sums: Vec<u64>,
     max_depth: usize,
 }
 
@@ -55,34 +52,16 @@ impl BackingStore {
     }
 
     /// Spills a frame to memory (the frame becomes the next restore
-    /// candidate), recording its integrity checksum.
+    /// candidate).
     pub fn push(&mut self, frame: Frame) {
-        self.push_with_sum(frame, frame_checksum(&frame));
-    }
-
-    /// Spills a frame to memory with an explicit checksum record — the
-    /// checksum of the frame as it *should* be. A mismatch between
-    /// `sum` and the stored bytes is detectable via
-    /// [`BackingStore::verify_top`].
-    pub fn push_with_sum(&mut self, frame: Frame, sum: u64) {
         self.frames.push(frame);
-        self.sums.push(sum);
         self.max_depth = self.max_depth.max(self.frames.len());
     }
 
     /// Restores the most recently spilled frame, or `None` if the thread
     /// has no frames in memory.
     pub fn pop(&mut self) -> Option<Frame> {
-        self.sums.pop();
         self.frames.pop()
-    }
-
-    /// Restores the most recently spilled frame together with its
-    /// recorded integrity checksum.
-    pub fn pop_with_sum(&mut self) -> Option<(Frame, u64)> {
-        let frame = self.frames.pop()?;
-        let sum = self.sums.pop().unwrap_or_else(|| frame_checksum(&frame));
-        Some((frame, sum))
     }
 
     /// Peeks at the frame a restore would return, without removing it.
@@ -90,29 +69,9 @@ impl BackingStore {
         self.frames.last()
     }
 
-    /// Whether the top frame's bytes match its recorded checksum (an
-    /// empty store verifies trivially).
-    pub fn verify_top(&self) -> bool {
-        match (self.frames.last(), self.sums.last()) {
-            (Some(frame), Some(sum)) => frame_checksum(frame) == *sum,
-            _ => true,
-        }
-    }
-
-    /// Replaces the top frame with `frame` and re-records its checksum —
-    /// the repair primitive used when a spill transfer was corrupted and
-    /// a pristine copy is still available.
-    pub fn set_top(&mut self, frame: Frame) {
-        if let (Some(slot), Some(sum)) = (self.frames.last_mut(), self.sums.last_mut()) {
-            *slot = frame;
-            *sum = frame_checksum(&frame);
-        }
-    }
-
     /// Discards all frames (thread termination).
     pub fn clear(&mut self) {
         self.frames.clear();
-        self.sums.clear();
     }
 
     /// High-water mark of frames simultaneously in memory — a measure of
@@ -169,26 +128,6 @@ mod tests {
         b.push(frame(4));
         b.push(frame(5));
         assert_eq!(b.max_depth(), 4);
-    }
-
-    #[test]
-    fn checksums_detect_and_repair_a_corrupted_top() {
-        let mut b = BackingStore::new();
-        b.push(frame(1));
-        assert!(b.verify_top());
-        // A corrupted transfer: stored bytes differ from the recorded
-        // (pristine) checksum.
-        let pristine = frame(2);
-        let mut corrupted = pristine;
-        corrupted.locals[0] ^= 0xff;
-        b.push_with_sum(corrupted, frame_checksum(&pristine));
-        assert!(!b.verify_top());
-        b.set_top(pristine);
-        assert!(b.verify_top());
-        let (top, sum) = b.pop_with_sum().unwrap();
-        assert_eq!(top, pristine);
-        assert_eq!(sum, frame_checksum(&pristine));
-        assert!(b.verify_top(), "lower frames untouched");
     }
 
     #[test]

@@ -181,6 +181,7 @@ impl Machine {
             pending_metrics: MetricSet::new(),
             auditor: None,
         };
+        // No thread is current yet, so every window starts invalid.
         machine.recompute_wim();
         Ok(machine)
     }
@@ -281,6 +282,8 @@ impl Machine {
     /// Auditing never touches statistics or the cycle counter, so an
     /// audited run that only repairs produces a byte-identical report.
     /// Threads already holding live frames are tagged dirty as-is.
+    /// Frames already spilled need no baseline: a fill takes its
+    /// reference checksum from the frame it pops.
     pub fn enable_auditor(&mut self) {
         let mut auditor = WindowAuditor::new(self.nwindows);
         let mut computed = 0u64;
@@ -404,7 +407,7 @@ impl Machine {
         ts.set_resident(1);
         ts.set_started();
         self.regfile.clear_frame(slot);
-        self.slots[slot.index()] = SlotUse::Live(t);
+        self.set_slot(slot, SlotUse::Live(t));
         self.auditor_tag_dirty(slot);
         Ok(())
     }
@@ -419,7 +422,7 @@ impl Machine {
         for i in 0..self.nwindows {
             match self.slots[i] {
                 SlotUse::Live(o) | SlotUse::Dead(o) | SlotUse::Prw(o) if o == t => {
-                    self.slots[i] = SlotUse::Free;
+                    self.set_slot(WindowIndex::new(i), SlotUse::Free);
                     self.auditor_untrack(WindowIndex::new(i));
                 }
                 _ => {}
@@ -433,8 +436,8 @@ impl Machine {
         ts.set_terminated();
         if self.current == Some(t) {
             self.current = None;
+            self.recompute_wim();
         }
-        self.recompute_wim();
         Ok(())
     }
 
@@ -630,14 +633,13 @@ impl Machine {
             SlotUse::Dead(t),
             "save into non-granted slot"
         );
-        self.slots[target.index()] = SlotUse::Live(t);
+        self.set_slot(target, SlotUse::Live(t));
         let nw = self.nwindows;
         let ts = self.thread_mut(t)?;
         ts.set_top(Some(target));
         ts.set_resident(ts.resident() + 1);
         debug_assert!(ts.resident() <= nw);
         self.cwp = target;
-        self.wim.clear(target);
         self.stats.saves_executed += 1;
         self.stats.threads[t.index()].saves += 1;
         self.bump(Metric::SavesExecuted, 1);
@@ -679,7 +681,7 @@ impl Machine {
             "restore into non-live slot"
         );
         let old_top = self.cwp;
-        self.slots[old_top.index()] = SlotUse::Dead(t);
+        self.set_slot(old_top, SlotUse::Dead(t));
         self.auditor_untrack(old_top);
         let ts = self.thread_mut(t)?;
         if ts.resident() < 2 {
@@ -722,32 +724,32 @@ impl Machine {
             None => None,
         };
         let pristine = self.regfile.frame(bottom);
-        let pristine_sum = frame_checksum(&pristine);
         let mut frame = pristine;
         if let Some(xor) = spill_xor {
             corrupt_frame(&mut frame, xor);
-        }
-        let audit_on = self.auditor.is_some();
-        let ts = self.thread_mut(t)?;
-        ts.backing_mut().push_with_sum(frame, pristine_sum);
-        ts.set_resident(resident - 1);
-        if resident == 1 {
-            ts.set_top(None);
         }
         // With auditing on, a corrupted spill transfer is caught right
         // here — the stored bytes disagree with the pristine checksum —
         // and repaired while the pristine frame is still in hand. The
         // backing store therefore always holds pristine frames. The
-        // transfer is the only thing that can perturb the bytes between
-        // push and verify, so a fault-free spill skips the re-checksum.
-        let spill_repaired = audit_on && spill_xor.is_some() && !ts.backing().verify_top();
+        // transfer is the only thing that can perturb the bytes, so only
+        // an audited spill whose fault fired computes a checksum.
+        let spill_repaired = self.auditor.is_some()
+            && spill_xor.is_some()
+            && frame_checksum(&frame) != frame_checksum(&pristine);
         if spill_repaired {
-            ts.backing_mut().set_top(pristine);
+            frame = pristine;
         }
-        self.slots[bottom.index()] = SlotUse::Free;
+        let ts = self.thread_mut(t)?;
+        ts.backing_mut().push(frame);
+        ts.set_resident(resident - 1);
+        if resident == 1 {
+            ts.set_top(None);
+        }
+        self.set_slot(bottom, SlotUse::Free);
         self.auditor_untrack(bottom);
         if spill_repaired {
-            self.auditor.as_mut().expect("audit_on implies auditor").add_repairs(1);
+            self.auditor.as_mut().expect("repairs imply an auditor").add_repairs(1);
             self.bump(Metric::WindowRepairs, 1);
         }
         if reason == TransferReason::Trap {
@@ -760,7 +762,6 @@ impl Machine {
         // aggregates; queue-modelled under the pipeline backend).
         let charge = self.timing.spill_transfer(self.counter.total(), bottom, reason);
         self.charge_timed(transfer_category(reason, CycleCategory::OverflowTrap), charge);
-        self.recompute_wim();
         Ok(())
     }
 
@@ -806,8 +807,7 @@ impl Machine {
             None => None,
         };
         let ts = self.thread_mut(t)?;
-        let (pristine, sum) =
-            ts.backing_mut().pop_with_sum().ok_or(MachineError::BackingEmpty(t))?;
+        let pristine = ts.backing_mut().pop().ok_or(MachineError::BackingEmpty(t))?;
         let mut frame = pristine;
         if let Some(xor) = fill_xor {
             corrupt_frame(&mut frame, xor);
@@ -817,9 +817,11 @@ impl Machine {
         }
         ts.set_resident(resident + 1);
         self.regfile.set_frame(slot, frame);
-        self.slots[slot.index()] = SlotUse::Live(t);
+        self.set_slot(slot, SlotUse::Live(t));
         if let Some(a) = self.auditor.as_mut() {
-            a.mark_clean(slot, sum, pristine);
+            // An audited machine's store holds only pristine frames, so
+            // the popped frame is the reference.
+            a.mark_clean(slot, frame_checksum(&pristine), pristine);
             // A perturbed fill is the only way the live bytes can
             // disagree with the pristine reference just recorded: flag
             // the window so the next audit verifies (and repairs) it.
@@ -834,7 +836,6 @@ impl Machine {
         self.bump(Metric::FillBytes, FRAME_BYTES);
         let charge = self.timing.fill_transfer(self.counter.total(), slot, reason);
         self.charge_timed(transfer_category(reason, CycleCategory::UnderflowTrap), charge);
-        self.recompute_wim();
         Ok(())
     }
 
@@ -864,10 +865,8 @@ impl Machine {
             Some(fs) => fs.next_fill()?,
             None => None,
         };
-        let (pristine, sum) = {
-            let ts = self.thread_mut(t)?;
-            ts.backing_mut().pop_with_sum().ok_or(MachineError::BackingEmpty(t))?
-        };
+        let pristine =
+            self.thread_mut(t)?.backing_mut().pop().ok_or(MachineError::BackingEmpty(t))?;
         let mut frame = pristine;
         if let Some(xor) = fill_xor {
             corrupt_frame(&mut frame, xor);
@@ -880,7 +879,7 @@ impl Machine {
         self.auditor_note_write(slot.above(self.nwindows));
         self.regfile.set_frame(slot, frame);
         if let Some(a) = self.auditor.as_mut() {
-            a.mark_clean(slot, sum, pristine);
+            a.mark_clean(slot, frame_checksum(&pristine), pristine);
             if fill_xor.is_some() {
                 a.note_suspect(slot);
             }
@@ -909,8 +908,7 @@ impl Machine {
         self.check_window(slot)?;
         match self.slot_use(slot) {
             SlotUse::Free | SlotUse::Dead(_) => {
-                self.slots[slot.index()] = SlotUse::Dead(t);
-                self.recompute_wim();
+                self.set_slot(slot, SlotUse::Dead(t));
                 Ok(())
             }
             _ => Err(MachineError::BadSlotState { slot, expected: "free or dead" }),
@@ -935,14 +933,13 @@ impl Machine {
         }
         if let Some(old) = self.reserved {
             if self.slots[old.index()] == SlotUse::Reserved {
-                self.slots[old.index()] = SlotUse::Free;
+                self.set_slot(old, SlotUse::Free);
             }
         }
         if let Some(s) = slot {
-            self.slots[s.index()] = SlotUse::Reserved;
+            self.set_slot(s, SlotUse::Reserved);
         }
         self.reserved = slot;
-        self.recompute_wim();
         Ok(())
     }
 
@@ -965,9 +962,8 @@ impl Machine {
         if self.thread(t)?.prw().is_some() {
             return Err(MachineError::InvariantViolated("thread already has a PRW"));
         }
-        self.slots[slot.index()] = SlotUse::Prw(t);
+        self.set_slot(slot, SlotUse::Prw(t));
         self.thread_mut(t)?.set_prw(Some(slot));
-        self.recompute_wim();
         Ok(())
     }
 
@@ -990,8 +986,7 @@ impl Machine {
         let ts = self.thread_mut(t)?;
         *ts.tcb_outs_mut() = outs;
         ts.set_prw(None);
-        self.slots[prw.index()] = SlotUse::Free;
-        self.recompute_wim();
+        self.set_slot(prw, SlotUse::Free);
         Ok(())
     }
 
@@ -1007,8 +1002,7 @@ impl Machine {
             .prw()
             .ok_or(MachineError::BadSlotState { slot: self.cwp, expected: "thread owns a PRW" })?;
         self.thread_mut(t)?.set_prw(None);
-        self.slots[prw.index()] = SlotUse::Free;
-        self.recompute_wim();
+        self.set_slot(prw, SlotUse::Free);
         Ok(())
     }
 
@@ -1085,12 +1079,9 @@ impl Machine {
         let mut freed = 0;
         for i in 0..self.nwindows {
             if self.slots[i] == SlotUse::Dead(t) {
-                self.slots[i] = SlotUse::Free;
+                self.set_slot(WindowIndex::new(i), SlotUse::Free);
                 freed += 1;
             }
-        }
-        if freed > 0 {
-            self.recompute_wim();
         }
         Ok(freed)
     }
@@ -1110,12 +1101,9 @@ impl Machine {
         let mut granted = 0;
         for i in 0..self.nwindows {
             if self.slots[i] == SlotUse::Free {
-                self.slots[i] = SlotUse::Dead(t);
+                self.set_slot(WindowIndex::new(i), SlotUse::Dead(t));
                 granted += 1;
             }
-        }
-        if granted > 0 {
-            self.recompute_wim();
         }
         Ok(granted)
     }
@@ -1205,7 +1193,7 @@ impl Machine {
         // Move the PRW up: old slot becomes the current thread's to save
         // into; the victim slot becomes the new PRW.
         self.thread_mut(t)?.set_prw(None);
-        self.slots[prw.index()] = SlotUse::Free;
+        self.set_slot(prw, SlotUse::Free);
         self.assign_prw(t, victim)?;
         self.grant_slot(t, prw)?;
         Ok((spills, steals))
@@ -1568,6 +1556,20 @@ impl Machine {
         }
     }
 
+    /// Writes slot `w`'s use and refreshes WIM bit `w` to match — the
+    /// only write to the slot map, so no slot change can leave the WIM
+    /// stale. A whole-mask [`Machine::recompute_wim`] is needed only
+    /// where the current thread changes.
+    fn set_slot(&mut self, w: WindowIndex, slot_use: SlotUse) {
+        self.slots[w.index()] = slot_use;
+        if self.current.is_some_and(|t| slot_use.valid_for(t)) {
+            self.wim.clear(w);
+        } else {
+            self.wim.set(w);
+        }
+    }
+
+    /// Rederives the whole WIM from the slot map for the current thread.
     fn recompute_wim(&mut self) {
         self.wim.clear_all();
         for i in 0..self.nwindows {
@@ -2139,10 +2141,11 @@ mod tests {
             FaultSchedule::new().on_spill(0, TransferFault::Corrupt { xor: 0xff }),
         ));
         let bottom = m.thread(t).unwrap().bottom(8).unwrap();
+        let pristine = m.frame_at(bottom);
         m.spill_bottom(t, TransferReason::Switch).unwrap();
         // The corrupted transfer was detected against the pristine
         // checksum and repaired before the pristine copy was lost.
-        assert!(m.backing_of(t).unwrap().verify_top());
+        assert_eq!(m.backing_of(t).unwrap().peek(), Some(&pristine));
         assert_eq!(m.auditor().unwrap().repairs(), 1);
         m.restore_into(t, bottom, TransferReason::Switch).unwrap();
         assert_eq!(m.frame_at(bottom).locals[0], 0xabcd);
@@ -2243,6 +2246,85 @@ mod tests {
         assert!(after > base);
         assert_eq!(m.audit_thread(t).unwrap(), 0);
         assert_eq!(m.auditor().unwrap().checksums(), after);
+    }
+
+    /// Drives two threads through an NS-style run on 8 windows: each
+    /// turn the current thread calls 12 deep (overflowing through the
+    /// reservation walk), returns 9 (underflowing in place), and is then
+    /// flushed to memory while the other thread's top frame is filled
+    /// back in. Every fill is audited before the thread touches it. At
+    /// the start of turn `audit_from` (if any) the auditor is enabled —
+    /// by then both threads have frames spilled — and `faults` is
+    /// installed.
+    fn ns_run(audit_from: Option<usize>, faults: Option<FaultSchedule>) -> Machine {
+        let n = 8;
+        let mut m = Machine::new(n).unwrap();
+        let threads = [m.add_thread(), m.add_thread()];
+        let r = m.reserved().unwrap();
+        m.start_initial_frame(threads[0], r.below(n)).unwrap();
+        m.start_initial_frame(threads[1], r.below(n).below(n)).unwrap();
+        m.flush_thread(threads[1], TransferReason::Switch).unwrap();
+        m.set_current(Some(threads[0])).unwrap();
+        for turn in 0..20 {
+            if audit_from == Some(turn) {
+                m.enable_auditor();
+                m.set_fault_schedule(faults.clone());
+            }
+            let (t, next) = (threads[turn % 2], threads[(turn + 1) % 2]);
+            for depth in 0..12u64 {
+                save(&mut m);
+                m.write_local(0, turn as u64 * 100 + depth).unwrap();
+            }
+            for _ in 0..9 {
+                if let ExecOutcome::Trapped(_) = m.try_restore().unwrap() {
+                    m.inplace_underflow(true).unwrap();
+                }
+                m.audit_current().unwrap();
+                m.check_invariants().unwrap();
+            }
+            m.flush_thread(t, TransferReason::Switch).unwrap();
+            m.release_dead_slots(t).unwrap();
+            let slot = m.reserved().unwrap().below(n);
+            m.restore_into(next, slot, TransferReason::Switch).unwrap();
+            m.set_current(Some(next)).unwrap();
+            m.audit_current().unwrap();
+            m.check_invariants().unwrap();
+        }
+        m
+    }
+
+    #[test]
+    fn an_unaudited_fault_free_run_computes_no_checksum() {
+        use crate::audit::tests::checksums_computed;
+        let before = checksums_computed();
+        let m = ns_run(None, None);
+        assert!(m.stats().overflow_spills > 50 && m.stats().underflow_restores > 50);
+        assert_eq!(checksums_computed(), before, "unaudited run hashed a frame");
+        // The same run audited from the start pays for its fills' references.
+        let before = checksums_computed();
+        ns_run(Some(0), None);
+        assert!(checksums_computed() > before);
+    }
+
+    #[test]
+    fn auditing_enabled_mid_run_still_repairs_corrupted_fills() {
+        use crate::fault::TransferFault;
+        let corrupt = TransferFault::Corrupt { xor: 0xdead_beef };
+        let faults = (0..4).fold(FaultSchedule::new(), |f, at| f.on_fill(at, corrupt));
+        let clean = ns_run(None, None);
+        let audited = ns_run(Some(5), Some(faults));
+        assert_eq!(audited.auditor().unwrap().repairs(), 4);
+        assert_eq!(audited.stats(), clean.stats());
+        assert_eq!(audited.cycles(), clean.cycles());
+        for t in 0..2 {
+            let t = ThreadId::new(t);
+            assert_eq!(audited.backing_of(t).unwrap(), clean.backing_of(t).unwrap());
+            let live = audited.live_windows_of(t).unwrap();
+            assert_eq!(live, clean.live_windows_of(t).unwrap());
+            for w in live {
+                assert_eq!(audited.frame_at(w), clean.frame_at(w), "window {w} of {t:?}");
+            }
+        }
     }
 
     #[test]

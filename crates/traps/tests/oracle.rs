@@ -112,12 +112,15 @@ fn run_trace(kind: SchemeKind, nwindows: usize, nthreads: usize, ops: &[Op]) {
     }
 }
 
+// Window counts reach 32, the paper sweep's maximum, so the machine's
+// per-slot WIM upkeep is checked by `check_invariants` after every op
+// at every size the sweeps run.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn ns_matches_oracle(
-        nwindows in 3usize..12,
+        nwindows in 3usize..=32,
         ops in prop::collection::vec(op_strategy(4), 1..120),
     ) {
         run_trace(SchemeKind::Ns, nwindows, 4, &ops);
@@ -125,7 +128,7 @@ proptest! {
 
     #[test]
     fn snp_matches_oracle(
-        nwindows in 2usize..12,
+        nwindows in 2usize..=32,
         ops in prop::collection::vec(op_strategy(4), 1..120),
     ) {
         run_trace(SchemeKind::Snp, nwindows, 4, &ops);
@@ -133,7 +136,7 @@ proptest! {
 
     #[test]
     fn sp_matches_oracle(
-        nwindows in 2usize..12,
+        nwindows in 2usize..=32,
         ops in prop::collection::vec(op_strategy(4), 1..120),
     ) {
         run_trace(SchemeKind::Sp, nwindows, 4, &ops);
@@ -143,7 +146,7 @@ proptest! {
     /// trace (only traps, transfers and cycles may differ).
     #[test]
     fn schemes_agree_on_instruction_counts(
-        nwindows in 3usize..10,
+        nwindows in 3usize..=32,
         ops in prop::collection::vec(op_strategy(3), 1..80),
     ) {
         let mut counts = Vec::new();

@@ -10,7 +10,7 @@ use regwin_obs::{Metric, MetricSet};
 use std::fmt;
 
 /// Per-thread outcome of a simulation run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadReport {
     /// The thread's diagnostic name.
     pub name: String,
@@ -33,7 +33,7 @@ pub struct ThreadReport {
 /// [`RunReport`] by `regwin-cluster`. Always `None` on the legacy
 /// single-machine path and on a 1-PE cluster (which must stay
 /// byte-identical to it).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BusSummary {
     /// Number of PEs in the cluster.
     pub pes: usize,

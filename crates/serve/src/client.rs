@@ -9,12 +9,12 @@
 //! (tables, figures, artifacts) is byte-identical.
 
 use crate::protocol::{
-    frame_type, quarantine_from_value, records_from_value, spec_to_value, summary_from_value,
-    write_frame, FrameReader, PROTO_VERSION,
+    frame_type, quarantine_from_value, spec_to_value, summary_from_value, write_frame, FrameReader,
+    PROTO_VERSION,
 };
 use regwin_core::{MatrixSpec, RunRecord};
-use regwin_sweep::json::{obj, Value};
-use regwin_sweep::{QuarantineRecord, SweepSummary};
+use regwin_sweep::json::{members, obj, parse, Value};
+use regwin_sweep::{records_from_json, QuarantineRecord, SweepSummary};
 use std::fmt;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -64,6 +64,16 @@ impl From<std::io::Error> for ClientError {
     fn from(e: std::io::Error) -> Self {
         ClientError::Io(e)
     }
+}
+
+fn closed() -> ClientError {
+    ClientError::Protocol("daemon closed the connection".into())
+}
+
+/// A frame that is not valid JSON: what [`FrameReader::next_frame`]
+/// reports for it.
+fn bad_frame(e: regwin_sweep::json::ParseError) -> ClientError {
+    ClientError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad frame: {e}")))
 }
 
 /// A connected session with a sweep daemon.
@@ -151,10 +161,7 @@ impl ServeClient {
     }
 
     fn expect_frame(&mut self) -> Result<Value, ClientError> {
-        self.reader
-            .next_frame()
-            .map_err(ClientError::from)?
-            .ok_or_else(|| ClientError::Protocol("daemon closed the connection".into()))
+        self.reader.next_frame()?.ok_or_else(closed)
     }
 
     /// Runs `spec` on the daemon, relaying progress events to stderr,
@@ -171,7 +178,29 @@ impl ServeClient {
         )?;
         let mut done = 0usize;
         loop {
-            let frame = self.expect_frame()?;
+            // Every frame is split into its members first, so a
+            // `records` frame's run records decode straight from their
+            // text in the reader's buffer, with no tree and no copy.
+            let line = self.reader.next_line()?.ok_or_else(closed)?;
+            let parts = members(&line).map_err(bad_frame)?;
+            let part = |name: &str| {
+                parts
+                    .iter()
+                    .find(|(key, _)| key == name)
+                    .map(|&(_, text)| text)
+                    .ok_or_else(|| ClientError::Protocol(format!("frame without '{name}'")))
+            };
+            let kind = parse(part("type")?).map_err(bad_frame)?;
+            if kind.as_str() == Some("records") {
+                let small = |name: &str| parse(part(name)?).map_err(bad_frame);
+                self.summary = summary_from_value(&small("summary")?)
+                    .map_err(|e| ClientError::Protocol(e.0))?;
+                self.quarantine = quarantine_from_value(&small("quarantine")?)
+                    .map_err(|e| ClientError::Protocol(e.0))?;
+                return records_from_json(part("records")?)
+                    .map_err(|e| ClientError::Protocol(e.to_string()));
+            }
+            let frame = parse(&line).map_err(bad_frame)?;
             match frame_type(&frame).unwrap_or("?") {
                 "event" => {
                     if let Some(data) = frame.get("data") {
@@ -183,29 +212,6 @@ impl ServeClient {
                             }
                         }
                     }
-                }
-                "records" => {
-                    self.summary = frame
-                        .get("summary")
-                        .ok_or_else(|| ClientError::Protocol("records without summary".into()))
-                        .and_then(|v| {
-                            summary_from_value(v).map_err(|e| ClientError::Protocol(e.0))
-                        })?;
-                    self.quarantine = frame
-                        .get("quarantine")
-                        .ok_or_else(|| ClientError::Protocol("records without quarantine".into()))
-                        .and_then(|v| {
-                            quarantine_from_value(v).map_err(|e| ClientError::Protocol(e.0))
-                        })?;
-                    let records = frame
-                        .get("records")
-                        .ok_or_else(|| {
-                            ClientError::Protocol("records frame without records".into())
-                        })
-                        .and_then(|v| {
-                            records_from_value(v).map_err(|e| ClientError::Protocol(e.0))
-                        })?;
-                    return Ok(records);
                 }
                 "sweep_error" => {
                     return Err(ClientError::Sweep {

@@ -27,16 +27,24 @@
 //! | `sweep_error` | `detail`, `draining` | a sweep failed (or was cut short by a drain) |
 //! | `artifact` | `data` | the artifact bytes (exactly what the engine would write) |
 //! | `ok` | — | acknowledges `shutdown` |
+//!
+//! Control frames decode through a [`Value`] tree: they are small. A
+//! `records` frame is not (about 220 KB for 108 cells), so the client
+//! takes its line from the [`FrameReader`]'s buffer without a copy,
+//! splits it into members with [`regwin_sweep::json::members`], and
+//! decodes the run records straight from their text with
+//! [`regwin_sweep::records_from_json`]. Only `summary` and `quarantine`
+//! go through a tree.
 
-use regwin_core::{Behavior, Concurrency, Granularity, MatrixSpec, RunRecord};
+use regwin_core::{Behavior, MatrixSpec, RunRecord};
 use regwin_machine::{SchemeKind, TimingKind};
 use regwin_rt::SchedulingPolicy;
 use regwin_spell::CorpusSpec;
 use regwin_sweep::json::{obj, parse, Value};
-use regwin_sweep::serial::report_from_value;
-use regwin_sweep::{records_to_json, QuarantineRecord, SweepSummary};
+use regwin_sweep::{records_to_json, serial, QuarantineRecord, SweepSummary};
+use std::borrow::Cow;
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// The protocol revision spoken by this crate. A `hello` carrying a
 /// different revision is rejected, so mismatched client/daemon builds
@@ -84,22 +92,6 @@ pub fn write_frame(w: &mut impl Write, frame: &Value) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame; `Ok(None)` at a clean end of stream.
-///
-/// # Errors
-///
-/// I/O errors propagate; unparseable lines surface as
-/// [`std::io::ErrorKind::InvalidData`].
-pub fn read_frame(r: &mut impl BufRead) -> std::io::Result<Option<Value>> {
-    let mut line = String::new();
-    if r.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    parse(line.trim_end()).map(Some).map_err(|e| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad frame: {e}"))
-    })
-}
-
 /// The longest frame a [`FrameReader`] accepts, newline excluded. The
 /// largest frames the protocol sends — a 108-cell `records` frame and a
 /// session's `artifact` — are a few hundred KiB; a peer that streams a
@@ -111,16 +103,18 @@ const READ_CHUNK: usize = 64 << 10;
 
 /// A timeout-tolerant frame reader.
 ///
-/// Unlike [`read_frame`] over a `BufRead`, a `FrameReader` keeps
-/// partially received bytes across calls: when the underlying stream
-/// has a read timeout (the daemon polls its shutdown flag between
-/// reads), a `WouldBlock`/`TimedOut` error surfaces to the caller
-/// *without* discarding a half-received frame.
+/// A `FrameReader` keeps partially received bytes across calls: when
+/// the underlying stream has a read timeout (the daemon polls its
+/// shutdown flag between reads), a `WouldBlock`/`TimedOut` error
+/// surfaces to the caller *without* discarding a half-received frame.
 #[derive(Debug)]
 pub struct FrameReader<R> {
     inner: R,
     buf: Vec<u8>,
-    /// Leading bytes of `buf` already searched for a newline.
+    /// Leading bytes of `buf` already handed out as a line, dropped at
+    /// the next read.
+    consumed: usize,
+    /// Bytes of `buf` after `consumed` already searched for a newline.
     scanned: usize,
     chunk: Box<[u8]>,
 }
@@ -128,7 +122,13 @@ pub struct FrameReader<R> {
 impl<R: std::io::Read> FrameReader<R> {
     /// Wraps a byte stream.
     pub fn new(inner: R) -> Self {
-        FrameReader { inner, buf: Vec::new(), scanned: 0, chunk: vec![0; READ_CHUNK].into() }
+        FrameReader {
+            inner,
+            buf: Vec::new(),
+            consumed: 0,
+            scanned: 0,
+            chunk: vec![0; READ_CHUNK].into(),
+        }
     }
 
     /// The next frame; `Ok(None)` at end of stream.
@@ -141,15 +141,22 @@ impl<R: std::io::Read> FrameReader<R> {
     /// [`std::io::ErrorKind::InvalidData`]; the reader never buffers
     /// more than one byte past the limit.
     pub fn next_frame(&mut self) -> std::io::Result<Option<Value>> {
-        let invalid = |detail: String| std::io::Error::new(std::io::ErrorKind::InvalidData, detail);
+        let Some(line) = self.next_line()? else { return Ok(None) };
+        parse(&line).map(Some).map_err(|e| invalid(format!("bad frame: {e}")))
+    }
+
+    /// The next frame's text, borrowed from the reader's buffer: a
+    /// caller that decodes the text itself (the client, for `records`
+    /// frames) gets it without a copy. Errors as
+    /// [`FrameReader::next_frame`], except that the text is not parsed.
+    pub(crate) fn next_line(&mut self) -> std::io::Result<Option<Cow<'_, str>>> {
+        self.buf.drain(..std::mem::take(&mut self.consumed));
         loop {
             if let Some(pos) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
                 let end = self.scanned + pos;
-                let frame = parse(String::from_utf8_lossy(&self.buf[..end]).trim_end())
-                    .map_err(|e| invalid(format!("bad frame: {e}")));
-                self.buf.drain(..=end);
+                self.consumed = end + 1;
                 self.scanned = 0;
-                return frame.map(Some);
+                return Ok(Some(String::from_utf8_lossy(&self.buf[..end])));
             }
             self.scanned = self.buf.len();
             if self.buf.len() > MAX_FRAME_BYTES {
@@ -162,6 +169,10 @@ impl<R: std::io::Read> FrameReader<R> {
             }
         }
     }
+}
+
+fn invalid(detail: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, detail)
 }
 
 /// The `"type"` of a frame.
@@ -195,23 +206,8 @@ pub fn spec_to_value(spec: &MatrixSpec) -> Value {
     ])
 }
 
-/// Parses a behaviour from its `Display` form, e.g. `"high/fine"`.
-///
-/// # Errors
-///
-/// Fails on an unknown concurrency or granularity name.
-pub fn behavior_from_name(name: &str) -> Result<Behavior, ProtoError> {
-    let (conc, gran) =
-        name.split_once('/').ok_or_else(|| bad(format!("behavior '{name}' is not 'conc/gran'")))?;
-    let concurrency = Concurrency::ALL
-        .into_iter()
-        .find(|c| c.to_string() == conc)
-        .ok_or_else(|| bad(format!("unknown concurrency '{conc}'")))?;
-    let granularity = Granularity::ALL
-        .into_iter()
-        .find(|g| g.to_string() == gran)
-        .ok_or_else(|| bad(format!("unknown granularity '{gran}'")))?;
-    Ok(Behavior::new(concurrency, granularity))
+fn behavior_from_name(name: &str) -> Result<Behavior, ProtoError> {
+    serial::behavior_from_name(name).map_err(|e| bad(e.0))
 }
 
 fn scheme_from_name(name: &str) -> Result<SchemeKind, ProtoError> {
@@ -266,29 +262,6 @@ pub fn spec_from_value(v: &Value) -> Result<MatrixSpec, ProtoError> {
 /// text.
 pub fn records_to_value(records: &[RunRecord]) -> Value {
     Value::Raw(records_to_json(records))
-}
-
-/// Decodes the records of a `records` frame.
-///
-/// # Errors
-///
-/// Fails on missing or mistyped fields.
-pub fn records_from_value(v: &Value) -> Result<Vec<RunRecord>, ProtoError> {
-    v.as_arr()
-        .ok_or_else(|| bad("'records' not an array"))?
-        .iter()
-        .map(|r| {
-            let behavior = behavior_from_name(need_str(r, "behavior")?)?;
-            let scheme = scheme_from_name(need_str(r, "scheme")?)?;
-            let policy_name = need_str(r, "policy")?;
-            let policy = SchedulingPolicy::parse(policy_name)
-                .ok_or_else(|| bad(format!("unknown policy '{policy_name}'")))?;
-            let nwindows = need_u64(r, "nwindows")? as usize;
-            let report = report_from_value(need(r, "report")?)
-                .map_err(|e| bad(format!("bad report: {e}")))?;
-            Ok(RunRecord { behavior, scheme, policy, nwindows, report })
-        })
-        .collect()
 }
 
 /// Encodes a sweep summary for a `records` frame.
@@ -368,6 +341,7 @@ pub fn quarantine_from_value(v: &Value) -> Result<Vec<QuarantineRecord>, ProtoEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regwin_core::{Concurrency, Granularity};
 
     fn spec() -> MatrixSpec {
         MatrixSpec {
@@ -410,8 +384,21 @@ mod tests {
         let mut s = spec();
         s.windows = vec![4];
         let records = regwin_core::run_matrix(&s).expect("matrix runs");
-        let v = records_to_value(&records);
-        let back = records_from_value(&parse(&v.to_json()).unwrap()).unwrap();
+        let frame = obj(vec![
+            ("type", Value::Str("records".into())),
+            ("records", records_to_value(&records)),
+            ("summary", summary_to_value(&SweepSummary::default())),
+            ("quarantine", quarantine_to_value(&[])),
+        ]);
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &frame).unwrap();
+        let mut reader = FrameReader::new(&bytes[..]);
+        let line = reader.next_line().unwrap().expect("one frame");
+        assert!(matches!(line, Cow::Borrowed(_)), "the line borrows the reader's buffer");
+        let parts = regwin_sweep::json::members(&line).unwrap();
+        let keys: Vec<&str> = parts.iter().map(|(k, _)| &**k).collect();
+        assert_eq!(keys, ["type", "records", "summary", "quarantine"]);
+        let back = regwin_sweep::records_from_json(parts[1].1).unwrap();
         assert_eq!(back.len(), records.len());
         for (a, b) in back.iter().zip(&records) {
             assert_eq!(a.behavior, b.behavior);
@@ -429,13 +416,13 @@ mod tests {
         let f2 = obj(vec![("type", Value::Str("bye".into()))]);
         write_frame(&mut buf, &f1).unwrap();
         write_frame(&mut buf, &f2).unwrap();
-        let mut r = std::io::BufReader::new(&buf[..]);
-        let g1 = read_frame(&mut r).unwrap().unwrap();
+        let mut r = FrameReader::new(&buf[..]);
+        let g1 = r.next_frame().unwrap().unwrap();
         assert_eq!(frame_type(&g1).unwrap(), "hello");
         assert_eq!(g1.get("proto").and_then(Value::as_u64), Some(1));
-        let g2 = read_frame(&mut r).unwrap().unwrap();
+        let g2 = r.next_frame().unwrap().unwrap();
         assert_eq!(frame_type(&g2).unwrap(), "bye");
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+        assert!(r.next_frame().unwrap().is_none(), "clean EOF");
     }
 
     /// A reader that hands out its bytes one per `read` call.

@@ -10,13 +10,15 @@
 //!
 //! The layout is canonical and the report comes last, so an entry's
 //! report bytes are exactly the text between `,"report":` and the
-//! closing brace. A load checks the entry's head (everything before the
-//! report) byte for byte against the one [`ResultCache::store`] would
-//! write, verifies the checksum over the report bytes, and decodes the
-//! report from them; the engine then journals those same bytes instead
-//! of serializing the report again. An entry that is valid JSON but not
-//! in canonical layout (hand-reformatted, say) is therefore a miss and
-//! is reclaimed, never a wrong hit.
+//! closing brace. A load builds the entry's head (everything before the
+//! report) once, checks it byte for byte against the file with the
+//! sum's 16 hex digits compared in place, verifies the checksum over the
+//! report bytes, and decodes the report straight from them with
+//! [`crate::serial::report_from_json`], which builds no tree and reads
+//! the fields in canonical order. The engine then journals those same
+//! bytes instead of serializing the report again. An entry that is
+//! valid JSON but not in canonical layout (hand-reformatted, say) is
+//! therefore a miss and is reclaimed, never a wrong hit.
 //!
 //! Reclaiming an invalid entry is multi-client safe. A reader holding
 //! stale bytes must never `remove_file` the slot directly: between its
@@ -152,6 +154,9 @@ impl ResultCache {
     }
 }
 
+/// What follows the sum in an entry's head.
+const HEAD_TAIL: &str = "\",\"report\":";
+
 /// Everything an entry holds before its report:
 /// `{"version":V,"key":"<canonical>","sum":"<16 hex>","report":`. The
 /// one encoder of the entry layout, used to write entries and to check
@@ -159,7 +164,7 @@ impl ResultCache {
 fn entry_head(key: &JobKey, sum: u64) -> String {
     let mut head = format!("{{\"version\":{FORMAT_VERSION},\"key\":");
     write_string(&key.canonical(), &mut head);
-    head.push_str(&format!(",\"sum\":\"{sum:016x}\",\"report\":"));
+    head.push_str(&format!(",\"sum\":\"{sum:016x}{HEAD_TAIL}"));
     head
 }
 
@@ -170,18 +175,25 @@ fn entry_head(key: &JobKey, sum: u64) -> String {
 /// end with the entry's closing brace, and the bytes in between must
 /// hash to the head's `sum` and decode as a report.
 fn decode_entry(mut text: String, key: &JobKey) -> Option<(RunReport, String)> {
-    // Every sum renders as 16 hex digits, so the head's length is known
-    // before the sum is.
-    let head_len = entry_head(key, 0).len();
-    if text.len() <= head_len || !text.ends_with('}') || !text.is_char_boundary(head_len) {
+    // Built once with a zero sum: every sum renders as 16 hex digits,
+    // so the real head differs from this one only in those digits.
+    let head = entry_head(key, 0);
+    let sum_end = head.len() - HEAD_TAIL.len();
+    let sum_start = sum_end - 16;
+    if text.len() <= head.len() || !text.ends_with('}') || !text.is_char_boundary(head.len()) {
         return None;
     }
-    let sum = fnv1a(&text.as_bytes()[head_len..text.len() - 1]);
-    if text[..head_len] != entry_head(key, sum) {
+    let (bytes, want) = (text.as_bytes(), head.as_bytes());
+    let sum = fnv1a(&bytes[head.len()..text.len() - 1]);
+    let hex = (0..16).rev().map(|digit| b"0123456789abcdef"[(sum >> (4 * digit)) as usize & 0xf]);
+    if bytes[..sum_start] != want[..sum_start]
+        || bytes[sum_end..head.len()] != want[sum_end..]
+        || !bytes[sum_start..sum_end].iter().copied().eq(hex)
+    {
         return None;
     }
     text.truncate(text.len() - 1);
-    text.drain(..head_len);
+    text.drain(..head.len());
     let report = report_from_json(&text).ok()?;
     Some((report, text))
 }
@@ -189,6 +201,7 @@ fn decode_entry(mut text: String, key: &JobKey) -> Option<(RunReport, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serial::oracle::{damaged, report_from_value};
     use regwin_core::{Behavior, Concurrency, Granularity, MatrixSpec};
     use regwin_machine::{SchemeKind, TimingKind};
     use regwin_rt::SchedulingPolicy;
@@ -423,6 +436,38 @@ mod tests {
         std::fs::write(&path, tampered).unwrap();
         assert!(cache.load(&key).is_none());
         assert!(!path.exists());
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// The load the pull path replaced: parse the whole entry, check its
+    /// version, its key and the sum over the report's re-serialization,
+    /// and walk the tree.
+    fn tree_load(text: &str, key: &JobKey) -> Option<RunReport> {
+        let v = crate::json::parse(text).ok()?;
+        let report = v.get("report")?;
+        let sum = u64::from_str_radix(v.get("sum")?.as_str()?, 16).ok()?;
+        let valid = v.get("version")?.as_u64()? == u64::from(FORMAT_VERSION)
+            && v.get("key")?.as_str()? == key.canonical()
+            && sum == fnv1a(report.to_json().as_bytes());
+        valid.then(|| report_from_value(report).ok()).flatten()
+    }
+
+    #[test]
+    fn damaged_entries_load_like_the_tree_or_miss() {
+        let cache = ResultCache::new(tmpdir("damage"));
+        let key = sample_key();
+        let report =
+            SpellPipeline::new(SpellConfig::small()).run(8, SchemeKind::Sp).unwrap().report;
+        cache.store(&key, &report);
+        let text = std::fs::read_to_string(cache.dir().join(format!("{}.json", key.id()))).unwrap();
+        assert_eq!(decode_entry(text.clone(), &key).map(|(r, _)| r).as_ref(), Some(&report));
+        assert_eq!(tree_load(&text, &key).as_ref(), Some(&report));
+        for d in damaged(&text) {
+            if let Some((loaded, bytes)) = decode_entry(d.clone(), &key) {
+                assert_eq!(Some(loaded), tree_load(&d, &key), "{d}");
+                assert!(d.ends_with(&format!("{bytes}}}")), "the bytes are the entry's report");
+            }
+        }
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

@@ -1600,28 +1600,6 @@ fn histogram_value(h: &Histogram) -> Value {
     ])
 }
 
-/// Serializes run records (without any timing data) to deterministic
-/// JSON: the same matrix produces byte-identical output no matter the
-/// worker count or cache state. The one encoder of the per-record
-/// shape; the daemon's `records` frame embeds its output.
-pub fn records_to_json(records: &[RunRecord]) -> String {
-    Value::Arr(
-        records
-            .iter()
-            .map(|r| {
-                obj(vec![
-                    ("behavior", Value::Str(r.behavior.to_string())),
-                    ("scheme", Value::Str(r.scheme.name().into())),
-                    ("policy", Value::Str(r.policy.name().into())),
-                    ("nwindows", Value::Int(r.nwindows as u64)),
-                    ("report", Value::Raw(report_to_json(&r.report))),
-                ])
-            })
-            .collect(),
-    )
-    .to_json()
-}
-
 /// The result of one attempt at one job.
 enum AttemptOutcome {
     Done(Box<RunReport>),
@@ -1896,6 +1874,7 @@ fn run_indexed<T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serial::records_to_json;
     use regwin_core::{run_matrix, Behavior, Concurrency, Granularity};
     use regwin_machine::TimingKind;
     use regwin_spell::CorpusSpec;

@@ -15,9 +15,16 @@
 //! discipline can leave) fails its checksum and is skipped.
 //!
 //! Line format: `{"sum":"<16-hex>","payload":{...}}` where `sum` is the
-//! FNV-1a hash of the payload's compact serialization. Payloads carry a
+//! FNV-1a hash of the payload bytes exactly as written. Payloads carry a
 //! `"type"` of `"job"` (a [`JobRecord`] plus its full [`RunReport`]) or
 //! `"quarantine"` (a [`QuarantineRecord`]).
+//!
+//! Replay builds no tree. It checks each line's sum over the payload
+//! bytes as they stand in the file, then decodes the payload straight
+//! from that text with [`crate::json`]'s pull reader, in the field order
+//! the journal writes. A line that is not in that canonical layout
+//! (whitespace added, fields reordered, an unknown field) is skipped the
+//! same way a torn line is.
 //!
 //! A job payload's report is never re-encoded for the journal: it is
 //! embedded verbatim as the text [`crate::serial::report_to_json`]
@@ -37,10 +44,10 @@
 //! kill-and-resume path working.
 
 use crate::engine::{JobRecord, QuarantineRecord};
-use crate::json::{obj, parse, Value};
+use crate::json::{obj, ParseError, Reader, Value};
 use crate::key::{fnv1a, FORMAT_VERSION};
 use crate::lock::DirLock;
-use crate::serial::{report_from_value, report_to_json};
+use crate::serial::{read_report, report_to_json, DecodeError};
 use regwin_rt::RunReport;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -253,92 +260,111 @@ impl SweepJournal {
     }
 }
 
-/// Replays a journal: checksummed, current-format lines become finished
-/// jobs or quarantine records; torn or stale lines are skipped. A
-/// missing file replays as empty (nothing was finished).
+/// Replays a journal: checksummed, canonical, current-format lines
+/// become finished jobs or quarantine records; torn, non-canonical or
+/// stale lines are skipped. A missing file replays as empty (nothing
+/// was finished).
 pub fn replay_journal(path: &Path) -> JournalReplay {
     let mut replay = JournalReplay::default();
-    let Ok(text) = std::fs::read_to_string(path) else {
+    let Ok(bytes) = std::fs::read(path) else {
         return replay;
     };
-    for line in text.lines() {
-        let Some(payload) = verify_line(line) else {
-            continue;
-        };
-        if payload.get("version").and_then(Value::as_u64) != Some(u64::from(FORMAT_VERSION)) {
-            continue;
-        }
-        match payload.get("type").and_then(Value::as_str) {
-            Some("job") => {
-                if let Some((record, report)) = decode_job(&payload) {
-                    replay.jobs.insert(record.key.clone(), (record, report));
-                }
+    // A damaged byte that is not UTF-8 fails its own line's checksum,
+    // not the whole journal.
+    for line in String::from_utf8_lossy(&bytes).lines() {
+        match decode_line(line) {
+            Some(Entry::Job(record, report)) => {
+                replay.jobs.insert(record.key.clone(), (record, *report));
             }
-            Some("quarantine") => {
-                if let Some(q) = decode_quarantine(&payload) {
-                    replay.quarantined.push(q);
-                }
-            }
-            _ => {}
+            Some(Entry::Quarantine(q)) => replay.quarantined.push(q),
+            None => {}
         }
     }
     replay
 }
 
-/// Parses one journal line and verifies its checksum, returning the
-/// payload. The payload's compact re-serialization is byte-identical to
-/// what [`SweepJournal`] hashed at append time (`Value::to_json` is
-/// deterministic and parse/serialize round-trips exactly), so the
-/// stored sum can be checked against the re-serialized payload.
-fn verify_line(line: &str) -> Option<Value> {
-    let v = parse(line).ok()?;
-    let sum = u64::from_str_radix(v.get("sum")?.as_str()?, 16).ok()?;
-    let payload = v.get("payload")?;
-    if fnv1a(payload.to_json().as_bytes()) != sum {
+/// One replayed journal line.
+enum Entry {
+    Job(JobRecord, Box<RunReport>),
+    Quarantine(QuarantineRecord),
+}
+
+/// Decodes one journal line, or `None` to skip it. The line must be in
+/// the exact layout [`SweepJournal`] writes, `{"sum":"<16 hex>",
+/// "payload":<payload>}` with no whitespace, and the sum must match the
+/// payload bytes exactly as they were written. The payload is then
+/// decoded straight from its text, in the order it was written; a
+/// payload from another format version is skipped.
+fn decode_line(line: &str) -> Option<Entry> {
+    let (hex, rest) = line.strip_prefix("{\"sum\":\"")?.split_at_checked(16)?;
+    let payload = rest.strip_prefix("\",\"payload\":")?.strip_suffix('}')?;
+    if hex != format!("{:016x}", fnv1a(payload.as_bytes())) {
         return None;
     }
-    Some(payload.clone())
+    decode_payload(payload).ok()
 }
 
-fn decode_job(payload: &Value) -> Option<(JobRecord, RunReport)> {
-    let report = report_from_value(payload.get("report")?).ok()?;
-    let record = JobRecord {
-        id: payload.get("id")?.as_str()?.to_string(),
-        key: payload.get("key")?.as_str()?.to_string(),
-        label: payload.get("label")?.as_str()?.to_string(),
-        cache_hit: payload.get("cache")?.as_str()? == "hit",
-        wall_ms: 0.0,
-        total_cycles: payload.get("total_cycles")?.as_u64()?,
-    };
-    Some((record, report))
+/// Reads the string member named `key`.
+fn string_member(r: &mut Reader<'_>, key: &str) -> Result<String, ParseError> {
+    r.key(key)?;
+    Ok(r.str()?.into_owned())
 }
 
-fn decode_quarantine(payload: &Value) -> Option<QuarantineRecord> {
-    // `reason` needs a `&'static str`; map through the known set so a
-    // hand-edited journal cannot smuggle in an arbitrary string.
-    let reason = match payload.get("reason")?.as_str()? {
-        "panic" => "panic",
-        "timeout" => "timeout",
-        "error" => "error",
-        "abandoned-cap" => "abandoned-cap",
-        _ => return None,
+/// Decodes a checksummed payload of this build's format version.
+fn decode_payload(payload: &str) -> Result<Entry, DecodeError> {
+    let mut r = Reader::new(payload);
+    r.begin_object()?;
+    r.key("type")?;
+    let kind = r.str()?;
+    r.key("version")?;
+    let version = r.u64()?;
+    if version != u64::from(FORMAT_VERSION) {
+        return Err(DecodeError(format!("format version {version}")));
+    }
+    let (id, key, label) = (
+        string_member(&mut r, "id")?,
+        string_member(&mut r, "key")?,
+        string_member(&mut r, "label")?,
+    );
+    let entry = match &*kind {
+        "job" => {
+            let cache_hit = string_member(&mut r, "cache")? == "hit";
+            r.key("total_cycles")?;
+            let total_cycles = r.u64()?;
+            r.key("report")?;
+            let report = read_report(&mut r)?;
+            let record = JobRecord { id, key, label, cache_hit, wall_ms: 0.0, total_cycles };
+            Entry::Job(record, Box::new(report))
+        }
+        "quarantine" => {
+            // `reason` needs a `&'static str`; map through the known set
+            // so a hand-edited journal cannot smuggle in an arbitrary
+            // string.
+            let reason = match &*string_member(&mut r, "reason")? {
+                "panic" => "panic",
+                "timeout" => "timeout",
+                "error" => "error",
+                "abandoned-cap" => "abandoned-cap",
+                other => return Err(DecodeError(format!("unknown quarantine reason '{other}'"))),
+            };
+            r.key("attempts")?;
+            let attempts = r.u64()? as u32;
+            let (detail, repro) =
+                (string_member(&mut r, "detail")?, string_member(&mut r, "repro")?);
+            Entry::Quarantine(QuarantineRecord { id, key, label, reason, attempts, detail, repro })
+        }
+        other => return Err(DecodeError(format!("unknown journal entry type '{other}'"))),
     };
-    Some(QuarantineRecord {
-        id: payload.get("id")?.as_str()?.to_string(),
-        key: payload.get("key")?.as_str()?.to_string(),
-        label: payload.get("label")?.as_str()?.to_string(),
-        reason,
-        attempts: payload.get("attempts")?.as_u64()? as u32,
-        detail: payload.get("detail")?.as_str()?.to_string(),
-        // Absent in pre-v6 journals; those lines are version-filtered
-        // out anyway, but stay tolerant.
-        repro: payload.get("repro").and_then(Value::as_str).unwrap_or_default().to_string(),
-    })
+    r.end_object()?;
+    r.finish()?;
+    Ok(entry)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse;
+    use crate::serial::oracle::{damaged, report_from_value};
     use regwin_machine::SchemeKind;
     use regwin_spell::{SpellConfig, SpellPipeline};
 
@@ -463,5 +489,88 @@ mod tests {
         let replay = replay_journal(Path::new("/nonexistent/regwin.journal.jsonl"));
         assert!(replay.jobs.is_empty());
         assert!(replay.quarantined.is_empty());
+    }
+
+    /// A replayed job in comparable form.
+    type Job = (String, String, String, bool, u64, RunReport);
+
+    fn job(record: JobRecord, report: RunReport) -> Job {
+        (record.id, record.key, record.label, record.cache_hit, record.total_cycles, report)
+    }
+
+    /// The replay the pull path replaced: parse the whole line, check the
+    /// sum over the payload's re-serialization, walk the tree.
+    fn tree_replay_line(line: &str) -> Option<Job> {
+        let v = parse(line).ok()?;
+        let sum = u64::from_str_radix(v.get("sum")?.as_str()?, 16).ok()?;
+        let payload = v.get("payload")?;
+        if fnv1a(payload.to_json().as_bytes()) != sum
+            || payload.get("version")?.as_u64()? != u64::from(FORMAT_VERSION)
+            || payload.get("type")?.as_str()? != "job"
+        {
+            return None;
+        }
+        let text = |key: &str| payload.get(key)?.as_str().map(str::to_string);
+        let record = JobRecord {
+            id: text("id")?,
+            key: text("key")?,
+            label: text("label")?,
+            cache_hit: text("cache")? == "hit",
+            wall_ms: 0.0,
+            total_cycles: payload.get("total_cycles")?.as_u64()?,
+        };
+        Some(job(record, report_from_value(payload.get("report")?).ok()?))
+    }
+
+    fn pull_replay_line(line: &str) -> Option<Job> {
+        match decode_line(line)? {
+            Entry::Job(record, report) => Some(job(record, *report)),
+            Entry::Quarantine(_) => None,
+        }
+    }
+
+    /// One job line as [`SweepJournal::append_job`] writes it.
+    fn job_line(tag: &str) -> (String, Job) {
+        let path = tmpfile(tag);
+        let (record, report) = sample();
+        SweepJournal::create(&path).unwrap().append_job(&record, &report).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        (text.trim_end().to_string(), job(record, report))
+    }
+
+    #[test]
+    fn damaged_job_lines_replay_like_the_tree_or_are_skipped() {
+        let (line, want) = job_line("damage");
+        assert_eq!(pull_replay_line(&line).as_ref(), Some(&want));
+        assert_eq!(tree_replay_line(&line).as_ref(), Some(&want));
+        for d in damaged(&line) {
+            if let Some(pulled) = pull_replay_line(&d) {
+                assert_eq!(Some(pulled), tree_replay_line(&d), "{d}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_out_of_canonical_layout_is_skipped_like_a_torn_one() {
+        let (line, want) = job_line("layout");
+        // Whitespace in the envelope: the sum still matches the payload.
+        let spaced = line.replacen("\",\"payload\":", "\", \"payload\": ", 1);
+        // The payload's fields reordered, its sum recomputed over the
+        // reordered bytes.
+        let payload = parse(&line).unwrap().get("payload").unwrap().clone();
+        let Value::Obj(mut fields) = payload else { panic!("a payload is an object") };
+        fields.rotate_left(1);
+        let reordered = Value::Obj(fields).to_json();
+        let sum = fnv1a(reordered.as_bytes());
+        let reordered = format!("{{\"sum\":\"{sum:016x}\",\"payload\":{reordered}}}");
+        let path = tmpfile("layout");
+        for edited in [spaced, reordered] {
+            assert_eq!(tree_replay_line(&edited).as_ref(), Some(&want), "the tree took it");
+            assert!(pull_replay_line(&edited).is_none(), "{edited:.80}");
+            std::fs::write(&path, format!("{edited}\n{line}\n")).unwrap();
+            assert_eq!(replay_journal(&path).jobs.len(), 1, "the canonical line still replays");
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

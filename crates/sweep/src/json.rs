@@ -1,4 +1,4 @@
-//! A minimal JSON value, writer and parser.
+//! A minimal JSON value, writer, parser and pull reader.
 //!
 //! The cache files and the `BENCH_sweep.json` artifact need structured,
 //! deterministic serialization, and the build environment has no serde;
@@ -6,7 +6,16 @@
 //! Integers are kept lossless in a dedicated [`Value::Int`] variant
 //! (cycle counts exceed `f64`'s 53-bit integer range in principle), and
 //! object keys keep their insertion order so output is byte-stable.
+//!
+//! Reading has one tokenizer and three ways in. [`parse`] builds a
+//! [`Value`] tree, for small documents: control frames, specs, wall
+//! hints. [`members`] splits an object into its keys and the raw text of
+//! each value, so a caller can decode one large member by itself. The
+//! crate's report decoders pull fields straight from the text, in the
+//! order their encoder wrote them, with no tree at all. All three share
+//! the same scanning code and the same [`MAX_DEPTH`] bound.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// A JSON value.
@@ -183,7 +192,8 @@ pub(crate) fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// The deepest array/object nesting [`parse`] accepts. The parser
+/// The deepest array/object nesting this module's reader accepts, in
+/// [`parse`], [`members`] and every report decode alike. [`parse`]
 /// recurses once per level, so without a bound one line of `[[[[…`
 /// would overflow the parsing thread's stack and abort the process. The
 /// deepest document the workspace writes (a run report's switch shapes
@@ -214,30 +224,65 @@ impl std::error::Error for ParseError {}
 /// Fails on malformed input, trailing garbage, or nesting deeper than
 /// [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
+    let mut r = Reader::new(input);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// Splits a JSON object into its members without decoding their
+/// values: each key with the text of its value. Every value is still
+/// checked to be well formed and no deeper than [`MAX_DEPTH`], so a
+/// caller can decode the one it wants (a `records` frame's records,
+/// say) straight from its text.
+///
+/// # Errors
+///
+/// Fails where [`parse`] would, and on a document that is not an
+/// object.
+pub fn members(text: &str) -> Result<Vec<(Cow<'_, str>, &str)>, ParseError> {
+    let mut r = Reader::new(text);
+    let mut out = Vec::new();
+    r.open(b'{')?;
+    r.seq(b'}', |r| -> Result<(), ParseError> {
+        let key = r.member_key()?;
+        out.push((key, r.raw_value()?));
+        Ok(())
+    })?;
+    r.finish()?;
+    Ok(out)
+}
+
+/// A forward-only pull reader over one JSON text: the one tokenizer
+/// behind [`parse`], [`members`] and every report decode.
+///
+/// A pull consumer reads the document in the order it was written:
+/// [`Reader::key`] demands the next member by name, so a decoder that
+/// follows its encoder's field order needs no tree and no per-key
+/// allocation, and a document in any other order is an error rather
+/// than a silent re-ordering. Whitespace between tokens is skipped.
+/// Every array and object opens through one depth check, so no entry
+/// point nests deeper than [`MAX_DEPTH`].
+pub(crate) struct Reader<'a> {
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
+    /// The innermost open object has no member read yet.
+    first: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Reader { text, pos: 0, depth: 0, first: false }
+    }
+
     fn err(&self, message: &str) -> ParseError {
         ParseError { at: self.pos, message: message.to_string() }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -247,6 +292,7 @@ impl Parser<'_> {
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), ParseError> {
+        self.skip_ws();
         if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
@@ -255,112 +301,229 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    /// Consumes `lit` if the text continues with it.
+    fn literal(&mut self, lit: &str) -> bool {
+        let found = self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes());
+        if found {
             self.pos += lit.len();
-            Ok(value)
+        }
+        found
+    }
+
+    /// Checks that only whitespace is left.
+    pub(crate) fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
         } else {
-            Err(self.err(&format!("expected '{lit}'")))
+            Err(self.err("trailing characters"))
+        }
+    }
+
+    /// Opens an array (`[`) or an object (`{`): the one place nesting
+    /// deepens, so the one place [`MAX_DEPTH`] is enforced.
+    fn open(&mut self, byte: u8) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.depth == MAX_DEPTH && self.peek() == Some(byte) {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.expect(byte)?;
+        self.depth += 1;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Reads the comma-separated elements of a just-opened array or
+    /// object through `element`, up to and including `close`.
+    fn seq<E: From<ParseError>>(
+        &mut self,
+        close: u8,
+        mut element: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.skip_ws();
+        if self.peek() != Some(close) {
+            loop {
+                element(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => break,
+                    _ => {
+                        let message = format!("expected ',' or '{}'", close as char);
+                        return Err(self.err(&message).into());
+                    }
+                }
+            }
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        self.first = false;
+        Ok(())
+    }
+
+    /// Reads an array, each element through `element`.
+    pub(crate) fn array<E: From<ParseError>>(
+        &mut self,
+        element: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.open(b'[')?;
+        self.seq(b']', element)
+    }
+
+    /// Opens an object whose members are then read by [`Reader::key`].
+    pub(crate) fn begin_object(&mut self) -> Result<(), ParseError> {
+        self.open(b'{')
+    }
+
+    /// Reads the open object's next member key, which must be `name`,
+    /// and its colon; the member's value comes next.
+    pub(crate) fn key(&mut self, name: &str) -> Result<(), ParseError> {
+        if !std::mem::take(&mut self.first) {
+            self.expect(b',')?;
+        }
+        self.skip_ws();
+        let at = self.pos;
+        if self.member_key()? == name {
+            Ok(())
+        } else {
+            Err(ParseError { at, message: format!("expected key \"{name}\"") })
+        }
+    }
+
+    /// Whether the open object has a member left to read.
+    pub(crate) fn has_member(&mut self) -> bool {
+        self.skip_ws();
+        self.peek() != Some(b'}')
+    }
+
+    /// Closes the open object: no member may be left.
+    pub(crate) fn end_object(&mut self) -> Result<(), ParseError> {
+        self.expect(b'}')?;
+        self.depth -= 1;
+        self.first = false;
+        Ok(())
+    }
+
+    fn member_key(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let key = self.str()?;
+        self.expect(b':')?;
+        Ok(key)
+    }
+
+    /// Reads a non-negative integer that fits a `u64`.
+    pub(crate) fn u64(&mut self) -> Result<u64, ParseError> {
+        self.skip_ws();
+        let at = self.pos;
+        match self.number()? {
+            Value::Int(n) => Ok(n),
+            _ => Err(ParseError { at, message: "expected an integer".into() }),
+        }
+    }
+
+    /// Reads a number; integers widen.
+    pub(crate) fn f64(&mut self) -> Result<f64, ParseError> {
+        self.number()?.as_f64().ok_or_else(|| self.err("expected a number"))
+    }
+
+    /// Reads `true` or `false`.
+    pub(crate) fn bool(&mut self) -> Result<bool, ParseError> {
+        self.skip_ws();
+        if self.literal("true") {
+            Ok(true)
+        } else if self.literal("false") {
+            Ok(false)
+        } else {
+            Err(self.err("expected a boolean"))
+        }
+    }
+
+    /// Skips one value, checking it is well formed, and returns its
+    /// text.
+    pub(crate) fn raw_value(&mut self) -> Result<&'a str, ParseError> {
+        self.skip_ws();
+        let start = self.pos;
+        self.skip_value()?;
+        Ok(&self.text[start..self.pos])
+    }
+
+    fn skip_value(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'[') => self.array(Self::skip_value),
+            Some(b'{') => {
+                self.open(b'{')?;
+                self.seq(b'}', |r| {
+                    r.member_key()?;
+                    r.skip_value()
+                })
+            }
+            Some(b'"') => self.str().map(drop),
+            _ => self.scalar().map(drop),
         }
     }
 
     fn value(&mut self) -> Result<Value, ParseError> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
-                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| -> Result<(), ParseError> {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Arr(items))
             }
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.open(b'{')?;
+                self.seq(b'}', |r| -> Result<(), ParseError> {
+                    let key = r.member_key()?.into_owned();
+                    pairs.push((key, r.value()?));
+                    Ok(())
+                })?;
+                Ok(Value::Obj(pairs))
+            }
+            _ => self.scalar(),
+        }
+    }
+
+    /// A string, number, boolean or `null`.
+    fn scalar(&mut self) -> Result<Value, ParseError> {
+        match self.peek() {
+            Some(b'"') => Ok(Value::Str(self.str()?.into_owned())),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ if self.literal("null") => Ok(Value::Null),
+            _ if self.literal("true") => Ok(Value::Bool(true)),
+            _ if self.literal("false") => Ok(Value::Bool(false)),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn nested(
-        &mut self,
-        f: fn(&mut Self) -> Result<Value, ParseError>,
-    ) -> Result<Value, ParseError> {
-        self.depth += 1;
-        let v = f(self);
-        self.depth -= 1;
-        v
-    }
-
-    fn array(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, ParseError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// Reads a string. It borrows the text unless it holds an escape.
+    pub(crate) fn str(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            // Consume a run of plain bytes, then decode it as UTF-8.
-            while let Some(c) = self.peek() {
+        let start = self.pos;
+        // The text is a `str` and both stops are ASCII, so every slice
+        // taken between them lies on character boundaries.
+        let plain_run = |r: &mut Self| {
+            while let Some(c) = r.peek() {
                 if c == b'"' || c == b'\\' {
                     break;
                 }
-                self.pos += 1;
+                r.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
+        };
+        plain_run(self);
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
+        loop {
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -372,11 +535,10 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogates never occur in the engine's own
@@ -392,24 +554,34 @@ impl Parser<'_> {
                 }
                 _ => return Err(self.err("unterminated string")),
             }
+            let run = self.pos;
+            plain_run(self);
+            out.push_str(&self.text[run..self.pos]);
         }
     }
 
+    /// Reads a number: an [`Value::Int`] when it is a non-negative
+    /// integer that fits, a [`Value::Float`] otherwise.
     fn number(&mut self) -> Result<Value, ParseError> {
+        self.skip_ws();
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.err("expected a number"));
+        }
         let start = self.pos;
+        let digits = |r: &mut Self| {
+            while matches!(r.peek(), Some(c) if c.is_ascii_digit()) {
+                r.pos += 1;
+            }
+        };
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
+        digits(self);
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            digits(self);
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -417,12 +589,9 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
+            digits(self);
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
+        let text = &self.text[start..self.pos];
         if !is_float && !text.starts_with('-') {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::Int(n));
@@ -564,5 +733,46 @@ mod tests {
     fn negative_and_exponent_numbers() {
         assert_eq!(parse("-3").unwrap(), Value::Float(-3.0));
         assert_eq!(parse("1e3").unwrap(), Value::Float(1000.0));
+    }
+
+    #[test]
+    fn members_split_an_object_without_decoding_its_values() {
+        let text = " {\"a\" : [1, {\"b\":\"}\"}] ,\"c\\u0021\":\"x\"} ";
+        let parts = members(text).unwrap();
+        assert_eq!(parts[0], (Cow::Borrowed("a"), "[1, {\"b\":\"}\"}]"));
+        assert_eq!(parts[1], (Cow::Owned("c!".to_string()), "\"x\""));
+        assert_eq!(parts.len(), 2);
+        for bad in ["[1]", "{\"a\":1} x", "{\"a\":[1,]}", "{\"a\"}", "{\"a\":.5}"] {
+            assert!(members(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn the_pull_reader_demands_members_in_order() {
+        let mut r = Reader::new("{\"a\":1, \"b\":[true,false],\"c\":-2.5}");
+        r.begin_object().unwrap();
+        r.key("a").unwrap();
+        assert_eq!(r.u64().unwrap(), 1);
+        r.key("b").unwrap();
+        let mut flags = Vec::new();
+        r.array(|r| -> Result<(), ParseError> {
+            flags.push(r.bool()?);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(flags, [true, false]);
+        assert!(r.has_member());
+        r.key("c").unwrap();
+        assert_eq!(r.f64().unwrap(), -2.5);
+        assert!(!r.has_member());
+        r.end_object().unwrap();
+        r.finish().unwrap();
+
+        let mut r = Reader::new("{\"b\":1,\"a\":2}");
+        r.begin_object().unwrap();
+        let err = r.key("a").unwrap_err();
+        assert_eq!((err.at, err.message.as_str()), (1, "expected key \"a\""));
+        let mut r = Reader::new("[-1, 1.5, 18446744073709551616]");
+        r.array(|r| -> Result<(), ParseError> { r.u64().map(drop) }).unwrap_err();
     }
 }

@@ -62,12 +62,14 @@ pub mod studies;
 
 pub use cache::ResultCache;
 pub use engine::{
-    records_to_json, write_file_atomic, Job, JobRecord, QuarantineRecord, SweepConfig,
-    SweepConfigBuilder, SweepConfigError, SweepEngine, SweepSummary,
+    write_file_atomic, Job, JobRecord, QuarantineRecord, SweepConfig, SweepConfigBuilder,
+    SweepConfigError, SweepEngine, SweepSummary,
 };
 pub use gate::{AdmissionGate, GateClosed, GateTicket};
 pub use journal::{replay_journal, JournalOpenError, JournalReplay, SweepJournal};
 pub use key::{fnv1a, JobKey, FORMAT_VERSION};
 pub use lock::DirLock;
-pub use serial::{report_from_json, report_to_json, DecodeError};
+pub use serial::{
+    records_from_json, records_to_json, report_from_json, report_to_json, DecodeError,
+};
 pub use studies::run_ablation;

@@ -115,6 +115,9 @@ pub struct Machine {
     cwp: WindowIndex,
     wim: Wim,
     slots: Vec<SlotUse>,
+    /// How many entries of `slots` are discardable, kept by
+    /// [`Machine::set_slot`] so a reader never scans the slot map.
+    discardable: usize,
     threads: Vec<ThreadState>,
     current: Option<ThreadId>,
     reserved: Option<WindowIndex>,
@@ -168,6 +171,8 @@ impl Machine {
             cwp: WindowIndex::new(0),
             wim: Wim::new(nwindows),
             slots,
+            // Every slot starts free or reserved.
+            discardable: nwindows,
             threads: Vec::new(),
             current: None,
             reserved: Some(WindowIndex::new(0)),
@@ -225,6 +230,13 @@ impl Machine {
     /// [`MachineError::BadWindowIndex`] before reaching here.
     pub fn slot_use(&self, w: WindowIndex) -> SlotUse {
         self.slots[w.index()]
+    }
+
+    /// How many windows are [discardable](SlotUse::is_discardable) —
+    /// free, dead or the global reserved window. O(1): the count is kept
+    /// as slots change.
+    pub fn discardable_windows(&self) -> usize {
+        self.discardable
     }
 
     /// Installs (or with `None` removes) a deterministic fault schedule.
@@ -1335,6 +1347,9 @@ impl Machine {
                 }
             }
         }
+        if self.slots.iter().filter(|s| s.is_discardable()).count() != self.discardable {
+            return Err(MachineError::InvariantViolated("discardable count out of sync"));
+        }
         for ts in &self.threads {
             if live_counts[ts.id().index()] != ts.resident() {
                 return Err(MachineError::InvariantViolated("resident count mismatch"));
@@ -1556,12 +1571,15 @@ impl Machine {
         }
     }
 
-    /// Writes slot `w`'s use and refreshes WIM bit `w` to match — the
-    /// only write to the slot map, so no slot change can leave the WIM
-    /// stale. A whole-mask [`Machine::recompute_wim`] is needed only
-    /// where the current thread changes.
+    /// Writes slot `w`'s use and refreshes WIM bit `w` and the
+    /// discardable count to match — the only write to the slot map, so
+    /// no slot change can leave either stale. A whole-mask
+    /// [`Machine::recompute_wim`] is needed only where the current
+    /// thread changes.
     fn set_slot(&mut self, w: WindowIndex, slot_use: SlotUse) {
-        self.slots[w.index()] = slot_use;
+        let old = std::mem::replace(&mut self.slots[w.index()], slot_use);
+        self.discardable += usize::from(slot_use.is_discardable());
+        self.discardable -= usize::from(old.is_discardable());
         if self.current.is_some_and(|t| slot_use.valid_for(t)) {
             self.wim.clear(w);
         } else {
@@ -1982,6 +2000,24 @@ mod tests {
     fn check_invariants_detects_wim_desync() {
         let (mut m, _t) = machine_with_thread(8);
         m.wim.set(m.cwp());
+        assert!(m.check_invariants().is_err());
+    }
+
+    #[test]
+    fn discardable_count_follows_slot_writes() {
+        let (mut m, t) = machine_with_thread(8);
+        let scan = |m: &Machine| {
+            (0..8).filter(|&w| m.slot_use(WindowIndex::new(w)).is_discardable()).count()
+        };
+        assert_eq!(m.discardable_windows(), scan(&m));
+        for _ in 0..3 {
+            save(&mut m);
+        }
+        m.check_invariants().unwrap();
+        assert_eq!(m.discardable_windows(), scan(&m));
+        m.release_thread(t).unwrap();
+        assert_eq!(m.discardable_windows(), 8);
+        m.discardable -= 1;
         assert!(m.check_invariants().is_err());
     }
 

@@ -121,6 +121,12 @@ pub trait TimingModel: fmt::Debug + Send {
     fn kind(&self) -> TimingKind;
 
     /// An application compute burst of `cycles`.
+    ///
+    /// Contract: the charge must be additive in `cycles` — charging
+    /// `a` then `b` must cost the same as charging `a + b` once, and
+    /// must leave the backend in the same state. Both `Trace::push`'s
+    /// merge of adjacent compute events and the runtime's coalescing
+    /// of compute into one burst per poll rely on it.
     fn app(&mut self, now: u64, cycles: u64) -> Charge {
         let _ = now;
         Charge::flat(cycles)

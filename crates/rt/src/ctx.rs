@@ -8,6 +8,11 @@
 //! the thread and the scheduler picks it, the next poll resumes the
 //! operation, which checks its stream again. Everything else is
 //! synchronous.
+//!
+//! Compute charged here (by [`Ctx::compute`] and per stream byte) is
+//! recorded in the trace at once but reaches the CPU as one burst at
+//! the next `save`, `restore`, outbound clock read or end of poll —
+//! the same bursts a trace replays, so no cycle moves.
 
 use crate::error::RtError;
 use crate::sim::{SimState, Wait};
@@ -44,9 +49,7 @@ impl Ctx {
 
     /// Charges `cycles` of application compute to the simulated CPU.
     pub fn compute(&mut self, cycles: u64) {
-        let mut st = self.state.borrow_mut();
-        st.record(TraceEvent::Compute(cycles));
-        st.cpu.compute(cycles);
+        self.state.borrow_mut().charge_app(cycles);
     }
 
     /// Performs a procedure call: executes `save`, runs `f`, then
@@ -64,6 +67,7 @@ impl Ctx {
     ) -> Result<R, RtError> {
         {
             let mut st = self.state.borrow_mut();
+            st.flush_app();
             st.record(TraceEvent::Save);
             st.cpu.save()?;
         }
@@ -72,6 +76,7 @@ impl Ctx {
         // simulated stack balanced for diagnostics; the body error wins.
         let restored = {
             let mut st = self.state.borrow_mut();
+            st.flush_app();
             st.record(TraceEvent::Restore);
             st.cpu.restore()
         };
@@ -113,14 +118,11 @@ impl Ctx {
                 // Consult the fault plan before touching the stream, so
                 // a failed read leaves the byte in place — mirroring the
                 // machine's failed-spill-leaves-state-untouched ordering.
-                let index = st.stream_reads_seen;
-                st.stream_reads_seen += 1;
-                if st.stream_read_fails.remove(&index) {
+                if let Some(index) = st.stream_read_fails.count_transfer() {
                     return Poll::Ready(Err(RtError::FaultInjected { site: "stream-read", index }));
                 }
                 let b = st.streams[stream.0].pop().expect("checked non-empty");
-                st.record(TraceEvent::Compute(STREAM_BYTE_CYCLES));
-                st.cpu.compute(STREAM_BYTE_CYCLES);
+                st.charge_app(STREAM_BYTE_CYCLES);
                 st.bump(Metric::StreamBytesRead, 1);
                 st.wake_one_writer(stream);
                 return Poll::Ready(Ok(Some(b)));
@@ -155,19 +157,17 @@ impl Ctx {
             }
             // Fault check before the push: a failed write must not have
             // buffered the byte (see the read-side comment).
-            let index = st.stream_writes_seen;
-            st.stream_writes_seen += 1;
-            if st.stream_write_fails.remove(&index) {
+            if let Some(index) = st.stream_write_fails.count_transfer() {
                 return Poll::Ready(Err(RtError::FaultInjected { site: "stream-write", index }));
             }
             let pushed = st.streams[stream.0].push(byte);
             debug_assert!(pushed, "checked non-full");
-            st.record(TraceEvent::Compute(STREAM_BYTE_CYCLES));
-            st.cpu.compute(STREAM_BYTE_CYCLES);
+            st.charge_app(STREAM_BYTE_CYCLES);
             st.bump(Metric::StreamBytesWritten, 1);
             if st.streams[stream.0].remote() == Some(RemoteEnd::Outbound) {
                 // Timestamp the byte's completion for the cluster bus:
                 // it becomes the request's arrival tick.
+                st.flush_app();
                 let tick = st.cpu.total_cycles();
                 st.streams[stream.0].note_send_tick(tick);
             }
@@ -218,16 +218,16 @@ impl Ctx {
     /// context-switching) while another writer holds it.
     async fn lock_record(&mut self, stream: StreamId) -> Result<(), RtError> {
         self.block_on(|st, tid| {
-            if st.streams.get(stream.0).is_none() {
+            let Some(s) = st.streams.get_mut(stream.0) else {
                 return Poll::Ready(Err(RtError::UnknownStream(stream.0)));
-            }
-            match st.record_locks.get(&stream) {
+            };
+            match s.lock_holder {
                 None => {
-                    st.record_locks.insert(stream, tid);
+                    s.lock_holder = Some(tid);
                     Poll::Ready(Ok(()))
                 }
                 Some(owner) => {
-                    debug_assert_ne!(*owner, tid, "record lock is not reentrant");
+                    debug_assert_ne!(owner, tid, "record lock is not reentrant");
                     st.park(tid, Wait::WriteLocked(stream));
                     Poll::Pending
                 }
@@ -239,7 +239,7 @@ impl Ctx {
     /// Releases the record lock on `stream` and wakes one waiting writer.
     fn unlock_record(&mut self, stream: StreamId) {
         let mut st = self.state.borrow_mut();
-        if st.record_locks.remove(&stream).is_some() {
+        if st.streams[stream.0].lock_holder.take().is_some() {
             st.wake_one_lock_waiter(stream);
         }
     }
@@ -257,6 +257,7 @@ impl Ctx {
         }
         if st.streams[stream.0].close_writer() == 0 {
             if st.streams[stream.0].remote() == Some(RemoteEnd::Outbound) {
+                st.flush_app();
                 let tick = st.cpu.total_cycles();
                 st.streams[stream.0].note_close_tick(tick);
             }

@@ -27,7 +27,6 @@
 //! so any faulty run can be reproduced exactly from its seed or spec.
 
 use regwin_machine::{FaultSchedule, TransferFault};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// The kinds of deterministic faults a [`FaultPlan`] can inject.
@@ -433,24 +432,15 @@ impl FaultPlan {
         schedule
     }
 
-    /// Event indices of planned stream-read failures (PE-0 events only,
-    /// matching [`FaultPlan::machine_schedule`]).
-    pub(crate) fn stream_read_fails(&self) -> BTreeSet<u64> {
-        self.events
-            .iter()
-            .filter(|e| e.kind == FaultKind::StreamReadFail && e.pe == 0)
-            .map(|e| e.at)
-            .collect()
-    }
-
-    /// Event indices of planned stream-write failures (PE-0 events
-    /// only, matching [`FaultPlan::machine_schedule`]).
-    pub(crate) fn stream_write_fails(&self) -> BTreeSet<u64> {
-        self.events
-            .iter()
-            .filter(|e| e.kind == FaultKind::StreamWriteFail && e.pe == 0)
-            .map(|e| e.at)
-            .collect()
+    /// The planned stream byte-transfer failures of `kind`
+    /// ([`FaultKind::StreamReadFail`] or [`FaultKind::StreamWriteFail`];
+    /// PE-0 events only, matching [`FaultPlan::machine_schedule`]).
+    pub(crate) fn stream_faults(&self, kind: FaultKind) -> StreamFaults {
+        let mut fails: Vec<u64> =
+            self.events.iter().filter(|e| e.kind == kind && e.pe == 0).map(|e| e.at).collect();
+        fails.sort_unstable_by(|a, b| b.cmp(a));
+        fails.dedup();
+        StreamFaults { fails, seen: 0 }
     }
 
     /// The worker fault (if any) targeting sweep job number `seq`. When
@@ -481,6 +471,30 @@ impl fmt::Display for FaultPlan {
             f.write_str("(no faults)")
         } else {
             f.write_str(&self.canonical())
+        }
+    }
+}
+
+/// One kind of planned stream byte-transfer failure, consumed as the
+/// transfers happen: the failing event indices, highest first so the
+/// next one is always last, and the number of transfers seen so far.
+/// A fault-free run checks one empty `Vec` per byte.
+#[derive(Debug, Default)]
+pub(crate) struct StreamFaults {
+    fails: Vec<u64>,
+    seen: u64,
+}
+
+impl StreamFaults {
+    /// Counts one byte transfer and returns its event index if the plan
+    /// fails it.
+    pub(crate) fn count_transfer(&mut self) -> Option<u64> {
+        let index = self.seen;
+        self.seen += 1;
+        if self.fails.last() == Some(&index) {
+            self.fails.pop()
+        } else {
+            None
         }
     }
 }
@@ -590,10 +604,24 @@ mod tests {
         let plan = FaultPlan::parse("spill-fail@0,trap-drop@2,stream-read-fail@1,panic@0").unwrap();
         let schedule = plan.machine_schedule();
         assert!(!schedule.is_empty());
-        assert_eq!(plan.stream_read_fails().into_iter().collect::<Vec<_>>(), vec![1]);
-        assert!(plan.stream_write_fails().is_empty());
+        assert_eq!(plan.stream_faults(FaultKind::StreamReadFail).fails, [1]);
+        assert!(plan.stream_faults(FaultKind::StreamWriteFail).fails.is_empty());
         assert_eq!(plan.worker_fault_at(0), Some(WorkerFault::Panic));
         assert_eq!(plan.worker_fault_at(1), None);
+    }
+
+    #[test]
+    fn stream_faults_fire_at_their_indices_in_transfer_order() {
+        // The builder, unlike `parse`, accepts a repeated event.
+        let plan = FaultPlan::new()
+            .with_event(FaultKind::StreamReadFail, 3)
+            .with_event(FaultKind::StreamReadFail, 1)
+            .with_event(FaultKind::StreamReadFail, 3);
+        let mut faults = plan.stream_faults(FaultKind::StreamReadFail);
+        let fired: Vec<Option<u64>> = (0..6).map(|_| faults.count_transfer()).collect();
+        assert_eq!(fired, [None, Some(1), None, Some(3), None, None]);
+        let mut none = FaultPlan::new().stream_faults(FaultKind::StreamWriteFail);
+        assert!((0..4).all(|_| none.count_transfer().is_none()));
     }
 
     #[test]
@@ -619,11 +647,11 @@ mod tests {
     fn pe_qualified_faults_do_not_fire_on_the_single_machine_path() {
         let qualified = FaultPlan::parse("spill-fail@0 pe:2,stream-read-fail@1 pe:2").unwrap();
         assert!(qualified.machine_schedule().is_empty());
-        assert!(qualified.stream_read_fails().is_empty());
+        assert!(qualified.stream_faults(FaultKind::StreamReadFail).fails.is_empty());
         // Unqualified plans keep their historical meaning (PE 0).
         let unqualified = FaultPlan::parse("spill-fail@0,stream-read-fail@1").unwrap();
         assert!(!unqualified.machine_schedule().is_empty());
-        assert_eq!(unqualified.stream_read_fails().into_iter().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(unqualified.stream_faults(FaultKind::StreamReadFail).fails, [1]);
     }
 
     #[test]

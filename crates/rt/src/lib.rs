@@ -83,7 +83,7 @@ pub use sched::{
     WindowGreedyPolicy, WorkingSetPolicy, AGING_LIMIT,
 };
 pub use sim::{SendEvent, SimOptions, Simulation, StartedSim, StepOutcome};
-pub use stream::{Stream, StreamId};
+pub use stream::StreamId;
 pub use trace::{Trace, TraceEvent};
 
 pub use regwin_machine::ThreadId;

@@ -151,7 +151,7 @@ pub trait SchedPolicy: Send + fmt::Debug {
     }
 
     /// Whether the scheduler should bother computing the window fields
-    /// of [`WakeInfo`] (a scan of the register file) before calling
+    /// of [`WakeInfo`] (two machine queries) before calling
     /// [`SchedPolicy::enqueue_woken`]. Policies that ignore residency
     /// return `false` and receive a default snapshot.
     fn uses_residency(&self) -> bool {

@@ -10,6 +10,16 @@
 //! workload and the scheduling policy, and a switch costs no kernel
 //! handoff.
 //!
+//! The wait bookkeeping costs O(1) per park, wake and dispatch: what
+//! each thread waits for is a slot in a per-thread vector, each
+//! stream keeps its blocked threads as bitmaps (a wake pops the lowest
+//! [`ThreadId`]) and its record-lock holder, and a running count of
+//! finished threads ends the loop. Application compute reaches the CPU
+//! in the bursts a [`Trace`] records: [`SimState::charge_app`] adds to
+//! a pending count that [`SimState::flush_app`] hands over before each
+//! `save` or `restore`, before an outbound stream reads the clock, and
+//! at the end of every poll.
+//!
 //! A [`Simulation`] owns its [`SimState`] by value, so it can be built
 //! on one OS thread and run on another. [`Simulation::start`] moves the
 //! state into one `Rc<RefCell<_>>` shared by the [`StartedSim`] and
@@ -19,16 +29,15 @@
 
 use crate::ctx::Ctx;
 use crate::error::RtError;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultKind, FaultPlan, StreamFaults};
 use crate::report::{RunReport, ThreadReport};
 use crate::sched::{ReadyQueue, SchedPolicy, SchedulingPolicy, WakeInfo};
-use crate::stream::{RemoteEnd, Stream, StreamId};
+use crate::stream::{RemoteEnd, Stream, StreamId, WaiterSet};
 use crate::trace::{Trace, TraceEvent};
-use regwin_machine::{MachineConfig, ThreadId, WindowIndex};
+use regwin_machine::{MachineConfig, ThreadId};
 use regwin_obs::{Metric, Probe, ProbeEvent, SpanKind};
 use regwin_traps::{build_scheme, Cpu, Scheme, SchemeKind};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
@@ -55,26 +64,18 @@ pub(crate) enum Wait {
     WriteLocked(StreamId),
 }
 
-/// The threads blocked on one stream, one set per wait kind. Each set
-/// is ordered by [`ThreadId`], so a wake picks the lowest id first.
-#[derive(Debug, Default)]
-struct Waiters {
-    read_empty: BTreeSet<ThreadId>,
-    write_full: BTreeSet<ThreadId>,
-    write_locked: BTreeSet<ThreadId>,
-}
-
 pub(crate) struct SimState {
     pub(crate) cpu: Cpu,
     pub(crate) streams: Vec<Stream>,
     pub(crate) ready: ReadyQueue,
-    /// Every blocked thread and what it waits for, in id order (the
-    /// deadlock report and the bus-progress check read it).
-    pub(crate) waiting: BTreeMap<ThreadId, Wait>,
-    /// The same blocked threads, indexed by stream and wait kind, so a
-    /// wake never scans `waiting`.
-    waiters: Vec<Waiters>,
+    /// What each thread is blocked on, indexed by thread (`None` while
+    /// it runs or is ready). The same threads sit in their stream's
+    /// [`WaiterSet`] for the wait kind, so a wake never scans this.
+    pub(crate) waiting: Vec<Option<Wait>>,
     pub(crate) finished: Vec<bool>,
+    /// How many entries of `finished` are set, so a dispatch never
+    /// counts them.
+    finished_count: usize,
     /// Threads abandoned after unrecoverable window corruption (their
     /// machine state was evicted; the rest of the run continues).
     pub(crate) quarantined: Vec<bool>,
@@ -82,29 +83,44 @@ pub(crate) struct SimState {
     pub(crate) names: Vec<String>,
     pub(crate) blocked_on_read: Vec<u64>,
     pub(crate) blocked_on_write: Vec<u64>,
-    /// Per-stream record locks: while a writer holds one, other writers
-    /// of the same stream block instead of interleaving bytes into its
-    /// record (the rt analogue of POSIX `PIPE_BUF` atomicity).
-    pub(crate) record_locks: BTreeMap<StreamId, ThreadId>,
     pub(crate) trace: Option<Trace>,
+    /// Application cycles charged by the running thread but not yet
+    /// handed to the CPU. [`SimState::flush_app`] charges them as one
+    /// burst at the points where a trace's merged `Compute` event ends,
+    /// so a direct run charges compute exactly as its replay does.
+    pending_app: u64,
     /// Sum of ready-queue lengths observed at each dispatch, and the
     /// number of dispatches — the paper's *parallel slackness* (§5).
     pub(crate) slack_sum: u64,
     pub(crate) dispatches: u64,
-    /// Event indices at which the N-th successful stream byte read /
-    /// write fails with a typed error (installed by
-    /// [`Simulation::with_fault_plan`]).
-    pub(crate) stream_read_fails: BTreeSet<u64>,
-    pub(crate) stream_write_fails: BTreeSet<u64>,
-    /// Successful stream byte reads / writes seen so far.
-    pub(crate) stream_reads_seen: u64,
-    pub(crate) stream_writes_seen: u64,
+    /// The stream byte reads / writes that fail with a typed error
+    /// (installed by [`Simulation::with_fault_plan`]).
+    pub(crate) stream_read_fails: StreamFaults,
+    pub(crate) stream_write_fails: StreamFaults,
 }
 
 impl SimState {
     pub(crate) fn record(&mut self, event: TraceEvent) {
         if let Some(trace) = &mut self.trace {
             trace.push(event);
+        }
+    }
+
+    /// Charges `cycles` of application compute to the running thread:
+    /// recorded in the trace now, handed to the CPU at the next
+    /// [`SimState::flush_app`]. Exact because every timing backend
+    /// charges compute additively (see `TimingModel::app`).
+    pub(crate) fn charge_app(&mut self, cycles: u64) {
+        self.record(TraceEvent::Compute(cycles));
+        self.pending_app += cycles;
+    }
+
+    /// Hands the pending application cycles to the CPU as one burst.
+    /// Called before every `save` and `restore`, before an outbound
+    /// send or close reads the clock, and at the end of every poll.
+    pub(crate) fn flush_app(&mut self) {
+        if self.pending_app > 0 {
+            self.cpu.compute(std::mem::take(&mut self.pending_app));
         }
     }
 
@@ -121,35 +137,40 @@ impl SimState {
     /// The window-residency snapshot the scheduling policy sees when
     /// `t` wakes. Policies that ignore residency (per
     /// [`ReadyQueue::uses_residency`]) get a default snapshot so the
-    /// FIFO hot path never scans the register file.
+    /// FIFO hot path never queries the machine. Both window fields are
+    /// O(1) reads: the free-window figure is the machine's kept
+    /// discardable count.
     pub(crate) fn wake_snapshot(&self, t: ThreadId) -> WakeInfo {
         if !self.ready.uses_residency() {
             return WakeInfo::default();
         }
         let machine = self.cpu.machine();
-        let nwindows = machine.nwindows();
-        let free_windows = (0..nwindows)
-            .filter(|&w| machine.slot_use(WindowIndex::new(w)).is_discardable())
-            .count();
         WakeInfo {
             resident: machine.thread(t).map(|ts| ts.resident()).unwrap_or(0),
-            free_windows,
-            nwindows,
+            free_windows: machine.discardable_windows(),
+            nwindows: machine.nwindows(),
         }
     }
 
-    fn waiter_set(&mut self, w: Wait) -> &mut BTreeSet<ThreadId> {
+    fn waiter_set(&mut self, w: Wait) -> &mut WaiterSet {
         match w {
-            Wait::ReadEmpty(s) => &mut self.waiters[s.0].read_empty,
-            Wait::WriteFull(s) => &mut self.waiters[s.0].write_full,
-            Wait::WriteLocked(s) => &mut self.waiters[s.0].write_locked,
+            Wait::ReadEmpty(s) => &mut self.streams[s.0].read_waiters,
+            Wait::WriteFull(s) => &mut self.streams[s.0].write_waiters,
+            Wait::WriteLocked(s) => &mut self.streams[s.0].lock_waiters,
+        }
+    }
+
+    /// Marks `t` finished (idempotent), keeping the running count.
+    fn mark_finished(&mut self, t: ThreadId) {
+        if !std::mem::replace(&mut self.finished[t.index()], true) {
+            self.finished_count += 1;
         }
     }
 
     /// Registers the running thread `t` as blocked on `w` and counts the
     /// wait; it runs again once a wake puts it back on the ready queue.
     pub(crate) fn park(&mut self, t: ThreadId, w: Wait) {
-        self.waiting.insert(t, w);
+        self.waiting[t.index()] = Some(w);
         self.waiter_set(w).insert(t);
         if let Wait::ReadEmpty(_) = w {
             self.blocked_on_read[t.index()] += 1;
@@ -163,7 +184,7 @@ impl SimState {
     /// Moves the blocked thread `t`, already taken out of its waiter
     /// set, to the ready queue.
     fn unpark(&mut self, t: ThreadId) {
-        self.waiting.remove(&t);
+        self.waiting[t.index()] = None;
         let wake = self.wake_snapshot(t);
         self.ready.enqueue_woken(t, wake);
     }
@@ -183,7 +204,7 @@ impl SimState {
     /// Wakes every thread blocked reading `s`, lowest id first (the
     /// stream closed; they must observe EOF).
     pub(crate) fn wake_all_readers(&mut self, s: StreamId) {
-        for t in std::mem::take(&mut self.waiters[s.0].read_empty) {
+        while let Some(t) = self.streams[s.0].read_waiters.pop_first() {
             self.unpark(t);
         }
     }
@@ -211,15 +232,15 @@ impl SimState {
             return;
         }
         self.quarantined[t.index()] = true;
-        self.finished[t.index()] = true;
-        if let Some(w) = self.waiting.remove(&t) {
-            self.waiter_set(w).remove(&t);
+        self.mark_finished(t);
+        if let Some(w) = self.waiting[t.index()].take() {
+            self.waiter_set(w).remove(t);
         }
-        let held: Vec<StreamId> =
-            self.record_locks.iter().filter(|(_, h)| **h == t).map(|(s, _)| *s).collect();
-        for s in held {
-            self.record_locks.remove(&s);
-            self.wake_one_lock_waiter(s);
+        for i in 0..self.streams.len() {
+            if self.streams[i].lock_holder == Some(t) {
+                self.streams[i].lock_holder = None;
+                self.wake_one_lock_waiter(StreamId(i));
+            }
         }
         let _ = self.cpu.release_thread(t);
         self.bump(Metric::ThreadsQuarantined, 1);
@@ -284,22 +305,20 @@ impl Simulation {
             cpu,
             streams: Vec::new(),
             ready: ReadyQueue::new(SchedulingPolicy::Fifo),
-            waiting: BTreeMap::new(),
-            waiters: Vec::new(),
+            waiting: Vec::new(),
             finished: Vec::new(),
+            finished_count: 0,
             quarantined: Vec::new(),
             error: None,
             names: Vec::new(),
             blocked_on_read: Vec::new(),
             blocked_on_write: Vec::new(),
-            record_locks: BTreeMap::new(),
             trace: None,
+            pending_app: 0,
             slack_sum: 0,
             dispatches: 0,
-            stream_read_fails: BTreeSet::new(),
-            stream_write_fails: BTreeSet::new(),
-            stream_reads_seen: 0,
-            stream_writes_seen: 0,
+            stream_read_fails: StreamFaults::default(),
+            stream_write_fails: StreamFaults::default(),
         };
         Ok(Simulation { state, bodies: Vec::new(), scheme: kind, nwindows })
     }
@@ -391,8 +410,8 @@ impl Simulation {
     pub fn with_fault_plan(mut self, plan: &FaultPlan) -> Self {
         let schedule = plan.machine_schedule();
         self.state.cpu.set_fault_schedule(if schedule.is_empty() { None } else { Some(schedule) });
-        self.state.stream_read_fails = plan.stream_read_fails();
-        self.state.stream_write_fails = plan.stream_write_fails();
+        self.state.stream_read_fails = plan.stream_faults(FaultKind::StreamReadFail);
+        self.state.stream_write_fails = plan.stream_faults(FaultKind::StreamWriteFail);
         self
     }
 
@@ -411,7 +430,6 @@ impl Simulation {
     ) -> StreamId {
         let id = StreamId(self.state.streams.len());
         self.state.streams.push(Stream::new(name, capacity, writers));
-        self.state.waiters.push(Waiters::default());
         id
     }
 
@@ -470,6 +488,7 @@ impl Simulation {
         let st = &mut self.state;
         let t = st.cpu.add_thread();
         st.names.push(name.into());
+        st.waiting.push(None);
         st.finished.push(false);
         st.quarantined.push(false);
         st.blocked_on_read.push(0);
@@ -637,7 +656,7 @@ impl StartedSim {
             if let Some(e) = &st.error {
                 return Err(e.clone());
             }
-            if st.finished.iter().filter(|f| **f).count() == nthreads {
+            if st.finished_count == nthreads {
                 return Ok(StepOutcome::Done);
             }
             let Some(next) = st.ready.pop() else {
@@ -647,7 +666,7 @@ impl StartedSim {
                 // frees up when a pending byte is granted. Only when no
                 // such external progress is possible is this a real
                 // deadlock.
-                let bus_can_progress = st.waiting.values().any(|w| match w {
+                let bus_can_progress = st.waiting.iter().flatten().any(|w| match w {
                     Wait::ReadEmpty(s) => {
                         st.streams[s.0].remote() == Some(RemoteEnd::Inbound)
                             && !st.streams[s.0].is_closed()
@@ -714,9 +733,10 @@ impl StartedSim {
         let mut cx = Context::from_waker(Waker::noop());
         let polled = catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx)));
         let mut st = self.state.borrow_mut();
+        st.flush_app();
         let result = match polled {
             Ok(Poll::Pending) => {
-                if !st.waiting.contains_key(&t) && st.error.is_none() {
+                if st.waiting[t.index()].is_none() && st.error.is_none() {
                     st.error = Some(RtError::Internal {
                         detail: format!(
                             "thread {} suspended outside a Ctx stream operation",
@@ -730,7 +750,7 @@ impl StartedSim {
             Err(_) => Err(RtError::ThreadPanicked { name: st.names[t.index()].clone() }),
         };
         self.tasks[t.index()] = None;
-        st.finished[t.index()] = true;
+        st.mark_finished(t);
         match result {
             Ok(()) => {
                 // Release the thread's windows on the simulated CPU.
@@ -902,8 +922,10 @@ fn blocked_detail(st: &SimState) -> String {
     let detail: Vec<String> = st
         .waiting
         .iter()
+        .enumerate()
+        .filter_map(|(t, w)| w.map(|w| (t, w)))
         .map(|(t, w)| {
-            let name = &st.names[t.index()];
+            let name = &st.names[t];
             match w {
                 Wait::ReadEmpty(s) => {
                     format!("{name} reading empty {}", st.streams[s.0].name())

@@ -5,6 +5,7 @@
 //! of the M and N buffers set the granularity, their ratio sets the
 //! concurrency.
 
+use regwin_machine::ThreadId;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -39,17 +40,65 @@ pub(crate) enum RemoteEnd {
     Inbound,
 }
 
+/// A set of threads blocked on one stream, as a bitmap over
+/// [`ThreadId`] indices: inserting and removing a thread are one word
+/// operation each, and [`WaiterSet::pop_first`] takes the lowest set
+/// bit, so "lowest id first" holds by construction. The bitmap grows
+/// to the highest id ever inserted and never shrinks, so a steady-state
+/// park and wake allocate nothing.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WaiterSet {
+    words: Vec<u64>,
+}
+
+impl WaiterSet {
+    /// Adds `t` to the set.
+    pub(crate) fn insert(&mut self, t: ThreadId) {
+        let (word, bit) = (t.index() / 64, t.index() % 64);
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << bit;
+    }
+
+    /// Removes `t` from the set (a no-op if it is absent).
+    pub(crate) fn remove(&mut self, t: ThreadId) {
+        if let Some(word) = self.words.get_mut(t.index() / 64) {
+            *word &= !(1 << (t.index() % 64));
+        }
+    }
+
+    /// Removes and returns the lowest thread id in the set. Visits one
+    /// word per 64 threads, so one word for up to 64 threads.
+    pub(crate) fn pop_first(&mut self) -> Option<ThreadId> {
+        let (i, word) = self.words.iter_mut().enumerate().find(|(_, w)| **w != 0)?;
+        let bit = word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        Some(ThreadId::new(i * 64 + bit))
+    }
+}
+
 /// A bounded cyclic FIFO byte buffer with writer-counted close semantics
 /// (several threads may feed one stream, as T2 and T3 both feed the
-/// output stream in the spell checker).
+/// output stream in the spell checker). It also holds what the
+/// scheduler needs to know about the stream's blocked threads: one
+/// [`WaiterSet`] per wait kind and the record-lock holder.
 #[derive(Debug, Clone)]
-pub struct Stream {
+pub(crate) struct Stream {
     name: String,
     buf: VecDeque<u8>,
     capacity: usize,
     writers: usize,
-    bytes_written: u64,
-    bytes_read: u64,
+    /// Threads blocked reading the empty stream.
+    pub(crate) read_waiters: WaiterSet,
+    /// Threads blocked writing the full stream.
+    pub(crate) write_waiters: WaiterSet,
+    /// Writers blocked on another writer's record lock.
+    pub(crate) lock_waiters: WaiterSet,
+    /// The writer holding the record lock, if any: while one holds it,
+    /// other writers block instead of interleaving bytes into its record
+    /// (the rt analogue of POSIX `PIPE_BUF` atomicity).
+    pub(crate) lock_holder: Option<ThreadId>,
     /// Cross-PE marking; `None` for ordinary intra-machine streams.
     remote: Option<RemoteEnd>,
     /// Outbound only: bytes handed to the bus but not yet granted —
@@ -73,15 +122,17 @@ impl Stream {
     ///
     /// Panics if `capacity` is zero (a zero-byte cyclic buffer cannot
     /// transfer data under non-preemptive scheduling).
-    pub fn new(name: impl Into<String>, capacity: usize, writers: usize) -> Self {
+    pub(crate) fn new(name: impl Into<String>, capacity: usize, writers: usize) -> Self {
         assert!(capacity > 0, "stream capacity must be positive");
         Stream {
             name: name.into(),
             buf: VecDeque::with_capacity(capacity),
             capacity,
             writers,
-            bytes_written: 0,
-            bytes_read: 0,
+            read_waiters: WaiterSet::default(),
+            write_waiters: WaiterSet::default(),
+            lock_waiters: WaiterSet::default(),
+            lock_holder: None,
             remote: None,
             in_flight: 0,
             send_ticks: VecDeque::new(),
@@ -91,75 +142,45 @@ impl Stream {
     }
 
     /// The stream's diagnostic name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
-    /// Buffer capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Bytes currently buffered.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
     /// Whether the buffer is full. For an outbound cross-PE stream,
     /// bytes in flight on the bus still count against the capacity —
     /// that is where the sender's flow control lives.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.buf.len() + self.in_flight >= self.capacity
     }
 
     /// Whether every writer has closed its end.
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         self.writers == 0
     }
 
-    /// Whether a reader would see end-of-stream (closed and drained).
-    pub fn at_eof(&self) -> bool {
-        self.is_closed() && self.is_empty()
-    }
-
     /// Pushes one byte. Returns `false` (and buffers nothing) if full.
-    pub fn push(&mut self, byte: u8) -> bool {
+    pub(crate) fn push(&mut self, byte: u8) -> bool {
         if self.is_full() {
             return false;
         }
         self.buf.push_back(byte);
-        self.bytes_written += 1;
         true
     }
 
     /// Pops one byte, or `None` if the buffer is empty.
-    pub fn pop(&mut self) -> Option<u8> {
-        let b = self.buf.pop_front();
-        if b.is_some() {
-            self.bytes_read += 1;
-        }
-        b
+    pub(crate) fn pop(&mut self) -> Option<u8> {
+        self.buf.pop_front()
     }
 
     /// Closes one writer's end. Returns the number of writers remaining.
-    pub fn close_writer(&mut self) -> usize {
+    pub(crate) fn close_writer(&mut self) -> usize {
         self.writers = self.writers.saturating_sub(1);
         self.writers
-    }
-
-    /// Total bytes ever written.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Total bytes ever read.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read
     }
 
     // ------------------------------------------------------------------
@@ -232,13 +253,18 @@ impl Stream {
     /// already happened at the sender).
     pub(crate) fn push_unbounded(&mut self, byte: u8) {
         self.buf.push_back(byte);
-        self.bytes_written += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Whether a reader would see end-of-stream (closed and drained).
+    fn at_eof(s: &Stream) -> bool {
+        s.is_closed() && s.is_empty()
+    }
 
     #[test]
     fn fifo_order() {
@@ -257,7 +283,7 @@ mod tests {
         assert!(s.push(2));
         assert!(s.is_full());
         assert!(!s.push(3));
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.buf.len(), 2);
     }
 
     #[test]
@@ -268,7 +294,7 @@ mod tests {
         assert!(!s.is_closed());
         assert_eq!(s.close_writer(), 0);
         assert!(s.is_closed());
-        assert!(s.at_eof());
+        assert!(at_eof(&s));
     }
 
     #[test]
@@ -277,22 +303,9 @@ mod tests {
         s.push(9);
         s.close_writer();
         assert!(s.is_closed());
-        assert!(!s.at_eof());
+        assert!(!at_eof(&s));
         assert_eq!(s.pop(), Some(9));
-        assert!(s.at_eof());
-    }
-
-    #[test]
-    fn byte_counters() {
-        let mut s = Stream::new("s", 8, 1);
-        for b in 0..5 {
-            s.push(b);
-        }
-        for _ in 0..3 {
-            s.pop();
-        }
-        assert_eq!(s.bytes_written(), 5);
-        assert_eq!(s.bytes_read(), 3);
+        assert!(at_eof(&s));
     }
 
     #[test]
@@ -310,5 +323,67 @@ mod tests {
         assert!(!s.push(2));
         assert_eq!(s.pop(), Some(1));
         assert!(s.push(2));
+    }
+
+    /// The bitmap pops ids in ascending order across word boundaries,
+    /// whatever the insertion order, and `remove` drops exactly one id.
+    #[test]
+    fn waiter_set_pops_lowest_id_first_across_words() {
+        let mut set = WaiterSet::default();
+        for i in [130, 0, 64, 63, 129, 1, 200] {
+            set.insert(ThreadId::new(i));
+        }
+        set.remove(ThreadId::new(1));
+        set.remove(ThreadId::new(1000));
+        let popped: Vec<usize> =
+            std::iter::from_fn(|| set.pop_first()).map(ThreadId::index).collect();
+        assert_eq!(popped, [0, 63, 64, 129, 130, 200]);
+        assert_eq!(set.pop_first(), None);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Push(u8),
+        Pop,
+        CloseWriter,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![any::<u8>().prop_map(Op::Push), Just(Op::Pop), Just(Op::CloseWriter),]
+    }
+
+    proptest! {
+        /// Model-based check of the cyclic stream against a plain
+        /// `VecDeque` plus a writer count.
+        #[test]
+        fn stream_behaves_like_a_bounded_deque(
+            capacity in 1usize..16,
+            writers in 1usize..4,
+            ops in prop::collection::vec(op_strategy(), 0..120),
+        ) {
+            let mut stream = Stream::new("model", capacity, writers);
+            let mut model: VecDeque<u8> = VecDeque::new();
+            let mut open_writers = writers;
+            for op in ops {
+                match op {
+                    Op::Push(b) => {
+                        let accepted = stream.push(b);
+                        prop_assert_eq!(accepted, model.len() < capacity);
+                        if accepted {
+                            model.push_back(b);
+                        }
+                    }
+                    Op::Pop => prop_assert_eq!(stream.pop(), model.pop_front()),
+                    Op::CloseWriter => {
+                        open_writers = open_writers.saturating_sub(1);
+                        prop_assert_eq!(stream.close_writer(), open_writers);
+                    }
+                }
+                prop_assert_eq!(&stream.buf, &model);
+                prop_assert_eq!(stream.is_full(), model.len() >= capacity);
+                prop_assert_eq!(stream.is_closed(), open_writers == 0);
+                prop_assert_eq!(at_eof(&stream), open_writers == 0 && model.is_empty());
+            }
+        }
     }
 }

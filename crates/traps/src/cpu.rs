@@ -117,10 +117,11 @@ impl Cpu {
     /// Opens a span on the installed probe and returns the state needed
     /// to close it: the probe handle and the cycle total at entry.
     /// Buffered counter deltas are flushed first, so events charged
-    /// before the span stay outside it.
+    /// before the span stay outside it. Without a probe nothing is
+    /// buffered, so this is one `Option` check.
     fn span_open(&mut self, kind: SpanKind, name: &'static str) -> Option<(Arc<dyn Probe>, u64)> {
-        self.machine.flush_probe();
         let probe = self.machine.probe()?.clone();
+        self.machine.flush_probe();
         probe.record(&ProbeEvent::SpanStart { kind, name });
         Some((probe, self.machine.cycles().total()))
     }

@@ -38,10 +38,7 @@
 //! `--journal` keeps a crash-safe write-ahead journal next to the
 //! artifact (`BENCH_sweep.json.journal.jsonl`), `--resume` replays it
 //! after a crash so only unfinished jobs re-run (the resumed artifact
-//! is byte-identical to an uninterrupted one), and
-//! `--abandoned-cap <n>` bounds the detached threads leaked by
-//! timed-out attempts, quarantining further jobs instead of spawning
-//! past the cap.
+//! is byte-identical to an uninterrupted one).
 //!
 //! Observability flags: `--trace-out <file>` writes the deterministic
 //! JSONL job trace and `--metrics` prints the deterministic metrics
@@ -125,9 +122,6 @@ pub struct Args {
     pub journal: bool,
     /// Replay the journal and re-run only unfinished jobs (`--resume`).
     pub resume: bool,
-    /// Cap on abandoned (timed-out, detached) attempt threads
-    /// (`--abandoned-cap`).
-    pub abandoned_cap: Option<usize>,
     /// Enable window integrity auditing in every simulated run
     /// (`--audit`). Audited runs report identical numbers — the flag
     /// buys corruption detection and repair, not different results.
@@ -173,7 +167,6 @@ impl Args {
             metrics: false,
             journal: false,
             resume: false,
-            abandoned_cap: None,
             audit: false,
             policy: SchedulingPolicy::Fifo,
             timing: TimingKind::S20,
@@ -249,13 +242,6 @@ impl Args {
                 "--resume" => {
                     args.journal = true;
                     args.resume = true;
-                }
-                "--abandoned-cap" => {
-                    args.abandoned_cap = Some(
-                        it.next()
-                            .and_then(|v| v.parse().ok())
-                            .unwrap_or_else(|| usage("--abandoned-cap needs a count")),
-                    );
                 }
                 "--audit" => args.audit = true,
                 "--policy" => {
@@ -334,9 +320,6 @@ impl Args {
         if self.journal {
             builder = builder.journal(self.journal_path()).resume(self.resume);
         }
-        if let Some(cap) = self.abandoned_cap {
-            builder = builder.abandoned_cap(cap);
-        }
         builder = builder.window_audit(self.audit);
         let config = builder.build().unwrap_or_else(|e| usage(&e.to_string()));
         SweepEngine::with_config(config)
@@ -413,7 +396,6 @@ impl Args {
             ("--audit", self.audit),
             ("--job-timeout-ms", self.job_timeout_ms.is_some()),
             ("--retries", self.retries > 0),
-            ("--abandoned-cap", self.abandoned_cap.is_some()),
         ];
         for (flag, set) in conflicts {
             if *set {
@@ -581,7 +563,7 @@ fn usage(problem: &str) -> ! {
          [--fault-seed <u64>] [--fault-plan <kind@index,...>] \
          [--job-timeout-ms <ms>] [--retries <n>] [--retry-backoff-ms <ms>] \
          [--fail-on-quarantine] [--trace-out <file>] [--metrics] \
-         [--journal] [--resume] [--abandoned-cap <n>] [--audit] \
+         [--journal] [--resume] [--audit] \
          [--policy <FIFO|WorkingSet|WindowGreedy|Aging>] \
          [--timing <s20|pipeline>] [--gen <scenario>] [--server <socket>]"
     );

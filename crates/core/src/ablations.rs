@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 /// A named scheme-variant factory for an ablation study. `Send + Sync`
 /// so an external engine can build scheme instances from worker
-/// threads, and `Arc` (not `Box`) so such an engine can hand a clone to
-/// a detached timed-attempt thread that may outlive the study call.
+/// threads, and `Arc` (not `Box`) so each of the engine's `'static`
+/// jobs can own a clone.
 pub type VariantFactory = Arc<dyn Fn() -> Box<dyn Scheme> + Send + Sync>;
 
 /// One ablation study's variant list, separated from execution so an

@@ -74,9 +74,6 @@ pub enum Metric {
     /// Simulated threads quarantined by the runtime after unrecoverable
     /// window corruption.
     ThreadsQuarantined,
-    /// Timed-out job attempts whose detached worker thread was
-    /// abandoned (left running, never joined).
-    AbandonedThreads,
     /// Shared-bus transactions granted to a PE (cluster runs only).
     BusGrants,
     /// Cycles a PE lost to the shared bus: arbitration contention on
@@ -96,7 +93,7 @@ pub enum Metric {
 
 impl Metric {
     /// Every metric, in canonical serialization order.
-    pub const ALL: [Metric; 34] = [
+    pub const ALL: [Metric; 33] = [
         Metric::SavesExecuted,
         Metric::RestoresExecuted,
         Metric::OverflowTraps,
@@ -125,7 +122,6 @@ impl Metric {
         Metric::JobsQuarantined,
         Metric::WindowRepairs,
         Metric::ThreadsQuarantined,
-        Metric::AbandonedThreads,
         Metric::BusGrants,
         Metric::BusStallCycles,
         Metric::CrossPeMessages,
@@ -164,7 +160,6 @@ impl Metric {
             Metric::JobsQuarantined => "jobs_quarantined",
             Metric::WindowRepairs => "window_repairs",
             Metric::ThreadsQuarantined => "threads_quarantined",
-            Metric::AbandonedThreads => "abandoned_threads",
             Metric::BusGrants => "bus_grants",
             Metric::BusStallCycles => "bus_stall_cycles",
             Metric::CrossPeMessages => "cross_pe_messages",

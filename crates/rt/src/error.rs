@@ -56,6 +56,9 @@ pub enum RtError {
         /// The 0-based per-site event index at which the fault fired.
         index: u64,
     },
+    /// The deadline set by [`crate::with_deadline`] passed before the
+    /// simulation or replay finished.
+    DeadlineExceeded,
     /// The runtime reached a state its own protocol rules out — e.g.
     /// the scheduler observed the stop flag with no recorded error.
     /// Surfaced as a typed error so drivers report it instead of the
@@ -97,6 +100,7 @@ impl fmt::Display for RtError {
             RtError::FaultInjected { site, index } => {
                 write!(f, "injected fault at {site} event {index}")
             }
+            RtError::DeadlineExceeded => write!(f, "deadline exceeded"),
             RtError::Internal { detail } => write!(f, "internal runtime error: {detail}"),
         }
     }

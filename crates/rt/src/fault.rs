@@ -54,10 +54,11 @@ pub enum FaultKind {
     /// Worker faults are per *job*, not per attempt — every retry would
     /// fail identically, so the engine makes a single attempt.
     WorkerPanic,
-    /// Stall the sweep worker executing the N-th job past its timeout
-    /// (quarantined; per-job like [`FaultKind::WorkerPanic`]). Only
-    /// observable when a job timeout is configured — the engine warns
-    /// otherwise.
+    /// Stall the sweep worker executing the N-th job until the job's
+    /// deadline, checking it every millisecond, so the attempt times
+    /// out (quarantined; per-job like [`FaultKind::WorkerPanic`]). Only
+    /// observable when a job timeout is configured: without one there is
+    /// no deadline, the stall is a short nap and the engine warns.
     WorkerStall,
     /// XOR the live window made current by the N-th executed `save`, in
     /// place, after the save completes. A bit-flip in a *dirty* resident
@@ -243,7 +244,7 @@ impl fmt::Display for FaultEvent {
 pub enum WorkerFault {
     /// Panic inside the worker (caught by the engine's `catch_unwind`).
     Panic,
-    /// Sleep past the job's wall-clock timeout.
+    /// Sleep until the job's deadline, then time out.
     Stall,
 }
 

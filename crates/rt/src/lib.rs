@@ -82,7 +82,7 @@ pub use sched::{
     AgingPolicy, FifoPolicy, ReadyQueue, SchedPolicy, SchedulingPolicy, WakeInfo,
     WindowGreedyPolicy, WorkingSetPolicy, AGING_LIMIT,
 };
-pub use sim::{SendEvent, SimOptions, Simulation, StartedSim, StepOutcome};
+pub use sim::{with_deadline, SendEvent, SimOptions, Simulation, StartedSim, StepOutcome};
 pub use stream::StreamId;
 pub use trace::{Trace, TraceEvent};
 

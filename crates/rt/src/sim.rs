@@ -37,13 +37,43 @@ use crate::trace::{Trace, TraceEvent};
 use regwin_machine::{MachineConfig, ThreadId};
 use regwin_obs::{Metric, Probe, ProbeEvent, SpanKind};
 use regwin_traps::{build_scheme, Cpu, Scheme, SchemeKind};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
+use std::time::Instant;
+
+/// Dispatches between two deadline checks. The count lives in
+/// [`SimState`], so it carries across [`StartedSim::step`] calls and a
+/// cluster PE that dispatches a few threads per step is still checked.
+const DEADLINE_STRIDE: u64 = 256;
+
+thread_local! {
+    /// The calling OS thread's deadline set by [`with_deadline`], if any.
+    pub(crate) static DEADLINE: Cell<Option<Instant>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with `deadline` as the calling OS thread's deadline. A
+/// simulation started or a trace replayed inside `f` on this thread
+/// returns [`RtError::DeadlineExceeded`] at its first clock check past
+/// `deadline`. The previous deadline comes back when `f` returns or
+/// unwinds.
+///
+/// The checks are cooperative: a thread body that loops forever without
+/// ever blocking in a [`Ctx`] stream operation is not stopped.
+pub fn with_deadline<R>(deadline: Instant, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Instant>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            DEADLINE.set(self.0);
+        }
+    }
+    let _restore = Restore(DEADLINE.replace(Some(deadline)));
+    f()
+}
 
 /// A running thread body: the future [`StartedSim::step`] polls.
 type Task = Pin<Box<dyn Future<Output = Result<(), RtError>>>>;
@@ -515,8 +545,10 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// Returns the first thread error, a panic report, or a deadlock
-    /// description if all unfinished threads end up blocked.
+    /// Returns the first thread error, a panic report, a deadlock
+    /// description if all unfinished threads end up blocked, or
+    /// [`RtError::DeadlineExceeded`] once a [`with_deadline`] deadline
+    /// passes.
     pub fn run(self) -> Result<RunReport, RtError> {
         self.run_with_trace().map(|(report, _)| report)
     }
@@ -566,6 +598,7 @@ impl Simulation {
             scheme: self.scheme,
             nwindows: self.nwindows,
             probe,
+            deadline: DEADLINE.get(),
             loop_result: Ok(()),
         }
     }
@@ -621,6 +654,8 @@ pub struct StartedSim {
     scheme: SchemeKind,
     nwindows: usize,
     probe: Option<Arc<dyn Probe>>,
+    /// The [`with_deadline`] deadline in force at [`Simulation::start`].
+    deadline: Option<Instant>,
     /// The scheduler loop's terminal result, reproduced by
     /// [`StartedSim::finish`] in exactly the position the legacy
     /// single-call path reported it.
@@ -684,6 +719,11 @@ impl StartedSim {
             };
             if st.quarantined[next.index()] {
                 continue;
+            }
+            if let Some(deadline) = self.deadline {
+                if st.dispatches.is_multiple_of(DEADLINE_STRIDE) && Instant::now() >= deadline {
+                    return Err(RtError::DeadlineExceeded);
+                }
             }
             // The switch-boundary audit may quarantine either side: the
             // outgoing thread (retry the dispatch once without it) or
@@ -1002,6 +1042,22 @@ mod tests {
         drop(started);
         assert_eq!(counts(&state.borrow()), before);
         assert_eq!(Rc::strong_count(&state), 1, "the task and its Ctx were dropped");
+    }
+
+    /// `with_deadline` restores the previous deadline when its closure
+    /// returns and when it unwinds, so a panicking sweep job leaves no
+    /// deadline behind on its worker thread.
+    #[test]
+    fn with_deadline_restores_the_previous_deadline() {
+        let outer = Instant::now() + std::time::Duration::from_secs(60);
+        with_deadline(outer, || {
+            with_deadline(Instant::now(), || assert_ne!(DEADLINE.get(), Some(outer)));
+            assert_eq!(DEADLINE.get(), Some(outer));
+            let unwound = catch_unwind(|| with_deadline(Instant::now(), || panic!("job panicked")));
+            assert!(unwound.is_err());
+            assert_eq!(DEADLINE.get(), Some(outer));
+        });
+        assert_eq!(DEADLINE.get(), None);
     }
 
     /// A body that suspends on anything but a `Ctx` stream wait fails

@@ -15,8 +15,15 @@
 
 use crate::error::RtError;
 use crate::report::{RunReport, ThreadReport};
+use crate::sim::DEADLINE;
 use regwin_machine::{FaultSchedule, MachineConfig, ThreadId};
 use regwin_traps::{Cpu, Scheme};
+use std::time::Instant;
+
+/// Events replayed between two checks of the [`crate::with_deadline`]
+/// deadline, so a replay without one pays a branch per chunk, not per
+/// event.
+const DEADLINE_CHUNK: usize = 4096;
 
 /// One recorded event. Saves and restores apply to the thread that is
 /// current at that point in the trace.
@@ -165,7 +172,9 @@ impl Trace {
     ///
     /// As [`Trace::replay_with_faults`], plus
     /// [`regwin_machine::MachineError::UnrecoverableCorruption`] when the
-    /// auditor detects a dirty-frame mismatch.
+    /// auditor detects a dirty-frame mismatch, and
+    /// [`RtError::DeadlineExceeded`] when the [`crate::with_deadline`]
+    /// deadline passes first.
     pub fn replay_with_options(
         &self,
         config: MachineConfig,
@@ -183,24 +192,31 @@ impl Trace {
             cpu.set_fault_schedule(Some(schedule));
         }
         let threads: Vec<ThreadId> = (0..self.names.len()).map(|_| cpu.add_thread()).collect();
-        for event in &self.events {
-            match *event {
-                TraceEvent::Save => cpu.save()?,
-                TraceEvent::Restore => cpu.restore()?,
-                TraceEvent::Compute(c) => cpu.compute(c),
-                TraceEvent::SwitchTo(t) => {
-                    let thread =
-                        threads.get(t.index()).copied().ok_or_else(|| RtError::CorruptTrace {
-                            detail: format!(
-                                "switch to unknown thread {} (trace has {} threads)",
-                                t.index(),
-                                threads.len()
-                            ),
+        let deadline = DEADLINE.get();
+        for chunk in self.events.chunks(DEADLINE_CHUNK) {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(RtError::DeadlineExceeded);
+            }
+            for event in chunk {
+                match *event {
+                    TraceEvent::Save => cpu.save()?,
+                    TraceEvent::Restore => cpu.restore()?,
+                    TraceEvent::Compute(c) => cpu.compute(c),
+                    TraceEvent::SwitchTo(t) => {
+                        let thread = threads.get(t.index()).copied().ok_or_else(|| {
+                            RtError::CorruptTrace {
+                                detail: format!(
+                                    "switch to unknown thread {} (trace has {} threads)",
+                                    t.index(),
+                                    threads.len()
+                                ),
+                            }
                         })?;
-                    cpu.switch_to(thread)?;
-                }
-                TraceEvent::Terminate => {
-                    cpu.terminate_current()?;
+                        cpu.switch_to(thread)?;
+                    }
+                    TraceEvent::Terminate => {
+                        cpu.terminate_current()?;
+                    }
                 }
             }
         }

@@ -3,8 +3,9 @@
 //! cycle, every trap, every switch shape.
 
 use regwin_machine::MachineConfig;
-use regwin_rt::{RtError, RunReport, SchedulingPolicy, Simulation, Trace};
+use regwin_rt::{with_deadline, RtError, RunReport, SchedulingPolicy, Simulation, Trace};
 use regwin_traps::{build_scheme, SchemeKind};
+use std::time::{Duration, Instant};
 
 /// A three-stage pipeline with helper-call structure, recorded.
 fn recorded_pipeline(scheme: SchemeKind, nwindows: usize, capacity: usize) -> (RunReport, Trace) {
@@ -77,9 +78,14 @@ fn replay_reproduces_the_recording_run_exactly() {
     for scheme in SchemeKind::ALL {
         for nwindows in [4, 6, 8, 16] {
             let (direct, trace) = recorded_pipeline(scheme, nwindows, 2);
-            let replayed =
-                trace.replay(MachineConfig::new(nwindows), build_scheme(scheme)).unwrap();
+            let replay = || trace.replay(MachineConfig::new(nwindows), build_scheme(scheme));
+            let replayed = replay().unwrap();
             assert_reports_identical(&direct, &replayed, &format!("{scheme}@{nwindows}"));
+            // A deadline that never passes changes nothing; one already
+            // past stops the replay at its first check.
+            let far = Instant::now() + Duration::from_secs(3600);
+            assert_eq!(with_deadline(far, replay).unwrap(), replayed);
+            assert_eq!(with_deadline(Instant::now(), replay), Err(RtError::DeadlineExceeded));
         }
     }
 }

@@ -1,10 +1,11 @@
 //! Integration tests for the runtime: pipelines over simulated windows.
 
 use regwin_rt::{
-    Ctx, RtError, RunReport, SchedulingPolicy, Simulation, StartedSim, StepOutcome, StreamId,
-    TraceEvent,
+    with_deadline, Ctx, RtError, RunReport, SchedulingPolicy, Simulation, StartedSim, StepOutcome,
+    StreamId, TraceEvent,
 };
 use regwin_traps::SchemeKind;
+use std::time::{Duration, Instant};
 
 /// Builds a three-stage pipeline (producer → doubler → consumer) with the
 /// given buffer capacity, returning the run report and the consumer sum.
@@ -429,4 +430,33 @@ fn alternately_stepped_sims_match_their_solo_runs() {
     );
     assert!(solo.iter().all(|(report, _)| report.stats.context_switches > 16));
     assert_eq!(together, solo);
+    // A deadline that never passes changes nothing.
+    let far = Instant::now() + Duration::from_secs(3600);
+    let (sim, inbound) = with_deadline(far, || inbound_pe(pes[0].0, pes[0].1));
+    assert_eq!(drive_in_turn(vec![(sim, inbound, pes[0].1)]).remove(0), solo[0]);
+}
+
+/// A deadline bounds a stepped PE however its dispatches split across
+/// steps: one already past stops the first step, and one that passes
+/// mid-run stops a PE fed a byte per step, a few dispatches each.
+#[test]
+fn a_deadline_stops_a_stepped_sim() {
+    let (mut sim, _) = with_deadline(Instant::now(), || inbound_pe(SchemeKind::Sp, b""));
+    assert_eq!(sim.step(), Err(RtError::DeadlineExceeded));
+    assert_eq!(sim.finish().unwrap_err(), RtError::DeadlineExceeded);
+
+    let soon = Instant::now() + Duration::from_millis(100);
+    let (mut sim, inbound) = with_deadline(soon, || inbound_pe(SchemeKind::Sp, b""));
+    let mut steps = 0u64;
+    let err = loop {
+        match sim.step() {
+            Ok(StepOutcome::Blocked) => sim.deliver(inbound, Some(1), 50 * steps),
+            Ok(StepOutcome::Done) => panic!("the feed never closes"),
+            Err(e) => break e,
+        }
+        steps += 1;
+        assert!(soon.elapsed() < Duration::from_secs(30), "no deadline check in {steps} steps");
+    };
+    assert_eq!(err, RtError::DeadlineExceeded);
+    assert!(steps > 1, "the deadline passed after {steps} steps");
 }

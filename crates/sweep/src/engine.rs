@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// File inside the cache directory holding LPT scheduling hints: a JSON
@@ -51,11 +51,12 @@ pub struct SweepConfig {
     pub workers: usize,
     /// Stream one JSON event per job to stderr.
     pub stream_events: bool,
-    /// Wall-clock limit per job attempt; `None` disables timeouts. A
-    /// timed-out attempt's thread is abandoned (detached), so even a
-    /// job that never returns cannot wedge the sweep — the abandoned
-    /// thread and whatever it still references leak for as long as it
-    /// keeps running.
+    /// Wall-clock limit per job attempt; `None` disables timeouts. The
+    /// attempt runs on its worker thread under
+    /// [`regwin_rt::with_deadline`], so the job's simulation or trace
+    /// replay stops itself at its next deadline check. Work that never
+    /// reaches a check is not bounded: a simulated thread that loops
+    /// without ever blocking, or job work outside a simulation or replay.
     pub job_timeout: Option<Duration>,
     /// Extra attempts after a failed one (panic, timeout or error)
     /// before the job is quarantined.
@@ -85,11 +86,6 @@ pub struct SweepConfig {
     /// jobs it records as finished are served from their journaled
     /// reports instead of re-running. Requires `journal_path`.
     pub resume: bool,
-    /// Cap on abandoned attempt threads (each timed-out attempt leaks
-    /// its detached OS thread). Once the cap is reached, further jobs
-    /// are quarantined with reason `"abandoned-cap"` instead of
-    /// spawning new attempt threads. `None` (the default) never caps.
-    pub abandoned_cap: Option<usize>,
     /// Enable window integrity auditing inside every simulated run.
     /// Auditing never touches cycle counts or statistics, so audited
     /// and unaudited runs produce identical reports and legitimately
@@ -147,9 +143,6 @@ impl SweepConfig {
         if self.resume && self.journal_path.is_none() {
             return Err(SweepConfigError::ResumeWithoutJournal);
         }
-        if self.abandoned_cap.is_some() && self.job_timeout.is_none() {
-            return Err(SweepConfigError::AbandonedCapWithoutTimeout);
-        }
         Ok(())
     }
 }
@@ -170,10 +163,6 @@ pub enum SweepConfigError {
     /// `resume` was requested without a `journal_path`: there is no
     /// journal to replay.
     ResumeWithoutJournal,
-    /// An abandoned-thread cap was set without a job timeout: attempts
-    /// are only ever abandoned when they time out, so the cap could
-    /// never trip.
-    AbandonedCapWithoutTimeout,
     /// The configured journal is locked by another live engine: a
     /// journal is single-writer (two appenders would interleave torn
     /// lines), so the second opener is rejected instead. Only
@@ -200,11 +189,6 @@ impl std::fmt::Display for SweepConfigError {
             SweepConfigError::ResumeWithoutJournal => {
                 write!(f, "resume requested without a journal path; nothing to replay")
             }
-            SweepConfigError::AbandonedCapWithoutTimeout => write!(
-                f,
-                "abandoned-thread cap set without a job timeout; attempts are only \
-                 abandoned on timeout, so the cap could never trip (set a job timeout)"
-            ),
             SweepConfigError::JournalBusy { path } => write!(
                 f,
                 "journal {} is locked by another live sweep engine (journals are \
@@ -299,14 +283,6 @@ impl SweepConfigBuilder {
     #[must_use]
     pub fn resume(mut self, on: bool) -> Self {
         self.config.resume = on;
-        self
-    }
-
-    /// Caps the abandoned attempt threads a sweep may accumulate (see
-    /// [`SweepConfig::abandoned_cap`]).
-    #[must_use]
-    pub fn abandoned_cap(mut self, cap: usize) -> Self {
-        self.config.abandoned_cap = Some(cap);
         self
     }
 
@@ -423,14 +399,13 @@ enum Lookup<'e> {
 
 /// One schedulable unit: a key plus the closure computing its report.
 ///
-/// The closure is owned, `Send + Sync` and `'static` (share data into
-/// it via `Arc`/`Copy`, not borrows): a timed attempt runs the closure
-/// on a detached thread that may outlive the batch when the attempt
-/// times out, which is what lets the engine abandon — rather than
-/// join — a wedged job.
+/// The closure is owned, `Send + Sync` and `'static`. Every attempt runs
+/// on the worker thread that picked the job, so nothing outlives the
+/// batch; `'static` stays because `Job` has no lifetime parameter and
+/// callers store `Vec<Job>` in struct fields.
 pub struct Job {
     key: JobKey,
-    run: Arc<dyn Fn() -> Result<RunReport, RtError> + Send + Sync>,
+    run: Box<dyn Fn() -> Result<RunReport, RtError> + Send + Sync>,
 }
 
 impl Job {
@@ -439,7 +414,7 @@ impl Job {
         key: JobKey,
         run: impl Fn() -> Result<RunReport, RtError> + Send + Sync + 'static,
     ) -> Self {
-        Job { key, run: Arc::new(run) }
+        Job { key, run: Box::new(run) }
     }
 
     /// The job's key.
@@ -480,8 +455,6 @@ pub struct SweepEngine {
     resumed: BTreeMap<String, (JobRecord, RunReport)>,
     /// Keys the replayed journal already quarantined; skipped outright.
     resumed_quarantine: std::collections::BTreeSet<String>,
-    /// Detached attempt threads abandoned to timeouts so far.
-    abandoned: AtomicU64,
     /// Jobs skipped because the admission gate closed mid-batch
     /// (daemon drain): never run, never quarantined, never journaled —
     /// a resumed engine re-runs them.
@@ -760,7 +733,6 @@ impl SweepEngine {
             journal,
             resumed: replay.jobs,
             resumed_quarantine,
-            abandoned: AtomicU64::new(0),
             skipped: AtomicU64::new(0),
             deterministic,
             wall_hints: Mutex::new(BTreeMap::new()),
@@ -859,12 +831,6 @@ impl SweepEngine {
                 eprintln!("warning: cannot journal quarantine {}: {e}", q.id);
             }
         }
-    }
-
-    /// Detached attempt threads abandoned to timeouts so far (see
-    /// [`SweepConfig::abandoned_cap`]).
-    pub fn abandoned_threads(&self) -> u64 {
-        self.abandoned.load(Ordering::Relaxed)
     }
 
     /// Jobs skipped because the admission gate closed mid-batch (see
@@ -1241,8 +1207,8 @@ impl SweepEngine {
             behavior_missing[cells[i].0] = true;
         }
 
-        // Shared job data goes in `Arc`s (not borrows): a timed-out
-        // attempt's detached thread may outlive this call.
+        // Shared job data goes in `Arc`s (not borrows): each job's
+        // closure is `'static` and owns its share (see [`Job`]).
         let corpus = Arc::new(Corpus::generate(&spec.corpus));
 
         // FIFO: the schedule depends only on the buffer configuration
@@ -1619,14 +1585,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs one attempt of `job` under `catch_unwind` and (when configured)
-/// the per-attempt wall-clock timeout. Timed attempts run on a
-/// *detached* thread owning a clone of the job's closure: a timed-out
-/// attempt is abandoned — its channel send goes nowhere and nothing
-/// ever joins it — so even a job that never returns cannot wedge the
-/// sweep. The abandoned thread (and whatever its closure still
-/// references) leaks for as long as it keeps running; that is the price
-/// of a hard wall-clock bound.
+/// Runs one attempt of `job` on the calling worker thread under
+/// `catch_unwind` and, when configured, a [`regwin_rt::with_deadline`]
+/// deadline one job timeout away. The job's simulation or replay checks
+/// that deadline cooperatively, so a timed-out attempt has returned by
+/// the time this does: nothing is left running.
 fn run_attempt(
     engine: &SweepEngine,
     job: &Job,
@@ -1634,47 +1597,36 @@ fn run_attempt(
     seq: u64,
 ) -> AttemptOutcome {
     let timeout = engine.config.job_timeout;
-    let run = Arc::clone(&job.run);
-    let body = move || -> Result<RunReport, RtError> {
+    let deadline = timeout.map(|limit| Instant::now() + limit);
+    let body = AssertUnwindSafe(|| -> Result<RunReport, RtError> {
         match injected {
             Some(WorkerFault::Panic) => panic!("injected worker panic (job seq {seq})"),
-            Some(WorkerFault::Stall) => {
-                // Overshoot the timeout but still terminate, so the
-                // injected stall leaks its abandoned thread only
-                // briefly (a real wedged job would leak it for good).
-                let nap =
-                    timeout.map_or(Duration::from_millis(50), |t| t + Duration::from_millis(150));
-                std::thread::sleep(nap);
-            }
+            // Stalls until the deadline, checking it every millisecond;
+            // without one (a config that skipped validation) it is a
+            // short nap and the job then runs.
+            Some(WorkerFault::Stall) => match deadline {
+                Some(deadline) => loop {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(RtError::DeadlineExceeded);
+                    }
+                    std::thread::sleep(left.min(Duration::from_millis(1)));
+                },
+                None => std::thread::sleep(Duration::from_millis(50)),
+            },
             None => {}
         }
-        (run)()
+        (job.run)()
+    });
+    let result = match deadline {
+        Some(deadline) => regwin_rt::with_deadline(deadline, || catch_unwind(body)),
+        None => catch_unwind(body),
     };
-    match timeout {
-        None => match catch_unwind(AssertUnwindSafe(body)) {
-            Ok(Ok(report)) => AttemptOutcome::Done(Box::new(report)),
-            Ok(Err(e)) => AttemptOutcome::Error(e),
-            Err(payload) => AttemptOutcome::Panic(panic_message(payload.as_ref())),
-        },
-        Some(limit) => {
-            let (tx, rx) = mpsc::channel();
-            let spawned = std::thread::Builder::new().name(format!("regwin-attempt-{seq}")).spawn(
-                move || {
-                    let _ = tx.send(catch_unwind(AssertUnwindSafe(body)));
-                },
-            );
-            if let Err(e) = spawned {
-                return AttemptOutcome::Error(RtError::BadConfig {
-                    detail: format!("cannot spawn timed attempt thread: {e}"),
-                });
-            }
-            match rx.recv_timeout(limit) {
-                Ok(Ok(Ok(report))) => AttemptOutcome::Done(Box::new(report)),
-                Ok(Ok(Err(e))) => AttemptOutcome::Error(e),
-                Ok(Err(payload)) => AttemptOutcome::Panic(panic_message(payload.as_ref())),
-                Err(_) => AttemptOutcome::Timeout(limit),
-            }
-        }
+    match (result, timeout) {
+        (Ok(Ok(report)), _) => AttemptOutcome::Done(Box::new(report)),
+        (Ok(Err(RtError::DeadlineExceeded)), Some(limit)) => AttemptOutcome::Timeout(limit),
+        (Ok(Err(e)), _) => AttemptOutcome::Error(e),
+        (Err(payload), _) => AttemptOutcome::Panic(panic_message(payload.as_ref())),
     }
 }
 
@@ -1692,35 +1644,6 @@ fn run_attempt(
 /// engine mutex; only quarantine (the failure path) locks.
 fn execute_job(sink: &mut BatchSink<'_>, job: &Job, seq: u64) -> Option<RunReport> {
     let engine = sink.engine;
-    // Each timed-out attempt leaks a detached OS thread; past the
-    // configured cap, refuse to spawn more and quarantine instead, so a
-    // systematically wedged sweep degrades to a bounded leak.
-    if let Some(cap) = engine.config.abandoned_cap {
-        if engine.abandoned_threads() >= cap as u64 {
-            let q = QuarantineRecord {
-                id: job.key.id(),
-                key: job.key.canonical(),
-                label: job.key.label(),
-                reason: "abandoned-cap",
-                attempts: 0,
-                detail: format!(
-                    "abandoned-thread cap ({cap}) reached; not spawning another attempt"
-                ),
-                repro: engine.repro_string(&job.key),
-            };
-            sink.note_op(Metric::JobsQuarantined);
-            engine.emit(obj(vec![
-                ("event", Value::Str("job_quarantined".into())),
-                ("id", Value::Str(q.id.clone())),
-                ("label", Value::Str(q.label.clone())),
-                ("reason", Value::Str(q.reason.into())),
-                ("attempts", Value::Int(0)),
-            ]));
-            engine.journal_quarantine(&q);
-            engine.quarantine.lock().unwrap_or_else(|e| e.into_inner()).push(q);
-            return None;
-        }
-    }
     let injected = engine.config.fault_plan.as_ref().and_then(|p| p.worker_fault_at(seq));
     engine.emit(obj(vec![
         ("event", Value::Str("job_start".into())),
@@ -1783,8 +1706,6 @@ fn execute_job(sink: &mut BatchSink<'_>, job: &Job, seq: u64) -> Option<RunRepor
             AttemptOutcome::Error(e) => last_failure = ("error", e.to_string()),
             AttemptOutcome::Panic(msg) => last_failure = ("panic", msg),
             AttemptOutcome::Timeout(limit) => {
-                engine.abandoned.fetch_add(1, Ordering::Relaxed);
-                sink.note_op(Metric::AbandonedThreads);
                 last_failure =
                     ("timeout", format!("exceeded {}ms wall-clock limit", limit.as_millis()));
             }
@@ -2233,45 +2154,11 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_resume_without_journal_and_cap_without_timeout() {
+    fn builder_rejects_resume_without_journal() {
         assert_eq!(
             SweepConfig::builder().resume(true).build().unwrap_err(),
             SweepConfigError::ResumeWithoutJournal
         );
-        assert_eq!(
-            SweepConfig::builder().abandoned_cap(2).build().unwrap_err(),
-            SweepConfigError::AbandonedCapWithoutTimeout
-        );
-    }
-
-    #[test]
-    fn abandoned_cap_quarantines_instead_of_spawning_more_attempts() {
-        let engine = SweepEngine::with_config(
-            SweepConfig::builder()
-                .job_timeout(Duration::from_millis(50))
-                .abandoned_cap(1)
-                .workers(1)
-                .build()
-                .unwrap(),
-        );
-        let spec = small_spec();
-        let jobs: Vec<Job> = [4usize, 8]
-            .iter()
-            .map(|&w| {
-                let key = JobKey::for_cell(&spec, spec.behaviors[0], SchemeKind::Sp, w);
-                Job::new(key, || {
-                    std::thread::sleep(Duration::from_secs(30));
-                    Err(RtError::Internal { detail: "unreachable".to_string() })
-                })
-            })
-            .collect();
-        let reports = engine.run_jobs(&jobs);
-        assert!(reports.iter().all(Option::is_none));
-        assert_eq!(engine.abandoned_threads(), 1, "only the first job may leak a thread");
-        let quarantine = engine.quarantine();
-        assert_eq!(quarantine.len(), 2);
-        assert_eq!(quarantine[0].reason, "timeout");
-        assert_eq!(quarantine[1].reason, "abandoned-cap");
     }
 
     #[test]
@@ -2335,7 +2222,7 @@ mod tests {
         std::thread::scope(|scope| {
             let engine = &engine;
             let done = Arc::clone(&done);
-            let (held_tx, held_rx) = mpsc::channel::<()>();
+            let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
             scope.spawn(move || {
                 let log = engine.log.lock().unwrap();
                 let obs = engine.obs.lock().unwrap();
@@ -2397,32 +2284,6 @@ mod tests {
             assert_eq!(baseline, warm_json, "{policy:?}: cold vs warm cache");
             let _ = std::fs::remove_dir_all(&dir);
         }
-    }
-
-    #[test]
-    fn timeout_bounds_a_job_that_never_finishes() {
-        let engine = SweepEngine::with_config(SweepConfig {
-            job_timeout: Some(Duration::from_millis(100)),
-            ..SweepConfig::default()
-        });
-        let spec = small_spec();
-        let key = JobKey::for_cell(&spec, spec.behaviors[0], SchemeKind::Sp, 8);
-        // Sleeps far past the timeout — stands in for a genuinely wedged
-        // job. Its detached attempt thread is abandoned, never joined.
-        let jobs = vec![Job::new(key, || {
-            std::thread::sleep(Duration::from_secs(30));
-            Err(RtError::Internal { detail: "unreachable".to_string() })
-        })];
-        let t0 = Instant::now();
-        let reports = engine.run_jobs(&jobs);
-        assert!(reports[0].is_none());
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "run_jobs must abandon the wedged attempt, not join it"
-        );
-        let quarantine = engine.quarantine();
-        assert_eq!(quarantine.len(), 1);
-        assert_eq!(quarantine[0].reason, "timeout");
     }
 
     #[test]

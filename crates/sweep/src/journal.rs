@@ -344,7 +344,6 @@ fn decode_payload(payload: &str) -> Result<Entry, DecodeError> {
                 "panic" => "panic",
                 "timeout" => "timeout",
                 "error" => "error",
-                "abandoned-cap" => "abandoned-cap",
                 other => return Err(DecodeError(format!("unknown quarantine reason '{other}'"))),
             };
             r.key("attempts")?;

@@ -54,8 +54,8 @@ pub fn run_ablation(
         cells.iter().map(|&(label, w)| cell_key(set, corpus, label, w)).collect();
 
     // Record the (expensive) base trace only when some cell will
-    // actually replay it. `Arc`, because jobs must own their data: a
-    // timed-out attempt's detached thread may outlive this call.
+    // actually replay it. `Arc`, because each job's `'static` closure
+    // owns its share.
     let trace =
         if engine.all_cached(&keys) { None } else { Some(Arc::new(record_base_trace(corpus)?)) };
 

@@ -149,6 +149,11 @@ pub trait Probe: Send + Sync + fmt::Debug {
     fn enabled(&self) -> bool {
         true
     }
+
+    /// Delivers whatever events the probe holds back. Emitters call it
+    /// at the end of each batch of events; the default holds nothing
+    /// back.
+    fn flush(&self) {}
 }
 
 /// The zero-cost default probe: drops every event.
@@ -244,44 +249,56 @@ impl Probe for MetricProbe {
 }
 
 /// A forwarding sink: renders each event to one deterministic JSONL
-/// line (via [`crate::jsonl::Row`]) and hands it to a caller-supplied
-/// closure — a socket writer, a log file, a channel.
+/// line (via [`crate::jsonl::Row`]) and hands the lines to a
+/// caller-supplied closure — a socket writer, a log file, a channel.
 ///
 /// This is the streaming half of sweep-as-a-service: the daemon
 /// installs a `StreamProbe` whose sink writes `event` frames to the
-/// client connection, so a thin client watches job progress live. The
-/// sink is called under a mutex, so a slow consumer (a full socket
-/// buffer) back-pressures the emitting workers instead of growing an
-/// unbounded queue.
+/// client connection, so a thin client watches job progress live.
 ///
-/// By default only [`SpanKind::Job`] spans are forwarded — per-trap and
-/// per-switch events fire on the simulation hot path and would swamp
-/// any socket; use [`StreamProbe::all_events`] for local diagnostics.
+/// Lines are handed over in batches, so a batch costs its consumer one
+/// write: the probe holds lines back until [`Probe::flush`], until it
+/// holds 64 KiB, or until it drops, and then calls the sink once with
+/// every held line, each ended by `\n`. The sink is called under a
+/// mutex, so a slow consumer (a full socket buffer) back-pressures the
+/// emitting workers instead of growing an unbounded queue.
+///
+/// Only [`SpanKind::Job`] spans are forwarded: per-trap and per-switch
+/// events fire on the simulation hot path and would swamp any socket.
 pub struct StreamProbe {
-    sink: Mutex<StreamSink>,
-    jobs_only: bool,
+    /// The sink, and the lines held back for it.
+    held: Mutex<(StreamSink, String)>,
 }
+
+/// The most rendered bytes a [`StreamProbe`] holds back before it hands
+/// them to its sink unflushed.
+const STREAM_HOLD_BYTES: usize = 64 << 10;
 
 /// The boxed consumer a [`StreamProbe`] forwards rendered lines to.
 type StreamSink = Box<dyn FnMut(&str) + Send>;
 
 impl fmt::Debug for StreamProbe {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StreamProbe").field("jobs_only", &self.jobs_only).finish_non_exhaustive()
+        f.debug_struct("StreamProbe").finish_non_exhaustive()
     }
 }
 
 impl StreamProbe {
-    /// A probe forwarding only job-level span events to `sink` (the
-    /// right setting for streaming over a socket).
+    /// A probe forwarding job-level span events to `sink`.
     pub fn new(sink: impl FnMut(&str) + Send + 'static) -> Self {
-        StreamProbe { sink: Mutex::new(Box::new(sink)), jobs_only: true }
+        StreamProbe { held: Mutex::new((Box::new(sink), String::new())) }
     }
 
-    /// A probe forwarding *every* event to `sink`. The hot-path volume
-    /// is enormous; intended for tests and local diagnostics only.
-    pub fn all_events(sink: impl FnMut(&str) + Send + 'static) -> Self {
-        StreamProbe { sink: Mutex::new(Box::new(sink)), jobs_only: false }
+    /// Holds `lines` back, then hands every held line to the sink if at
+    /// least `limit` bytes (and at least one) are held.
+    fn hold(&self, lines: &str, limit: usize) {
+        let mut held = self.held.lock().unwrap_or_else(|e| e.into_inner());
+        let (sink, held) = &mut *held;
+        held.push_str(lines);
+        if held.len() >= limit.max(1) {
+            sink(held);
+            held.clear();
+        }
     }
 
     /// Renders one event as a deterministic JSONL line (no newline).
@@ -314,17 +331,26 @@ impl StreamProbe {
 
 impl Probe for StreamProbe {
     fn record(&self, event: &ProbeEvent<'_>) {
-        if self.jobs_only
-            && !matches!(
-                event,
-                ProbeEvent::SpanStart { kind: SpanKind::Job, .. }
-                    | ProbeEvent::SpanEnd { kind: SpanKind::Job, .. }
-            )
-        {
+        if !matches!(
+            event,
+            ProbeEvent::SpanStart { kind: SpanKind::Job, .. }
+                | ProbeEvent::SpanEnd { kind: SpanKind::Job, .. }
+        ) {
             return;
         }
-        let line = Self::render(event);
-        (self.sink.lock().unwrap_or_else(|e| e.into_inner()))(&line);
+        let mut line = Self::render(event);
+        line.push('\n');
+        self.hold(&line, STREAM_HOLD_BYTES);
+    }
+
+    fn flush(&self) {
+        self.hold("", 0);
+    }
+}
+
+impl Drop for StreamProbe {
+    fn drop(&mut self) {
+        self.hold("", 0);
     }
 }
 
@@ -380,32 +406,52 @@ mod tests {
         p.record(&ProbeEvent::Counter { metric: Metric::Dispatches, delta: 7 });
         p.record(&ProbeEvent::SpanEnd { kind: SpanKind::Trap, name: "overflow", cycles: 93 });
         p.record(&ProbeEvent::SpanEnd { kind: SpanKind::Job, name: "SP FIFO w=8", cycles: 0 });
+        assert!(lines.lock().unwrap().is_empty(), "lines are held back until a flush");
+        p.flush();
+        // A second flush has nothing to hand over and calls no sink.
+        p.flush();
         assert_eq!(
             *lines.lock().unwrap(),
-            vec![
-                r#"{"ev":"start","kind":"job","name":"SP FIFO w=8"}"#.to_string(),
-                r#"{"ev":"end","kind":"job","name":"SP FIFO w=8","cycles":0}"#.to_string(),
-            ],
-            "only job spans pass the socket filter"
+            vec![concat!(
+                r#"{"ev":"start","kind":"job","name":"SP FIFO w=8"}"#,
+                "\n",
+                r#"{"ev":"end","kind":"job","name":"SP FIFO w=8","cycles":0}"#,
+                "\n",
+            )
+            .to_string()],
+            "only job spans pass the socket filter, and a flush hands them over in one call"
         );
     }
 
     #[test]
-    fn stream_probe_all_events_renders_every_variant() {
-        let lines = std::sync::Arc::new(Mutex::new(Vec::new()));
+    fn stream_probe_hands_over_what_it_holds_when_full_and_when_dropped() {
+        let batches = std::sync::Arc::new(Mutex::new(Vec::new()));
         let sink = {
-            let lines = std::sync::Arc::clone(&lines);
-            move |line: &str| lines.lock().unwrap().push(line.to_string())
+            let batches = std::sync::Arc::clone(&batches);
+            move |lines: &str| batches.lock().unwrap().push(lines.len())
         };
-        let p = StreamProbe::all_events(sink);
-        p.record(&ProbeEvent::Counter { metric: Metric::Dispatches, delta: 7 });
-        p.record(&ProbeEvent::Gauge { name: "ready_queue_depth", value: 3 });
+        let p = StreamProbe::new(sink);
+        let name = "x".repeat(1000);
+        let event = ProbeEvent::SpanStart { kind: SpanKind::Job, name: &name };
+        let line = StreamProbe::render(&event).len() + 1;
+        let per_batch = STREAM_HOLD_BYTES.div_ceil(line);
+        for _ in 0..per_batch + 1 {
+            p.record(&event);
+        }
+        assert_eq!(*batches.lock().unwrap(), vec![per_batch * line], "a full hold is handed over");
+        drop(p);
+        assert_eq!(*batches.lock().unwrap(), vec![per_batch * line, line], "drop hands the rest");
+    }
+
+    #[test]
+    fn stream_probe_renders_every_variant() {
         assert_eq!(
-            *lines.lock().unwrap(),
-            vec![
-                r#"{"ev":"counter","metric":"dispatches","delta":7}"#.to_string(),
-                r#"{"ev":"gauge","name":"ready_queue_depth","value":3}"#.to_string(),
-            ]
+            StreamProbe::render(&ProbeEvent::Counter { metric: Metric::Dispatches, delta: 7 }),
+            r#"{"ev":"counter","metric":"dispatches","delta":7}"#
+        );
+        assert_eq!(
+            StreamProbe::render(&ProbeEvent::Gauge { name: "ready_queue_depth", value: 3 }),
+            r#"{"ev":"gauge","name":"ready_queue_depth","value":3}"#
         );
     }
 

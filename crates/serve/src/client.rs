@@ -10,14 +10,16 @@
 
 use crate::protocol::{
     frame_type, quarantine_from_value, spec_to_value, summary_from_value, write_frame, FrameReader,
-    PROTO_VERSION,
+    EVENT_PREFIX, PROTO_VERSION,
 };
 use regwin_core::{MatrixSpec, RunRecord};
 use regwin_sweep::json::{members, obj, parse, Value};
 use regwin_sweep::{records_from_json, QuarantineRecord, SweepSummary};
 use std::fmt;
+use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -74,6 +76,17 @@ fn closed() -> ClientError {
 /// reports for it.
 fn bad_frame(e: regwin_sweep::json::ParseError) -> ClientError {
     ClientError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad frame: {e}")))
+}
+
+/// How often at most the progress line of a remote sweep is redrawn.
+const PROGRESS_EVERY: Duration = Duration::from_millis(100);
+
+/// Draws a sweep's progress line on stderr in one write, ending the
+/// line once all `total` runs are done.
+fn draw_progress(done: usize, total: usize) {
+    let end = if done == total { "\n" } else { "" };
+    let _ =
+        std::io::stderr().write_all(format!("\r  {done}/{total} runs (remote){end}").as_bytes());
 }
 
 /// A connected session with a sweep daemon.
@@ -176,12 +189,23 @@ impl ServeClient {
             &mut self.writer,
             &obj(vec![("type", Value::Str("sweep".into())), ("spec", spec_to_value(spec))]),
         )?;
-        let mut done = 0usize;
+        // Runs done, then the count last drawn and when.
+        let (total, mut done, mut drawn) = (spec.len(), 0, (0, Instant::now()));
         loop {
-            // Every frame is split into its members first, so a
+            let line = self.reader.next_line()?.ok_or_else(closed)?;
+            if let Some(data) = line.strip_prefix(EVENT_PREFIX) {
+                if data.starts_with("{\"ev\":\"end\"") {
+                    done += 1;
+                    if done == total || drawn.1.elapsed() >= PROGRESS_EVERY {
+                        draw_progress(done, total);
+                        drawn = (done, Instant::now());
+                    }
+                }
+                continue;
+            }
+            // Every other frame is split into its members first, so a
             // `records` frame's run records decode straight from their
             // text in the reader's buffer, with no tree and no copy.
-            let line = self.reader.next_line()?.ok_or_else(closed)?;
             let parts = members(&line).map_err(bad_frame)?;
             let part = |name: &str| {
                 parts
@@ -192,6 +216,9 @@ impl ServeClient {
             };
             let kind = parse(part("type")?).map_err(bad_frame)?;
             if kind.as_str() == Some("records") {
+                if drawn.0 != done {
+                    draw_progress(done, total);
+                }
                 let small = |name: &str| parse(part(name)?).map_err(bad_frame);
                 self.summary = summary_from_value(&small("summary")?)
                     .map_err(|e| ClientError::Protocol(e.0))?;
@@ -202,17 +229,8 @@ impl ServeClient {
             }
             let frame = parse(&line).map_err(bad_frame)?;
             match frame_type(&frame).unwrap_or("?") {
-                "event" => {
-                    if let Some(data) = frame.get("data") {
-                        if data.get("ev").and_then(Value::as_str) == Some("end") {
-                            done += 1;
-                            eprint!("\r  {done}/{} runs (remote)", spec.len());
-                            if done == spec.len() {
-                                eprintln!();
-                            }
-                        }
-                    }
-                }
+                // An event in another layout than the daemon writes.
+                "event" => {}
                 "sweep_error" => {
                     return Err(ClientError::Sweep {
                         detail: frame

@@ -34,17 +34,29 @@
 //! splits it into members with [`regwin_sweep::json::members`], and
 //! decodes the run records straight from their text with
 //! [`regwin_sweep::records_from_json`]. Only `summary` and `quarantine`
-//! go through a tree.
+//! go through a tree. An `event` frame is not decoded at all: the client
+//! counts the `end` events by their line's prefix.
+//!
+//! The daemon writes a sweep's events in batches, each batch in one
+//! socket write: the engine hands over what it holds after the cache
+//! hits and after each executed job, and whenever 64 KiB have piled up.
+//! Workers share that buffer, so a batch may carry one job's `start`
+//! without its `end`. The events stay in order, and every event of a
+//! sweep is written before its `records` frame.
 
-use regwin_core::{Behavior, MatrixSpec, RunRecord};
+use regwin_core::{Behavior, MatrixSpec};
 use regwin_machine::{SchemeKind, TimingKind};
 use regwin_rt::SchedulingPolicy;
 use regwin_spell::CorpusSpec;
 use regwin_sweep::json::{obj, parse, Value};
-use regwin_sweep::{records_to_json, serial, QuarantineRecord, SweepSummary};
+use regwin_sweep::{serial, QuarantineRecord, SweepSummary};
 use std::borrow::Cow;
 use std::fmt;
 use std::io::Write;
+
+/// How every `event` frame's line begins: its `data` member, one
+/// [`regwin_obs::StreamProbe`] line, follows, and `}` ends the frame.
+pub(crate) const EVENT_PREFIX: &str = "{\"type\":\"event\",\"data\":";
 
 /// The protocol revision spoken by this crate. A `hello` carrying a
 /// different revision is rejected, so mismatched client/daemon builds
@@ -256,14 +268,6 @@ pub fn spec_from_value(v: &Value) -> Result<MatrixSpec, ProtoError> {
     Ok(MatrixSpec { corpus, behaviors, schemes, windows, policy, timing })
 }
 
-/// Encodes run records for a `records` frame: exactly the text of
-/// [`regwin_sweep::records_to_json`], embedded as a pre-encoded
-/// [`Value::Raw`], so every report is written once and straight to
-/// text.
-pub fn records_to_value(records: &[RunRecord]) -> Value {
-    Value::Raw(records_to_json(records))
-}
-
 /// Encodes a sweep summary for a `records` frame.
 pub fn summary_to_value(s: &SweepSummary) -> Value {
     obj(vec![
@@ -342,6 +346,7 @@ pub fn quarantine_from_value(v: &Value) -> Result<Vec<QuarantineRecord>, ProtoEr
 mod tests {
     use super::*;
     use regwin_core::{Concurrency, Granularity};
+    use regwin_sweep::records_to_json;
 
     fn spec() -> MatrixSpec {
         MatrixSpec {
@@ -386,7 +391,7 @@ mod tests {
         let records = regwin_core::run_matrix(&s).expect("matrix runs");
         let frame = obj(vec![
             ("type", Value::Str("records".into())),
-            ("records", records_to_value(&records)),
+            ("records", Value::Raw(records_to_json(&records))),
             ("summary", summary_to_value(&SweepSummary::default())),
             ("quarantine", quarantine_to_value(&[])),
         ]);
@@ -449,7 +454,7 @@ mod tests {
         let records = regwin_core::run_matrix(&s).expect("matrix runs");
         let frame = obj(vec![
             ("type", Value::Str("records".into())),
-            ("records", records_to_value(&records)),
+            ("records", Value::Raw(records_to_json(&records))),
         ]);
         write_frame(&mut bytes, &frame).unwrap();
         write_frame(&mut bytes, &obj(vec![("type", Value::Str("bye".into()))])).unwrap();

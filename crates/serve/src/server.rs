@@ -23,9 +23,10 @@
 //! once every session thread has unwound.
 
 use crate::protocol::{
-    frame_type, quarantine_to_value, records_to_value, spec_from_value, summary_to_value,
-    write_frame, FrameReader, PROTO_VERSION,
+    frame_type, quarantine_to_value, spec_from_value, summary_to_value, write_frame, FrameReader,
+    EVENT_PREFIX, PROTO_VERSION,
 };
+use regwin_core::MatrixSpec;
 use regwin_obs::{Probe, StreamProbe};
 use regwin_sweep::json::{obj, Value};
 use regwin_sweep::{fnv1a, AdmissionGate, SweepConfigError, SweepEngine};
@@ -297,6 +298,39 @@ fn send(writer: &Mutex<UnixStream>, frame: &Value) -> bool {
     write_frame(&mut *w, frame).is_ok()
 }
 
+/// Runs `spec` on the session's engine and returns the reply line: a
+/// `sweep_error` when the sweep failed or a drain cut it short, else the
+/// `records` frame, written once with the engine's records text (each
+/// hit's verified cache bytes and each miss's one serialization).
+fn sweep_reply(engine: &SweepEngine, spec: &MatrixSpec) -> String {
+    let skipped_before = engine.shutdown_skipped();
+    let mut line = String::with_capacity(2304 * spec.len() + 1024);
+    line.push_str("{\"type\":\"records\",\"records\":");
+    let outcome = engine.run_matrix_json(spec, &mut line);
+    let skipped = engine.shutdown_skipped() - skipped_before;
+    let error = match outcome {
+        Ok(()) if skipped > 0 => sweep_error(
+            format!(
+                "daemon draining: {skipped} job(s) were not admitted; completed jobs are \
+                 journaled — reconnect after restart to resume"
+            ),
+            true,
+        ),
+        Ok(()) => {
+            line.push_str(",\"summary\":");
+            line.push_str(&summary_to_value(&engine.summary()).to_json());
+            line.push_str(",\"quarantine\":");
+            line.push_str(&quarantine_to_value(&engine.quarantine()).to_json());
+            line.push_str("}\n");
+            return line;
+        }
+        Err(e) => sweep_error(e.to_string(), false),
+    };
+    let mut line = error.to_json();
+    line.push('\n');
+    line
+}
+
 /// Builds the session's engine: shared cache, deterministic artifacts,
 /// gate admission, a per-session resumable journal, and an event stream
 /// back to the client.
@@ -314,10 +348,17 @@ fn session_engine(shared: &Shared, session_id: u64, writer: Arc<Mutex<UnixStream
             b = b.cache_dir(dir.clone());
         }
         let probe_writer = Arc::clone(&writer);
-        let probe = StreamProbe::new(move |line: &str| {
+        // A batch of events goes out as one socket write, of its own:
+        // never joined to the next frame.
+        let probe = StreamProbe::new(move |lines: &str| {
+            let mut frames = String::with_capacity(lines.len() + lines.len() / 4);
+            for line in lines.lines() {
+                frames.push_str(EVENT_PREFIX);
+                frames.push_str(line);
+                frames.push_str("}\n");
+            }
             let mut w = probe_writer.lock().unwrap_or_else(|e| e.into_inner());
-            let _ = w.write_all(format!("{{\"type\":\"event\",\"data\":{line}}}\n").as_bytes());
-            let _ = w.flush();
+            let _ = w.write_all(frames.as_bytes());
         });
         b.probe(Arc::new(probe) as Arc<dyn Probe>)
     };
@@ -391,26 +432,9 @@ fn serve_session(stream: UnixStream, shared: &Shared) {
                     Ok(spec) => spec,
                     Err(()) => continue,
                 };
-                let skipped_before = engine.shutdown_skipped();
-                let outcome = engine.run_matrix(&spec);
-                let skipped = engine.shutdown_skipped() - skipped_before;
-                let reply = match outcome {
-                    Ok(_) if skipped > 0 => sweep_error(
-                        format!(
-                            "daemon draining: {skipped} job(s) were not admitted; completed jobs \
-                             are journaled — reconnect after restart to resume"
-                        ),
-                        true,
-                    ),
-                    Ok(records) => obj(vec![
-                        ("type", Value::Str("records".into())),
-                        ("records", records_to_value(&records)),
-                        ("summary", summary_to_value(&engine.summary())),
-                        ("quarantine", quarantine_to_value(&engine.quarantine())),
-                    ]),
-                    Err(e) => sweep_error(e.to_string(), false),
-                };
-                if !send(&writer, &reply) {
+                let reply = sweep_reply(&engine, &spec);
+                let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
+                if w.write_all(reply.as_bytes()).is_err() {
                     return;
                 }
             }

@@ -5,12 +5,13 @@
 use regwin_core::{Behavior, Concurrency, Granularity, MatrixSpec};
 use regwin_machine::{SchemeKind, TimingKind};
 use regwin_rt::SchedulingPolicy;
-use regwin_serve::protocol::{frame_type, write_frame, FrameReader, PROTO_VERSION};
+use regwin_serve::protocol::{frame_type, spec_to_value, write_frame, FrameReader, PROTO_VERSION};
 use regwin_serve::{ClientError, ServeClient, Server, ServerConfig};
 use regwin_spell::CorpusSpec;
-use regwin_sweep::json::{obj, Value};
-use regwin_sweep::{SweepConfig, SweepEngine};
-use std::io::Write;
+use regwin_sweep::json::{members, obj, parse, Value};
+use regwin_sweep::{records_to_json, JobKey, SweepConfig, SweepEngine};
+use std::collections::BTreeMap;
+use std::io::{BufRead, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -310,5 +311,96 @@ fn connections_are_accepted_as_soon_as_they_arrive() {
     // A loop that sleeps 20 ms whenever no connection is pending takes
     // about 1.1 s for these 100 sessions.
     assert!(elapsed < Duration::from_millis(500), "100 sessions took {elapsed:?}");
+    daemon.cleanup();
+}
+
+/// One raw session: `hello`, one `sweep` of `spec`, and every line the
+/// daemon sends after `ready` up to and including the `records` frame,
+/// exactly as it arrived.
+fn raw_sweep_lines(socket: &Path, session: &str, spec: &MatrixSpec) -> Vec<String> {
+    let stream = UnixStream::connect(socket).expect("client connects");
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = std::io::BufReader::new(stream);
+    let mut next_line = || {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "the daemon closed the session");
+        line
+    };
+    let hello = obj(vec![
+        ("type", Value::Str("hello".into())),
+        ("proto", Value::Int(PROTO_VERSION)),
+        ("session", Value::Str(session.into())),
+    ]);
+    write_frame(&mut writer, &hello).unwrap();
+    assert_eq!(frame_type(&parse(&next_line()).unwrap()).unwrap(), "ready");
+    let sweep = obj(vec![("type", Value::Str("sweep".into())), ("spec", spec_to_value(spec))]);
+    write_frame(&mut writer, &sweep).unwrap();
+    let mut lines = Vec::new();
+    loop {
+        let line = next_line();
+        let records = line.starts_with("{\"type\":\"records\",");
+        lines.push(line);
+        if records {
+            write_frame(&mut writer, &obj(vec![("type", Value::Str("bye".into()))])).unwrap();
+            return lines;
+        }
+    }
+}
+
+/// Checks a sweep's lines: exactly one `start` and one `end` event per
+/// cell, each start before its end, and every event before the
+/// `records` frame, which comes last. Returns the frame's `records`
+/// text and its summary.
+fn events_then_records(lines: &[String], spec: &MatrixSpec) -> (String, Value) {
+    let (records, events) = lines.split_last().expect("a records frame");
+    assert_eq!(events.len(), 2 * spec.len(), "two events per cell");
+    // Job name → whether its end has arrived.
+    let mut ended: BTreeMap<String, bool> = BTreeMap::new();
+    for line in events {
+        let frame = parse(line).unwrap();
+        assert_eq!(frame_type(&frame).unwrap(), "event", "{line}");
+        let data = frame.get("data").unwrap();
+        let name = data.get("name").and_then(Value::as_str).unwrap().to_string();
+        match data.get("ev").and_then(Value::as_str) {
+            Some("start") => assert_eq!(ended.insert(name, false), None, "{line}"),
+            Some("end") => assert_eq!(ended.insert(name, true), Some(false), "{line}"),
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+    assert_eq!(ended.len(), spec.len(), "one start per cell");
+    assert!(ended.values().all(|&end| end), "every start has its end");
+    let parts = members(records.trim_end()).unwrap();
+    let keys: Vec<&str> = parts.iter().map(|(key, _)| &**key).collect();
+    assert_eq!(keys, ["type", "records", "summary", "quarantine"]);
+    (parts[1].1.to_string(), parse(parts[2].1).unwrap())
+}
+
+#[test]
+fn cold_warm_and_mixed_sweeps_send_two_events_per_cell_then_the_in_process_records_text() {
+    let daemon = TestDaemon::start("frames", 4);
+    let spec = spec_b();
+    let want = records_to_json(&reference(std::slice::from_ref(&spec)).0[0]);
+    let hits = |summary: &Value| summary.get("cache_hits").and_then(Value::as_u64).unwrap();
+
+    let (records, summary) =
+        events_then_records(&raw_sweep_lines(&daemon.socket, "cold", &spec), &spec);
+    assert_eq!(records, want, "a cold sweep's records text");
+    assert_eq!(hits(&summary), 0);
+
+    let (records, summary) =
+        events_then_records(&raw_sweep_lines(&daemon.socket, "warm", &spec), &spec);
+    assert_eq!(records, want, "a warm sweep's records text, from the cached bytes");
+    assert_eq!(hits(&summary), spec.len() as u64);
+
+    // Two cells lose their cache entries: the next sweep is mixed.
+    for scheme in [SchemeKind::Ns, SchemeKind::Sp] {
+        let key = JobKey::for_cell(&spec, spec.behaviors[0], scheme, 12);
+        std::fs::remove_file(daemon.dir.join("cache").join(format!("{}.json", key.id()))).unwrap();
+    }
+    let (records, summary) =
+        events_then_records(&raw_sweep_lines(&daemon.socket, "mixed", &spec), &spec);
+    assert_eq!(records, want, "a mixed sweep's records text");
+    assert_eq!(hits(&summary), spec.len() as u64 - 2);
     daemon.cleanup();
 }

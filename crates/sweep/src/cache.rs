@@ -15,8 +15,9 @@
 //! sum's 16 hex digits compared in place, verifies the checksum over the
 //! report bytes, and decodes the report straight from them with
 //! [`crate::serial::report_from_json`], which builds no tree and reads
-//! the fields in canonical order. The engine then journals those same
-//! bytes instead of serializing the report again. An entry that is
+//! the fields in canonical order. The engine then hands those same
+//! bytes to a daemon's `records` frame instead of serializing the
+//! report again. An entry that is
 //! valid JSON but not in canonical layout (hand-reformatted, say) is
 //! therefore a miss and is reclaimed, never a wrong hit.
 //!
@@ -35,7 +36,7 @@
 
 use crate::engine::write_file_atomic;
 use crate::json::write_string;
-use crate::key::{fnv1a, JobKey, FORMAT_VERSION};
+use crate::key::{fnv1a, JobKey, KeyNames, FORMAT_VERSION};
 use crate::serial::{report_from_json, report_to_json};
 use regwin_rt::RunReport;
 use std::path::{Path, PathBuf};
@@ -58,8 +59,8 @@ impl ResultCache {
         &self.dir
     }
 
-    fn path_for(&self, key: &JobKey) -> PathBuf {
-        self.dir.join(format!("{}.json", key.id()))
+    fn path_for(&self, names: &KeyNames) -> PathBuf {
+        self.dir.join(format!("{}.json", names.id))
     }
 
     /// Loads the cached report for `key`, or `None` on miss. Corrupt,
@@ -69,16 +70,16 @@ impl ResultCache {
     /// re-validates before destroying anything, so a concurrent fresh
     /// store is never lost.
     pub fn load(&self, key: &JobKey) -> Option<RunReport> {
-        self.load_verified(key).map(|(report, _)| report)
+        self.load_verified(&KeyNames::of(key)).map(|(report, _)| report)
     }
 
-    /// [`ResultCache::load`], also returning the entry's report bytes:
-    /// the exact text the checksum was verified over and the report was
-    /// decoded from.
-    pub(crate) fn load_verified(&self, key: &JobKey) -> Option<(RunReport, String)> {
-        let path = self.path_for(key);
+    /// [`ResultCache::load`] for a key whose strings are built, also
+    /// returning the entry's report bytes: the exact text the checksum
+    /// was verified over and the report was decoded from.
+    pub(crate) fn load_verified(&self, names: &KeyNames) -> Option<(RunReport, String)> {
+        let path = self.path_for(names);
         let text = std::fs::read_to_string(&path).ok()?;
-        decode_entry(text, key).or_else(|| self.reclaim_invalid(&path, key))
+        decode_entry(text, &names.canonical).or_else(|| self.reclaim_invalid(&path, names))
     }
 
     /// Reclaims a slot whose bytes failed validation, without trusting
@@ -88,7 +89,7 @@ impl ResultCache {
     /// are renamed back and served as a hit; captured bytes that are
     /// still invalid are deleted, freeing the slot. Returns the rescued
     /// report and its bytes, if any.
-    fn reclaim_invalid(&self, path: &Path, key: &JobKey) -> Option<(RunReport, String)> {
+    fn reclaim_invalid(&self, path: &Path, names: &KeyNames) -> Option<(RunReport, String)> {
         // Process-unique + counter-unique, so concurrent reclaims (even
         // within one process) never collide on the quarantine name.
         static RECLAIM_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -105,7 +106,7 @@ impl ResultCache {
             return None;
         }
         let rescued =
-            std::fs::read_to_string(&aside).ok().and_then(|captured| decode_entry(captured, key));
+            std::fs::read_to_string(&aside).ok().and_then(|c| decode_entry(c, &names.canonical));
         match rescued {
             Some(hit) => {
                 // We captured a *fresh* entry a concurrent store just
@@ -131,20 +132,20 @@ impl ResultCache {
     /// stderr but do not fail the sweep — the cache is an accelerator,
     /// not a correctness dependency.
     pub fn store(&self, key: &JobKey, report: &RunReport) {
-        self.store_json(key, &report_to_json(report));
+        self.store_json(&KeyNames::of(key), &report_to_json(report));
     }
 
-    /// [`ResultCache::store`] for a report already serialized by
-    /// [`report_to_json`].
-    pub(crate) fn store_json(&self, key: &JobKey, report_json: &str) {
+    /// [`ResultCache::store`] for a key whose strings are built and a
+    /// report already serialized by [`report_to_json`].
+    pub(crate) fn store_json(&self, names: &KeyNames, report_json: &str) {
         if let Err(e) = std::fs::create_dir_all(&self.dir) {
             eprintln!("warning: cannot create cache dir {}: {e}", self.dir.display());
             return;
         }
-        let mut entry = entry_head(key, fnv1a(report_json.as_bytes()));
+        let mut entry = entry_head(&names.canonical, fnv1a(report_json.as_bytes()));
         entry.push_str(report_json);
         entry.push('}');
-        let path = self.path_for(key);
+        let path = self.path_for(names);
         // Write-then-rename so a concurrent reader never sees a torn
         // entry (two workers may race to store the same key; both write
         // identical bytes, so either rename winning is fine).
@@ -161,23 +162,24 @@ const HEAD_TAIL: &str = "\",\"report\":";
 /// `{"version":V,"key":"<canonical>","sum":"<16 hex>","report":`. The
 /// one encoder of the entry layout, used to write entries and to check
 /// them.
-fn entry_head(key: &JobKey, sum: u64) -> String {
+fn entry_head(canonical: &str, sum: u64) -> String {
     let mut head = format!("{{\"version\":{FORMAT_VERSION},\"key\":");
-    write_string(&key.canonical(), &mut head);
+    write_string(canonical, &mut head);
     head.push_str(&format!(",\"sum\":\"{sum:016x}{HEAD_TAIL}"));
     head
 }
 
-/// Validates one cache file's text against `key` and returns the
-/// decoded report with its bytes. The head must be byte-identical to
-/// the one a store of `key` writes — which checks the format version,
-/// the canonical key and the canonical layout at once — the text must
-/// end with the entry's closing brace, and the bytes in between must
-/// hash to the head's `sum` and decode as a report.
-fn decode_entry(mut text: String, key: &JobKey) -> Option<(RunReport, String)> {
+/// Validates one cache file's text against the key whose canonical
+/// string is `canonical` and returns the decoded report with its bytes.
+/// The head must be byte-identical to the one a store of that key
+/// writes — which checks the format version, the canonical key and the
+/// canonical layout at once — the text must end with the entry's
+/// closing brace, and the bytes in between must hash to the head's
+/// `sum` and decode as a report.
+fn decode_entry(mut text: String, canonical: &str) -> Option<(RunReport, String)> {
     // Built once with a zero sum: every sum renders as 16 hex digits,
     // so the real head differs from this one only in those digits.
-    let head = entry_head(key, 0);
+    let head = entry_head(canonical, 0);
     let sum_end = head.len() - HEAD_TAIL.len();
     let sum_start = sum_end - 16;
     if text.len() <= head.len() || !text.ends_with('}') || !text.is_char_boundary(head.len()) {
@@ -302,14 +304,17 @@ mod tests {
         // The reader's stale view: garbage that fails validation.
         std::fs::write(&path, "{not json").unwrap();
         let stale_text = std::fs::read_to_string(&path).unwrap();
-        assert!(decode_entry(stale_text, &key).is_none(), "reader's view must be invalid");
+        assert!(
+            decode_entry(stale_text, &key.canonical()).is_none(),
+            "reader's view must be invalid"
+        );
         // Concurrent store lands fresh bytes before the reader acts.
         let report =
             SpellPipeline::new(SpellConfig::small()).run(8, SchemeKind::Sp).unwrap().report;
         cache.store(&key, &report);
         // The reader's delayed reclaim step must not lose the entry —
         // and rescues it as a hit.
-        let rescued = cache.reclaim_invalid(&path, &key);
+        let rescued = cache.reclaim_invalid(&path, &KeyNames::of(&key));
         assert_eq!(
             rescued.map(|(r, _)| r.total_cycles()),
             Some(report.total_cycles()),
@@ -374,7 +379,7 @@ mod tests {
         let report =
             SpellPipeline::new(SpellConfig::small()).run(8, SchemeKind::Sp).unwrap().report;
         cache.store(&key, &report);
-        let (loaded, bytes) = cache.load_verified(&key).expect("hit after store");
+        let (loaded, bytes) = cache.load_verified(&KeyNames::of(&key)).expect("hit after store");
         assert_eq!(loaded, report);
         assert_eq!(bytes, report_to_json(&report));
         let text = std::fs::read_to_string(cache.dir().join(format!("{}.json", key.id()))).unwrap();
@@ -460,10 +465,13 @@ mod tests {
             SpellPipeline::new(SpellConfig::small()).run(8, SchemeKind::Sp).unwrap().report;
         cache.store(&key, &report);
         let text = std::fs::read_to_string(cache.dir().join(format!("{}.json", key.id()))).unwrap();
-        assert_eq!(decode_entry(text.clone(), &key).map(|(r, _)| r).as_ref(), Some(&report));
+        assert_eq!(
+            decode_entry(text.clone(), &key.canonical()).map(|(r, _)| r).as_ref(),
+            Some(&report)
+        );
         assert_eq!(tree_load(&text, &key).as_ref(), Some(&report));
         for d in damaged(&text) {
-            if let Some((loaded, bytes)) = decode_entry(d.clone(), &key) {
+            if let Some((loaded, bytes)) = decode_entry(d.clone(), &key.canonical()) {
                 assert_eq!(Some(loaded), tree_load(&d, &key), "{d}");
                 assert!(d.ends_with(&format!("{bytes}}}")), "the bytes are the entry's report");
             }

@@ -17,9 +17,9 @@ use crate::cache::ResultCache;
 use crate::gate::AdmissionGate;
 use crate::journal::{replay_journal, JournalOpenError, JournalReplay, SweepJournal};
 use crate::json::{obj, Value};
-use crate::key::JobKey;
+use crate::key::{JobKey, KeyNames};
 use crate::lock::DirLock;
-use crate::serial::report_to_json;
+use crate::serial::{report_to_json, write_records};
 use regwin_core::{Behavior, MatrixSpec, RunRecord};
 use regwin_machine::MachineConfig;
 use regwin_obs::jsonl::Row;
@@ -71,16 +71,15 @@ pub struct SweepConfig {
     /// completed cell plus cache-hit/miss, retry and quarantine
     /// counters. `None` (the default) costs one branch per event site.
     pub probe: Option<Arc<dyn Probe>>,
-    /// Write-ahead journal path: every completed or quarantined job is
-    /// appended as a checksummed line, so a killed sweep can resume. An
-    /// executed job is fsync'd the moment it finishes; a batch's cache
-    /// hits are group-committed with one fsync before the batch's misses
-    /// start, so they are durable before [`SweepEngine::run_jobs`] (or
-    /// [`SweepEngine::run_matrix`]) returns. Journaling also switches the
-    /// `BENCH_sweep.json` artifact into deterministic mode — wall-clock
-    /// fields are zeroed and the job/quarantine logs are sorted by key —
-    /// so an interrupted-then-resumed sweep produces an artifact
-    /// byte-identical to an uninterrupted one.
+    /// Write-ahead journal path: every executed or quarantined job is
+    /// appended as a checksummed line and fsync'd the moment it
+    /// finishes, so a killed sweep can resume. A cache hit writes no
+    /// line: the checksummed cache entry it was served from is its
+    /// durable record (see [`crate::journal`]). Journaling also
+    /// switches the `BENCH_sweep.json` artifact into deterministic mode
+    /// — wall-clock fields are zeroed and the job/quarantine logs are
+    /// sorted by key — so an interrupted-then-resumed sweep produces an
+    /// artifact byte-identical to an uninterrupted one.
     pub journal_path: Option<PathBuf>,
     /// Replay an existing journal at `journal_path` before running:
     /// jobs it records as finished are served from their journaled
@@ -388,13 +387,38 @@ enum Lookup<'e> {
     Hit {
         /// The cached report.
         report: Box<RunReport>,
-        /// The entry's verified report bytes, journaled as they are.
+        /// The entry's verified report bytes, served as they are to a
+        /// caller that asks for the text.
         json: String,
         /// Load-and-validate time.
         load_ms: f64,
     },
     /// Nothing to serve: the job must execute.
     Miss,
+}
+
+/// What a batch served for one job: its report and, when the batch
+/// already held it, the report's [`report_to_json`] text — a hit's
+/// verified cache bytes or a miss's one serialization.
+type Served = (RunReport, Option<String>);
+
+/// A job's stderr event: its name, the job's id and label, then `more`.
+fn job_event(names: &KeyNames, event: &str, more: Vec<(&'static str, Value)>) -> Value {
+    let mut pairs = vec![
+        ("event", Value::Str(event.into())),
+        ("id", Value::Str(names.id.clone())),
+        ("label", Value::Str(names.label.clone())),
+    ];
+    pairs.extend(more);
+    obj(pairs)
+}
+
+/// A job's `job_done` event; `cache` says where its report came from.
+fn job_done(names: &KeyNames, cache: &str, wall_ms: f64, cycles: u64) -> Value {
+    let cache = Value::Str(cache.into());
+    let more =
+        vec![("cache", cache), ("wall_ms", Value::Float(wall_ms)), ("cycles", Value::Int(cycles))];
+    job_event(names, "job_done", more)
 }
 
 /// One schedulable unit: a key plus the closure computing its report.
@@ -593,9 +617,9 @@ impl<'e> BatchSink<'e> {
     /// LPT scheduling. Only meaningful with a cache (hints live in the
     /// cache directory, and a fault-plan run's wall times would
     /// mislead — fault plans disable the cache, so they skip here too).
-    fn note_wall_hint(&mut self, id: String, wall_ms: f64) {
+    fn note_wall_hint(&mut self, id: &str, wall_ms: f64) {
         if self.engine.cache.is_some() {
-            self.batch.wall_hints.push((id, wall_ms));
+            self.batch.wall_hints.push((id.to_string(), wall_ms));
         }
     }
 
@@ -608,15 +632,15 @@ impl<'e> BatchSink<'e> {
     /// cache hit and the run that produced the cached entry contribute
     /// identically — which is what keeps the `metrics` section and the
     /// JSONL trace byte-stable across worker counts and cache states.
-    fn observe_job(&mut self, key: &JobKey, report: &RunReport, cache_hit: bool, wall_ms: f64) {
-        let canonical = key.canonical();
+    fn observe_job(&mut self, names: &KeyNames, report: &RunReport, cache_hit: bool, wall_ms: f64) {
+        let canonical = &names.canonical;
         let metrics = report.as_metrics();
         let scheme = report.scheme.name();
-        self.engine.probe_event(&ProbeEvent::SpanStart { kind: SpanKind::Job, name: &canonical });
+        self.engine.probe_event(&ProbeEvent::SpanStart { kind: SpanKind::Job, name: canonical });
         self.note_op(if cache_hit { Metric::CacheHits } else { Metric::CacheMisses });
         self.engine.probe_event(&ProbeEvent::SpanEnd {
             kind: SpanKind::Job,
-            name: &canonical,
+            name: canonical,
             cycles: report.total_cycles(),
         });
         let obs = &mut self.batch.obs;
@@ -631,7 +655,7 @@ impl<'e> BatchSink<'e> {
             obs.miss_wall_ns.record(wall_ns);
         }
         obs.rows.push(TraceRow {
-            key: canonical,
+            key: canonical.clone(),
             scheme,
             total_cycles: report.total_cycles(),
             metrics,
@@ -767,9 +791,10 @@ impl SweepEngine {
         }
     }
 
-    fn emit(&self, event: Value) {
+    /// Prints the event `event` builds to stderr, when events stream.
+    fn emit(&self, event: impl FnOnce() -> Value) {
         if self.config.stream_events {
-            eprintln!("{}", event.to_json());
+            eprintln!("{}", event().to_json());
         }
     }
 
@@ -796,13 +821,13 @@ impl SweepEngine {
         }
     }
 
-    /// Appends a completed job, with its report serialized by
+    /// Appends an executed job, with its report serialized by
     /// [`report_to_json`], to the write-ahead journal, if one is
     /// configured. Journal write failures degrade resumability, not
     /// correctness, so they warn instead of failing the job.
     fn journal_job(&self, record: &JobRecord, report_json: &str) {
         if let Some(journal) = &self.journal {
-            if let Err(e) = journal.append_jobs([(record, report_json)]) {
+            if let Err(e) = journal.append_encoded(record, report_json) {
                 eprintln!("warning: cannot journal job {}: {e}", record.id);
             }
         }
@@ -812,11 +837,11 @@ impl SweepEngine {
     /// configuration: the full key plus the engine-level fault plan,
     /// fault seed and audit flag. Single-quoted fields, space-separated
     /// — canonical strings contain neither quotes nor whitespace.
-    fn repro_string(&self, key: &JobKey) -> String {
+    fn repro_string(&self, names: &KeyNames) -> String {
         let plan = self.config.fault_plan.as_ref();
         format!(
             "key='{}' audit={} plan='{}' planseed={:#x}",
-            key.canonical(),
+            names.canonical,
             u8::from(self.config.audit),
             plan.map(FaultPlan::canonical).unwrap_or_else(|| "-".to_string()),
             plan.map_or(0, FaultPlan::seed),
@@ -844,6 +869,13 @@ impl SweepEngine {
     fn probe_event(&self, event: &ProbeEvent<'_>) {
         if let Some(p) = &self.config.probe {
             p.record(event);
+        }
+    }
+
+    /// Ends a batch of probe events: a hit batch, or one miss.
+    fn flush_probe(&self) {
+        if let Some(p) = &self.config.probe {
+            p.flush();
         }
     }
 
@@ -901,8 +933,8 @@ impl SweepEngine {
     /// `None` in its slot instead of aborting the batch — the remaining
     /// cells always complete.
     pub fn run_jobs(&self, jobs: &[Job]) -> Vec<Option<RunReport>> {
-        let keys: Vec<&JobKey> = jobs.iter().map(Job::key).collect();
-        let lookups: Vec<Lookup<'_>> = keys.iter().map(|key| self.lookup(key)).collect();
+        let names: Vec<KeyNames> = jobs.iter().map(|job| KeyNames::of(&job.key)).collect();
+        let lookups: Vec<Lookup<'_>> = names.iter().map(|names| self.lookup(names)).collect();
         let misses = lookups
             .iter()
             .zip(jobs)
@@ -910,24 +942,23 @@ impl SweepEngine {
             .filter(|(_, (lookup, _))| matches!(lookup, Lookup::Miss))
             .map(|(i, (_, job))| (i, job))
             .collect();
-        self.serve_batch(&keys, lookups, misses)
+        let served = self.serve_batch(&names, lookups, misses);
+        served.into_iter().map(|served| served.map(|(report, _)| report)).collect()
     }
 
-    /// The batch's one look at the journal and the cache for `key`. A
-    /// resumed journal outranks the cache: it records exactly what the
-    /// interrupted run completed, including each job's original hit/miss
-    /// flag, which is what keeps the resumed artifact byte-identical to
-    /// an uninterrupted one.
-    fn lookup(&self, key: &JobKey) -> Lookup<'_> {
-        let canonical = key.canonical();
-        if let Some((record, report)) = self.resumed.get(&canonical) {
+    /// The batch's one look at the journal and the cache for the job
+    /// named `names`. A resumed journal outranks the cache: it records
+    /// exactly what the interrupted run executed, including each job's
+    /// original hit/miss flag.
+    fn lookup(&self, names: &KeyNames) -> Lookup<'_> {
+        if let Some((record, report)) = self.resumed.get(&names.canonical) {
             return Lookup::Journaled(record, report);
         }
-        if self.resumed_quarantine.contains(&canonical) {
+        if self.resumed_quarantine.contains(&names.canonical) {
             return Lookup::Quarantined;
         }
         let t_load = Instant::now();
-        match self.cache.as_ref().and_then(|c| c.load_verified(key)) {
+        match self.cache.as_ref().and_then(|c| c.load_verified(names)) {
             Some((report, json)) => Lookup::Hit {
                 report: Box::new(report),
                 json,
@@ -937,61 +968,46 @@ impl SweepEngine {
         }
     }
 
-    /// Serves a batch whose jobs have been looked up: journaled and
-    /// cached jobs come from what the lookup loaded, the hits are
-    /// journaled as one group commit, then `misses` — each
-    /// [`Lookup::Miss`] slot with its job — execute across the worker
-    /// pool. Returns the reports in slot order.
+    /// Serves a batch whose jobs, named by `names`, have been looked up:
+    /// journaled and cached jobs come from what the lookup loaded, then
+    /// `misses` — each [`Lookup::Miss`] slot with its job — execute
+    /// across the worker pool. Returns what each slot served.
+    ///
+    /// A hit writes no journal line: the checksummed cache entry it was
+    /// served from is its durable record, and a journaled engine's
+    /// artifact leaves out the hit/miss flags, so a resume that finds
+    /// the entry gone re-runs the job to the same bytes.
     fn serve_batch(
         &self,
-        keys: &[&JobKey],
+        names: &[KeyNames],
         lookups: Vec<Lookup<'_>>,
         mut misses: Vec<(usize, &Job)>,
-    ) -> Vec<Option<RunReport>> {
-        let mut results: Vec<Option<RunReport>> = (0..keys.len()).map(|_| None).collect();
+    ) -> Vec<Option<Served>> {
+        let mut results: Vec<Option<Served>> = (0..names.len()).map(|_| None).collect();
         let mut main_sink = BatchSink::new(self, MAIN_SLOT);
-        let mut hits: Vec<(JobRecord, String)> = Vec::new();
-        for (i, lookup) in lookups.into_iter().enumerate() {
-            let key = keys[i];
+        for (i, (lookup, names)) in lookups.into_iter().zip(names).enumerate() {
             match lookup {
                 Lookup::Journaled(record, report) => {
-                    self.emit(obj(vec![
-                        ("event", Value::Str("job_done".into())),
-                        ("id", Value::Str(record.id.clone())),
-                        ("label", Value::Str(record.label.clone())),
-                        ("cache", Value::Str("journal".into())),
-                        ("wall_ms", Value::Float(0.0)),
-                        ("cycles", Value::Int(record.total_cycles)),
-                    ]));
+                    self.emit(|| job_done(names, "journal", 0.0, record.total_cycles));
                     main_sink.log_job(record.clone());
-                    main_sink.observe_job(key, report, record.cache_hit, 0.0);
-                    results[i] = Some(report.clone());
+                    main_sink.observe_job(names, report, record.cache_hit, 0.0);
+                    results[i] = Some((report.clone(), None));
                 }
                 Lookup::Hit { report, json, load_ms } => {
                     // A hit's wall time is the load-and-validate cost —
                     // real, if small; deterministic artifacts zero it.
                     let wall_ms = if self.deterministic { 0.0 } else { load_ms };
-                    self.emit(obj(vec![
-                        ("event", Value::Str("job_done".into())),
-                        ("id", Value::Str(key.id())),
-                        ("label", Value::Str(key.label())),
-                        ("cache", Value::Str("hit".into())),
-                        ("wall_ms", Value::Float(wall_ms)),
-                        ("cycles", Value::Int(report.total_cycles())),
-                    ]));
-                    main_sink.observe_job(key, &report, true, wall_ms);
-                    hits.push((
-                        JobRecord {
-                            id: key.id(),
-                            key: key.canonical(),
-                            label: key.label(),
-                            cache_hit: true,
-                            wall_ms,
-                            total_cycles: report.total_cycles(),
-                        },
-                        json,
-                    ));
-                    results[i] = Some(*report);
+                    self.emit(|| job_done(names, "hit", wall_ms, report.total_cycles()));
+                    main_sink.observe_job(names, &report, true, wall_ms);
+                    main_sink.log_job(JobRecord {
+                        id: names.id.clone(),
+                        key: names.canonical.clone(),
+                        label: names.label.clone(),
+                        cache_hit: true,
+                        wall_ms,
+                        total_cycles: report.total_cycles(),
+                    });
+                    results[i] = Some((*report, Some(json)));
                 }
                 // The interrupted run already gave up on a quarantined
                 // job (its record was replayed at engine construction);
@@ -999,18 +1015,8 @@ impl SweepEngine {
                 Lookup::Quarantined | Lookup::Miss => {}
             }
         }
-        // Group commit: every hit of the batch in one locked append with
-        // one fsync, before any miss starts and before the batch returns.
-        // Each line carries the entry's verified bytes, not a re-encoding.
-        if let Some(journal) = &self.journal {
-            let entries = hits.iter().map(|(record, json)| (record, json.as_str()));
-            if let Err(e) = journal.append_jobs(entries) {
-                eprintln!("warning: cannot journal {} cache hit(s): {e}", hits.len());
-            }
-        }
-        for (record, _) in hits {
-            main_sink.log_job(record);
-        }
+        // The hits' events leave as one batch, before any miss starts.
+        self.flush_probe();
         // Hits merge before the miss pool spawns, keeping the job log's
         // hits-before-misses order.
         self.absorb(main_sink.into_batch());
@@ -1032,14 +1038,14 @@ impl SweepEngine {
         if misses.len() > 1 {
             let hints = self.load_wall_hints();
             if !hints.is_empty() {
-                let mut decorated: Vec<((usize, &Job), f64, String)> = misses
+                let mut decorated: Vec<((usize, &Job), f64, &str)> = misses
                     .into_iter()
                     .map(|(i, job)| {
-                        let hint = hints.get(&job.key.id()).copied().unwrap_or(0.0);
-                        ((i, job), hint, job.key.canonical())
+                        let hint = hints.get(&names[i].id).copied().unwrap_or(0.0);
+                        ((i, job), hint, names[i].canonical.as_str())
                     })
                     .collect();
-                decorated.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.2.cmp(&b.2)));
+                decorated.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.2.cmp(b.2)));
                 misses = decorated.into_iter().map(|(miss, ..)| miss).collect();
             }
         }
@@ -1056,7 +1062,7 @@ impl SweepEngine {
                         // Slot 1+w: this worker's private wait-free ops
                         // row; the batch below is equally private.
                         let mut sink = BatchSink::new(self, 1 + w);
-                        let mut out: Vec<(usize, Option<RunReport>)> = Vec::new();
+                        let mut out: Vec<(usize, Option<Served>)> = Vec::new();
                         loop {
                             let mi = next.fetch_add(1, Ordering::Relaxed);
                             if mi >= total {
@@ -1079,8 +1085,11 @@ impl SweepEngine {
                                 },
                                 None => None,
                             };
-                            let report = execute_job(&mut sink, job, base_seq + mi as u64);
-                            out.push((i, report));
+                            let seq = base_seq + mi as u64;
+                            let served = execute_job(&mut sink, job, &names[i], seq);
+                            // The job's events leave as one batch.
+                            self.flush_probe();
+                            out.push((i, served));
                         }
                         (sink.into_batch(), out)
                     })
@@ -1095,8 +1104,8 @@ impl SweepEngine {
                     Err(payload) => std::panic::resume_unwind(payload),
                 };
                 self.absorb(batch);
-                for (i, report) in out {
-                    results[i] = report;
+                for (i, served) in out {
+                    results[i] = served;
                 }
             }
         });
@@ -1121,6 +1130,27 @@ impl SweepEngine {
     /// Returns the first trace-recording error (cell execution itself
     /// never aborts the sweep — failures quarantine instead).
     pub fn run_matrix(&self, spec: &MatrixSpec) -> Result<Vec<RunRecord>, RtError> {
+        Ok(self.sweep(spec)?.into_iter().map(|(record, _)| record).collect())
+    }
+
+    /// Runs `spec` like [`SweepEngine::run_matrix`] and appends its
+    /// records to `out` as the text [`crate::records_to_json`] writes for
+    /// them. Each hit's verified cache bytes and each miss's one
+    /// serialization go into the text as they are, so no report is
+    /// encoded a second time.
+    ///
+    /// # Errors
+    ///
+    /// As [`SweepEngine::run_matrix`], leaving `out` unchanged.
+    pub fn run_matrix_json(&self, spec: &MatrixSpec, out: &mut String) -> Result<(), RtError> {
+        let served = self.sweep(spec)?;
+        write_records(out, served.iter().map(|(record, json)| (record, json.as_deref())));
+        Ok(())
+    }
+
+    /// [`SweepEngine::run_matrix`], each record with the report text its
+    /// batch already held.
+    fn sweep(&self, spec: &MatrixSpec) -> Result<Vec<(RunRecord, Option<String>)>, RtError> {
         let mut cells = Vec::new();
         for (bi, &behavior) in spec.behaviors.iter().enumerate() {
             for &scheme in &spec.schemes {
@@ -1135,54 +1165,55 @@ impl SweepEngine {
                 JobKey::for_cell(spec, behavior, scheme, nwindows)
             })
             .collect();
+        let names: Vec<KeyNames> = keys.iter().map(KeyNames::of).collect();
         // The sweep's one cache probe. Its misses decide which
         // behaviours need a recorded trace and which cells get a job at
         // all; its hits are served from the reports it loaded, so a cell
         // judged cached is never executed.
-        let keys: Vec<&JobKey> = keys.iter().collect();
-        let lookups: Vec<Lookup<'_>> = keys.iter().map(|key| self.lookup(key)).collect();
+        let lookups: Vec<Lookup<'_>> = names.iter().map(|names| self.lookup(names)).collect();
         let missing: Vec<usize> =
             (0..cells.len()).filter(|&i| matches!(lookups[i], Lookup::Miss)).collect();
-        self.emit(obj(vec![
-            ("event", Value::Str("sweep_start".into())),
-            ("jobs", Value::Int(cells.len() as u64)),
-            // The worker count the miss fan-out will actually use — a
-            // warm sweep with one miss reports one worker, not the full
-            // pool width, and a fully warm sweep spawns none at all.
-            (
-                "workers",
-                Value::Int(if missing.is_empty() {
-                    0
-                } else {
-                    self.effective_workers(missing.len()) as u64
-                }),
-            ),
-            ("policy", Value::Str(spec.policy.name().into())),
-        ]));
+        self.emit(|| {
+            obj(vec![
+                ("event", Value::Str("sweep_start".into())),
+                ("jobs", Value::Int(cells.len() as u64)),
+                // The worker count the miss fan-out will actually use — a
+                // warm sweep with one miss reports one worker, not the full
+                // pool width, and a fully warm sweep spawns none at all.
+                (
+                    "workers",
+                    Value::Int(if missing.is_empty() {
+                        0
+                    } else {
+                        self.effective_workers(missing.len()) as u64
+                    }),
+                ),
+                ("policy", Value::Str(spec.policy.name().into())),
+            ])
+        });
         let sweep_t0 = Instant::now();
         let jobs = self.matrix_jobs(spec, &cells, &keys, &missing)?;
-        let reports =
-            self.serve_batch(&keys, lookups, jobs.iter().map(|(i, job)| (*i, job)).collect());
-        let summary = self.summary();
-        self.emit(obj(vec![
-            ("event", Value::Str("sweep_done".into())),
-            ("jobs", Value::Int(cells.len() as u64)),
-            ("cache_hits", Value::Int(summary.cache_hits as u64)),
-            ("cache_misses", Value::Int(summary.cache_misses as u64)),
-            ("quarantined", Value::Int(summary.quarantined as u64)),
-            ("wall_ms", Value::Float(sweep_t0.elapsed().as_secs_f64() * 1e3)),
-        ]));
+        let misses = jobs.iter().map(|(i, job)| (*i, job)).collect();
+        let served = self.serve_batch(&names, lookups, misses);
+        self.emit(|| {
+            let summary = self.summary();
+            obj(vec![
+                ("event", Value::Str("sweep_done".into())),
+                ("jobs", Value::Int(cells.len() as u64)),
+                ("cache_hits", Value::Int(summary.cache_hits as u64)),
+                ("cache_misses", Value::Int(summary.cache_misses as u64)),
+                ("quarantined", Value::Int(summary.quarantined as u64)),
+                ("wall_ms", Value::Float(sweep_t0.elapsed().as_secs_f64() * 1e3)),
+            ])
+        });
 
         Ok(cells
             .into_iter()
-            .zip(reports)
-            .filter_map(|((_, behavior, scheme, nwindows), report)| {
-                report.map(|report| RunRecord {
-                    behavior,
-                    scheme,
-                    nwindows,
-                    policy: spec.policy,
-                    report,
+            .zip(served)
+            .filter_map(|((_, behavior, scheme, nwindows), served)| {
+                served.map(|(report, json)| {
+                    let policy = spec.policy;
+                    (RunRecord { behavior, scheme, nwindows, policy, report }, json)
                 })
             })
             .collect())
@@ -1196,7 +1227,7 @@ impl SweepEngine {
         &self,
         spec: &MatrixSpec,
         cells: &[(usize, Behavior, SchemeKind, usize)],
-        keys: &[&JobKey],
+        keys: &[JobKey],
         missing: &[usize],
     ) -> Result<Vec<(usize, Job)>, RtError> {
         if missing.is_empty() {
@@ -1222,10 +1253,12 @@ impl SweepEngine {
                 run_indexed(self.effective_workers(to_record.len()), to_record.len(), |i| {
                     let behavior = spec.behaviors[to_record[i]];
                     let (m, n) = behavior.buffers();
-                    self.emit(obj(vec![
-                        ("event", Value::Str("trace_record".into())),
-                        ("behavior", Value::Str(behavior.to_string())),
-                    ]));
+                    self.emit(|| {
+                        obj(vec![
+                            ("event", Value::Str("trace_record".into())),
+                            ("behavior", Value::Str(behavior.to_string())),
+                        ])
+                    });
                     let config = SpellConfig::new(spec.corpus, m, n).with_policy(spec.policy);
                     let mut pipeline = SpellPipeline::with_corpus((*corpus).clone(), config);
                     if self.config.audit {
@@ -1642,14 +1675,10 @@ fn run_attempt(
 /// The fault-free path publishes everything through `sink` — local
 /// accumulation plus this thread's wait-free ops row — and acquires no
 /// engine mutex; only quarantine (the failure path) locks.
-fn execute_job(sink: &mut BatchSink<'_>, job: &Job, seq: u64) -> Option<RunReport> {
+fn execute_job(sink: &mut BatchSink<'_>, job: &Job, names: &KeyNames, seq: u64) -> Option<Served> {
     let engine = sink.engine;
     let injected = engine.config.fault_plan.as_ref().and_then(|p| p.worker_fault_at(seq));
-    engine.emit(obj(vec![
-        ("event", Value::Str("job_start".into())),
-        ("id", Value::Str(job.key.id())),
-        ("label", Value::Str(job.key.label())),
-    ]));
+    engine.emit(|| job_event(names, "job_start", vec![]));
     let t0 = Instant::now();
     let attempts = if injected.is_some() { 1 } else { engine.config.retries.saturating_add(1) };
     let mut last_failure = ("error", String::new());
@@ -1657,19 +1686,15 @@ fn execute_job(sink: &mut BatchSink<'_>, job: &Job, seq: u64) -> Option<RunRepor
         if attempt > 1 {
             std::thread::sleep(engine.config.retry_backoff.saturating_mul(attempt - 1));
             sink.note_op(Metric::JobRetries);
-            engine.emit(obj(vec![
-                ("event", Value::Str("job_retry".into())),
-                ("id", Value::Str(job.key.id())),
-                ("label", Value::Str(job.key.label())),
-                ("attempt", Value::Int(u64::from(attempt))),
-            ]));
+            let attempt = Value::Int(u64::from(attempt));
+            engine.emit(|| job_event(names, "job_retry", vec![("attempt", attempt)]));
         }
         match run_attempt(engine, job, injected, seq) {
             AttemptOutcome::Done(report) => {
                 let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
                 // The real wall time seeds LPT scheduling of future
                 // cold sweeps, even when the artifact zeroes it below.
-                sink.note_wall_hint(job.key.id(), wall_ms);
+                sink.note_wall_hint(&names.id, wall_ms);
                 // Deterministic (journaled) artifacts zero the one
                 // nondeterministic per-job field.
                 let wall_ms = if engine.deterministic { 0.0 } else { wall_ms };
@@ -1678,20 +1703,13 @@ fn execute_job(sink: &mut BatchSink<'_>, job: &Job, seq: u64) -> Option<RunRepor
                 let json = (engine.cache.is_some() || engine.journal.is_some())
                     .then(|| report_to_json(&report));
                 if let (Some(cache), Some(json)) = (&engine.cache, &json) {
-                    cache.store_json(&job.key, json);
+                    cache.store_json(names, json);
                 }
-                engine.emit(obj(vec![
-                    ("event", Value::Str("job_done".into())),
-                    ("id", Value::Str(job.key.id())),
-                    ("label", Value::Str(job.key.label())),
-                    ("cache", Value::Str("miss".into())),
-                    ("wall_ms", Value::Float(wall_ms)),
-                    ("cycles", Value::Int(report.total_cycles())),
-                ]));
+                engine.emit(|| job_done(names, "miss", wall_ms, report.total_cycles()));
                 let record = JobRecord {
-                    id: job.key.id(),
-                    key: job.key.canonical(),
-                    label: job.key.label(),
+                    id: names.id.clone(),
+                    key: names.canonical.clone(),
+                    label: names.label.clone(),
                     cache_hit: false,
                     wall_ms,
                     total_cycles: report.total_cycles(),
@@ -1700,8 +1718,8 @@ fn execute_job(sink: &mut BatchSink<'_>, job: &Job, seq: u64) -> Option<RunRepor
                     engine.journal_job(&record, json);
                 }
                 sink.log_job(record);
-                sink.observe_job(&job.key, &report, false, wall_ms);
-                return Some(*report);
+                sink.observe_job(names, &report, false, wall_ms);
+                return Some((*report, json));
             }
             AttemptOutcome::Error(e) => last_failure = ("error", e.to_string()),
             AttemptOutcome::Panic(msg) => last_failure = ("panic", msg),
@@ -1713,21 +1731,17 @@ fn execute_job(sink: &mut BatchSink<'_>, job: &Job, seq: u64) -> Option<RunRepor
     }
     let (reason, detail) = last_failure;
     sink.note_op(Metric::JobsQuarantined);
-    engine.emit(obj(vec![
-        ("event", Value::Str("job_quarantined".into())),
-        ("id", Value::Str(job.key.id())),
-        ("label", Value::Str(job.key.label())),
-        ("reason", Value::Str(reason.into())),
-        ("attempts", Value::Int(u64::from(attempts))),
-    ]));
+    let more =
+        vec![("reason", Value::Str(reason.into())), ("attempts", Value::Int(attempts.into()))];
+    engine.emit(|| job_event(names, "job_quarantined", more));
     let q = QuarantineRecord {
-        id: job.key.id(),
-        key: job.key.canonical(),
-        label: job.key.label(),
+        id: names.id.clone(),
+        key: names.canonical.clone(),
+        label: names.label.clone(),
         reason,
         attempts,
         detail,
-        repro: engine.repro_string(&job.key),
+        repro: engine.repro_string(names),
     };
     engine.journal_quarantine(&q);
     engine.quarantine.lock().unwrap_or_else(|e| e.into_inner()).push(q);
@@ -1874,9 +1888,37 @@ mod tests {
     }
 
     #[test]
-    fn journal_lines_equal_append_job_for_misses_and_for_hits() {
+    fn run_matrix_json_writes_the_records_text_uncached_cold_warm_and_mixed() {
+        let dir =
+            std::env::temp_dir().join(format!("regwin-sweep-json-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = small_spec();
+        let want = records_to_json(&SweepEngine::quiet().run_matrix(&spec).unwrap());
+        let cached = || {
+            SweepEngine::with_config(SweepConfig {
+                cache_dir: Some(dir.clone()),
+                ..SweepConfig::default()
+            })
+        };
+        let check = |engine: SweepEngine, hits: usize| {
+            let mut out = String::from("frame:");
+            engine.run_matrix_json(&spec, &mut out).unwrap();
+            assert_eq!(out, format!("frame:{want}"), "with {hits} hit(s)");
+            assert_eq!(engine.summary().cache_hits, hits);
+        };
+        check(SweepEngine::quiet(), 0);
+        check(cached(), 0);
+        check(cached(), spec.len());
+        let key = JobKey::for_cell(&spec, spec.behaviors[0], SchemeKind::Sp, 8);
+        std::fs::remove_file(dir.join(format!("{}.json", key.id()))).unwrap();
+        check(cached(), spec.len() - 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_lines_equal_append_job_for_misses() {
         let dir = std::env::temp_dir()
-            .join(format!("regwin-sweep-hit-journal-test-{}", std::process::id()));
+            .join(format!("regwin-sweep-miss-journal-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = small_spec();
         let engine = |journal: &str| {
@@ -1893,10 +1935,6 @@ mod tests {
         warm.run_matrix(&spec).unwrap();
         assert_eq!(warm.summary().cache_hits, spec.len());
         drop(warm);
-
-        // The oracle: the lines `append_job` writes for the cold run's
-        // reports. The cold journal holds each miss's one serialization
-        // and the warm journal each hit's cache-entry bytes.
         let written = |name: &str| -> Vec<String> {
             let mut lines: Vec<String> = std::fs::read_to_string(dir.join(name))
                 .unwrap()
@@ -1906,25 +1944,24 @@ mod tests {
             lines.sort();
             lines
         };
-        let expected = |cache_hit: bool| -> Vec<String> {
-            let name = format!("oracle-{cache_hit}.jsonl");
-            let oracle = SweepJournal::create(dir.join(&name)).unwrap();
-            for r in &cold {
-                let key = JobKey::for_cell(&spec, r.behavior, r.scheme, r.nwindows);
-                let record = JobRecord {
-                    id: key.id(),
-                    key: key.canonical(),
-                    label: key.label(),
-                    cache_hit,
-                    wall_ms: 0.0,
-                    total_cycles: r.report.total_cycles(),
-                };
-                oracle.append_job(&record, &r.report).unwrap();
-            }
-            written(&name)
-        };
-        assert_eq!(written("cold.jsonl"), expected(false));
-        assert_eq!(written("warm.jsonl"), expected(true));
+        assert!(written("warm.jsonl").is_empty(), "a hit writes no journal line");
+
+        // The oracle: the lines `append_job` writes for the cold run's
+        // reports. The cold journal holds each miss's one serialization.
+        let oracle = SweepJournal::create(dir.join("oracle.jsonl")).unwrap();
+        for r in &cold {
+            let key = JobKey::for_cell(&spec, r.behavior, r.scheme, r.nwindows);
+            let record = JobRecord {
+                id: key.id(),
+                key: key.canonical(),
+                label: key.label(),
+                cache_hit: false,
+                wall_ms: 0.0,
+                total_cycles: r.report.total_cycles(),
+            };
+            oracle.append_job(&record, &r.report).unwrap();
+        }
+        assert_eq!(written("cold.jsonl"), written("oracle.jsonl"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,18 +1,20 @@
 //! Crash-safe write-ahead journal for resumable sweeps.
 //!
 //! Alongside the `BENCH_sweep.json` artifact the engine can keep a
-//! `*.journal.jsonl` file: one checksummed JSON line per completed or
-//! quarantined job. An executed job's line is appended and fsync'd the
-//! moment the job finishes. The cache hits of a batch are group-committed
-//! instead: their lines are written one by one under one lock and made
-//! durable by a single fsync, before the batch's misses start and before
-//! the batch returns. Killing a sweep at any instant (including
-//! `kill -9` mid-append) therefore loses at most the in-flight jobs and
-//! an unsynced suffix of a hit batch: on `--resume` the journal is
-//! replayed, finished jobs are served from their journaled reports, and
-//! only the unfinished remainder re-runs (lost hits are simply hits
-//! again). A torn final line (the only kind of damage an append-then-fsync
-//! discipline can leave) fails its checksum and is skipped.
+//! `*.journal.jsonl` file: one checksummed JSON line per executed or
+//! quarantined job, appended and fsync'd the moment the job finishes. A
+//! cache hit writes no line. Its durable record is the cache entry it
+//! was served from, which was written to a temporary file, renamed into
+//! place and is checked by its checksum on every load. Killing a sweep
+//! at any instant (including `kill -9` mid-append) therefore loses at
+//! most the in-flight jobs: on `--resume` the journal is replayed,
+//! executed jobs are served from their journaled reports, hits are
+//! hits again, and only the unfinished remainder re-runs. A hit whose
+//! entry vanished before the resume re-runs too; runs are
+//! deterministic and a journaled sweep's artifact carries no hit/miss
+//! flags, so the resumed artifact is still byte-identical. A torn final
+//! line (the only kind of damage an append-then-fsync discipline can
+//! leave) fails its checksum and is skipped.
 //!
 //! Line format: `{"sum":"<16-hex>","payload":{...}}` where `sum` is the
 //! FNV-1a hash of the payload bytes exactly as written. Payloads carry a
@@ -27,12 +29,10 @@
 //! same way a torn line is.
 //!
 //! A job payload's report is never re-encoded for the journal: it is
-//! embedded verbatim as the text [`crate::serial::report_to_json`]
-//! wrote, which is the executed job's one serialization (shared with
-//! its cache store) or, for a cache hit, the entry's checksum-verified
-//! report bytes. Both are the same bytes, so a hit's line is
-//! byte-identical to the line [`SweepJournal::append_job`] writes for
-//! the decoded report.
+//! embedded verbatim as the executed job's one serialization by
+//! [`crate::serial::report_to_json`], shared with its cache store, so
+//! the line is byte-identical to the one [`SweepJournal::append_job`]
+//! writes for the decoded report.
 
 //! A journal is a **single-writer** file: two engines appending to the
 //! same path would interleave torn lines and corrupt each other's
@@ -184,39 +184,26 @@ impl SweepJournal {
     /// before this returns, so a success means the entry survives
     /// `kill -9`.
     pub fn append_job(&self, record: &JobRecord, report: &RunReport) -> std::io::Result<()> {
-        self.append_jobs([(record, report_to_json(report).as_str())])
+        self.append_encoded(record, &report_to_json(report))
     }
 
-    /// Journals a batch of completed jobs as one group commit: under one
-    /// lock, each line is serialized and written in turn, then a single
-    /// fsync makes the whole batch durable. An empty batch writes and
-    /// syncs nothing.
-    ///
-    /// Each report comes as the text [`report_to_json`] wrote for it —
-    /// a fresh job's one serialization, or a cache hit's verified entry
-    /// bytes — and is embedded verbatim.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors. On success every line survives
-    /// `kill -9`; a crash before the fsync can lose a suffix of the
-    /// batch or tear its last line, which replay skips by checksum.
-    pub fn append_jobs<'a>(
+    /// [`SweepJournal::append_job`] for a report already serialized by
+    /// [`report_to_json`], embedded verbatim.
+    pub(crate) fn append_encoded(
         &self,
-        jobs: impl IntoIterator<Item = (&'a JobRecord, &'a str)>,
+        record: &JobRecord,
+        report_json: &str,
     ) -> std::io::Result<()> {
-        self.append_payloads(jobs.into_iter().map(|(record, report_json)| {
-            obj(vec![
-                ("type", Value::Str("job".into())),
-                ("version", Value::Int(u64::from(FORMAT_VERSION))),
-                ("id", Value::Str(record.id.clone())),
-                ("key", Value::Str(record.key.clone())),
-                ("label", Value::Str(record.label.clone())),
-                ("cache", Value::Str(if record.cache_hit { "hit" } else { "miss" }.into())),
-                ("total_cycles", Value::Int(record.total_cycles)),
-                ("report", Value::Raw(report_json.to_string())),
-            ])
-        }))
+        self.append_payload(obj(vec![
+            ("type", Value::Str("job".into())),
+            ("version", Value::Int(u64::from(FORMAT_VERSION))),
+            ("id", Value::Str(record.id.clone())),
+            ("key", Value::Str(record.key.clone())),
+            ("label", Value::Str(record.label.clone())),
+            ("cache", Value::Str(if record.cache_hit { "hit" } else { "miss" }.into())),
+            ("total_cycles", Value::Int(record.total_cycles)),
+            ("report", Value::Raw(report_json.to_string())),
+        ]))
     }
 
     /// Journals one quarantined job.
@@ -226,7 +213,7 @@ impl SweepJournal {
     /// Propagates filesystem errors (flushed and fsync'd like
     /// [`SweepJournal::append_job`]).
     pub fn append_quarantine(&self, q: &QuarantineRecord) -> std::io::Result<()> {
-        self.append_payloads([obj(vec![
+        self.append_payload(obj(vec![
             ("type", Value::Str("quarantine".into())),
             ("version", Value::Int(u64::from(FORMAT_VERSION))),
             ("id", Value::Str(q.id.clone())),
@@ -236,27 +223,20 @@ impl SweepJournal {
             ("attempts", Value::Int(u64::from(q.attempts))),
             ("detail", Value::Str(q.detail.clone())),
             ("repro", Value::Str(q.repro.clone())),
-        ])])
+        ]))
     }
 
-    /// Appends one checksummed line per payload, then fsyncs once.
-    fn append_payloads(&self, payloads: impl IntoIterator<Item = Value>) -> std::io::Result<()> {
+    /// Appends one checksummed line and fsyncs it.
+    fn append_payload(&self, payload: Value) -> std::io::Result<()> {
+        let payload_text = payload.to_json();
+        let sum = fnv1a(payload_text.as_bytes());
+        let line = format!("{{\"sum\":\"{sum:016x}\",\"payload\":{payload_text}}}\n");
         // Poison recovery: a panicking appender can at worst leave a
         // torn final line, which replay already skips by checksum.
         let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        let mut written = false;
-        for payload in payloads {
-            let payload_text = payload.to_json();
-            let sum = fnv1a(payload_text.as_bytes());
-            let line = format!("{{\"sum\":\"{sum:016x}\",\"payload\":{payload_text}}}\n");
-            file.write_all(line.as_bytes())?;
-            written = true;
-        }
-        if written {
-            file.flush()?;
-            file.sync_data()?;
-        }
-        Ok(())
+        file.write_all(line.as_bytes())?;
+        file.flush()?;
+        file.sync_data()
     }
 }
 

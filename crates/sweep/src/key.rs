@@ -109,12 +109,34 @@ impl JobKey {
     /// The job id: 64-bit FNV-1a of the canonical string, in hex. Names
     /// the cache file.
     pub fn id(&self) -> String {
-        format!("{:016x}", fnv1a(self.canonical().as_bytes()))
+        id_of(&self.canonical())
     }
 
     /// A short human-readable label for progress events.
     pub fn label(&self) -> String {
         format!("{} {} w={} M={} N={}", self.scheme, self.policy, self.nwindows, self.m, self.n)
+    }
+}
+
+fn id_of(canonical: &str) -> String {
+    format!("{:016x}", fnv1a(canonical.as_bytes()))
+}
+
+/// A job's key strings — [`JobKey::canonical`], [`JobKey::id`] and
+/// [`JobKey::label`] — built once per job and carried beside its key
+/// through the lookup, the cache, the events, the record and the
+/// journal.
+#[derive(Debug, Clone)]
+pub(crate) struct KeyNames {
+    pub(crate) canonical: String,
+    pub(crate) id: String,
+    pub(crate) label: String,
+}
+
+impl KeyNames {
+    pub(crate) fn of(key: &JobKey) -> Self {
+        let canonical = key.canonical();
+        KeyNames { id: id_of(&canonical), canonical, label: key.label() }
     }
 }
 

@@ -13,7 +13,7 @@
 //! canonical field order, or that carries a field the encoder never
 //! writes, is a [`DecodeError`]. A report is serialized at most once per
 //! job: the cache and the journal store those exact bytes, and a cache
-//! hit hands its verified bytes to the journal unchanged.
+//! hit hands its verified bytes to a daemon's `records` frame unchanged.
 //!
 //! [`records_to_json`] and [`records_from_json`] are the same pair for a
 //! matrix's run records, each a report plus its cell: the daemon's
@@ -152,17 +152,30 @@ fn write_report(report: &RunReport, out: &mut String) {
 /// frame embeds its output.
 pub fn records_to_json(records: &[RunRecord]) -> String {
     let mut out = String::with_capacity(2048 * records.len() + 2);
-    array(&mut out, records, |out, r| {
+    write_records(&mut out, records.iter().map(|r| (r, None)));
+    out
+}
+
+/// Appends the text [`records_to_json`] writes for `records` to `out`,
+/// each report as the given text of its [`report_to_json`] encoding
+/// where there is one, and encoded here where there is not.
+pub(crate) fn write_records<'a>(
+    out: &mut String,
+    records: impl IntoIterator<Item = (&'a RunRecord, Option<&'a str>)>,
+) {
+    array(out, records, |out, (r, report_json)| {
         out.push('{');
         str_field(out, "behavior", &r.behavior.to_string());
         str_field(out, "scheme", r.scheme.name());
         str_field(out, "policy", r.policy.name());
         int_field(out, "nwindows", r.nwindows as u64);
         field(out, "report");
-        write_report(&r.report, out);
+        match report_json {
+            Some(text) => out.push_str(text),
+            None => write_report(&r.report, out),
+        }
         out.push('}');
     });
-    out
 }
 
 /// Starts an object member: a separating comma unless the member opens

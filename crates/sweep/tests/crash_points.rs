@@ -1,15 +1,18 @@
-//! Crash-point enumeration for the journal's group commit (the method
-//! of Pillai et al., "All File Systems Are Not Created Equal", OSDI
-//! 2014): a warm journaled sweep appends all of its cache hits as one
-//! batch with a single fsync, so a crash can leave any prefix of that
-//! batch on disk, its last line possibly torn. Every such prefix must
-//! resume to an artifact byte-identical to the uninterrupted one.
+//! Crash-point enumeration for the journal's durability rule (the
+//! method of Pillai et al., "All File Systems Are Not Created Equal",
+//! OSDI 2014). An executed job's line is appended and fsync'd when the
+//! job finishes; a cache hit writes no line, because the checksummed
+//! cache entry it was served from is its durable record. A crash can
+//! leave any prefix of the journal on disk, its last line possibly torn.
+//! Every such prefix must resume to records and an artifact
+//! byte-identical to the uninterrupted run's, both with the cache intact
+//! and with a hit's entry lost before the resume.
 
 use regwin_core::{Behavior, Concurrency, Granularity, MatrixSpec};
 use regwin_core::{CorpusSpec, SchedulingPolicy, SchemeKind};
 use regwin_machine::TimingKind;
-use regwin_sweep::{records_to_json, SweepConfig, SweepEngine};
-use std::path::Path;
+use regwin_sweep::{records_to_json, replay_journal, JobKey, SweepConfig, SweepEngine};
+use std::path::{Path, PathBuf};
 
 fn spec() -> MatrixSpec {
     MatrixSpec {
@@ -23,6 +26,20 @@ fn spec() -> MatrixSpec {
         policy: SchedulingPolicy::Fifo,
         timing: TimingKind::S20,
     }
+}
+
+/// The cache entry of every cell of `spec`, in the engine's cell order.
+fn entries(spec: &MatrixSpec, cache: &Path) -> Vec<PathBuf> {
+    let mut paths = Vec::new();
+    for &behavior in &spec.behaviors {
+        for &scheme in &spec.schemes {
+            for &nwindows in &spec.windows {
+                let key = JobKey::for_cell(spec, behavior, scheme, nwindows);
+                paths.push(cache.join(format!("{}.json", key.id())));
+            }
+        }
+    }
+    paths
 }
 
 /// A journaled engine on `cache`, resuming `journal` when `resume`.
@@ -39,51 +56,81 @@ fn journaled(cache: &Path, journal: &Path, resume: bool) -> SweepEngine {
     .expect("journal is free")
 }
 
-#[test]
-fn every_cut_of_a_group_committed_hit_batch_resumes_byte_identically() {
-    let dir =
-        std::env::temp_dir().join(format!("regwin-sweep-crash-points-{}", std::process::id()));
+/// A fresh state directory with the cache primed for every cell of
+/// `spec`; returns the cache and journal paths.
+fn primed(tag: &str, spec: &MatrixSpec) -> (PathBuf, PathBuf, PathBuf) {
+    let dir = std::env::temp_dir()
+        .join(format!("regwin-sweep-crash-points-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cache = dir.join("cache");
-    let journal = dir.join("BENCH_sweep.json.journal.jsonl");
-    let spec = spec();
-
-    // Prime the cache, then run the sweep warm under a journal: every
-    // cell is a hit, and all of them land in one group commit.
     SweepEngine::with_config(SweepConfig::builder().cache_dir(&cache).build().unwrap())
-        .run_matrix(&spec)
+        .run_matrix(spec)
         .unwrap();
+    let journal = dir.join("BENCH_sweep.json.journal.jsonl");
+    (dir, cache, journal)
+}
+
+#[test]
+fn a_fully_warm_journaled_sweep_writes_no_journal_bytes() {
+    let spec = spec();
+    let (dir, cache, journal) = primed("warm", &spec);
     let warm = journaled(&cache, &journal, false);
-    let want_records = records_to_json(&warm.run_matrix(&spec).unwrap());
+    warm.run_matrix(&spec).unwrap();
     assert_eq!(warm.summary().cache_hits, spec.len(), "the journaled run must be all hits");
-    let want = warm.artifact_value().to_json();
     drop(warm);
+    assert_eq!(std::fs::metadata(&journal).unwrap().len(), 0, "a hit writes no journal bytes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_cut_of_a_mixed_sweeps_journal_resumes_byte_identically() {
+    let spec = spec();
+    let (dir, cache, journal) = primed("mixed", &spec);
+    let entries = entries(&spec, &cache);
+
+    // Every third cell misses the journaled run and is journaled; the
+    // rest are hits and write nothing.
+    let missed: Vec<usize> = (0..entries.len()).step_by(3).collect();
+    for &i in &missed {
+        std::fs::remove_file(&entries[i]).unwrap();
+    }
+    let mixed = journaled(&cache, &journal, false);
+    let want_records = records_to_json(&mixed.run_matrix(&spec).unwrap());
+    assert_eq!(mixed.summary().cache_misses, missed.len());
+    let want = mixed.artifact_value().to_json();
+    drop(mixed);
 
     let full = std::fs::read_to_string(&journal).unwrap();
     let ends: Vec<usize> = full.match_indices('\n').map(|(at, _)| at + 1).collect();
-    assert_eq!(ends.len(), spec.len(), "one journal line per hit");
+    assert_eq!(ends.len(), missed.len(), "one journal line per miss, none per hit");
 
-    // A cut after every whole line of the batch (0 ..= all of them),
-    // plus one in the middle of a line.
+    // A cut after every whole line (0 ..= all of them), plus one in the
+    // middle of the last line.
     let mut cuts: Vec<usize> = std::iter::once(0).chain(ends.iter().copied()).collect();
-    let middle = ends.len() / 2;
-    cuts.push((ends[middle - 1] + ends[middle]) / 2);
+    let last = ends.len() - 1;
+    cuts.push((ends[last - 1] + ends[last]) / 2);
+    // A cell that was a hit in the journaled run.
+    let lost_hit = &entries[1];
     for cut in cuts {
-        std::fs::write(&journal, &full.as_bytes()[..cut]).unwrap();
-        let resumed = journaled(&cache, &journal, true);
-        let records = resumed.run_matrix(&spec).unwrap();
-        assert_eq!(records_to_json(&records), want_records, "records after a cut at byte {cut}");
-        assert_eq!(
-            resumed.artifact_value().to_json(),
-            want,
-            "artifact after a cut at byte {cut} must be byte-identical"
-        );
-        drop(resumed);
-        assert_eq!(
-            regwin_sweep::replay_journal(&journal).jobs.len(),
-            spec.len(),
-            "the resumed journal is whole again after a cut at byte {cut}"
-        );
+        for lose_a_hit in [false, true] {
+            std::fs::write(&journal, &full.as_bytes()[..cut]).unwrap();
+            let journaled_lines = replay_journal(&journal).jobs.len();
+            if lose_a_hit {
+                std::fs::remove_file(lost_hit).unwrap();
+            }
+            let case = format!("a cut at byte {cut}, hit entry lost: {lose_a_hit}");
+            let resumed = journaled(&cache, &journal, true);
+            let records = resumed.run_matrix(&spec).unwrap();
+            assert_eq!(records_to_json(&records), want_records, "records after {case}");
+            assert_eq!(resumed.artifact_value().to_json(), want, "artifact after {case}");
+            assert_eq!(
+                resumed.summary().cache_misses,
+                journaled_lines + usize::from(lose_a_hit),
+                "only the lost hit re-executes after {case}"
+            );
+            drop(resumed);
+            assert!(lost_hit.exists(), "the re-executed hit stores its entry again");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

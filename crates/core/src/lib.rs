@@ -36,7 +36,6 @@ pub mod chart;
 pub mod figures;
 mod matrix;
 pub mod report;
-pub mod synthetic;
 pub mod timeline;
 pub mod tradeoff;
 

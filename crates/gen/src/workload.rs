@@ -342,4 +342,44 @@ mod tests {
             assert!(report.stats.context_switches > 0, "seed {seed} never switched");
         }
     }
+
+    #[test]
+    fn sp_saturates_at_the_computable_window_demand() {
+        // The paper's central behavioural claim: the sharing schemes stop
+        // improving once the file covers the total window activity. With
+        // a fixed call depth the demand is exact: under SP every thread
+        // holding its deepest descent keeps its base frame, that many
+        // call frames and one private reserved window resident.
+        let spec = WorkloadSpec {
+            chains: 1,
+            stages: 4,
+            payload: 120,
+            capacity: 1,
+            depth: crate::DepthDist::Uniform { lo: 3, hi: 3 },
+            max_depth: 3,
+            burst: 8,
+            compute: 2,
+            ..WorkloadSpec::from_seed(7)
+        };
+        let wl = Workload::synthesize(&spec);
+        let demand: usize = wl
+            .threads
+            .iter()
+            .map(|t| 2 + usize::from(t.steps.iter().map(|s| s.depth).max().unwrap_or(0)))
+            .sum();
+        assert_eq!(demand, 20, "4 threads, each 1 base + 3 calls + 1 PRW");
+        let at = |nwindows: usize| {
+            let mut sim = Simulation::new(nwindows, SchemeKind::Sp).unwrap();
+            wl.install(&mut sim);
+            sim.run().unwrap().total_cycles()
+        };
+        let (scarce, covered, plenty) = (at(4), at(demand), at(40));
+        assert!(covered < scarce, "covering the demand must help: {covered} vs {scarce}");
+        assert!(covered < at(demand - 1), "the demand is exact: one window fewer costs more");
+        let covered_f = covered as f64;
+        assert!(
+            (plenty as f64 - covered_f).abs() / covered_f < 0.10,
+            "beyond the demand, more windows change little: {covered} vs {plenty}"
+        );
+    }
 }

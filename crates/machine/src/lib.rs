@@ -14,7 +14,10 @@
 //! * the **Current Window Pointer (CWP)**, decremented by `save` on
 //!   procedure entry and incremented by `restore` on return,
 //! * the **Window Invalid Mask (WIM)**, which marks windows the current
-//!   thread may not enter without trapping,
+//!   thread may not enter without trapping. Who holds each window — free,
+//!   a thread's live run or dead windows, its private reserved window, or
+//!   the global reserved window — is kept once, as disjoint bitmasks; the
+//!   WIM and every window's [`SlotUse`] are derived from them when read,
 //! * **overflow / underflow traps**, raised when `save`/`restore` hits an
 //!   invalid window, to be resolved by a window-management scheme
 //!   (implemented in the `regwin-traps` crate),

@@ -1,9 +1,11 @@
 //! The register-window machine: mechanism primitives for window-management
 //! schemes.
 //!
-//! The [`Machine`] owns the physical register file, the CWP and WIM, the
-//! per-window usage map, per-thread bookkeeping (resident run, memory
-//! save-area, PRW, TCB), the cycle counter and the event statistics. It
+//! The [`Machine`] owns the physical register file, the CWP, who holds
+//! each window (as bitmasks), per-thread bookkeeping (resident run, dead
+//! windows, memory save-area, PRW, TCB), the cycle counter and the event
+//! statistics. The WIM and every window's [`SlotUse`] are derived from
+//! the masks when read. It
 //! provides *mechanism only*: `save`/`restore` execution that raises traps,
 //! plus the spill/restore/grant/reservation primitives trap handlers are
 //! built from. *Policy* — which window to spill, where to restore, what a
@@ -20,7 +22,7 @@ use crate::stats::MachineStats;
 use crate::thread::{ThreadId, ThreadState};
 use crate::timing::{Charge, TimingKind, TimingModel};
 use crate::trap::WindowTrap;
-use crate::window::{Wim, WindowIndex, MAX_WINDOWS, MIN_WINDOWS};
+use crate::window::{low_bits, windows_in, Wim, WindowIndex, MAX_WINDOWS, MIN_WINDOWS};
 use regwin_obs::{Metric, MetricSet, Probe, ProbeEvent};
 use std::sync::Arc;
 
@@ -108,16 +110,20 @@ impl MachineConfig {
 
 /// The simulated register-window machine. See the crate docs for the model
 /// and the paper mapping.
+///
+/// Who holds each physical window is kept once, as disjoint bitmasks
+/// that together cover the file: the `free` mask here, each thread's
+/// resident run (derived from its stack-top and resident count), its
+/// dead mask and its PRW, and the global `reserved` window. The WIM,
+/// [`Machine::slot_use`] and [`Machine::discardable_windows`] are
+/// computed from them.
 #[derive(Debug, Clone)]
 pub struct Machine {
     nwindows: usize,
     regfile: RegisterFile,
     cwp: WindowIndex,
-    wim: Wim,
-    slots: Vec<SlotUse>,
-    /// How many entries of `slots` are discardable, kept by
-    /// [`Machine::set_slot`] so a reader never scans the slot map.
-    discardable: usize,
+    /// Windows nobody holds; their contents are garbage.
+    free: u64,
     threads: Vec<ThreadState>,
     current: Option<ThreadId>,
     reserved: Option<WindowIndex>,
@@ -162,17 +168,12 @@ impl Machine {
         if !(MIN_WINDOWS..=MAX_WINDOWS).contains(&nwindows) {
             return Err(MachineError::BadWindowCount { requested: nwindows });
         }
-        let mut slots = vec![SlotUse::Free; nwindows];
-        slots[0] = SlotUse::Reserved;
         let timing = timing.build(&cost, nwindows);
-        let mut machine = Machine {
+        Ok(Machine {
             nwindows,
             regfile: RegisterFile::new(nwindows),
             cwp: WindowIndex::new(0),
-            wim: Wim::new(nwindows),
-            slots,
-            // Every slot starts free or reserved.
-            discardable: nwindows,
+            free: low_bits(nwindows) & !1,
             threads: Vec::new(),
             current: None,
             reserved: Some(WindowIndex::new(0)),
@@ -185,10 +186,7 @@ impl Machine {
             probe: None,
             pending_metrics: MetricSet::new(),
             auditor: None,
-        };
-        // No thread is current yet, so every window starts invalid.
-        machine.recompute_wim();
-        Ok(machine)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -205,10 +203,13 @@ impl Machine {
         self.cwp
     }
 
-    /// The Window Invalid Mask, derived from slot usage for the current
-    /// thread.
-    pub fn wim(&self) -> &Wim {
-        &self.wim
+    /// The Window Invalid Mask for the current thread: every window
+    /// except its resident run and its dead windows is invalid, and with
+    /// no thread current every window is. Derived from the ownership
+    /// masks on each call.
+    pub fn wim(&self) -> Wim {
+        let valid = self.current.map_or(0, |t| self.valid_mask(t));
+        Wim::new(low_bits(self.nwindows) & !valid, self.nwindows)
     }
 
     /// The currently running thread.
@@ -221,22 +222,48 @@ impl Machine {
         self.reserved
     }
 
-    /// Usage of window slot `w`.
+    /// Usage of window slot `w`, derived from the ownership masks: the
+    /// free mask and the reservation are tested first, then the threads
+    /// are searched for the owner. For trap handlers, allocation and
+    /// diagnostics; `save` and `restore` never call it.
     ///
     /// # Panics
     ///
     /// Panics if `w` is out of range; entry points taking externally
     /// supplied window indices validate via
     /// [`MachineError::BadWindowIndex`] before reaching here.
+    #[inline]
     pub fn slot_use(&self, w: WindowIndex) -> SlotUse {
-        self.slots[w.index()]
+        assert!(w.index() < self.nwindows, "window {w} out of range");
+        let bit = w.bit();
+        if self.free & bit != 0 {
+            return SlotUse::Free;
+        }
+        if self.reserved == Some(w) {
+            return SlotUse::Reserved;
+        }
+        for ts in &self.threads {
+            if ts.dead & bit != 0 {
+                return SlotUse::Dead(ts.id());
+            }
+            if ts.prw() == Some(w) {
+                return SlotUse::Prw(ts.id());
+            }
+            if ts.live_mask(self.nwindows) & bit != 0 {
+                return SlotUse::Live(ts.id());
+            }
+        }
+        unreachable!("the ownership masks cover every window")
     }
 
     /// How many windows are [discardable](SlotUse::is_discardable) —
-    /// free, dead or the global reserved window. O(1): the count is kept
-    /// as slots change.
+    /// free, dead or the global reserved window: every window that holds
+    /// no live frame and no PRW. Computed from the threads' resident
+    /// counts and PRWs, one step per thread.
     pub fn discardable_windows(&self) -> usize {
-        self.discardable
+        let held: usize =
+            self.threads.iter().map(|ts| ts.resident() + usize::from(ts.prw().is_some())).sum();
+        self.nwindows - held
     }
 
     /// Installs (or with `None` removes) a deterministic fault schedule.
@@ -300,13 +327,9 @@ impl Machine {
         let mut auditor = WindowAuditor::new(self.nwindows);
         let mut computed = 0u64;
         for ts in &self.threads {
-            if let Some(top) = ts.top() {
-                let mut w = top;
-                for _ in 0..ts.resident() {
-                    auditor.mark_dirty(w, frame_checksum(&self.regfile.frame(w)));
-                    computed += 1;
-                    w = w.below(self.nwindows);
-                }
+            for w in windows_in(ts.live_mask(self.nwindows)) {
+                auditor.mark_dirty(w, frame_checksum(&self.regfile.frame(w)));
+                computed += 1;
             }
         }
         auditor.add_checksums(computed);
@@ -418,8 +441,8 @@ impl Machine {
         ts.set_top(Some(slot));
         ts.set_resident(1);
         ts.set_started();
+        self.vacate(slot);
         self.regfile.clear_frame(slot);
-        self.set_slot(slot, SlotUse::Live(t));
         self.auditor_tag_dirty(slot);
         Ok(())
     }
@@ -430,31 +453,28 @@ impl Machine {
     ///
     /// Returns [`MachineError::UnknownThread`] for an unregistered id.
     pub fn release_thread(&mut self, t: ThreadId) -> Result<(), MachineError> {
-        self.thread(t)?;
-        for i in 0..self.nwindows {
-            match self.slots[i] {
-                SlotUse::Live(o) | SlotUse::Dead(o) | SlotUse::Prw(o) if o == t => {
-                    self.set_slot(WindowIndex::new(i), SlotUse::Free);
-                    self.auditor_untrack(WindowIndex::new(i));
-                }
-                _ => {}
-            }
-        }
+        let nw = self.nwindows;
         let ts = self.thread_mut(t)?;
+        let held = ts.live_mask(nw) | ts.dead | ts.prw_mask();
         ts.set_top(None);
         ts.set_resident(0);
+        ts.dead = 0;
         ts.set_prw(None);
         ts.backing_mut().clear();
         ts.set_terminated();
+        self.free |= held;
+        for w in windows_in(held) {
+            self.auditor_untrack(w);
+        }
         if self.current == Some(t) {
             self.current = None;
-            self.recompute_wim();
         }
         Ok(())
     }
 
     /// Makes `t` the current thread (or none), pointing the CWP at its
-    /// stack-top window and recomputing the WIM. This is the *mechanism*
+    /// stack-top window; the WIM follows, since it is derived from the
+    /// current thread's masks. This is the *mechanism*
     /// half of a context switch; schemes do their window work first and
     /// charge costs via [`Machine::record_context_switch`].
     ///
@@ -474,7 +494,6 @@ impl Machine {
             self.cwp = top;
         }
         self.current = t;
-        self.recompute_wim();
         Ok(())
     }
 
@@ -573,7 +592,7 @@ impl Machine {
     pub fn try_save(&mut self) -> Result<ExecOutcome, MachineError> {
         let t = self.require_current()?;
         let target = self.cwp.above(self.nwindows);
-        if self.wim.is_set(target) {
+        if !self.may_enter(t, target, self.nwindows - 1) {
             if let Some(fs) = self.faults.as_mut() {
                 fs.next_trap()?;
             }
@@ -595,7 +614,7 @@ impl Machine {
     pub fn try_restore(&mut self) -> Result<ExecOutcome, MachineError> {
         let t = self.require_current()?;
         let target = self.cwp.below(self.nwindows);
-        if self.wim.is_set(target) {
+        if !self.may_enter(t, target, 1) {
             if let Some(fs) = self.faults.as_mut() {
                 fs.next_trap()?;
             }
@@ -617,7 +636,7 @@ impl Machine {
     pub fn complete_save(&mut self) -> Result<(), MachineError> {
         let t = self.require_current()?;
         let target = self.cwp.above(self.nwindows);
-        if self.wim.is_set(target) {
+        if !self.may_enter(t, target, self.nwindows - 1) {
             return Err(MachineError::StillInvalid { target });
         }
         self.do_save(t, target)
@@ -633,21 +652,17 @@ impl Machine {
     pub fn complete_restore(&mut self) -> Result<(), MachineError> {
         let t = self.require_current()?;
         let target = self.cwp.below(self.nwindows);
-        if self.wim.is_set(target) {
+        if !self.may_enter(t, target, 1) {
             return Err(MachineError::StillInvalid { target });
         }
         self.do_restore(t, target)
     }
 
     fn do_save(&mut self, t: ThreadId, target: WindowIndex) -> Result<(), MachineError> {
-        debug_assert_eq!(
-            self.slots[target.index()],
-            SlotUse::Dead(t),
-            "save into non-granted slot"
-        );
-        self.set_slot(target, SlotUse::Live(t));
         let nw = self.nwindows;
         let ts = self.thread_mut(t)?;
+        debug_assert!(ts.dead & target.bit() != 0, "save into non-granted slot");
+        ts.dead &= !target.bit();
         ts.set_top(Some(target));
         ts.set_resident(ts.resident() + 1);
         debug_assert!(ts.resident() <= nw);
@@ -687,20 +702,17 @@ impl Machine {
     }
 
     fn do_restore(&mut self, t: ThreadId, target: WindowIndex) -> Result<(), MachineError> {
-        debug_assert_eq!(
-            self.slots[target.index()],
-            SlotUse::Live(t),
-            "restore into non-live slot"
-        );
+        let nw = self.nwindows;
         let old_top = self.cwp;
-        self.set_slot(old_top, SlotUse::Dead(t));
-        self.auditor_untrack(old_top);
         let ts = self.thread_mut(t)?;
+        debug_assert!(ts.live_mask(nw) & target.bit() != 0, "restore into non-live slot");
         if ts.resident() < 2 {
             return Err(MachineError::InvariantViolated("trap-free restore with resident < 2"));
         }
+        ts.dead |= old_top.bit();
         ts.set_top(Some(target));
         ts.set_resident(ts.resident() - 1);
+        self.auditor_untrack(old_top);
         self.cwp = target;
         self.stats.restores_executed += 1;
         self.stats.threads[t.index()].restores += 1;
@@ -758,7 +770,7 @@ impl Machine {
         if resident == 1 {
             ts.set_top(None);
         }
-        self.set_slot(bottom, SlotUse::Free);
+        self.free |= bottom.bit();
         self.auditor_untrack(bottom);
         if spill_repaired {
             self.auditor.as_mut().expect("repairs imply an auditor").add_repairs(1);
@@ -828,8 +840,8 @@ impl Machine {
             ts.set_top(Some(slot));
         }
         ts.set_resident(resident + 1);
+        self.vacate(slot);
         self.regfile.set_frame(slot, frame);
-        self.set_slot(slot, SlotUse::Live(t));
         if let Some(a) = self.auditor.as_mut() {
             // An audited machine's store holds only pristine frames, so
             // the popped frame is the reference.
@@ -897,7 +909,7 @@ impl Machine {
             }
         }
         // The callee's frame is gone and the caller's occupies its slot:
-        // top, resident and the slot map are all unchanged.
+        // top, resident and every ownership mask are unchanged.
         self.stats.underflow_restores += 1;
         self.stats.restores_executed += 1;
         self.stats.threads[t.index()].restores += 1;
@@ -920,7 +932,8 @@ impl Machine {
         self.check_window(slot)?;
         match self.slot_use(slot) {
             SlotUse::Free | SlotUse::Dead(_) => {
-                self.set_slot(slot, SlotUse::Dead(t));
+                self.vacate(slot);
+                self.threads[t.index()].dead |= slot.bit();
                 Ok(())
             }
             _ => Err(MachineError::BadSlotState { slot, expected: "free or dead" }),
@@ -943,13 +956,11 @@ impl Machine {
                 });
             }
         }
-        if let Some(old) = self.reserved {
-            if self.slots[old.index()] == SlotUse::Reserved {
-                self.set_slot(old, SlotUse::Free);
-            }
+        if let Some(old) = self.reserved.take() {
+            self.free |= old.bit();
         }
         if let Some(s) = slot {
-            self.set_slot(s, SlotUse::Reserved);
+            self.vacate(s);
         }
         self.reserved = slot;
         Ok(())
@@ -974,7 +985,7 @@ impl Machine {
         if self.thread(t)?.prw().is_some() {
             return Err(MachineError::InvariantViolated("thread already has a PRW"));
         }
-        self.set_slot(slot, SlotUse::Prw(t));
+        self.vacate(slot);
         self.thread_mut(t)?.set_prw(Some(slot));
         Ok(())
     }
@@ -995,11 +1006,8 @@ impl Machine {
         for (reg, out) in outs.iter_mut().enumerate() {
             *out = self.regfile.read_in(prw, reg);
         }
-        let ts = self.thread_mut(t)?;
-        *ts.tcb_outs_mut() = outs;
-        ts.set_prw(None);
-        self.set_slot(prw, SlotUse::Free);
-        Ok(())
+        *self.thread_mut(t)?.tcb_outs_mut() = outs;
+        self.release_prw(t)
     }
 
     /// Releases `t`'s PRW without saving anything (the outs are already
@@ -1014,7 +1022,7 @@ impl Machine {
             .prw()
             .ok_or(MachineError::BadSlotState { slot: self.cwp, expected: "thread owns a PRW" })?;
         self.thread_mut(t)?.set_prw(None);
-        self.set_slot(prw, SlotUse::Free);
+        self.free |= prw.bit();
         Ok(())
     }
 
@@ -1087,15 +1095,9 @@ impl Machine {
     ///
     /// Returns [`MachineError::UnknownThread`] for an unregistered id.
     pub fn release_dead_slots(&mut self, t: ThreadId) -> Result<usize, MachineError> {
-        self.thread(t)?;
-        let mut freed = 0;
-        for i in 0..self.nwindows {
-            if self.slots[i] == SlotUse::Dead(t) {
-                self.set_slot(WindowIndex::new(i), SlotUse::Free);
-                freed += 1;
-            }
-        }
-        Ok(freed)
+        let dead = std::mem::take(&mut self.thread_mut(t)?.dead);
+        self.free |= dead;
+        Ok(dead.count_ones() as usize)
     }
 
     /// Grants every free slot to `t` in one pass (the NS scheme does this
@@ -1109,15 +1111,10 @@ impl Machine {
     ///
     /// Returns [`MachineError::UnknownThread`] for an unregistered id.
     pub fn grant_all_free(&mut self, t: ThreadId) -> Result<usize, MachineError> {
-        self.thread(t)?;
-        let mut granted = 0;
-        for i in 0..self.nwindows {
-            if self.slots[i] == SlotUse::Free {
-                self.set_slot(WindowIndex::new(i), SlotUse::Dead(t));
-                granted += 1;
-            }
-        }
-        Ok(granted)
+        let free = self.free;
+        self.thread_mut(t)?.dead |= free;
+        self.free = 0;
+        Ok(free.count_ones() as usize)
     }
 
     /// The classic single-window reservation walk used by overflow
@@ -1204,8 +1201,7 @@ impl Machine {
         }
         // Move the PRW up: old slot becomes the current thread's to save
         // into; the victim slot becomes the new PRW.
-        self.thread_mut(t)?.set_prw(None);
-        self.set_slot(prw, SlotUse::Free);
+        self.release_prw(t)?;
         self.assign_prw(t, victim)?;
         self.grant_slot(t, prw)?;
         Ok((spills, steals))
@@ -1315,62 +1311,25 @@ impl Machine {
     ///
     /// Returns [`MachineError::InvariantViolated`] describing the problem.
     pub fn check_invariants(&self) -> Result<(), MachineError> {
-        // Slot map and per-thread bookkeeping must agree.
-        let mut live_counts = vec![0usize; self.threads.len()];
-        let mut reserved_count = 0usize;
-        for i in 0..self.nwindows {
-            match self.slots[i] {
-                SlotUse::Live(t) => {
-                    if t.index() >= self.threads.len() {
-                        return Err(MachineError::InvariantViolated(
-                            "live slot owned by unknown thread",
-                        ));
-                    }
-                    live_counts[t.index()] += 1;
-                }
-                SlotUse::Reserved => reserved_count += 1,
-                SlotUse::Prw(t) if self.threads[t.index()].prw() != Some(WindowIndex::new(i)) => {
-                    return Err(MachineError::InvariantViolated("PRW slot not recorded by owner"));
-                }
-                _ => {}
-            }
-        }
-        match self.reserved {
-            Some(r) => {
-                if reserved_count != 1 || self.slots[r.index()] != SlotUse::Reserved {
-                    return Err(MachineError::InvariantViolated("reserved marker mismatch"));
-                }
-            }
-            None => {
-                if reserved_count != 0 {
-                    return Err(MachineError::InvariantViolated("stray reserved slot"));
-                }
-            }
-        }
-        if self.slots.iter().filter(|s| s.is_discardable()).count() != self.discardable {
-            return Err(MachineError::InvariantViolated("discardable count out of sync"));
-        }
         for ts in &self.threads {
-            if live_counts[ts.id().index()] != ts.resident() {
-                return Err(MachineError::InvariantViolated("resident count mismatch"));
+            if ts.resident() > self.nwindows || ts.top().is_some() != (ts.resident() > 0) {
+                return Err(MachineError::InvariantViolated("resident run inconsistent with top"));
             }
-            // Resident run must be contiguous Live slots from top down.
-            if let Some(top) = ts.top() {
-                let mut w = top;
-                for _ in 0..ts.resident() {
-                    if self.slots[w.index()] != SlotUse::Live(ts.id()) {
-                        return Err(MachineError::InvariantViolated("resident run not contiguous"));
-                    }
-                    w = w.below(self.nwindows);
-                }
-            } else if ts.resident() != 0 {
-                return Err(MachineError::InvariantViolated("resident without top"));
+        }
+        // Every window has exactly one holder: the free mask, the
+        // reservation, and each thread's resident run, dead windows and
+        // PRW are pairwise disjoint and cover the file.
+        let nw = self.nwindows;
+        let threads = self.threads.iter().flat_map(|ts| [ts.live_mask(nw), ts.dead, ts.prw_mask()]);
+        let mut held = 0u64;
+        for mask in threads.chain([self.free, self.reserved.map_or(0, WindowIndex::bit)]) {
+            if held & mask != 0 {
+                return Err(MachineError::InvariantViolated("a window has two holders"));
             }
-            if let Some(p) = ts.prw() {
-                if self.slots[p.index()] != SlotUse::Prw(ts.id()) {
-                    return Err(MachineError::InvariantViolated("recorded PRW not in slot map"));
-                }
-            }
+            held |= mask;
+        }
+        if held != low_bits(nw) {
+            return Err(MachineError::InvariantViolated("holders do not cover the window file"));
         }
         // CWP must point at the current thread's stack-top.
         if let Some(t) = self.current {
@@ -1379,17 +1338,6 @@ impl Machine {
                     "CWP not at current thread's stack-top",
                 ));
             }
-        }
-        // WIM must be exactly the derived mask.
-        let mut derived = Wim::new(self.nwindows);
-        for i in 0..self.nwindows {
-            let valid = self.current.map(|t| self.slots[i].valid_for(t)).unwrap_or(false);
-            if !valid {
-                derived.set(WindowIndex::new(i));
-            }
-        }
-        if derived != self.wim {
-            return Err(MachineError::InvariantViolated("WIM out of sync with slot map"));
         }
         Ok(())
     }
@@ -1571,30 +1519,34 @@ impl Machine {
         }
     }
 
-    /// Writes slot `w`'s use and refreshes WIM bit `w` and the
-    /// discardable count to match — the only write to the slot map, so
-    /// no slot change can leave either stale. A whole-mask
-    /// [`Machine::recompute_wim`] is needed only where the current
-    /// thread changes.
-    fn set_slot(&mut self, w: WindowIndex, slot_use: SlotUse) {
-        let old = std::mem::replace(&mut self.slots[w.index()], slot_use);
-        self.discardable += usize::from(slot_use.is_discardable());
-        self.discardable -= usize::from(old.is_discardable());
-        if self.current.is_some_and(|t| slot_use.valid_for(t)) {
-            self.wim.clear(w);
-        } else {
-            self.wim.set(w);
-        }
+    /// The windows thread `t` may enter without trapping: its resident
+    /// run and its dead windows.
+    fn valid_mask(&self, t: ThreadId) -> u64 {
+        let ts = &self.threads[t.index()];
+        ts.live_mask(self.nwindows) | ts.dead
     }
 
-    /// Rederives the whole WIM from the slot map for the current thread.
-    fn recompute_wim(&mut self) {
-        self.wim.clear_all();
-        for i in 0..self.nwindows {
-            let valid = self.current.map(|t| self.slots[i].valid_for(t)).unwrap_or(false);
-            if !valid {
-                self.wim.set(WindowIndex::new(i));
-            }
+    /// Whether the current thread `t` may enter `target`, `below` windows
+    /// below its stack-top (the CWP): the same test as
+    /// [`Machine::valid_mask`] without building the run's mask, since a
+    /// window that far below the top is in the resident run exactly when
+    /// `below < resident`.
+    fn may_enter(&self, t: ThreadId, target: WindowIndex, below: usize) -> bool {
+        let ts = &self.threads[t.index()];
+        let valid = below < ts.resident() || ts.dead & target.bit() != 0;
+        debug_assert_eq!(valid, self.valid_mask(t) & target.bit() != 0);
+        valid
+    }
+
+    /// Takes discardable window `w` from whoever holds it: the free mask
+    /// or a thread's dead windows. The caller has checked that `w` is
+    /// free or dead, and gives it its new holder.
+    fn vacate(&mut self, w: WindowIndex) {
+        let bit = w.bit();
+        if self.free & bit != 0 {
+            self.free &= !bit;
+        } else if let Some(ts) = self.threads.iter_mut().find(|ts| ts.dead & bit != 0) {
+            ts.dead &= !bit;
         }
     }
 
@@ -1997,14 +1949,19 @@ mod tests {
     }
 
     #[test]
-    fn check_invariants_detects_wim_desync() {
+    fn check_invariants_detects_overlapping_and_missing_holders() {
         let (mut m, _t) = machine_with_thread(8);
-        m.wim.set(m.cwp());
+        // The stack-top window marked free as well: two holders.
+        m.free |= m.cwp().bit();
+        assert!(m.check_invariants().is_err());
+        // A free window dropped from every mask: no holder.
+        let (mut m, _t) = machine_with_thread(8);
+        m.free &= m.free - 1;
         assert!(m.check_invariants().is_err());
     }
 
     #[test]
-    fn discardable_count_follows_slot_writes() {
+    fn discardable_count_matches_slot_uses() {
         let (mut m, t) = machine_with_thread(8);
         let scan = |m: &Machine| {
             (0..8).filter(|&w| m.slot_use(WindowIndex::new(w)).is_discardable()).count()
@@ -2017,8 +1974,6 @@ mod tests {
         assert_eq!(m.discardable_windows(), scan(&m));
         m.release_thread(t).unwrap();
         assert_eq!(m.discardable_windows(), 8);
-        m.discardable -= 1;
-        assert!(m.check_invariants().is_err());
     }
 
     #[test]

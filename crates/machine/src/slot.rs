@@ -1,13 +1,15 @@
-//! Per-window usage tracking.
+//! What a window is used for, as read from the machine.
 
 use crate::thread::ThreadId;
 use std::fmt;
 
 /// What a physical window slot is currently used for.
 ///
-/// This is the machine's ground truth from which the WIM is derived: for a
-/// current thread *T*, a slot is valid (WIM bit clear) exactly when it is
-/// [`SlotUse::Live`]`(T)` or [`SlotUse::Dead`]`(T)`.
+/// A derived view: [`crate::Machine::slot_use`] computes it from the
+/// machine's ownership masks, which are the only record of who holds a
+/// window. The WIM is derived from the same masks and agrees with it: for
+/// a current thread *T*, a slot is valid (WIM bit clear) exactly when it
+/// is [`SlotUse::Live`]`(T)` or [`SlotUse::Dead`]`(T)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SlotUse {
     /// Nobody uses the slot; its contents are garbage.
@@ -33,14 +35,6 @@ impl SlotUse {
     /// Whether the slot is valid (no trap) for thread `t` to enter.
     pub fn valid_for(self, t: ThreadId) -> bool {
         matches!(self, SlotUse::Live(o) | SlotUse::Dead(o) if o == t)
-    }
-
-    /// The thread holding a live frame here, if any.
-    pub fn live_owner(self) -> Option<ThreadId> {
-        match self {
-            SlotUse::Live(t) => Some(t),
-            _ => None,
-        }
     }
 
     /// Whether the slot holds no data that would need saving (free, a dead
@@ -86,12 +80,5 @@ mod tests {
         assert!(SlotUse::Reserved.is_discardable());
         assert!(!SlotUse::Live(a).is_discardable());
         assert!(!SlotUse::Prw(a).is_discardable());
-    }
-
-    #[test]
-    fn live_owner() {
-        let a = ThreadId::new(2);
-        assert_eq!(SlotUse::Live(a).live_owner(), Some(a));
-        assert_eq!(SlotUse::Dead(a).live_owner(), None);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::backing::BackingStore;
 use crate::regfile::OUTS_PER_WINDOW;
-use crate::window::WindowIndex;
+use crate::window::{run_mask, WindowIndex};
 use std::fmt;
 
 /// Identifier of a simulated thread, assigned by [`crate::Machine::add_thread`].
@@ -38,6 +38,10 @@ pub struct ThreadState {
     top: Option<WindowIndex>,
     /// Number of resident live frames (contiguous from `top` downward).
     resident: usize,
+    /// The mask of windows holding dead frames of this thread: above its
+    /// stack-top, enterable by a `save` without trapping, released when
+    /// it is suspended. Written by `Machine` only.
+    pub(crate) dead: u64,
     /// Spilled frames, innermost last.
     backing: BackingStore,
     /// The thread's private reserved window (SP scheme only).
@@ -57,6 +61,7 @@ impl ThreadState {
             id,
             top: None,
             resident: 0,
+            dead: 0,
             backing: BackingStore::new(),
             prw: None,
             tcb_outs: [0; OUTS_PER_WINDOW],
@@ -83,6 +88,17 @@ impl ThreadState {
     /// Number of resident live frames.
     pub fn resident(&self) -> usize {
         self.resident
+    }
+
+    /// The mask of the resident run: `resident` windows from the
+    /// stack-top downward.
+    pub(crate) fn live_mask(&self, nwindows: usize) -> u64 {
+        self.top.map_or(0, |top| run_mask(top, self.resident, nwindows))
+    }
+
+    /// The mask of the thread's PRW, if it holds one.
+    pub(crate) fn prw_mask(&self) -> u64 {
+        self.prw.map_or(0, WindowIndex::bit)
     }
 
     /// Total live frames: resident plus spilled.

@@ -1,4 +1,5 @@
-//! Window indices, cyclic arithmetic and the Window Invalid Mask (WIM).
+//! Window indices, cyclic arithmetic, window masks and the Window Invalid
+//! Mask (WIM).
 
 use std::fmt;
 
@@ -81,6 +82,11 @@ impl WindowIndex {
     pub const fn distance_below_to(self, other: Self, nwindows: usize) -> usize {
         (other.0 + nwindows - self.0) % nwindows
     }
+
+    /// This window's bit in a window mask.
+    pub(crate) const fn bit(self) -> u64 {
+        1 << self.0
+    }
 }
 
 impl fmt::Display for WindowIndex {
@@ -95,36 +101,63 @@ impl From<WindowIndex> for usize {
     }
 }
 
+/// The mask of a run of `len` windows that starts at `start` and goes
+/// **below** (increasing index), cyclically in `nwindows` windows. A run
+/// of the whole file is every bit; `len` must not exceed `nwindows`.
+pub(crate) fn run_mask(start: WindowIndex, len: usize, nwindows: usize) -> u64 {
+    debug_assert!(len <= nwindows && start.0 < nwindows);
+    let run = low_bits(len);
+    let s = start.0;
+    // The part that wraps past the last window lands at the bottom.
+    let wrapped = run.checked_shr((nwindows - s) as u32).unwrap_or(0);
+    ((run << s) | wrapped) & low_bits(nwindows)
+}
+
+/// The mask of the `n` lowest bits (`n` up to 64).
+pub(crate) fn low_bits(n: usize) -> u64 {
+    1u64.checked_shl(n as u32).unwrap_or(0).wrapping_sub(1)
+}
+
+/// The windows whose bits are set in `mask`, lowest index first.
+pub(crate) fn windows_in(mut mask: u64) -> impl Iterator<Item = WindowIndex> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let w = WindowIndex(mask.trailing_zeros() as usize);
+            mask &= mask - 1;
+            w
+        })
+    })
+}
+
 /// The Window Invalid Mask: one bit per physical window; a set bit means a
 /// `save` or `restore` entering that window raises a trap.
 ///
 /// In the conventional single-thread algorithm exactly one bit is set (the
 /// reserved window). Under window sharing, every window not owned by the
-/// current thread is also marked invalid (paper §3).
+/// current thread is also marked invalid (paper §3). A `Wim` is a value
+/// read from [`crate::Machine::wim`], which derives it from who holds each
+/// window.
 ///
 /// ```rust
-/// use regwin_machine::{Wim, WindowIndex};
+/// use regwin_machine::Machine;
 ///
-/// let mut wim = Wim::new(8);
-/// wim.set(WindowIndex::new(3));
-/// assert!(wim.is_set(WindowIndex::new(3)));
-/// assert_eq!(wim.count_set(), 1);
+/// let machine = Machine::new(8).unwrap();
+/// let wim = machine.wim();
+/// // No thread is current, so every window is invalid.
+/// assert_eq!(wim.count_set(), 8);
+/// assert_eq!(wim.to_string(), "11111111");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Wim {
     bits: u64,
     nwindows: usize,
 }
 
 impl Wim {
-    /// An all-clear mask for a machine with `nwindows` windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nwindows` exceeds [`MAX_WINDOWS`].
-    pub fn new(nwindows: usize) -> Self {
-        assert!(nwindows <= MAX_WINDOWS, "too many windows for WIM");
-        Wim { bits: 0, nwindows }
+    /// The mask with bit pattern `bits` over `nwindows` windows.
+    pub(crate) fn new(bits: u64, nwindows: usize) -> Self {
+        debug_assert!(bits & !low_bits(nwindows) == 0, "WIM bit beyond the file");
+        Wim { bits, nwindows }
     }
 
     /// Number of windows this mask covers.
@@ -132,27 +165,10 @@ impl Wim {
         self.nwindows
     }
 
-    /// Marks `w` invalid.
-    pub fn set(&mut self, w: WindowIndex) {
-        debug_assert!(w.index() < self.nwindows);
-        self.bits |= 1 << w.index();
-    }
-
-    /// Marks `w` valid.
-    pub fn clear(&mut self, w: WindowIndex) {
-        debug_assert!(w.index() < self.nwindows);
-        self.bits &= !(1 << w.index());
-    }
-
-    /// Clears every bit.
-    pub fn clear_all(&mut self) {
-        self.bits = 0;
-    }
-
     /// Whether `w` is marked invalid.
     pub fn is_set(&self, w: WindowIndex) -> bool {
         debug_assert!(w.index() < self.nwindows);
-        self.bits & (1 << w.index()) != 0
+        self.bits & w.bit() != 0
     }
 
     /// Number of invalid windows.
@@ -229,38 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn wim_set_clear_roundtrip() {
-        let mut wim = Wim::new(8);
-        let w = WindowIndex::new(5);
-        assert!(!wim.is_set(w));
-        wim.set(w);
-        assert!(wim.is_set(w));
-        assert_eq!(wim.count_set(), 1);
-        wim.clear(w);
-        assert!(!wim.is_set(w));
-        assert_eq!(wim.count_set(), 0);
-    }
-
-    #[test]
-    fn wim_display_is_msb_first() {
-        let mut wim = Wim::new(4);
-        wim.set(WindowIndex::new(0));
-        wim.set(WindowIndex::new(3));
-        assert_eq!(wim.to_string(), "1001");
-    }
-
-    #[test]
-    fn wim_clear_all() {
-        let mut wim = Wim::new(8);
-        for i in 0..8 {
-            wim.set(WindowIndex::new(i));
-        }
-        assert_eq!(wim.count_set(), 8);
-        wim.clear_all();
-        assert_eq!(wim.count_set(), 0);
-    }
-
-    #[test]
     fn window_index_display() {
         assert_eq!(WindowIndex::new(4).to_string(), "W4");
     }
@@ -301,26 +285,6 @@ mod tests {
             assert_eq!(w.above_by(7, n).below_by(7, n), w);
             assert_eq!(w.distance_below_to(w.below_by(17, n), n), 17);
         }
-    }
-
-    #[test]
-    fn wim_edges_at_n4() {
-        let mut wim = Wim::new(4);
-        assert_eq!(wim.nwindows(), 4);
-        // Setting a bit twice is idempotent; clearing an unset bit is a
-        // no-op.
-        wim.set(WindowIndex::new(0));
-        wim.set(WindowIndex::new(0));
-        assert_eq!(wim.count_set(), 1);
-        wim.clear(WindowIndex::new(1));
-        assert_eq!(wim.count_set(), 1);
-        // Full mask covers exactly the low 4 bits.
-        for i in 0..4 {
-            wim.set(WindowIndex::new(i));
-        }
-        assert_eq!(wim.bits(), 0b1111);
-        assert_eq!(wim.count_set(), 4);
-        assert_eq!(wim.to_string(), "1111");
     }
 
     #[test]
@@ -374,57 +338,6 @@ mod tests {
         assert_eq!(w1.distance_below_to(w0, n), 1);
     }
 
-    #[test]
-    fn wim_edges_at_n2() {
-        let mut wim = Wim::new(MIN_WINDOWS);
-        wim.set(WindowIndex::new(0));
-        wim.set(WindowIndex::new(1));
-        assert_eq!(wim.bits(), 0b11);
-        assert_eq!(wim.count_set(), 2);
-        assert_eq!(wim.to_string(), "11");
-        wim.clear(WindowIndex::new(0));
-        assert_eq!(wim.bits(), 0b10);
-        wim.clear_all();
-        assert_eq!(wim.count_set(), 0);
-    }
-
-    #[test]
-    fn wim_edges_at_n64_bit63() {
-        // N = MAX_WINDOWS = 64 exercises bit 63, the top of the u64
-        // mask, where an off-by-one shift would overflow.
-        let n = MAX_WINDOWS;
-        let mut wim = Wim::new(n);
-        let top = WindowIndex::new(63);
-        wim.set(top);
-        assert!(wim.is_set(top));
-        assert_eq!(wim.bits(), 1u64 << 63);
-        assert_eq!(wim.count_set(), 1);
-        // Setting bit 63 twice is idempotent.
-        wim.set(top);
-        assert_eq!(wim.count_set(), 1);
-        // Its cyclic neighbours sit at the other end of the mask.
-        assert_eq!(top.below(n), WindowIndex::new(0));
-        assert_eq!(WindowIndex::new(0).above(n), top);
-        wim.set(top.below(n));
-        assert_eq!(wim.bits(), (1u64 << 63) | 1);
-        assert_eq!(wim.count_set(), 2);
-        // Clearing bit 63 leaves bit 0 untouched.
-        wim.clear(top);
-        assert!(!wim.is_set(top));
-        assert_eq!(wim.bits(), 1);
-        // Display covers all 64 positions, MSB first.
-        wim.set(top);
-        let s = wim.to_string();
-        assert_eq!(s.len(), 64);
-        assert!(s.starts_with('1') && s.ends_with('1'));
-        // A full mask saturates without overflow.
-        for i in 0..n {
-            wim.set(WindowIndex::new(i));
-        }
-        assert_eq!(wim.bits(), u64::MAX);
-        assert_eq!(wim.count_set(), 64);
-    }
-
     /// Deterministic pseudo-random step counts for the property tests
     /// (no external RNG crate in the build environment).
     fn splitmix64(state: &mut u64) -> u64 {
@@ -476,59 +389,61 @@ mod tests {
     }
 
     #[test]
-    fn property_wim_rotation_preserves_count_set_all_n() {
-        // Rotating every set bit by one window (in either direction) is a
-        // permutation of the mask: count_set must be invariant.
-        let mut rng = 0x0fed_cba9_8765_4321u64;
-        for n in MIN_WINDOWS..=MAX_WINDOWS {
-            for _ in 0..8 {
-                let mut wim = Wim::new(n);
-                let nbits = 1 + (splitmix64(&mut rng) as usize) % n;
-                for _ in 0..nbits {
-                    wim.set(WindowIndex::new((splitmix64(&mut rng) as usize) % n));
-                }
-                let before = wim.count_set();
-                for dir in 0..2 {
-                    let mut rotated = Wim::new(n);
-                    for i in 0..n {
-                        let w = WindowIndex::new(i);
-                        if wim.is_set(w) {
-                            rotated.set(if dir == 0 { w.above(n) } else { w.below(n) });
-                        }
-                    }
-                    assert_eq!(rotated.count_set(), before, "n={n} dir={dir}");
-                    // Rotating back recovers the original bit pattern.
-                    let mut back = Wim::new(n);
-                    for i in 0..n {
-                        let w = WindowIndex::new(i);
-                        if rotated.is_set(w) {
-                            back.set(if dir == 0 { w.below(n) } else { w.above(n) });
-                        }
-                    }
-                    assert_eq!(back.bits(), wim.bits(), "n={n} dir={dir}");
-                }
-            }
+    fn wim_display_is_msb_first() {
+        let wim = Wim::new(0b1001, 4);
+        assert_eq!(wim.to_string(), "1001");
+        assert!(wim.is_set(WindowIndex::new(0)) && wim.is_set(WindowIndex::new(3)));
+        assert!(!wim.is_set(WindowIndex::new(1)));
+    }
+
+    #[test]
+    fn wim_reads_every_bit_at_edge_sizes() {
+        // N = 2 is the minimum, 4 and 32 bound the paper's sweep, and 64
+        // exercises bit 63, where an off-by-one shift would overflow.
+        for n in [MIN_WINDOWS, 4, 32, MAX_WINDOWS] {
+            let full = Wim::new(low_bits(n), n);
+            assert_eq!(full.count_set() as usize, n);
+            assert_eq!(full.to_string(), "1".repeat(n));
+            let top = WindowIndex::new(n - 1);
+            let ends = Wim::new(top.bit() | 1, n);
+            assert!(ends.is_set(top) && ends.is_set(top.below(n)));
+            assert_eq!(ends.count_set(), 2);
+            assert!(ends.to_string().starts_with('1') && ends.to_string().ends_with('1'));
         }
     }
 
     #[test]
-    fn wim_edges_at_n32() {
-        let mut wim = Wim::new(32);
-        // The top window's bit is bit 31 — the last one that matters for
-        // the paper's largest configuration.
-        let top = WindowIndex::new(31);
-        wim.set(top);
-        assert!(wim.is_set(top));
-        assert_eq!(wim.bits(), 1 << 31);
-        assert_eq!(wim.count_set(), 1);
-        // Neighbours across the wrap boundary are distinct bits.
-        wim.set(top.below(32)); // window 0
-        assert_eq!(wim.bits(), (1 << 31) | 1);
-        assert_eq!(wim.count_set(), 2);
-        wim.clear(top);
-        assert_eq!(wim.bits(), 1);
-        // Display shows all 32 positions, MSB first.
-        assert_eq!(wim.to_string().len(), 32);
-        assert!(wim.to_string().ends_with('1'));
+    fn low_bits_covers_zero_through_sixty_four() {
+        assert_eq!(low_bits(0), 0);
+        assert_eq!(low_bits(1), 1);
+        assert_eq!(low_bits(63), u64::MAX >> 1);
+        assert_eq!(low_bits(64), u64::MAX);
+    }
+
+    #[test]
+    fn windows_in_visits_set_bits_lowest_first() {
+        let got: Vec<usize> = windows_in((1 << 63) | 0b1010).map(WindowIndex::index).collect();
+        assert_eq!(got, [1, 3, 63]);
+        assert_eq!(windows_in(0).count(), 0);
+    }
+
+    #[test]
+    fn property_run_mask_matches_stepping_below_all_n() {
+        // A run of `len` windows from `start` is the windows reached by
+        // stepping below `len - 1` times, for every N up to 64 and every
+        // length up to the whole file (the `len == 64` shift included).
+        let mut rng = 0x0fed_cba9_8765_4321u64;
+        for n in MIN_WINDOWS..=MAX_WINDOWS {
+            for len in [0, 1, n - 1, n, (splitmix64(&mut rng) as usize) % (n + 1)] {
+                let start = WindowIndex::new((splitmix64(&mut rng) as usize) % n);
+                let mut expect = 0u64;
+                let mut w = start;
+                for _ in 0..len {
+                    expect |= w.bit();
+                    w = w.below(n);
+                }
+                assert_eq!(run_mask(start, len, n), expect, "n={n} start={start} len={len}");
+            }
+        }
     }
 }

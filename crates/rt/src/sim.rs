@@ -167,9 +167,9 @@ impl SimState {
     /// The window-residency snapshot the scheduling policy sees when
     /// `t` wakes. Policies that ignore residency (per
     /// [`ReadyQueue::uses_residency`]) get a default snapshot so the
-    /// FIFO hot path never queries the machine. Both window fields are
-    /// O(1) reads: the free-window figure is the machine's kept
-    /// discardable count.
+    /// FIFO hot path never queries the machine. The free-window figure
+    /// is the machine's discardable count, computed in one step per
+    /// thread without a scan of the windows.
     pub(crate) fn wake_snapshot(&self, t: ThreadId) -> WakeInfo {
         if !self.ready.uses_residency() {
             return WakeInfo::default();

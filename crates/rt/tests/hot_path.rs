@@ -1,12 +1,14 @@
 //! The runtime's per-switch bookkeeping: a steady-state switch
-//! allocates nothing, wakes pick the lowest thread id however many
+//! allocates nothing, neither in a direct run nor in a trace replay,
+//! wakes pick the lowest thread id however many
 //! threads wait, and coalesced compute still reaches the clock before
 //! an outbound byte is timestamped. (That a probed run's `CyclesApp`
 //! total equals its report's App cycles is pinned by
 //! `metric_probe_agrees_with_run_report` in `probe.rs`.)
 
-use regwin_rt::{Ctx, RtError, Simulation, StepOutcome, StreamId};
-use regwin_traps::SchemeKind;
+use regwin_machine::MachineConfig;
+use regwin_rt::{Ctx, RtError, Simulation, StepOutcome, StreamId, Trace};
+use regwin_traps::{build_scheme, SchemeKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
@@ -50,11 +52,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Builds and runs a two-thread ping-pong over a 1-byte stream that
-/// carries `bytes` bytes; returns the allocations the whole run made on
-/// this thread and its simulated context switches.
-fn ping_pong_allocations(bytes: u32) -> (u64, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
+/// Builds a two-thread ping-pong over a 1-byte stream that carries
+/// `bytes` bytes; with `calls`, the reader makes one procedure call per
+/// byte.
+fn ping_pong(bytes: u32, calls: bool) -> Simulation {
     let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
     let pipe = sim.add_stream("pipe", 1, 1);
     sim.spawn_async("ping", async move |ctx: &mut Ctx| {
@@ -65,12 +66,38 @@ fn ping_pong_allocations(bytes: u32) -> (u64, u64) {
     });
     sim.spawn_async("pong", async move |ctx: &mut Ctx| {
         while ctx.read_byte(pipe).await?.is_some() {
-            ctx.compute(3);
+            if calls {
+                ctx.call(async |ctx| {
+                    ctx.compute(3);
+                    Ok(())
+                })
+                .await?;
+            } else {
+                ctx.compute(3);
+            }
         }
         Ok(())
     });
-    let report = sim.run().unwrap();
+    sim
+}
+
+/// Runs the ping-pong directly; returns the allocations the whole run
+/// made on this thread and its simulated context switches.
+fn ping_pong_allocations(bytes: u32) -> (u64, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let report = ping_pong(bytes, false).run().unwrap();
     (ALLOCATIONS.with(Cell::get) - before, report.stats.context_switches)
+}
+
+/// Records the ping-pong with calls, then replays the trace under `scheme`;
+/// returns the allocations the replay alone made on this thread and the
+/// trace's event count.
+fn replay_allocations(bytes: u32, scheme: SchemeKind) -> (u64, usize) {
+    let (_, trace) = ping_pong(bytes, true).with_trace_recording().run_with_trace().unwrap();
+    let trace: Trace = trace.expect("recording enabled");
+    let before = ALLOCATIONS.with(Cell::get);
+    trace.replay(MachineConfig::new(8), build_scheme(scheme)).unwrap();
+    (ALLOCATIONS.with(Cell::get) - before, trace.len())
 }
 
 #[test]
@@ -80,6 +107,17 @@ fn steady_state_switches_allocate_nothing() {
     assert!(small_switches >= 1_000, "{small_switches} switches");
     assert!(large_switches >= 100_000, "{large_switches} switches");
     assert_eq!(small, large, "allocations grew with the number of switches");
+}
+
+#[test]
+fn trace_replay_allocates_nothing_per_event() {
+    for scheme in [SchemeKind::Ns, SchemeKind::Snp, SchemeKind::Sp] {
+        let (small, small_events) = replay_allocations(150, scheme);
+        let (large, large_events) = replay_allocations(15_000, scheme);
+        assert!((900..1_200).contains(&small_events), "{small_events} events");
+        assert!((90_000..120_000).contains(&large_events), "{large_events} events");
+        assert_eq!(small, large, "{scheme:?}: replay allocations grew with the trace");
+    }
 }
 
 /// Spawns `n` readers `r0..` that each park on `data` in descending id

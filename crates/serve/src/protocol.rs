@@ -234,7 +234,7 @@ fn scheme_from_name(name: &str) -> Result<SchemeKind, ProtoError> {
 /// # Errors
 ///
 /// Fails on missing or mistyped fields.
-pub fn spec_from_value(v: &Value) -> Result<MatrixSpec, ProtoError> {
+pub(crate) fn spec_from_value(v: &Value) -> Result<MatrixSpec, ProtoError> {
     let corpus_v = need(v, "corpus")?;
     let corpus = CorpusSpec {
         doc_bytes: need_u64(corpus_v, "doc_bytes")? as usize,
@@ -269,7 +269,7 @@ pub fn spec_from_value(v: &Value) -> Result<MatrixSpec, ProtoError> {
 }
 
 /// Encodes a sweep summary for a `records` frame.
-pub fn summary_to_value(s: &SweepSummary) -> Value {
+pub(crate) fn summary_to_value(s: &SweepSummary) -> Value {
     obj(vec![
         ("jobs", Value::Int(s.jobs as u64)),
         ("cache_hits", Value::Int(s.cache_hits as u64)),
@@ -283,7 +283,7 @@ pub fn summary_to_value(s: &SweepSummary) -> Value {
 /// # Errors
 ///
 /// Fails on missing or mistyped fields.
-pub fn summary_from_value(v: &Value) -> Result<SweepSummary, ProtoError> {
+pub(crate) fn summary_from_value(v: &Value) -> Result<SweepSummary, ProtoError> {
     Ok(SweepSummary {
         jobs: need_u64(v, "jobs")? as usize,
         cache_hits: need_u64(v, "cache_hits")? as usize,
@@ -293,7 +293,7 @@ pub fn summary_from_value(v: &Value) -> Result<SweepSummary, ProtoError> {
 }
 
 /// Encodes the quarantine list for a `records` frame.
-pub fn quarantine_to_value(quarantine: &[QuarantineRecord]) -> Value {
+pub(crate) fn quarantine_to_value(quarantine: &[QuarantineRecord]) -> Value {
     Value::Arr(
         quarantine
             .iter()
@@ -320,7 +320,7 @@ pub fn quarantine_to_value(quarantine: &[QuarantineRecord]) -> Value {
 /// # Errors
 ///
 /// Fails on missing or mistyped fields.
-pub fn quarantine_from_value(v: &Value) -> Result<Vec<QuarantineRecord>, ProtoError> {
+pub(crate) fn quarantine_from_value(v: &Value) -> Result<Vec<QuarantineRecord>, ProtoError> {
     v.as_arr()
         .ok_or_else(|| bad("'quarantine' not an array"))?
         .iter()

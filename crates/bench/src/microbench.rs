@@ -27,7 +27,6 @@
 use regwin_cluster::{BusConfig, ClusterBuilder};
 use regwin_gen::{Workload, WorkloadSpec};
 use regwin_machine::{MachineConfig, ThreadId, TimingKind};
-use regwin_obs::{AtomicMetricSet, Metric};
 use regwin_rt::{ReadyQueue, SchedulingPolicy, Simulation, WakeInfo};
 use regwin_sweep::json::{obj, Value};
 use regwin_traps::{build_scheme, Cpu, SchemeKind};
@@ -43,13 +42,10 @@ const DEPTH: u64 = 40;
 /// load/store queue) instead of the flat S-20 accounting, so the two
 /// charge regimes sit side by side in the report. `enqueue` and
 /// `dispatch` time the scheduler ready-queue primitives (working-set
-/// policy, the residency-segmented one); `publish` times the sweep
-/// engine's wait-free per-worker ops-counter publication — one relaxed
-/// atomic add per event, the operation that replaced a mutex-guarded
-/// aggregate on the job hot path; `gen_scenario` times one full
+/// policy, the residency-segmented one); `gen_scenario` times one full
 /// synthetic-workload synthesis — the per-job generator work of the
 /// `repro-fuzz` farm.
-pub const OPS: [&str; 14] = [
+pub const OPS: [&str; 13] = [
     "save",
     "restore",
     "overflow",
@@ -62,7 +58,6 @@ pub const OPS: [&str; 14] = [
     "audit",
     "enqueue",
     "dispatch",
-    "publish",
     "gen_scenario",
 ];
 
@@ -424,27 +419,6 @@ fn bench_sched(cfg: MicrobenchConfig, audit: bool) -> [OpMeasurement; 2] {
     ]
 }
 
-/// Measures one wait-free ops-counter publication: a relaxed atomic add
-/// into an [`AtomicMetricSet`] row, exactly what the sweep engine's job
-/// hot path performs per operational event instead of locking a shared
-/// aggregate. Host-side: no simulated cycles; auditing is irrelevant to
-/// an atomic add, so both audit cells measure the identical operation.
-fn bench_publish(cfg: MicrobenchConfig, audit: bool) -> OpMeasurement {
-    let row = AtomicMetricSet::new();
-    let ops = cfg.iters;
-    let mut ns = Vec::with_capacity(cfg.rounds);
-    for _ in 0..cfg.rounds {
-        let t0 = Instant::now();
-        for _ in 0..ops {
-            row.add(Metric::CacheHits, 1);
-        }
-        ns.push(t0.elapsed().as_nanos() as f64 / ops as f64);
-    }
-    // Read the row back so the timed adds cannot be optimized away.
-    assert_eq!(row.get(Metric::CacheHits), ops * cfg.rounds as u64);
-    OpMeasurement { op: "publish", audit, ops, cycles_per_op: 0.0, ns_per_op: median(ns) }
-}
-
 /// Measures one full scenario synthesis — `WorkloadSpec::from_seed`
 /// plus `Workload::synthesize` over a rotating seed — the per-job
 /// generator work the `repro-fuzz` farm performs before any simulation
@@ -486,7 +460,6 @@ pub fn run_microbench(cfg: MicrobenchConfig) -> Vec<OpMeasurement> {
         out.push(bench_switch_cross_pe(cfg, audit));
         out.push(bench_audit(cfg, audit));
         out.extend(bench_sched(cfg, audit));
-        out.push(bench_publish(cfg, audit));
         out.push(bench_gen_scenario(cfg, audit));
     }
     // Report in op-major order (both audit settings of an op adjacent).

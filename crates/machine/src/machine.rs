@@ -583,8 +583,8 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Executes a `save` (procedure entry). Returns
-    /// [`ExecOutcome::Trapped`] with an overflow trap if the window above
-    /// is invalid for the current thread.
+    /// [`ExecOutcome::Trapped`] with an overflow trap unless the window
+    /// above is one of the current thread's dead windows.
     ///
     /// # Errors
     ///
@@ -592,7 +592,7 @@ impl Machine {
     pub fn try_save(&mut self) -> Result<ExecOutcome, MachineError> {
         let t = self.require_current()?;
         let target = self.cwp.above(self.nwindows);
-        if !self.may_enter(t, target, self.nwindows - 1) {
+        if !self.may_save(t, target) {
             if let Some(fs) = self.faults.as_mut() {
                 fs.next_trap()?;
             }
@@ -614,7 +614,7 @@ impl Machine {
     pub fn try_restore(&mut self) -> Result<ExecOutcome, MachineError> {
         let t = self.require_current()?;
         let target = self.cwp.below(self.nwindows);
-        if !self.may_enter(t, target, 1) {
+        if !self.may_restore(t) {
             if let Some(fs) = self.faults.as_mut() {
                 fs.next_trap()?;
             }
@@ -636,7 +636,7 @@ impl Machine {
     pub fn complete_save(&mut self) -> Result<(), MachineError> {
         let t = self.require_current()?;
         let target = self.cwp.above(self.nwindows);
-        if !self.may_enter(t, target, self.nwindows - 1) {
+        if !self.may_save(t, target) {
             return Err(MachineError::StillInvalid { target });
         }
         self.do_save(t, target)
@@ -652,7 +652,7 @@ impl Machine {
     pub fn complete_restore(&mut self) -> Result<(), MachineError> {
         let t = self.require_current()?;
         let target = self.cwp.below(self.nwindows);
-        if !self.may_enter(t, target, 1) {
+        if !self.may_restore(t) {
             return Err(MachineError::StillInvalid { target });
         }
         self.do_restore(t, target)
@@ -706,9 +706,6 @@ impl Machine {
         let old_top = self.cwp;
         let ts = self.thread_mut(t)?;
         debug_assert!(ts.live_mask(nw) & target.bit() != 0, "restore into non-live slot");
-        if ts.resident() < 2 {
-            return Err(MachineError::InvariantViolated("trap-free restore with resident < 2"));
-        }
         ts.dead |= old_top.bit();
         ts.set_top(Some(target));
         ts.set_resident(ts.resident() - 1);
@@ -1519,23 +1516,27 @@ impl Machine {
         }
     }
 
-    /// The windows thread `t` may enter without trapping: its resident
-    /// run and its dead windows.
+    /// The windows valid for thread `t`, the clear bits of its WIM: its
+    /// resident run and its dead windows.
     fn valid_mask(&self, t: ThreadId) -> u64 {
         let ts = &self.threads[t.index()];
         ts.live_mask(self.nwindows) | ts.dead
     }
 
-    /// Whether the current thread `t` may enter `target`, `below` windows
-    /// below its stack-top (the CWP): the same test as
-    /// [`Machine::valid_mask`] without building the run's mask, since a
-    /// window that far below the top is in the resident run exactly when
-    /// `below < resident`.
-    fn may_enter(&self, t: ThreadId, target: WindowIndex, below: usize) -> bool {
-        let ts = &self.threads[t.index()];
-        let valid = below < ts.resident() || ts.dead & target.bit() != 0;
-        debug_assert_eq!(valid, self.valid_mask(t) & target.bit() != 0);
-        valid
+    /// Whether a `save` by the current thread `t` may enter `target`
+    /// without trapping: only into one of `t`'s dead windows. A thread
+    /// holding every window traps rather than save over its own
+    /// stack-bottom.
+    fn may_save(&self, t: ThreadId, target: WindowIndex) -> bool {
+        self.threads[t.index()].dead & target.bit() != 0
+    }
+
+    /// Whether a `restore` by the current thread `t` may return without
+    /// trapping: only when the caller's window is resident, which needs
+    /// at least two resident windows. A window granted directly below a
+    /// lone stack-top frame holds no frame of `t`'s, so it traps too.
+    fn may_restore(&self, t: ThreadId) -> bool {
+        self.threads[t.index()].resident() >= 2
     }
 
     /// Takes discardable window `w` from whoever holds it: the free mask

@@ -46,10 +46,6 @@ fn random_step(m: &mut Machine, op: u8, a: usize, b: usize) {
         // A call: resolve an overflow with the walk that owns the target.
         0 | 1 => {
             let Some(cur) = current else { return };
-            // A thread holding every window has nowhere to call into.
-            if m.thread(cur).unwrap().resident() == n {
-                return;
-            }
             if let ExecOutcome::Trapped(trap) = m.try_save().unwrap() {
                 let resolved = if m.reserved() == Some(trap.target()) {
                     m.force_reserved_walk().is_ok()
@@ -66,13 +62,6 @@ fn random_step(m: &mut Machine, op: u8, a: usize, b: usize) {
         // A return: refill conventionally or in place.
         2 | 3 => {
             let Some(cur) = current else { return };
-            // A grant can make the window below a lone stack-top frame
-            // valid; no scheme does that, and a restore into it is a
-            // caller error the machine asserts on.
-            let below = m.cwp().below(n);
-            if m.thread(cur).unwrap().resident() == 1 && !m.wim().is_set(below) {
-                return;
-            }
             if let ExecOutcome::Trapped(trap) = m.try_restore().unwrap() {
                 if m.backing_of(cur).unwrap().is_empty() {
                     return;

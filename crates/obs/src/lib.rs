@@ -46,7 +46,7 @@ mod metric;
 mod probe;
 
 pub use histogram::Histogram;
-pub use metric::{AtomicMetricSet, Metric, MetricSet};
+pub use metric::{Metric, MetricSet};
 pub use probe::{
     MetricProbe, NoopProbe, OwnedProbeEvent, Probe, ProbeEvent, RecordingProbe, SpanKind,
     StreamProbe,

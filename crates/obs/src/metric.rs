@@ -1,7 +1,6 @@
 //! Typed counters and the deterministic counter set.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The closed set of counters the workspace reports. Each layer owns a
 /// contiguous slice of the namespace: window-machine events, cycle
@@ -237,72 +236,9 @@ impl MetricSet {
     }
 }
 
-/// A wait-free counter row: one relaxed atomic per [`Metric`].
-///
-/// The building block of (1,N) single-writer/many-reader publication —
-/// give each writing thread its own row and have readers sum a
-/// [`AtomicMetricSet::snapshot`] of every row at report time. `add` is
-/// a single relaxed `fetch_add`: no CAS loop, no mutex, no poisoning.
-/// Relaxed ordering is sufficient because each counter is an
-/// independent monotone sum; a snapshot taken while writers are active
-/// is a valid (if momentarily stale) lower bound, and exact once the
-/// writer has been joined.
-#[derive(Debug)]
-pub struct AtomicMetricSet {
-    counts: [AtomicU64; Metric::ALL.len()],
-}
-
-impl Default for AtomicMetricSet {
-    fn default() -> Self {
-        AtomicMetricSet { counts: std::array::from_fn(|_| AtomicU64::new(0)) }
-    }
-}
-
-impl AtomicMetricSet {
-    /// An all-zero row.
-    pub fn new() -> Self {
-        AtomicMetricSet::default()
-    }
-
-    /// Adds `delta` to `metric` (wait-free, wrapping on overflow).
-    pub fn add(&self, metric: Metric, delta: u64) {
-        self.counts[metric.index()].fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// The current total for `metric`.
-    pub fn get(&self, metric: Metric) -> u64 {
-        self.counts[metric.index()].load(Ordering::Relaxed)
-    }
-
-    /// A plain [`MetricSet`] copy of the current totals.
-    pub fn snapshot(&self) -> MetricSet {
-        let mut set = MetricSet::new();
-        for m in Metric::ALL {
-            let v = self.get(m);
-            if v != 0 {
-                set.add(m, v);
-            }
-        }
-        set
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn atomic_set_accumulates_and_snapshots() {
-        let row = AtomicMetricSet::new();
-        row.add(Metric::SavesExecuted, 2);
-        row.add(Metric::SavesExecuted, 3);
-        row.add(Metric::CacheHits, 1);
-        assert_eq!(row.get(Metric::SavesExecuted), 5);
-        let snap = row.snapshot();
-        assert_eq!(snap.get(Metric::SavesExecuted), 5);
-        assert_eq!(snap.get(Metric::CacheHits), 1);
-        assert_eq!(snap.get(Metric::RestoresExecuted), 0);
-    }
 
     #[test]
     fn all_covers_every_variant_in_order() {

@@ -23,10 +23,11 @@ use crate::serial::{report_to_json, write_records};
 use regwin_core::{Behavior, MatrixSpec, RunRecord};
 use regwin_machine::MachineConfig;
 use regwin_obs::jsonl::Row;
-use regwin_obs::{AtomicMetricSet, Histogram, Metric, MetricSet, Probe, ProbeEvent, SpanKind};
+use regwin_obs::{Histogram, Metric, MetricSet, Probe, ProbeEvent, SpanKind};
 use regwin_rt::{FaultKind, FaultPlan, RtError, RunReport, SchedulingPolicy, Trace, WorkerFault};
 use regwin_spell::{Corpus, SpellConfig, SpellPipeline};
 use regwin_traps::{build_scheme, SchemeKind};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -460,14 +461,14 @@ impl std::fmt::Debug for Job {
 pub struct SweepEngine {
     config: SweepConfig,
     cache: Option<ResultCache>,
-    log: Mutex<Vec<JobRecord>>,
+    /// The engine's one record per finished job. The artifact's job log,
+    /// its counters, its `metrics` and `timings` sections and the JSONL
+    /// trace are all derived from it when they are read. A batch appends
+    /// its entries once, after its pool has joined.
+    log: Mutex<Vec<LogEntry>>,
     quarantine: Mutex<Vec<QuarantineRecord>>,
-    obs: Mutex<ObsAggregate>,
-    /// Wait-free (1,N) operational-counter publication: one atomic slot
-    /// row per participating thread (slot 0 = the orchestrating thread,
-    /// slot 1+w = pool worker `w`), summed at report time. The job hot
-    /// path bumps its own row with relaxed adds and never takes a lock.
-    ops_slots: OpsSlots,
+    /// Failed attempts that were retried, across every batch.
+    retries: AtomicU64,
     /// Engine-lifetime job sequence counter: worker faults target the
     /// N-th cache-missing job across every batch this engine runs.
     seq: AtomicU64,
@@ -487,183 +488,39 @@ pub struct SweepEngine {
     /// artifact, so resumed and uninterrupted runs serialize
     /// byte-identically.
     deterministic: bool,
-    /// Measured wall times of this engine's cache-missing jobs (job id
-    /// → ms), merged into the cache directory's hint store after each
-    /// batch to seed LPT scheduling of future cold sweeps.
-    wall_hints: Mutex<BTreeMap<String, f64>>,
 }
 
-/// One completed job's deterministic observability record: derived
-/// purely from the run report, so cache hits and fresh runs contribute
-/// byte-identical rows.
-#[derive(Debug, Clone)]
-struct TraceRow {
-    key: String,
+/// One finished job in the engine's log: its [`JobRecord`] plus the
+/// scheme and report-derived counters the `metrics` section and the
+/// JSONL trace sum. The counters derive purely from the run report, so a
+/// cache hit and the run that produced its entry log identical ones.
+#[derive(Debug)]
+struct LogEntry {
+    record: JobRecord,
     scheme: &'static str,
-    total_cycles: u64,
     metrics: MetricSet,
 }
 
-/// Everything the engine aggregates for the `metrics`/`timings`
-/// artifact sections and the JSONL trace.
-#[derive(Debug, Default)]
-struct ObsAggregate {
-    /// Report-derived counters over every job (deterministic).
-    sim: MetricSet,
-    /// The same, split by scheme (deterministic).
-    per_scheme: BTreeMap<&'static str, MetricSet>,
-    /// One row per completed job, for the JSONL trace (deterministic
-    /// once sorted by key).
-    rows: Vec<TraceRow>,
-    /// Wall-clock latency of cache hits (entry load + validation), in
-    /// nanoseconds.
-    hit_wall_ns: Histogram,
-    /// Wall-clock latency of cache misses (actual simulation), in
-    /// nanoseconds.
-    miss_wall_ns: Histogram,
+/// What one cache-missing job came to, handed back from its worker to
+/// the orchestrating thread.
+enum MissOutcome {
+    /// It ran: what it served and its log entry, then its real wall
+    /// time in milliseconds (the LPT hint, even when the artifact zeroes
+    /// it).
+    Done(Box<(Served, LogEntry)>, f64),
+    /// Every attempt failed.
+    Quarantined(QuarantineRecord),
 }
 
-impl ObsAggregate {
-    /// Adds another aggregate into this one. Every constituent is
-    /// commutative (saturating counter sums, histogram bucket sums,
-    /// row concatenation later sorted by key), so merge order cannot
-    /// change any deterministic artifact section.
-    fn merge(&mut self, other: ObsAggregate) {
-        self.sim.merge(&other.sim);
-        for (scheme, set) in other.per_scheme {
-            self.per_scheme.entry(scheme).or_default().merge(&set);
-        }
-        self.rows.extend(other.rows);
-        self.hit_wall_ns.merge(&other.hit_wall_ns);
-        self.miss_wall_ns.merge(&other.miss_wall_ns);
-    }
-}
-
-/// The slot row written by the orchestrating (non-pool) thread.
-const MAIN_SLOT: usize = 0;
-
-/// A (1,N) single-writer/many-reader publication array for engine
-/// operational counters (cache hits/misses, retries, quarantines).
-/// Each participating thread owns one [`AtomicMetricSet`] row and
-/// publishes with relaxed atomic adds — wait-free, no CAS loop, no
-/// mutex — while any reader may sum every row at report time
-/// ([`OpsSlots::total`]). Relaxed ordering suffices: each counter is an
-/// independent monotone sum and the artifact readers run after the
-/// batch's pool has joined.
-#[derive(Debug)]
-struct OpsSlots {
-    slots: Box<[AtomicMetricSet]>,
-}
-
-impl OpsSlots {
-    /// A slot array for the orchestrating thread plus `workers` pool
-    /// threads.
-    fn new(workers: usize) -> Self {
-        OpsSlots { slots: (0..=workers).map(|_| AtomicMetricSet::new()).collect() }
-    }
-
-    /// Adds `delta` to `metric` in `slot`'s row (wait-free).
-    fn add(&self, slot: usize, metric: Metric, delta: u64) {
-        self.slots[slot].add(metric, delta);
-    }
-
-    /// Sums every row into one [`MetricSet`] (the report-time merge).
-    fn total(&self) -> MetricSet {
-        let mut set = MetricSet::new();
-        for slot in self.slots.iter() {
-            set.merge(&slot.snapshot());
-        }
-        set
-    }
-}
-
-/// Everything one thread accumulates locally while running jobs of a
-/// batch. Merged into the engine-wide aggregates exactly once per
-/// thread per batch — never from the per-job hot path.
-#[derive(Debug, Default)]
-struct LocalBatch {
-    log: Vec<JobRecord>,
-    obs: ObsAggregate,
-    wall_hints: Vec<(String, f64)>,
-}
-
-/// The per-thread publication sink for the job hot path. Structured
-/// records (job log entries, trace rows, metric merges, wall hints)
-/// accumulate thread-locally in a [`LocalBatch`]; operational counters
-/// go straight to this thread's wait-free [`OpsSlots`] row. A
-/// fault-free job therefore publishes its metrics and wall hints
-/// without acquiring a single engine mutex — only the failure paths
-/// (quarantine) and the once-per-batch merge ever lock.
-struct BatchSink<'e> {
-    engine: &'e SweepEngine,
-    slot: usize,
-    batch: LocalBatch,
-}
-
-impl<'e> BatchSink<'e> {
-    fn new(engine: &'e SweepEngine, slot: usize) -> Self {
-        BatchSink { engine, slot, batch: LocalBatch::default() }
-    }
-
-    /// Counts one engine operational event (retry, quarantine, cache
-    /// hit/miss) in this thread's ops row and forwards it to the
-    /// configured probe. Wait-free.
-    fn note_op(&self, metric: Metric) {
-        self.engine.probe_event(&ProbeEvent::Counter { metric, delta: 1 });
-        self.engine.ops_slots.add(self.slot, metric, 1);
-    }
-
-    /// Remembers one cache-missing job's measured wall time for future
-    /// LPT scheduling. Only meaningful with a cache (hints live in the
-    /// cache directory, and a fault-plan run's wall times would
-    /// mislead — fault plans disable the cache, so they skip here too).
-    fn note_wall_hint(&mut self, id: &str, wall_ms: f64) {
-        if self.engine.cache.is_some() {
-            self.batch.wall_hints.push((id.to_string(), wall_ms));
-        }
-    }
-
-    fn log_job(&mut self, record: JobRecord) {
-        self.batch.log.push(record);
-    }
-
-    /// Folds one completed job into the local observability batch. The
-    /// metric/trace contribution derives purely from the report, so a
-    /// cache hit and the run that produced the cached entry contribute
-    /// identically — which is what keeps the `metrics` section and the
-    /// JSONL trace byte-stable across worker counts and cache states.
-    fn observe_job(&mut self, names: &KeyNames, report: &RunReport, cache_hit: bool, wall_ms: f64) {
-        let canonical = &names.canonical;
-        let metrics = report.as_metrics();
-        let scheme = report.scheme.name();
-        self.engine.probe_event(&ProbeEvent::SpanStart { kind: SpanKind::Job, name: canonical });
-        self.note_op(if cache_hit { Metric::CacheHits } else { Metric::CacheMisses });
-        self.engine.probe_event(&ProbeEvent::SpanEnd {
-            kind: SpanKind::Job,
-            name: canonical,
-            cycles: report.total_cycles(),
-        });
-        let obs = &mut self.batch.obs;
-        obs.sim.merge(&metrics);
-        obs.per_scheme.entry(scheme).or_default().merge(&metrics);
-        // Nanoseconds: a warm hit costs single-digit microseconds or
-        // less, which a microsecond histogram truncates to a flat zero.
-        let wall_ns = (wall_ms * 1e6) as u64;
-        if cache_hit {
-            obs.hit_wall_ns.record(wall_ns);
-        } else {
-            obs.miss_wall_ns.record(wall_ns);
-        }
-        obs.rows.push(TraceRow {
-            key: canonical.clone(),
-            scheme,
-            total_cycles: report.total_cycles(),
-            metrics,
-        });
-    }
-
-    fn into_batch(self) -> LocalBatch {
-        self.batch
+/// A job's [`JobRecord`].
+fn job_record(names: &KeyNames, cache_hit: bool, wall_ms: f64, total_cycles: u64) -> JobRecord {
+    JobRecord {
+        id: names.id.clone(),
+        key: names.canonical.clone(),
+        label: names.label.clone(),
+        cache_hit,
+        wall_ms,
+        total_cycles,
     }
 }
 
@@ -744,14 +601,12 @@ impl SweepEngine {
             .map(|q| q.key.clone())
             .collect::<std::collections::BTreeSet<_>>();
         let replayed_quarantines = replay.quarantined.len();
-        let pool_width = pool_width(&config);
         let engine = SweepEngine {
             config,
             cache,
             log: Mutex::new(Vec::new()),
             quarantine: Mutex::new(replay.quarantined),
-            obs: Mutex::new(ObsAggregate::default()),
-            ops_slots: OpsSlots::new(pool_width),
+            retries: AtomicU64::new(0),
             seq: AtomicU64::new(0),
             started: Instant::now(),
             journal,
@@ -759,13 +614,12 @@ impl SweepEngine {
             resumed_quarantine,
             skipped: AtomicU64::new(0),
             deterministic,
-            wall_hints: Mutex::new(BTreeMap::new()),
         };
-        // Replayed quarantines keep their operational counter, so the
-        // resumed artifact's `timings.ops` matches the original run's.
+        // Replayed quarantines stay in the quarantine list, so the
+        // resumed artifact's `timings.ops` counts them like the original
+        // run's; the probe hears of them too.
         for _ in 0..replayed_quarantines {
             engine.probe_event(&ProbeEvent::Counter { metric: Metric::JobsQuarantined, delta: 1 });
-            engine.ops_slots.add(MAIN_SLOT, Metric::JobsQuarantined, 1);
         }
         engine
     }
@@ -776,48 +630,58 @@ impl SweepEngine {
         SweepEngine::with_config(SweepConfig::default())
     }
 
-    /// The number of worker threads a pool of `total` jobs will use.
-    pub fn effective_workers(&self, total: usize) -> usize {
-        pool_width(&self.config).min(total.max(1))
+    /// The number of worker threads a pool of `total` jobs will use:
+    /// the configured worker count, or one per available CPU, but never
+    /// more than the jobs.
+    fn effective_workers(&self, total: usize) -> usize {
+        let width = match self.config.workers {
+            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+            workers => workers,
+        };
+        width.min(total.max(1))
     }
 
-    /// Whether every key already has a valid cache entry — an unlogged
-    /// probe, used to skip expensive setup (like trace recording) that
-    /// only matters if something will actually run.
-    pub fn all_cached(&self, keys: &[JobKey]) -> bool {
-        match &self.cache {
-            Some(cache) => keys.iter().all(|k| cache.load(k).is_some()),
-            None => false,
+    /// The engine's one fan-out: runs `f` on every index in `0..total`
+    /// across [`SweepEngine::effective_workers`] scoped OS threads that
+    /// take the next index from a shared counter, and returns the
+    /// results in index order. A panic in `f` reaches the caller once
+    /// every thread has joined.
+    fn fan_out<T: Send>(&self, total: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        if total == 0 {
+            return Vec::new();
         }
+        let mut results: Vec<Option<T>> = (0..total).map(|_| None).collect();
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.effective_workers(total))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut out = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= total {
+                                return out;
+                            }
+                            out.push((i, f(i)));
+                        }
+                    })
+                })
+                .collect();
+            for handle in handles {
+                let out =
+                    handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                for (i, result) in out {
+                    results[i] = Some(result);
+                }
+            }
+        });
+        results.into_iter().map(|r| r.expect("every index ran")).collect()
     }
 
     /// Prints the event `event` builds to stderr, when events stream.
     fn emit(&self, event: impl FnOnce() -> Value) {
         if self.config.stream_events {
             eprintln!("{}", event().to_json());
-        }
-    }
-
-    /// Merges one thread's locally accumulated batch into the
-    /// engine-wide aggregates: the once-per-thread-per-batch step that
-    /// replaces per-job locking. Poisoned mutexes are recovered (the
-    /// protected data is a commutative aggregate, never left halfway
-    /// through an invariant), so a panicking job cannot take the whole
-    /// engine's reporting down with it.
-    fn absorb(&self, batch: LocalBatch) {
-        if !batch.log.is_empty() {
-            self.log.lock().unwrap_or_else(|e| e.into_inner()).extend(batch.log);
-        }
-        // Every observe_job pushes a row, so an empty row list means an
-        // empty aggregate: skip the lock entirely.
-        if !batch.obs.rows.is_empty() {
-            self.obs.lock().unwrap_or_else(|e| e.into_inner()).merge(batch.obs);
-        }
-        if !batch.wall_hints.is_empty() {
-            let mut hints = self.wall_hints.lock().unwrap_or_else(|e| e.into_inner());
-            for (id, ms) in batch.wall_hints {
-                hints.insert(id, ms);
-            }
         }
     }
 
@@ -872,6 +736,18 @@ impl SweepEngine {
         }
     }
 
+    /// A finished job's log entry. Its probe events — a `Job` span
+    /// around a cache hit or miss counter — leave here, as it finishes.
+    fn log_entry(&self, names: &KeyNames, report: &RunReport, record: JobRecord) -> LogEntry {
+        let name = &names.canonical;
+        let metric = if record.cache_hit { Metric::CacheHits } else { Metric::CacheMisses };
+        self.probe_event(&ProbeEvent::SpanStart { kind: SpanKind::Job, name });
+        self.probe_event(&ProbeEvent::Counter { metric, delta: 1 });
+        let cycles = report.total_cycles();
+        self.probe_event(&ProbeEvent::SpanEnd { kind: SpanKind::Job, name, cycles });
+        LogEntry { record, scheme: report.scheme.name(), metrics: report.as_metrics() }
+    }
+
     /// Ends a batch of probe events: a hit batch, or one miss.
     fn flush_probe(&self) {
         if let Some(p) = &self.config.probe {
@@ -895,7 +771,7 @@ impl SweepEngine {
         }
     }
 
-    /// Merges this engine's measured wall times into the cache
+    /// Merges a batch's measured wall times (job id → ms) into the cache
     /// directory's hint store. Write failures cost future scheduling
     /// quality, not correctness, so they are silently ignored.
     ///
@@ -906,17 +782,16 @@ impl SweepEngine {
     /// hints accumulate as a union. An unobtainable lock (live holder
     /// past the timeout) degrades to proceeding unlocked — hints are
     /// advisory, and wedging the sweep on them would invert priorities.
-    fn persist_wall_hints(&self) {
+    fn persist_wall_hints(&self, fresh: &[(&str, f64)]) {
         let Some(cache) = &self.cache else { return };
-        let fresh = self.wall_hints.lock().unwrap_or_else(|e| e.into_inner());
         if fresh.is_empty() {
             return;
         }
         let lock_path = cache.dir().join(format!("{WALL_HINTS_FILE}.lock"));
         let _lock = DirLock::acquire(lock_path, Duration::from_secs(5)).ok().flatten();
         let mut merged = self.load_wall_hints();
-        for (id, ms) in fresh.iter() {
-            merged.insert(id.clone(), *ms);
+        for &(id, ms) in fresh {
+            merged.insert(id.to_string(), ms);
         }
         let value = Value::Obj(merged.into_iter().map(|(id, ms)| (id, Value::Float(ms))).collect());
         let _ = write_file_atomic(&cache.dir().join(WALL_HINTS_FILE), &value.to_json());
@@ -933,17 +808,148 @@ impl SweepEngine {
     /// `None` in its slot instead of aborting the batch — the remaining
     /// cells always complete.
     pub fn run_jobs(&self, jobs: &[Job]) -> Vec<Option<RunReport>> {
-        let names: Vec<KeyNames> = jobs.iter().map(|job| KeyNames::of(&job.key)).collect();
-        let lookups: Vec<Lookup<'_>> = names.iter().map(|names| self.lookup(names)).collect();
-        let misses = lookups
-            .iter()
-            .zip(jobs)
-            .enumerate()
-            .filter(|(_, (lookup, _))| matches!(lookup, Lookup::Miss))
-            .map(|(i, (_, job))| (i, job))
-            .collect();
-        let served = self.serve_batch(&names, lookups, misses);
+        let Ok(served) = self.serve(jobs.iter().map(Job::key), |missing| {
+            Ok::<_, std::convert::Infallible>(missing.iter().map(|&i| (i, &jobs[i])).collect())
+        });
         served.into_iter().map(|served| served.map(|(report, _)| report)).collect()
+    }
+
+    /// The one path every batch takes. Looks each of `keys` up in the
+    /// resumed journal and the cache, hands the indices of the misses to
+    /// `build` for their jobs, and serves the batch: journaled and cached
+    /// jobs from what the lookup loaded, the misses by executing them
+    /// across the worker pool. Returns what each slot served; a
+    /// quarantined or skipped job's slot is `None`.
+    ///
+    /// A hit writes no journal line: the checksummed cache entry it was
+    /// served from is its durable record, and a journaled engine's
+    /// artifact leaves out the hit/miss flags, so a resume that finds
+    /// the entry gone re-runs the job to the same bytes.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `build` returns; nothing is served then.
+    pub(crate) fn serve<'k, J: Borrow<Job> + Sync, E>(
+        &self,
+        keys: impl IntoIterator<Item = &'k JobKey>,
+        build: impl FnOnce(&[usize]) -> Result<Vec<(usize, J)>, E>,
+    ) -> Result<Vec<Option<Served>>, E> {
+        let names: Vec<KeyNames> = keys.into_iter().map(KeyNames::of).collect();
+        // The batch's one cache probe. Its misses decide which jobs are
+        // built at all; its hits are served from the reports it loaded,
+        // so a job judged cached is never executed.
+        let lookups: Vec<Lookup<'_>> = names.iter().map(|names| self.lookup(names)).collect();
+        let missing: Vec<usize> =
+            (0..names.len()).filter(|&i| matches!(lookups[i], Lookup::Miss)).collect();
+        let mut jobs = build(&missing)?;
+
+        let mut results: Vec<Option<Served>> = (0..names.len()).map(|_| None).collect();
+        let mut log = Vec::new();
+        for (i, (lookup, names)) in lookups.into_iter().zip(&names).enumerate() {
+            match lookup {
+                Lookup::Journaled(record, report) => {
+                    self.emit(|| job_done(names, "journal", 0.0, record.total_cycles));
+                    log.push(self.log_entry(names, report, record.clone()));
+                    results[i] = Some((report.clone(), None));
+                }
+                Lookup::Hit { report, json, load_ms } => {
+                    // A hit's wall time is the load-and-validate cost —
+                    // real, if small; deterministic artifacts zero it.
+                    let wall_ms = if self.deterministic { 0.0 } else { load_ms };
+                    self.emit(|| job_done(names, "hit", wall_ms, report.total_cycles()));
+                    let record = job_record(names, true, wall_ms, report.total_cycles());
+                    log.push(self.log_entry(names, &report, record));
+                    results[i] = Some((*report, Some(json)));
+                }
+                // The interrupted run already gave up on a quarantined
+                // job (its record was replayed at engine construction);
+                // misses run below.
+                Lookup::Quarantined | Lookup::Miss => {}
+            }
+        }
+        // The hits' events leave as one batch, before any miss starts.
+        self.flush_probe();
+        let mut quarantined = Vec::new();
+        if !jobs.is_empty() {
+            let outcomes = self.run_misses(&names, &mut jobs);
+            let mut hints = Vec::new();
+            for ((i, _), outcome) in jobs.iter().zip(outcomes) {
+                match outcome {
+                    Some(MissOutcome::Done(done, wall_ms)) => {
+                        let (served, entry) = *done;
+                        hints.push((names[*i].id.as_str(), wall_ms));
+                        log.push(entry);
+                        results[*i] = Some(served);
+                    }
+                    Some(MissOutcome::Quarantined(q)) => quarantined.push(q),
+                    None => {}
+                }
+            }
+            self.persist_wall_hints(&hints);
+        }
+        // Poisoned mutexes are recovered: an append leaves either list
+        // whole, so a panicking job cannot take the engine's reporting
+        // down with it.
+        self.log.lock().unwrap_or_else(|e| e.into_inner()).extend(log);
+        if !quarantined.is_empty() {
+            self.quarantine.lock().unwrap_or_else(|e| e.into_inner()).extend(quarantined);
+        }
+        Ok(results)
+    }
+
+    /// Executes the cache-missing `jobs` (each paired with its slot in
+    /// `names`) across the worker pool, and returns each one's outcome;
+    /// `None` for a job a closed admission gate skipped. `jobs` is left
+    /// in dispatch order, the order of the outcomes.
+    fn run_misses<J: Borrow<Job> + Sync>(
+        &self,
+        names: &[KeyNames],
+        jobs: &mut [(usize, J)],
+    ) -> Vec<Option<MissOutcome>> {
+        // LPT (longest-processing-time-first): when prior runs left
+        // wall-time hints in the cache directory, start the
+        // expected-longest misses first so the pool's tail stays short.
+        // Ordering only affects which worker picks which job — results
+        // return in input order and deterministic artifacts sort by
+        // key — so a missing or stale hint file costs schedule quality,
+        // nothing else. Unhinted jobs follow the hinted ones in
+        // canonical key order; with no hint file at all the misses keep
+        // the caller's deterministic matrix order (which also keeps
+        // worker-fault sequence targeting stable — fault plans disable
+        // the cache, so they can never load hints).
+        if jobs.len() > 1 {
+            let hints = self.load_wall_hints();
+            if !hints.is_empty() {
+                let hint = |i: usize| hints.get(&names[i].id).copied().unwrap_or(0.0);
+                jobs.sort_by(|(a, _), (b, _)| {
+                    hint(*b)
+                        .total_cmp(&hint(*a))
+                        .then_with(|| names[*a].canonical.cmp(&names[*b].canonical))
+                });
+            }
+        }
+        let base_seq = self.seq.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        self.fan_out(jobs.len(), |d| {
+            let (i, job) = &jobs[d];
+            // Under a shared admission gate, hold a granted slot for the
+            // job's duration — the global bound plus round-robin fairness
+            // across engine sessions. A closed gate (daemon drain) skips
+            // the job entirely.
+            let _ticket = match &self.config.admission {
+                Some(gate) => match gate.acquire(self.config.admission_session) {
+                    Ok(ticket) => Some(ticket),
+                    Err(_closed) => {
+                        self.skipped.fetch_add(1, Ordering::Relaxed);
+                        return None;
+                    }
+                },
+                None => None,
+            };
+            let outcome = execute_job(self, job.borrow(), &names[*i], base_seq + d as u64);
+            // The job's events leave as one batch.
+            self.flush_probe();
+            Some(outcome)
+        })
     }
 
     /// The batch's one look at the journal and the cache for the job
@@ -966,151 +972,6 @@ impl SweepEngine {
             },
             None => Lookup::Miss,
         }
-    }
-
-    /// Serves a batch whose jobs, named by `names`, have been looked up:
-    /// journaled and cached jobs come from what the lookup loaded, then
-    /// `misses` — each [`Lookup::Miss`] slot with its job — execute
-    /// across the worker pool. Returns what each slot served.
-    ///
-    /// A hit writes no journal line: the checksummed cache entry it was
-    /// served from is its durable record, and a journaled engine's
-    /// artifact leaves out the hit/miss flags, so a resume that finds
-    /// the entry gone re-runs the job to the same bytes.
-    fn serve_batch(
-        &self,
-        names: &[KeyNames],
-        lookups: Vec<Lookup<'_>>,
-        mut misses: Vec<(usize, &Job)>,
-    ) -> Vec<Option<Served>> {
-        let mut results: Vec<Option<Served>> = (0..names.len()).map(|_| None).collect();
-        let mut main_sink = BatchSink::new(self, MAIN_SLOT);
-        for (i, (lookup, names)) in lookups.into_iter().zip(names).enumerate() {
-            match lookup {
-                Lookup::Journaled(record, report) => {
-                    self.emit(|| job_done(names, "journal", 0.0, record.total_cycles));
-                    main_sink.log_job(record.clone());
-                    main_sink.observe_job(names, report, record.cache_hit, 0.0);
-                    results[i] = Some((report.clone(), None));
-                }
-                Lookup::Hit { report, json, load_ms } => {
-                    // A hit's wall time is the load-and-validate cost —
-                    // real, if small; deterministic artifacts zero it.
-                    let wall_ms = if self.deterministic { 0.0 } else { load_ms };
-                    self.emit(|| job_done(names, "hit", wall_ms, report.total_cycles()));
-                    main_sink.observe_job(names, &report, true, wall_ms);
-                    main_sink.log_job(JobRecord {
-                        id: names.id.clone(),
-                        key: names.canonical.clone(),
-                        label: names.label.clone(),
-                        cache_hit: true,
-                        wall_ms,
-                        total_cycles: report.total_cycles(),
-                    });
-                    results[i] = Some((*report, Some(json)));
-                }
-                // The interrupted run already gave up on a quarantined
-                // job (its record was replayed at engine construction);
-                // misses run below.
-                Lookup::Quarantined | Lookup::Miss => {}
-            }
-        }
-        // The hits' events leave as one batch, before any miss starts.
-        self.flush_probe();
-        // Hits merge before the miss pool spawns, keeping the job log's
-        // hits-before-misses order.
-        self.absorb(main_sink.into_batch());
-        if misses.is_empty() {
-            return results;
-        }
-
-        // LPT (longest-processing-time-first): when prior runs left
-        // wall-time hints in the cache directory, start the
-        // expected-longest misses first so the pool's tail stays short.
-        // Ordering only affects which worker picks which job — results
-        // return in input order and deterministic artifacts sort by
-        // key — so a missing or stale hint file costs schedule quality,
-        // nothing else. Unhinted jobs follow the hinted ones in
-        // canonical key order; with no hint file at all the misses keep
-        // the caller's deterministic matrix order (which also keeps
-        // worker-fault sequence targeting stable — fault plans disable
-        // the cache, so they can never load hints).
-        if misses.len() > 1 {
-            let hints = self.load_wall_hints();
-            if !hints.is_empty() {
-                let mut decorated: Vec<((usize, &Job), f64, &str)> = misses
-                    .into_iter()
-                    .map(|(i, job)| {
-                        let hint = hints.get(&names[i].id).copied().unwrap_or(0.0);
-                        ((i, job), hint, names[i].canonical.as_str())
-                    })
-                    .collect();
-                decorated.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.2.cmp(b.2)));
-                misses = decorated.into_iter().map(|(miss, ..)| miss).collect();
-            }
-        }
-
-        let total = misses.len();
-        let base_seq = self.seq.fetch_add(total as u64, Ordering::Relaxed);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let next = &next;
-            let misses = &misses;
-            let handles: Vec<_> = (0..self.effective_workers(total))
-                .map(|w| {
-                    scope.spawn(move || {
-                        // Slot 1+w: this worker's private wait-free ops
-                        // row; the batch below is equally private.
-                        let mut sink = BatchSink::new(self, 1 + w);
-                        let mut out: Vec<(usize, Option<Served>)> = Vec::new();
-                        loop {
-                            let mi = next.fetch_add(1, Ordering::Relaxed);
-                            if mi >= total {
-                                break;
-                            }
-                            let (i, job) = misses[mi];
-                            // Under a shared admission gate, hold a
-                            // granted slot for the job's duration —
-                            // the global bound plus round-robin
-                            // fairness across engine sessions. A
-                            // closed gate (daemon drain) skips the job
-                            // entirely.
-                            let _ticket = match &self.config.admission {
-                                Some(gate) => match gate.acquire(self.config.admission_session) {
-                                    Ok(ticket) => Some(ticket),
-                                    Err(_closed) => {
-                                        self.skipped.fetch_add(1, Ordering::Relaxed);
-                                        continue;
-                                    }
-                                },
-                                None => None,
-                            };
-                            let seq = base_seq + mi as u64;
-                            let served = execute_job(&mut sink, job, &names[i], seq);
-                            // The job's events leave as one batch.
-                            self.flush_probe();
-                            out.push((i, served));
-                        }
-                        (sink.into_batch(), out)
-                    })
-                })
-                .collect();
-            // Joining inside the scope hands each worker's local batch
-            // back with a happens-before edge — the merge needs no
-            // synchronization beyond the join itself.
-            for handle in handles {
-                let (batch, out) = match handle.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                };
-                self.absorb(batch);
-                for (i, served) in out {
-                    results[i] = served;
-                }
-            }
-        });
-        self.persist_wall_hints();
-        results
     }
 
     /// Executes every cell of `spec` — the engine's counterpart of
@@ -1165,36 +1026,30 @@ impl SweepEngine {
                 JobKey::for_cell(spec, behavior, scheme, nwindows)
             })
             .collect();
-        let names: Vec<KeyNames> = keys.iter().map(KeyNames::of).collect();
-        // The sweep's one cache probe. Its misses decide which
-        // behaviours need a recorded trace and which cells get a job at
-        // all; its hits are served from the reports it loaded, so a cell
-        // judged cached is never executed.
-        let lookups: Vec<Lookup<'_>> = names.iter().map(|names| self.lookup(names)).collect();
-        let missing: Vec<usize> =
-            (0..cells.len()).filter(|&i| matches!(lookups[i], Lookup::Miss)).collect();
-        self.emit(|| {
-            obj(vec![
-                ("event", Value::Str("sweep_start".into())),
-                ("jobs", Value::Int(cells.len() as u64)),
-                // The worker count the miss fan-out will actually use — a
-                // warm sweep with one miss reports one worker, not the full
-                // pool width, and a fully warm sweep spawns none at all.
-                (
-                    "workers",
-                    Value::Int(if missing.is_empty() {
-                        0
-                    } else {
-                        self.effective_workers(missing.len()) as u64
-                    }),
-                ),
-                ("policy", Value::Str(spec.policy.name().into())),
-            ])
-        });
-        let sweep_t0 = Instant::now();
-        let jobs = self.matrix_jobs(spec, &cells, &keys, &missing)?;
-        let misses = jobs.iter().map(|(i, job)| (*i, job)).collect();
-        let served = self.serve_batch(&names, lookups, misses);
+        let mut sweep_t0 = Instant::now();
+        let served = self.serve(&keys, |missing| {
+            self.emit(|| {
+                obj(vec![
+                    ("event", Value::Str("sweep_start".into())),
+                    ("jobs", Value::Int(cells.len() as u64)),
+                    // The worker count the miss fan-out will actually
+                    // use — a warm sweep with one miss reports one
+                    // worker, not the full pool width, and a fully warm
+                    // sweep spawns none at all.
+                    (
+                        "workers",
+                        Value::Int(if missing.is_empty() {
+                            0
+                        } else {
+                            self.effective_workers(missing.len()) as u64
+                        }),
+                    ),
+                    ("policy", Value::Str(spec.policy.name().into())),
+                ])
+            });
+            sweep_t0 = Instant::now();
+            self.matrix_jobs(spec, &cells, &keys, missing)
+        })?;
         self.emit(|| {
             let summary = self.summary();
             obj(vec![
@@ -1249,24 +1104,34 @@ impl SweepEngine {
         let traces: Arc<Vec<Option<Trace>>> = Arc::new(if spec.policy == SchedulingPolicy::Fifo {
             let to_record: Vec<usize> =
                 (0..spec.behaviors.len()).filter(|&bi| behavior_missing[bi]).collect();
-            let recorded =
-                run_indexed(self.effective_workers(to_record.len()), to_record.len(), |i| {
+            let record = |behavior: Behavior| -> Result<Trace, RtError> {
+                let (m, n) = behavior.buffers();
+                self.emit(|| {
+                    obj(vec![
+                        ("event", Value::Str("trace_record".into())),
+                        ("behavior", Value::Str(behavior.to_string())),
+                    ])
+                });
+                let config = SpellConfig::new(spec.corpus, m, n).with_policy(spec.policy);
+                let mut pipeline = SpellPipeline::with_corpus((*corpus).clone(), config);
+                if self.config.audit {
+                    pipeline = pipeline.with_window_audit();
+                }
+                let (_, trace) = pipeline.run_traced(8, SchemeKind::Sp)?;
+                Ok(trace)
+            };
+            // A panic while recording becomes a typed error, and the
+            // first error in behaviour order wins.
+            let recorded = self
+                .fan_out(to_record.len(), |i| {
                     let behavior = spec.behaviors[to_record[i]];
-                    let (m, n) = behavior.buffers();
-                    self.emit(|| {
-                        obj(vec![
-                            ("event", Value::Str("trace_record".into())),
-                            ("behavior", Value::Str(behavior.to_string())),
-                        ])
-                    });
-                    let config = SpellConfig::new(spec.corpus, m, n).with_policy(spec.policy);
-                    let mut pipeline = SpellPipeline::with_corpus((*corpus).clone(), config);
-                    if self.config.audit {
-                        pipeline = pipeline.with_window_audit();
-                    }
-                    let (_, trace) = pipeline.run_traced(8, SchemeKind::Sp)?;
-                    Ok(trace)
-                })?;
+                    catch_unwind(AssertUnwindSafe(|| record(behavior))).unwrap_or_else(|p| {
+                        let name = format!("sweep-{i}: {}", panic_message(p.as_ref()));
+                        Err(RtError::ThreadPanicked { name })
+                    })
+                })
+                .into_iter()
+                .collect::<Result<Vec<Trace>, RtError>>()?;
             let mut traces = vec![None; spec.behaviors.len()];
             for (bi, trace) in to_record.into_iter().zip(recorded) {
                 traces[bi] = Some(trace);
@@ -1333,7 +1198,7 @@ impl SweepEngine {
     /// Counters over every job this engine has run so far.
     pub fn summary(&self) -> SweepSummary {
         let log = self.log.lock().unwrap_or_else(|e| e.into_inner());
-        let cache_hits = log.iter().filter(|j| j.cache_hit).count();
+        let cache_hits = log.iter().filter(|e| e.record.cache_hit).count();
         SweepSummary {
             jobs: log.len(),
             cache_hits,
@@ -1355,7 +1220,13 @@ impl SweepEngine {
     /// sweep, a cold in-process sweep and a killed-and-resumed sweep
     /// all serialize byte-identically.
     pub fn artifact_value(&self) -> Value {
-        let mut log = self.log.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        let mut log: Vec<JobRecord> = self
+            .log
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .map(|e| e.record.clone())
+            .collect();
         let mut quarantine = self.quarantine.lock().unwrap_or_else(|e| e.into_inner()).clone();
         if self.deterministic {
             // Deterministic runs promise a byte-identical artifact
@@ -1442,13 +1313,18 @@ impl SweepEngine {
     /// per-scheme split. Byte-identical across worker counts and cache
     /// states, because equal reports yield equal metric sets.
     pub fn metrics_value(&self) -> Value {
-        let obs = self.obs.lock().unwrap_or_else(|e| e.into_inner());
+        let mut global = MetricSet::new();
+        let mut per_scheme: BTreeMap<&str, MetricSet> = BTreeMap::new();
+        for entry in self.log.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+            global.merge(&entry.metrics);
+            per_scheme.entry(entry.scheme).or_default().merge(&entry.metrics);
+        }
         obj(vec![
-            ("global", metric_set_value(&obs.sim)),
+            ("global", metric_set_value(&global)),
             (
                 "per_scheme",
                 Value::Obj(
-                    obs.per_scheme
+                    per_scheme
                         .iter()
                         .map(|(scheme, set)| ((*scheme).to_string(), metric_set_value(set)))
                         .collect(),
@@ -1464,14 +1340,28 @@ impl SweepEngine {
     /// flat zero). Unlike [`SweepEngine::metrics_value`] this section
     /// is *not* deterministic — it measures the host, not the
     /// simulation.
-    pub fn timings_value(&self) -> Value {
-        let obs = self.obs.lock().unwrap_or_else(|e| e.into_inner());
+    fn timings_value(&self) -> Value {
+        let mut ops = MetricSet::new();
+        let (mut hit_wall_ns, mut miss_wall_ns) = (Histogram::new(), Histogram::new());
+        for entry in self.log.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+            let (metric, wall_ns) = if entry.record.cache_hit {
+                (Metric::CacheHits, &mut hit_wall_ns)
+            } else {
+                (Metric::CacheMisses, &mut miss_wall_ns)
+            };
+            ops.add(metric, 1);
+            // Nanoseconds: a warm hit costs single-digit microseconds or
+            // less, which a microsecond histogram truncates to a flat zero.
+            wall_ns.record((entry.record.wall_ms * 1e6) as u64);
+        }
+        ops.add(Metric::JobRetries, self.retries.load(Ordering::Relaxed));
+        let quarantined = self.quarantine.lock().unwrap_or_else(|e| e.into_inner()).len();
+        ops.add(Metric::JobsQuarantined, quarantined as u64);
         obj(vec![
             ("schema", Value::Int(2)),
-            // The report-time merge of the wait-free per-thread rows.
-            ("ops", metric_set_value(&self.ops_slots.total())),
-            ("cache_hit_wall_ns", histogram_value(&obs.hit_wall_ns)),
-            ("cache_miss_wall_ns", histogram_value(&obs.miss_wall_ns)),
+            ("ops", metric_set_value(&ops)),
+            ("cache_hit_wall_ns", histogram_value(&hit_wall_ns)),
+            ("cache_miss_wall_ns", histogram_value(&miss_wall_ns)),
         ])
     }
 
@@ -1483,23 +1373,24 @@ impl SweepEngine {
     /// identical across worker counts, completion orders and cache
     /// states.
     pub fn trace_string(&self) -> String {
-        let obs = self.obs.lock().unwrap_or_else(|e| e.into_inner());
-        let mut rows: Vec<&TraceRow> = obs.rows.iter().collect();
-        rows.sort_by(|a, b| a.key.cmp(&b.key));
+        let log = self.log.lock().unwrap_or_else(|e| e.into_inner());
+        let mut entries: Vec<&LogEntry> = log.iter().collect();
+        entries.sort_by(|a, b| a.record.key.cmp(&b.record.key));
         let mut out = String::new();
         let mut line = |row: Row| {
             out.push_str(&row.finish());
             out.push('\n');
         };
-        for row in rows {
-            line(Row::new().str("event", "span_start").str("kind", "job").str("name", &row.key));
+        for entry in entries {
+            let (key, cycles) = (&entry.record.key, entry.record.total_cycles);
+            line(Row::new().str("event", "span_start").str("kind", "job").str("name", key));
             line(
                 Row::new()
                     .str("event", "span_start")
                     .str("kind", "simulation")
-                    .str("name", row.scheme),
+                    .str("name", entry.scheme),
             );
-            for (metric, value) in row.metrics.iter_nonzero() {
+            for (metric, value) in entry.metrics.iter_nonzero() {
                 line(
                     Row::new()
                         .str("event", "counter")
@@ -1511,15 +1402,15 @@ impl SweepEngine {
                 Row::new()
                     .str("event", "span_end")
                     .str("kind", "simulation")
-                    .str("name", row.scheme)
-                    .int("cycles", row.total_cycles),
+                    .str("name", entry.scheme)
+                    .int("cycles", cycles),
             );
             line(
                 Row::new()
                     .str("event", "span_end")
                     .str("kind", "job")
-                    .str("name", &row.key)
-                    .int("cycles", row.total_cycles),
+                    .str("name", key)
+                    .int("cycles", cycles),
             );
         }
         out
@@ -1541,18 +1432,6 @@ impl SweepEngine {
     /// Propagates filesystem errors.
     pub fn write_artifact(&self, path: &Path) -> std::io::Result<()> {
         write_file_atomic(path, &self.artifact_value().to_json())
-    }
-}
-
-/// The configured pool width before clamping to a batch's job count:
-/// the explicit worker setting, or one per available CPU. Also sizes
-/// the engine's wait-free ops-slot array (one row per pool worker plus
-/// the orchestrating thread).
-fn pool_width(config: &SweepConfig) -> usize {
-    if config.workers > 0 {
-        config.workers
-    } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
     }
 }
 
@@ -1665,18 +1544,16 @@ fn run_attempt(
 
 /// Drives one cache-missing job to success or quarantine: up to
 /// `1 + retries` attempts with linear backoff, each hardened by
-/// [`run_attempt`]. Success stores to cache and logs the job; exhausted
-/// attempts emit a `job_quarantined` event and record the final failure.
+/// [`run_attempt`]. Success stores to cache and journals the job;
+/// exhausted attempts emit a `job_quarantined` event and journal the
+/// final failure. Either way the outcome goes back to the orchestrating
+/// thread, which logs it once the pool has joined, so the job takes no
+/// engine lock.
 ///
 /// An injected worker fault is deterministic *per job* — every attempt
 /// would fail identically — so a faulted job makes a single attempt
 /// instead of burning the configured retries and their backoff sleeps.
-///
-/// The fault-free path publishes everything through `sink` — local
-/// accumulation plus this thread's wait-free ops row — and acquires no
-/// engine mutex; only quarantine (the failure path) locks.
-fn execute_job(sink: &mut BatchSink<'_>, job: &Job, names: &KeyNames, seq: u64) -> Option<Served> {
-    let engine = sink.engine;
+fn execute_job(engine: &SweepEngine, job: &Job, names: &KeyNames, seq: u64) -> MissOutcome {
     let injected = engine.config.fault_plan.as_ref().and_then(|p| p.worker_fault_at(seq));
     engine.emit(|| job_event(names, "job_start", vec![]));
     let t0 = Instant::now();
@@ -1685,19 +1562,18 @@ fn execute_job(sink: &mut BatchSink<'_>, job: &Job, names: &KeyNames, seq: u64) 
     for attempt in 1..=attempts {
         if attempt > 1 {
             std::thread::sleep(engine.config.retry_backoff.saturating_mul(attempt - 1));
-            sink.note_op(Metric::JobRetries);
+            engine.retries.fetch_add(1, Ordering::Relaxed);
+            engine.probe_event(&ProbeEvent::Counter { metric: Metric::JobRetries, delta: 1 });
             let attempt = Value::Int(u64::from(attempt));
             engine.emit(|| job_event(names, "job_retry", vec![("attempt", attempt)]));
         }
         match run_attempt(engine, job, injected, seq) {
             AttemptOutcome::Done(report) => {
-                let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                // The real wall time seeds LPT scheduling of future
-                // cold sweeps, even when the artifact zeroes it below.
-                sink.note_wall_hint(&names.id, wall_ms);
+                let real_ms = t0.elapsed().as_secs_f64() * 1e3;
                 // Deterministic (journaled) artifacts zero the one
-                // nondeterministic per-job field.
-                let wall_ms = if engine.deterministic { 0.0 } else { wall_ms };
+                // nondeterministic per-job field; the real time still
+                // seeds LPT scheduling of future cold sweeps.
+                let wall_ms = if engine.deterministic { 0.0 } else { real_ms };
                 // The report's one serialization, made only when a cache
                 // or a journal will keep the bytes.
                 let json = (engine.cache.is_some() || engine.journal.is_some())
@@ -1706,20 +1582,12 @@ fn execute_job(sink: &mut BatchSink<'_>, job: &Job, names: &KeyNames, seq: u64) 
                     cache.store_json(names, json);
                 }
                 engine.emit(|| job_done(names, "miss", wall_ms, report.total_cycles()));
-                let record = JobRecord {
-                    id: names.id.clone(),
-                    key: names.canonical.clone(),
-                    label: names.label.clone(),
-                    cache_hit: false,
-                    wall_ms,
-                    total_cycles: report.total_cycles(),
-                };
+                let record = job_record(names, false, wall_ms, report.total_cycles());
                 if let Some(json) = &json {
                     engine.journal_job(&record, json);
                 }
-                sink.log_job(record);
-                sink.observe_job(names, &report, false, wall_ms);
-                return Some((*report, json));
+                let entry = engine.log_entry(names, &report, record);
+                return MissOutcome::Done(Box::new(((*report, json), entry)), real_ms);
             }
             AttemptOutcome::Error(e) => last_failure = ("error", e.to_string()),
             AttemptOutcome::Panic(msg) => last_failure = ("panic", msg),
@@ -1730,7 +1598,7 @@ fn execute_job(sink: &mut BatchSink<'_>, job: &Job, names: &KeyNames, seq: u64) 
         }
     }
     let (reason, detail) = last_failure;
-    sink.note_op(Metric::JobsQuarantined);
+    engine.probe_event(&ProbeEvent::Counter { metric: Metric::JobsQuarantined, delta: 1 });
     let more =
         vec![("reason", Value::Str(reason.into())), ("attempts", Value::Int(attempts.into()))];
     engine.emit(|| job_event(names, "job_quarantined", more));
@@ -1744,66 +1612,7 @@ fn execute_job(sink: &mut BatchSink<'_>, job: &Job, names: &KeyNames, seq: u64) 
         repro: engine.repro_string(names),
     };
     engine.journal_quarantine(&q);
-    engine.quarantine.lock().unwrap_or_else(|e| e.into_inner()).push(q);
-    None
-}
-
-/// Runs `f(0..total)` across `workers` OS threads with a shared index
-/// queue; results return in index order. The first error wins and stops
-/// the queue; a panic inside `f` is caught and converted to a typed
-/// [`RtError::ThreadPanicked`] rather than tearing down the pool.
-fn run_indexed<T: Send>(
-    workers: usize,
-    total: usize,
-    f: impl Fn(usize) -> Result<T, RtError> + Sync,
-) -> Result<Vec<T>, RtError> {
-    if total == 0 {
-        return Ok(Vec::new());
-    }
-    let next = Mutex::new(0usize);
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..total).map(|_| None).collect());
-    let error: Mutex<Option<RtError>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.clamp(1, total) {
-            scope.spawn(|| loop {
-                let idx = {
-                    let mut n = next.lock().unwrap_or_else(|e| e.into_inner());
-                    if *n >= total || error.lock().unwrap_or_else(|e| e.into_inner()).is_some() {
-                        return;
-                    }
-                    let i = *n;
-                    *n += 1;
-                    i
-                };
-                let outcome = catch_unwind(AssertUnwindSafe(|| f(idx))).unwrap_or_else(|p| {
-                    Err(RtError::ThreadPanicked {
-                        name: format!("sweep-{idx}: {}", panic_message(p.as_ref())),
-                    })
-                });
-                match outcome {
-                    Ok(v) => {
-                        results.lock().unwrap_or_else(|e| e.into_inner())[idx] = Some(v);
-                    }
-                    Err(e) => {
-                        let mut slot = error.lock().unwrap_or_else(|e| e.into_inner());
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    if let Some(e) = error.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        return Err(e);
-    }
-    Ok(results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|r| r.expect("all indices completed"))
-        .collect())
+    MissOutcome::Quarantined(q)
 }
 
 #[cfg(test)]
@@ -2202,7 +2011,7 @@ mod tests {
     fn sweep_survives_poisoned_engine_mutexes() {
         // Poison every engine mutex the way a real panic would: a
         // thread dies while holding the guard. The engine must recover
-        // the (commutative, never-half-updated) data instead of
+        // the (append-only, never-half-updated) lists instead of
         // cascading the panic into every later job and reader.
         fn poison<T: Send>(m: &Mutex<T>) {
             let caught = catch_unwind(AssertUnwindSafe(|| {
@@ -2217,28 +2026,32 @@ mod tests {
         }
         let engine = SweepEngine::quiet();
         poison(&engine.log);
-        poison(&engine.obs);
         poison(&engine.quarantine);
-        poison(&engine.wall_hints);
         assert!(engine.log.lock().is_err(), "log mutex must actually be poisoned");
+        assert!(engine.quarantine.lock().is_err(), "quarantine mutex must actually be poisoned");
 
         let spec = small_spec();
         let records = engine.run_matrix(&spec).unwrap();
         assert_eq!(records.len(), spec.len());
         assert!(engine.quarantine().is_empty());
         assert_eq!(engine.summary().jobs, spec.len());
+        let key = JobKey::for_cell(&spec, spec.behaviors[0], SchemeKind::Ns, 6);
+        let failing = Job::new(key, || Err(RtError::DeadlineExceeded));
+        assert!(engine.run_jobs(&[failing])[0].is_none());
+        assert_eq!(engine.quarantine().len(), 1);
         let artifact = engine.artifact_value();
         assert_eq!(artifact.get("jobs_total").unwrap().as_u64(), Some(spec.len() as u64));
+        assert_eq!(artifact.get("quarantined").unwrap().as_u64(), Some(1));
         assert!(!engine.trace_string().is_empty());
     }
 
     #[test]
     fn fault_free_hot_path_needs_no_engine_locks() {
-        // Hold the job-log, observability and wall-hint mutexes for as
-        // long as the jobs are computing. If the per-job hot path
-        // acquired any of them, no job could finish while they are held
-        // and the test would wedge; with wait-free publication every
-        // job completes and only the post-batch merge waits.
+        // Hold the job-log and quarantine mutexes for as long as the
+        // jobs are computing. If the per-job path acquired either, no
+        // job could finish while they are held and the test would
+        // wedge; every job completes and only the post-batch append
+        // waits.
         let engine = SweepEngine::with_config(SweepConfig { workers: 2, ..SweepConfig::default() });
         let spec = small_spec();
         let done = Arc::new(AtomicUsize::new(0));
@@ -2262,25 +2075,87 @@ mod tests {
             let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
             scope.spawn(move || {
                 let log = engine.log.lock().unwrap();
-                let obs = engine.obs.lock().unwrap();
-                let hints = engine.wall_hints.lock().unwrap();
+                let quarantine = engine.quarantine.lock().unwrap();
                 held_tx.send(()).unwrap();
                 while done.load(Ordering::SeqCst) < total {
                     std::thread::sleep(Duration::from_millis(1));
                 }
-                drop((log, obs, hints));
+                drop((log, quarantine));
             });
             held_rx.recv().unwrap();
             let reports = engine.run_jobs(&jobs);
             assert!(reports.iter().all(Option::is_some));
         });
         assert_eq!(engine.summary().cache_misses, total);
+    }
+
+    /// Asserts `engine`'s `timings` section: the four `ops` counters and
+    /// both histogram counts, and that the log-derived summary agrees.
+    fn assert_timings(
+        engine: &SweepEngine,
+        hits: u64,
+        misses: u64,
+        retries: u64,
+        quarantined: u64,
+    ) {
         let timings = engine.timings_value();
+        let ops = timings.get("ops").unwrap();
+        let op = |name: &str| ops.get(name).and_then(Value::as_u64).unwrap_or(0);
         assert_eq!(
-            timings.get("ops").unwrap().get("cache_misses").unwrap().as_u64(),
-            Some(total as u64),
-            "wait-free ops rows must still sum to the true counts"
+            [op("cache_hits"), op("cache_misses"), op("job_retries"), op("jobs_quarantined")],
+            [hits, misses, retries, quarantined]
         );
+        let count = |name: &str| timings.get(name).unwrap().get("count").unwrap().as_u64();
+        assert_eq!(count("cache_hit_wall_ns"), Some(hits));
+        assert_eq!(count("cache_miss_wall_ns"), Some(misses));
+        let summary = engine.summary();
+        assert_eq!(
+            [summary.cache_hits, summary.cache_misses, summary.quarantined],
+            [hits, misses, quarantined].map(|n| n as usize)
+        );
+    }
+
+    #[test]
+    fn timings_count_what_the_log_the_quarantine_list_and_the_plan_imply() {
+        let dir =
+            std::env::temp_dir().join(format!("regwin-sweep-timings-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = small_spec();
+        let n = spec.len() as u64;
+        let engine =
+            SweepEngine::with_config(SweepConfig::builder().cache_dir(&dir).build().unwrap());
+        engine.run_matrix(&spec).unwrap();
+        assert_timings(&engine, 0, n, 0, 0);
+        engine.run_matrix(&spec).unwrap();
+        assert_timings(&engine, n, n, 0, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // The plan panics the job dispatched second, which quarantines
+        // after its one attempt; the first job fails its first attempt
+        // and succeeds on its one retry.
+        let plan = FaultPlan::new().with_event(FaultKind::WorkerPanic, 1);
+        let engine = SweepEngine::with_config(
+            SweepConfig::builder().fault_plan(plan).retries(1).workers(2).build().unwrap(),
+        );
+        let failed_once = Arc::new(AtomicUsize::new(0));
+        let jobs: Vec<Job> = [4usize, 8, 12]
+            .iter()
+            .enumerate()
+            .map(|(j, &w)| {
+                let key = JobKey::for_cell(&spec, spec.behaviors[0], SchemeKind::Sp, w);
+                let failed_once = Arc::clone(&failed_once);
+                Job::new(key, move || {
+                    if j == 0 && failed_once.fetch_add(1, Ordering::SeqCst) == 0 {
+                        return Err(RtError::DeadlineExceeded);
+                    }
+                    let config = SpellConfig::new(CorpusSpec::small(), 4, 4);
+                    Ok(SpellPipeline::new(config).run(w, SchemeKind::Sp)?.report)
+                })
+            })
+            .collect();
+        let reports = engine.run_jobs(&jobs);
+        assert_eq!(reports.iter().map(Option::is_some).collect::<Vec<_>>(), [true, false, true]);
+        assert_timings(&engine, 0, 2, 1, 1);
     }
 
     #[test]

@@ -59,7 +59,9 @@ use std::sync::Mutex;
 /// journal's single-writer advisory lock for its lifetime.
 #[derive(Debug)]
 pub struct SweepJournal {
-    file: Mutex<File>,
+    /// The open file: `None` until a resumed journal's first append
+    /// opens it, so a session that journals nothing creates no file.
+    file: Mutex<Option<File>>,
     path: PathBuf,
     /// Released (file removed) when the journal drops.
     _lock: DirLock,
@@ -139,11 +141,12 @@ impl SweepJournal {
         }
         let lock = lock_journal(&path)?;
         let file = File::create(&path)?;
-        Ok(SweepJournal { file: Mutex::new(file), path, _lock: lock })
+        Ok(SweepJournal { file: Mutex::new(Some(file)), path, _lock: lock })
     }
 
-    /// Reopens an existing journal at `path` for appending (resume); a
-    /// missing file is created empty.
+    /// Reopens an existing journal at `path` for appending (resume). The
+    /// single-writer lock is taken now; the file is opened (and created
+    /// if missing) at the first append.
     ///
     /// # Errors
     ///
@@ -157,18 +160,23 @@ impl SweepJournal {
             }
         }
         let lock = lock_journal(&path)?;
-        // A kill -9 mid-append can leave a torn, newline-less final
-        // line; terminate it so fresh appends start a new line (the
-        // torn one then simply fails its checksum on the next replay)
-        // instead of gluing onto the garbage and corrupting themselves.
-        let torn_tail = std::fs::read(&path)
+        Ok(SweepJournal { file: Mutex::new(None), path, _lock: lock })
+    }
+
+    /// Opens the journal file for appending, creating it if missing. A
+    /// kill -9 mid-append can leave a torn, newline-less final line;
+    /// terminate it so fresh appends start a new line (the torn one then
+    /// simply fails its checksum on the next replay) instead of gluing
+    /// onto the garbage and corrupting themselves.
+    fn open_for_append(&self) -> std::io::Result<File> {
+        let torn_tail = std::fs::read(&self.path)
             .map(|bytes| bytes.last().is_some_and(|&b| b != b'\n'))
             .unwrap_or(false);
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let mut file = OpenOptions::new().create(true).append(true).open(&self.path)?;
         if torn_tail {
             file.write_all(b"\n")?;
         }
-        Ok(SweepJournal { file: Mutex::new(file), path, _lock: lock })
+        Ok(file)
     }
 
     /// The journal's path.
@@ -233,7 +241,11 @@ impl SweepJournal {
         let line = format!("{{\"sum\":\"{sum:016x}\",\"payload\":{payload_text}}}\n");
         // Poison recovery: a panicking appender can at worst leave a
         // torn final line, which replay already skips by checksum.
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        let file = match &mut *guard {
+            Some(file) => file,
+            None => guard.insert(self.open_for_append()?),
+        };
         file.write_all(line.as_bytes())?;
         file.flush()?;
         file.sync_data()

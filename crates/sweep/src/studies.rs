@@ -53,34 +53,30 @@ pub fn run_ablation(
     let keys: Vec<JobKey> =
         cells.iter().map(|&(label, w)| cell_key(set, corpus, label, w)).collect();
 
-    // Record the (expensive) base trace only when some cell will
-    // actually replay it. `Arc`, because each job's `'static` closure
-    // owns its share.
-    let trace =
-        if engine.all_cached(&keys) { None } else { Some(Arc::new(record_base_trace(corpus)?)) };
-
-    let jobs: Vec<Job> = cells
-        .iter()
-        .zip(keys)
-        .map(|(&(label, w), key)| {
-            let make =
-                set.variants.iter().find(|(l, _)| l == label).expect("label from set").1.clone();
-            let trace = trace.clone();
-            Job::new(key, move || match &trace {
-                Some(trace) => trace.replay(MachineConfig::new(w), make()),
-                // Every cell was cached at probe time but one vanished
-                // since: re-record rather than fail the study.
-                None => record_base_trace(corpus)?.replay(MachineConfig::new(w), make()),
+    // Record the (expensive) base trace only when some cell missed the
+    // batch's one cache probe. `Arc`, because each job's `'static`
+    // closure owns its share.
+    let served = engine.serve(&keys, |missing| -> Result<Vec<(usize, Job)>, RtError> {
+        if missing.is_empty() {
+            return Ok(Vec::new());
+        }
+        let trace = Arc::new(record_base_trace(corpus)?);
+        Ok(missing
+            .iter()
+            .map(|&i| {
+                let (label, w) = cells[i];
+                let make = set.variants.iter().find(|(l, _)| l == label).expect("label from set");
+                let (make, trace) = (make.1.clone(), Arc::clone(&trace));
+                (i, Job::new(keys[i].clone(), move || trace.replay(MachineConfig::new(w), make())))
             })
-        })
-        .collect();
-    let reports = engine.run_jobs(&jobs);
+            .collect())
+    })?;
 
     let mut series: Vec<Series> = Vec::new();
-    for ((label, w), report) in cells.into_iter().zip(reports) {
+    for ((label, w), served) in cells.into_iter().zip(served) {
         // A quarantined cell is absent from its series (the engine's
         // quarantine log has the failure).
-        let Some(report) = report else { continue };
+        let Some((report, _)) = served else { continue };
         match series.last_mut().filter(|s| s.label == label) {
             Some(s) => s.push(w, report.total_cycles() as f64),
             None => {

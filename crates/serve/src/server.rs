@@ -3,8 +3,8 @@
 //! One [`Server`] owns a Unix-domain listener and serves each
 //! connection on its own thread. Every connection is a *session* with
 //! its own [`SweepEngine`] — all sessions share one result-cache
-//! directory (safe: the cache publishes atomically and reclaims
-//! corruption without deleting fresh entries) and one
+//! directory (safe: the cache publishes atomically, and a damaged
+//! entry is a miss whose store replaces it) and one
 //! [`AdmissionGate`], which bounds the daemon's total concurrently
 //! executing jobs and rotates grants across sessions so concurrent
 //! clients interleave instead of queueing behind each other.

@@ -17,22 +17,15 @@
 //! [`crate::serial::report_from_json`], which builds no tree and reads
 //! the fields in canonical order. The engine then hands those same
 //! bytes to a daemon's `records` frame instead of serializing the
-//! report again. An entry that is
-//! valid JSON but not in canonical layout (hand-reformatted, say) is
-//! therefore a miss and is reclaimed, never a wrong hit.
+//! report again. An entry that is valid JSON but not in canonical
+//! layout (hand-reformatted, say) is therefore a miss, never a wrong
+//! hit.
 //!
-//! Reclaiming an invalid entry is multi-client safe. A reader holding
-//! stale bytes must never `remove_file` the slot directly: between its
-//! failed validation and the delete, a concurrent [`ResultCache::store`]
-//! may have atomically renamed *fresh* bytes into place, and the delete
-//! would destroy them (a classic TOCTOU). Instead the reader renames
-//! the slot aside to a process-unique quarantine name — atomically
-//! capturing whatever the slot holds *now* — and re-validates the
-//! captured bytes: if they turn out valid (the reader lost a race with
-//! a fresh store), they are renamed straight back and served; only
-//! bytes that are invalid *after* capture are deleted. Same-key stores
-//! write byte-identical files (jobs are pure functions of their key),
-//! so the rename-back can never clobber newer different data.
+//! A load only reads. An entry that fails its checks is a plain miss:
+//! the job runs, and its store renames fresh bytes over the damaged
+//! entry. Since no reader ever renames or removes an entry, a reader
+//! holding stale bytes cannot destroy an entry that a concurrent store
+//! has just published.
 
 use crate::engine::write_file_atomic;
 use crate::json::write_string;
@@ -40,7 +33,6 @@ use crate::key::{fnv1a, JobKey, KeyNames, FORMAT_VERSION};
 use crate::serial::{report_from_json, report_to_json};
 use regwin_rt::RunReport;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A directory of cached run reports.
 #[derive(Debug, Clone)]
@@ -65,10 +57,8 @@ impl ResultCache {
 
     /// Loads the cached report for `key`, or `None` on miss. Corrupt,
     /// truncated, checksum-mismatched, old-format or non-canonical
-    /// entries count as misses and are reclaimed (so the next store
-    /// rewrites the slot) — via `ResultCache::reclaim_invalid`, which
-    /// re-validates before destroying anything, so a concurrent fresh
-    /// store is never lost.
+    /// entries count as misses and are left in place; the miss's store
+    /// replaces them.
     pub fn load(&self, key: &JobKey) -> Option<RunReport> {
         self.load_verified(&KeyNames::of(key)).map(|(report, _)| report)
     }
@@ -77,55 +67,8 @@ impl ResultCache {
     /// returning the entry's report bytes: the exact text the checksum
     /// was verified over and the report was decoded from.
     pub(crate) fn load_verified(&self, names: &KeyNames) -> Option<(RunReport, String)> {
-        let path = self.path_for(names);
-        let text = std::fs::read_to_string(&path).ok()?;
-        decode_entry(text, &names.canonical).or_else(|| self.reclaim_invalid(&path, names))
-    }
-
-    /// Reclaims a slot whose bytes failed validation, without trusting
-    /// the (possibly stale) view that failed: the slot is atomically
-    /// renamed aside and the *captured* bytes re-validated. Captured
-    /// bytes that validate mean the reader raced a fresh store — they
-    /// are renamed back and served as a hit; captured bytes that are
-    /// still invalid are deleted, freeing the slot. Returns the rescued
-    /// report and its bytes, if any.
-    fn reclaim_invalid(&self, path: &Path, names: &KeyNames) -> Option<(RunReport, String)> {
-        // Process-unique + counter-unique, so concurrent reclaims (even
-        // within one process) never collide on the quarantine name.
-        static RECLAIM_SEQ: AtomicU64 = AtomicU64::new(0);
-        let seq = RECLAIM_SEQ.fetch_add(1, Ordering::Relaxed);
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "entry".to_string());
-        let aside = path.with_file_name(format!("{name}.bad.{}.{seq}", std::process::id()));
-        // The rename atomically captures whatever the slot holds right
-        // now — which may already be fresher than what we read. If the
-        // slot vanished (another reclaim won), there is nothing to do.
-        if std::fs::rename(path, &aside).is_err() {
-            return None;
-        }
-        let rescued =
-            std::fs::read_to_string(&aside).ok().and_then(|c| decode_entry(c, &names.canonical));
-        match rescued {
-            Some(hit) => {
-                // We captured a *fresh* entry a concurrent store just
-                // published. Put it back; stores of the same key write
-                // identical bytes, so clobbering an even newer one is
-                // benign. A failed rename-back means the report is
-                // still correct but the slot re-misses once — degrade,
-                // don't destroy.
-                if std::fs::rename(&aside, path).is_err() {
-                    let _ = std::fs::remove_file(&aside);
-                }
-                Some(hit)
-            }
-            None => {
-                // Invalid even after atomic capture: genuinely damaged.
-                let _ = std::fs::remove_file(&aside);
-                None
-            }
-        }
+        let text = std::fs::read_to_string(self.path_for(names)).ok()?;
+        decode_entry(text, &names.canonical)
     }
 
     /// Stores `report` under `key`. Write failures are reported to
@@ -216,6 +159,23 @@ mod tests {
         dir
     }
 
+    /// A load of `key`'s damaged entry is a miss that leaves the entry as
+    /// it is; a store then puts the canonical bytes in its place, and
+    /// they hit.
+    fn assert_a_miss_that_a_store_replaces(cache: &ResultCache, key: &JobKey, report: &RunReport) {
+        let path = cache.dir().join(format!("{}.json", key.id()));
+        let damaged = std::fs::read(&path).unwrap();
+        assert!(cache.load(key).is_none(), "a damaged entry must miss");
+        assert_eq!(std::fs::read(&path).unwrap(), damaged, "a load must not touch the entry");
+        cache.store(key, report);
+        let report_json = report_to_json(report);
+        let mut canonical = entry_head(&key.canonical(), fnv1a(report_json.as_bytes()));
+        canonical.push_str(&report_json);
+        canonical.push('}');
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), canonical);
+        assert_eq!(cache.load(key).as_ref(), Some(report));
+    }
+
     fn sample_key() -> JobKey {
         let spec = MatrixSpec {
             corpus: CorpusSpec::small(),
@@ -259,14 +219,14 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_entry_is_a_miss_and_is_deleted() {
+    fn corrupt_entry_is_a_miss_that_a_store_replaces() {
         let cache = ResultCache::new(tmpdir("corrupt"));
         let key = sample_key();
         std::fs::create_dir_all(cache.dir()).unwrap();
-        let path = cache.dir().join(format!("{}.json", key.id()));
-        std::fs::write(&path, "{not json").unwrap();
-        assert!(cache.load(&key).is_none());
-        assert!(!path.exists(), "corrupt entry must be deleted so the slot can be rewritten");
+        std::fs::write(cache.dir().join(format!("{}.json", key.id())), "{not json").unwrap();
+        let report =
+            SpellPipeline::new(SpellConfig::small()).run(8, SchemeKind::Sp).unwrap().report;
+        assert_a_miss_that_a_store_replaces(&cache, &key, &report);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -282,63 +242,16 @@ mod tests {
         // is damaged even if the prefix happens to still parse.
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        assert!(cache.load(&key).is_none());
-        assert!(!path.exists());
-        // The slot rewrites cleanly and hits again.
-        cache.store(&key, &report);
-        assert!(cache.load(&key).is_some());
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn stale_reader_reclaim_cannot_delete_a_freshly_stored_entry() {
-        // The TOCTOU regression pin: a reader that validated *stale*
-        // bytes (garbage) reaches its reclaim step only after a
-        // concurrent store has renamed fresh bytes into the slot. The
-        // old code did `remove_file` here and destroyed the fresh
-        // entry; reclaim must rescue it instead.
-        let cache = ResultCache::new(tmpdir("toctou"));
-        let key = sample_key();
-        std::fs::create_dir_all(cache.dir()).unwrap();
-        let path = cache.dir().join(format!("{}.json", key.id()));
-        // The reader's stale view: garbage that fails validation.
-        std::fs::write(&path, "{not json").unwrap();
-        let stale_text = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            decode_entry(stale_text, &key.canonical()).is_none(),
-            "reader's view must be invalid"
-        );
-        // Concurrent store lands fresh bytes before the reader acts.
-        let report =
-            SpellPipeline::new(SpellConfig::small()).run(8, SchemeKind::Sp).unwrap().report;
-        cache.store(&key, &report);
-        // The reader's delayed reclaim step must not lose the entry —
-        // and rescues it as a hit.
-        let rescued = cache.reclaim_invalid(&path, &KeyNames::of(&key));
-        assert_eq!(
-            rescued.map(|(r, _)| r.total_cycles()),
-            Some(report.total_cycles()),
-            "reclaim must rescue the freshly stored entry"
-        );
-        assert!(path.exists(), "the fresh entry must survive the stale reader");
-        assert!(cache.load(&key).is_some(), "slot must still hit");
-        // No quarantine litter left behind.
-        let litter: Vec<_> = std::fs::read_dir(cache.dir())
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains(".bad."))
-            .collect();
-        assert!(litter.is_empty(), "rescue must not leave quarantine files: {litter:?}");
+        assert_a_miss_that_a_store_replaces(&cache, &key, &report);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
     fn concurrent_store_and_corrupt_load_never_lose_an_entry() {
         // Racing hammer over one slot: one thread repeatedly stores the
-        // good entry, another repeatedly corrupts the slot and loads
-        // (triggering reclaim). After the dust settles a final store
-        // must always leave a loadable entry — reclaim may only ever
-        // delete invalid bytes.
+        // good entry, another repeatedly corrupts the slot and loads.
+        // After the dust settles a final store must always leave a
+        // loadable entry.
         let cache = ResultCache::new(tmpdir("race"));
         let key = sample_key();
         let report =
@@ -413,11 +326,8 @@ mod tests {
         {
             assert_eq!(crate::json::parse(&edited).unwrap().get("sum"), v.get("sum"));
             std::fs::write(&path, &edited).unwrap();
-            assert!(cache.load(&key).is_none(), "non-canonical entry must miss: {edited:.60}");
-            assert!(!path.exists(), "the non-canonical entry must be reclaimed");
-            cache.store(&key, &report);
+            assert_a_miss_that_a_store_replaces(&cache, &key, &report);
             assert_eq!(std::fs::read_to_string(&path).unwrap(), canonical);
-            assert_eq!(cache.load(&key).as_ref(), Some(&report));
         }
         let _ = std::fs::remove_dir_all(cache.dir());
     }
@@ -439,8 +349,7 @@ mod tests {
             .replace(&needle, &format!("\"saves_executed\":{}", report.stats.saves_executed + 1));
         assert_ne!(text, tampered, "test must actually tamper");
         std::fs::write(&path, tampered).unwrap();
-        assert!(cache.load(&key).is_none());
-        assert!(!path.exists());
+        assert_a_miss_that_a_store_replaces(&cache, &key, &report);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

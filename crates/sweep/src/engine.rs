@@ -779,16 +779,17 @@ impl SweepEngine {
     /// without it, two engines sharing a cache dir could both read the
     /// old file and the second rename would clobber the first engine's
     /// hints (last-write-wins). With the lock, concurrent engines'
-    /// hints accumulate as a union. An unobtainable lock (live holder
-    /// past the timeout) degrades to proceeding unlocked — hints are
-    /// advisory, and wedging the sweep on them would invert priorities.
+    /// hints accumulate as a union. The lock is waited for: the kernel
+    /// releases it with a holder that dies.
     fn persist_wall_hints(&self, fresh: &[(&str, f64)]) {
         let Some(cache) = &self.cache else { return };
         if fresh.is_empty() {
             return;
         }
-        let lock_path = cache.dir().join(format!("{WALL_HINTS_FILE}.lock"));
-        let _lock = DirLock::acquire(lock_path, Duration::from_secs(5)).ok().flatten();
+        let Ok(_lock) = DirLock::acquire(cache.dir().join(format!("{WALL_HINTS_FILE}.lock")))
+        else {
+            return;
+        };
         let mut merged = self.load_wall_hints();
         for &(id, ms) in fresh {
             merged.insert(id.to_string(), ms);
@@ -1435,16 +1436,18 @@ impl SweepEngine {
     }
 }
 
-/// Writes `contents` to `path` atomically: the bytes land in a
-/// process-unique `.tmp` sibling first and are renamed into place, so a
-/// crash mid-write can never leave a torn file at `path`. Parent
-/// directories are created as needed; concurrent writers of identical
-/// bytes race benignly (either rename winning leaves the same file).
+/// Writes `contents` to `path` atomically: the bytes land in a `.tmp`
+/// sibling unique to this write (pid and a process-wide sequence
+/// number) and are renamed into place, so a crash mid-write can never
+/// leave a torn file at `path`. Parent directories are created as
+/// needed; concurrent writers of identical bytes, in one process or
+/// several, race benignly (either rename winning leaves the same file).
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors (the temporary file is cleaned up).
 pub fn write_file_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
@@ -1454,7 +1457,8 @@ pub fn write_file_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "out".to_string());
-    let tmp = path.with_file_name(format!("{name}.tmp.{}", std::process::id()));
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!("{name}.tmp.{}.{seq}", std::process::id()));
     let result = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, path));
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
@@ -2315,5 +2319,44 @@ mod tests {
         assert_eq!(engine.shutdown_skipped() as usize, spec2.len());
         assert_eq!(engine.summary().jobs, before, "skipped jobs must not be logged");
         assert!(engine.quarantine().is_empty(), "skipped jobs must not quarantine");
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_of_one_path_are_whole() {
+        let dir = std::env::temp_dir()
+            .join(format!("regwin-sweep-atomic-write-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("entry.json");
+        // Large enough that a write is not one page: a shared temporary
+        // file would be truncated under a rename and read torn.
+        let payload = "0123456789abcdef".repeat(1 << 17);
+        let (done, failed, torn) = (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
+        std::thread::scope(|scope| {
+            let writers = 4;
+            for _ in 0..writers {
+                scope.spawn(|| {
+                    for _ in 0..25 {
+                        if write_file_atomic(&path, &payload).is_err() {
+                            failed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    done.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            while done.load(Ordering::Relaxed) < writers {
+                match std::fs::read_to_string(&path) {
+                    Ok(read) if !read.is_empty() && read != payload => {
+                        torn.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(_) => {}
+                    Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
+                }
+            }
+        });
+        assert_eq!(failed.into_inner(), 0, "every write must succeed");
+        assert_eq!(torn.into_inner(), 0, "every read must be empty or whole");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), payload);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "no temporary file is left");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -36,12 +36,11 @@
 
 //! A journal is a **single-writer** file: two engines appending to the
 //! same path would interleave torn lines and corrupt each other's
-//! resume state. Opening one therefore takes a pid-stamped advisory
-//! lock (`<path>.lock`, see [`crate::lock::DirLock`]) and fails
-//! typed — [`JournalOpenError::Busy`] — while another live engine holds
-//! it; a holder that died without releasing (kill -9) is detected as
-//! stale and its lock is stolen, which is what keeps the
-//! kill-and-resume path working.
+//! resume state. Opening one therefore takes an advisory kernel lock on
+//! `<path>.lock` and fails typed, [`JournalOpenError::Busy`], while
+//! another engine holds it. The kernel releases the lock with its
+//! holder, so the lock file a killed writer leaves behind does not
+//! block the resume.
 
 use crate::engine::{JobRecord, QuarantineRecord};
 use crate::json::{obj, ParseError, Reader, Value};
@@ -465,13 +464,14 @@ mod tests {
             journal.append_job(&record, &report).unwrap();
         }
         // Simulate kill -9: the dead writer left its lock file behind,
-        // stamped with a pid that no longer exists.
+        // holding whatever it held.
         let lock_path = PathBuf::from(format!("{}.lock", path.display()));
-        std::fs::write(&lock_path, format!("{}", u32::MAX)).unwrap();
-        let resumed = SweepJournal::append_to(&path).expect("stale lock must be stolen");
+        std::fs::write(&lock_path, format!("{} 12345\n", u32::MAX)).unwrap();
+        let resumed = SweepJournal::append_to(&path).expect("a leftover lock file must not block");
         resumed.append_job(&record, &report).unwrap();
         drop(resumed);
-        assert!(!lock_path.exists(), "drop must release the stolen lock");
+        assert!(!lock_path.exists(), "drop must release the lock");
+        assert_eq!(replay_journal(&path).jobs.len(), 1);
         let _ = std::fs::remove_file(&path);
     }
 

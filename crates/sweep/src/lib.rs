@@ -56,7 +56,7 @@ pub mod gate;
 pub mod journal;
 pub mod json;
 pub mod key;
-pub mod lock;
+mod lock;
 pub mod serial;
 pub mod studies;
 
@@ -68,7 +68,6 @@ pub use engine::{
 pub use gate::{AdmissionGate, GateClosed, GateTicket};
 pub use journal::{replay_journal, JournalOpenError, JournalReplay, SweepJournal};
 pub use key::{fnv1a, JobKey, FORMAT_VERSION};
-pub use lock::DirLock;
 pub use serial::{
     records_from_json, records_to_json, report_from_json, report_to_json, DecodeError,
 };

@@ -68,6 +68,12 @@ fn timeout_bounds_a_job_that_never_finishes() {
     let reports = engine.run_jobs(&jobs);
     assert!(reports[0].is_none());
     assert!(t0.elapsed() < Duration::from_secs(10), "took {:?}", t0.elapsed());
+    // A joined thread can still be counted for a moment after its join
+    // returns, so the count is given a bounded time to settle.
+    let settle = Instant::now() + Duration::from_secs(2);
+    while os_threads() != threads_before && Instant::now() < settle {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert_eq!(os_threads(), threads_before, "a timed-out attempt left a thread running");
 
     let quarantine = engine.quarantine();

@@ -117,9 +117,8 @@ fn a_vandal_corrupting_entries_mid_sweep_cannot_destroy_fresh_results() {
     let want_artifact = reference.artifact_value().to_json();
 
     // Two clients sweep while a vandal keeps scribbling garbage over
-    // cache slots — every load that trips on garbage goes through the
-    // reclaim path, which must never destroy a concurrently stored
-    // fresh entry or corrupt a client's results.
+    // cache slots — every load that trips on garbage is a miss whose
+    // store renames fresh bytes over it; no client's results may change.
     let stop = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let vandal = {
@@ -161,8 +160,8 @@ fn a_vandal_corrupting_entries_mid_sweep_cannot_destroy_fresh_results() {
     });
 
     // The dust settles: one more store of every key must stick (the
-    // vandal's last scribbles may linger, but reclaim only ever deletes
-    // invalid bytes, so a final sweep repopulates every slot).
+    // vandal's last scribbles may linger, but each is a miss whose store
+    // replaces it, so a final sweep repopulates every slot).
     let repopulate = SweepEngine::with_config(
         SweepConfig::builder().cache_dir(&dir).deterministic_artifact(true).build().unwrap(),
     );

@@ -15,13 +15,14 @@
 //! [--fault-plan <spec>] [--audit] [--check-1pe] [--policy <name>]
 //! [--timing <s20|pipeline>]`
 
+use regwin_bench::write_bench_json;
 use regwin_cluster::{run_spell_cluster, Arbitration, BusConfig, ClusterConfig};
 use regwin_machine::TimingKind;
 use regwin_obs::Histogram;
 use regwin_rt::SchedulingPolicy;
 use regwin_spell::{SpellConfig, SpellPipeline};
 use regwin_sweep::json::{obj, Value};
-use regwin_sweep::{write_file_atomic, Job, JobKey, SweepConfig, SweepEngine};
+use regwin_sweep::{Job, JobKey, SweepConfig, SweepEngine};
 use regwin_traps::SchemeKind;
 use std::path::PathBuf;
 
@@ -242,13 +243,7 @@ fn main() {
         ("rows", Value::Arr(rows)),
         ("quarantine", Value::Arr(quarantine)),
     ]);
-    match write_file_atomic(&opts.out, &(doc.to_json() + "\n")) {
-        Ok(()) => eprintln!("wrote {}", opts.out.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", opts.out.display());
-            std::process::exit(1);
-        }
-    }
+    write_bench_json(&opts.out, &doc);
     let s = engine.summary();
     eprintln!(
         "sweep: {} jobs, {} cache hits, {} executed, {} quarantined",

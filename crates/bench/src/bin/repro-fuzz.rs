@@ -24,13 +24,12 @@
 //! engine as usual): an unmasked fault must be detected in every single
 //! scenario, which is what the CI fault-detection leg pins down.
 
-use regwin_bench::Args;
+use regwin_bench::{write_bench_json, Args};
 use regwin_gen::{run_bundle, shrink, Scenario, WorkloadSpec};
 use regwin_machine::{SchemeKind, TimingKind};
 use regwin_rt::SchedulingPolicy;
 use regwin_spell::CorpusSpec;
 use regwin_sweep::json::{obj, Value};
-use regwin_sweep::write_file_atomic;
 use regwin_sweep::{Job, JobKey};
 use std::path::PathBuf;
 
@@ -212,18 +211,6 @@ fn main() {
         ("divergences", Value::Arr(divergences)),
     ]);
     let path = args.out_dir.clone().unwrap_or_else(|| PathBuf::from(".")).join("BENCH_fuzz.json");
-    if let Some(dir) = &args.out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-    match write_file_atomic(&path, &(doc.to_json() + "\n")) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_bench_json(&path, &doc);
     args.finish(&engine);
 }

@@ -7,6 +7,7 @@
 //! Usage: `repro-microbench [--quick] [--out <file>]`
 
 use regwin_bench::microbench::{microbench_to_json, run_microbench, MicrobenchConfig};
+use regwin_bench::write_bench_json;
 use std::path::PathBuf;
 
 fn main() {
@@ -46,12 +47,5 @@ fn main() {
             m.ns_per_op
         );
     }
-    let doc = microbench_to_json(cfg, quick, &ms);
-    let mut body = doc.to_json();
-    body.push('\n');
-    if let Err(e) = std::fs::write(&out, body) {
-        eprintln!("failed to write {}: {e}", out.display());
-        std::process::exit(1);
-    }
-    println!("wrote {}", out.display());
+    write_bench_json(&out, &microbench_to_json(cfg, quick, &ms));
 }

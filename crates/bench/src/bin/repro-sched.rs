@@ -13,12 +13,11 @@
 //! `--jobs`, `--cache-dir`/`--no-cache`, ...); `--policy` is ignored
 //! here because this binary always sweeps every policy.
 
-use regwin_bench::Args;
+use regwin_bench::{write_bench_json, Args};
 use regwin_core::figures::Sweep;
 use regwin_core::report::Series;
 use regwin_rt::SchedulingPolicy;
 use regwin_sweep::json::{obj, Value};
-use regwin_sweep::write_file_atomic;
 use std::path::PathBuf;
 
 fn main() {
@@ -125,19 +124,7 @@ fn main() {
         ("frontier", Value::Arr(frontier_rows)),
     ]);
     let path = args.out_dir.clone().unwrap_or_else(|| PathBuf::from(".")).join("BENCH_sched.json");
-    if let Some(dir) = &args.out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-    match write_file_atomic(&path, &(doc.to_json() + "\n")) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_bench_json(&path, &doc);
     let s = session.summary();
     eprintln!(
         "sweep: {} jobs, {} cache hits, {} executed, {} quarantined",

@@ -20,13 +20,12 @@
 //! `--timing` are ignored here because this binary always sweeps every
 //! policy and every backend.
 
-use regwin_bench::Args;
+use regwin_bench::{write_bench_json, Args};
 use regwin_core::figures::Sweep;
 use regwin_core::report::Series;
 use regwin_machine::TimingKind;
 use regwin_rt::SchedulingPolicy;
 use regwin_sweep::json::{obj, Value};
-use regwin_sweep::write_file_atomic;
 use std::path::PathBuf;
 
 fn main() {
@@ -109,19 +108,7 @@ fn main() {
         ("switch_cost_deltas", Value::Arr(delta_rows)),
     ]);
     let path = args.out_dir.clone().unwrap_or_else(|| PathBuf::from(".")).join("BENCH_timing.json");
-    if let Some(dir) = &args.out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-    match write_file_atomic(&path, &(doc.to_json() + "\n")) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_bench_json(&path, &doc);
     let s = engine.summary();
     eprintln!(
         "sweep: {} jobs, {} cache hits, {} executed, {} quarantined",

@@ -78,9 +78,10 @@ use regwin_core::{CorpusSpec, MatrixSpec, RunRecord, TextTable};
 use regwin_machine::TimingKind;
 use regwin_rt::{FaultPlan, RtError, SchedulingPolicy};
 use regwin_serve::ServeClient;
+use regwin_sweep::json::Value;
 use regwin_sweep::{QuarantineRecord, SweepConfig, SweepEngine, SweepSummary};
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -443,11 +444,6 @@ impl Args {
                     );
                 }
                 let path = self.artifact_path();
-                if let Some(dir) = &self.out_dir {
-                    if let Err(e) = std::fs::create_dir_all(dir) {
-                        eprintln!("warning: cannot create {}: {e}", dir.display());
-                    }
-                }
                 match client.artifact() {
                     Ok(data) => match regwin_sweep::write_file_atomic(&path, &data) {
                         Ok(()) => eprintln!("wrote {}", path.display()),
@@ -485,10 +481,6 @@ impl Args {
     /// was requested.
     pub fn save_csv(&self, name: &str, table: &TextTable) {
         if let Some(dir) = &self.out_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("warning: cannot create {}: {e}", dir.display());
-                return;
-            }
             let path = dir.join(format!("{name}.csv"));
             if let Err(e) = regwin_sweep::write_file_atomic(&path, &table.to_csv()) {
                 eprintln!("warning: cannot write {}: {e}", path.display());
@@ -568,6 +560,17 @@ fn usage(problem: &str) -> ! {
          [--timing <s20|pipeline>] [--gen <scenario>] [--server <socket>]"
     );
     std::process::exit(if problem.is_empty() { 0 } else { 2 });
+}
+
+/// Writes a `BENCH_*.json` document to `path`, replacing the file
+/// atomically: its JSON and a newline, then `wrote <path>` on stderr.
+/// Exits 1 when the write fails.
+pub fn write_bench_json(path: &Path, doc: &Value) {
+    if let Err(e) = regwin_sweep::write_file_atomic(path, &(doc.to_json() + "\n")) {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    eprintln!("wrote {}", path.display());
 }
 
 /// A stderr progress callback for sweep runs.

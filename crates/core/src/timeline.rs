@@ -7,7 +7,6 @@
 //! (long horizontal runs of one thread's digit), while under NS every
 //! switch repaints the file.
 
-use crate::report::TextTable;
 use regwin_machine::{MachineConfig, SlotUse, WindowIndex};
 use regwin_rt::{RtError, Trace, TraceEvent};
 use regwin_traps::{Cpu, RestoreInstr, Scheme};
@@ -82,15 +81,6 @@ impl Timeline {
             })
             .count();
         hits as f64 / self.snapshots.len() as f64
-    }
-
-    /// Renders per-thread residency as a table.
-    pub fn residency_table(&self, names: &[String]) -> TextTable {
-        let mut table = TextTable::new("Window residency per thread", &["thread", "residency"]);
-        for (i, name) in names.iter().enumerate() {
-            table.row(vec![name.clone(), format!("{:.0}%", 100.0 * self.residency(i))]);
-        }
-        table
     }
 }
 
@@ -168,14 +158,5 @@ mod tests {
             mean(&sp),
             mean(&ns)
         );
-    }
-
-    #[test]
-    fn residency_table_lists_all_threads() {
-        let t = trace();
-        let tl = sample_timeline(&t, 8, build_scheme(SchemeKind::Snp), 40).unwrap();
-        let names: Vec<String> = t.thread_names().to_vec();
-        let table = tl.residency_table(&names);
-        assert_eq!(table.len(), 7);
     }
 }

@@ -159,12 +159,6 @@ impl Workload {
         Workload { spec: *spec, streams, threads }
     }
 
-    /// Total work items across all threads (the scenario-census
-    /// number `BENCH_fuzz.json` reports).
-    pub fn total_steps(&self) -> usize {
-        self.threads.iter().map(|t| t.steps.len()).sum()
-    }
-
     /// A canonical byte encoding of the whole workload — structure,
     /// streams, step lists, payload bytes. Two encodings are equal iff
     /// the synthesized op streams are identical; the determinism

@@ -273,12 +273,6 @@ impl Machine {
         self.faults = faults;
     }
 
-    /// The installed fault schedule, if any (counters reflect events
-    /// already consumed by the run).
-    pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
-        self.faults.as_ref()
-    }
-
     /// Installs (or with `None` removes) an instrumentation probe.
     /// Counter deltas are *batched*: event sites accumulate into a local
     /// [`MetricSet`] and [`Machine::flush_probe`] delivers the totals in
@@ -371,11 +365,6 @@ impl Machine {
     /// The cost model in use.
     pub fn cost(&self) -> &CostModel {
         &self.cost
-    }
-
-    /// Which timing backend prices this machine's events.
-    pub fn timing_kind(&self) -> TimingKind {
-        self.timing.kind()
     }
 
     /// The cycle counter.

@@ -101,16 +101,6 @@ impl MachineStats {
         (self.overflow_traps + self.underflow_traps) as f64 / instrs as f64
     }
 
-    /// Per-thread context-switch counts (Table 1 left block).
-    pub fn switches_per_thread(&self) -> Vec<u64> {
-        self.threads.iter().map(|t| t.switches_out).collect()
-    }
-
-    /// Per-thread `save` instruction counts (Table 1 right column).
-    pub fn saves_per_thread(&self) -> Vec<u64> {
-        self.threads.iter().map(|t| t.saves).collect()
-    }
-
     /// The machine-wide counters as a typed [`MetricSet`] — the unified
     /// observability view of these statistics. Covers every counter this
     /// struct tracks directly; probe-only enrichments (spill/fill byte
@@ -179,15 +169,5 @@ mod tests {
         assert_eq!(s.switch_shapes[&SwitchShape { saves: 2, restores: 1 }], 2);
         assert_eq!(s.switch_shapes[&SwitchShape { saves: 0, restores: 0 }], 1);
         assert_eq!(s.threads[1].switches_out, 2);
-    }
-
-    #[test]
-    fn per_thread_vectors() {
-        let mut s = MachineStats::new();
-        s.ensure_thread(ThreadId::new(2));
-        s.threads[0].switches_out = 5;
-        s.threads[2].saves = 9;
-        assert_eq!(s.switches_per_thread(), vec![5, 0, 0]);
-        assert_eq!(s.saves_per_thread(), vec![0, 0, 9]);
     }
 }

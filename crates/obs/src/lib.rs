@@ -18,8 +18,7 @@
 //!   counters with a fixed, deterministic iteration order, so two
 //!   aggregations of the same run serialize byte-identically no matter
 //!   the thread interleaving that produced them.
-//! * **Sinks**: [`NoopProbe`] (the zero-cost default),
-//!   [`RecordingProbe`] (an in-memory event log for tests and
+//! * **Sinks**: [`RecordingProbe`] (an in-memory event log for tests and
 //!   diagnostics) and [`MetricProbe`] (a thread-safe aggregator
 //!   producing a [`MetricSet`] snapshot). Deterministic JSONL rows for
 //!   trace files are built with [`jsonl::Row`].
@@ -48,6 +47,5 @@ mod probe;
 pub use histogram::Histogram;
 pub use metric::{Metric, MetricSet};
 pub use probe::{
-    MetricProbe, NoopProbe, OwnedProbeEvent, Probe, ProbeEvent, RecordingProbe, SpanKind,
-    StreamProbe,
+    MetricProbe, OwnedProbeEvent, Probe, ProbeEvent, RecordingProbe, SpanKind, StreamProbe,
 };

@@ -156,22 +156,6 @@ pub trait Probe: Send + Sync + fmt::Debug {
     fn flush(&self) {}
 }
 
-/// The zero-cost default probe: drops every event.
-///
-/// Instrumented layers hold `Option<Arc<dyn Probe>>` defaulting to
-/// `None`, so the usual configuration never even reaches this type; it
-/// exists for call sites that require *some* probe value.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopProbe;
-
-impl Probe for NoopProbe {
-    fn record(&self, _event: &ProbeEvent<'_>) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
 /// An in-memory event log: retains every event in arrival order.
 /// Intended for tests and diagnostics, not for full-scale sweeps.
 #[derive(Debug, Default)]
@@ -357,13 +341,6 @@ impl Drop for StreamProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_probe_is_disabled_and_silent() {
-        let p = NoopProbe;
-        assert!(!p.enabled());
-        p.record(&ProbeEvent::Counter { metric: Metric::SavesExecuted, delta: 1 });
-    }
 
     #[test]
     fn recording_probe_retains_events_in_order() {

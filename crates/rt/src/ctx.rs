@@ -42,11 +42,6 @@ impl Ctx {
         Ctx { state, tid }
     }
 
-    /// This thread's id.
-    pub fn thread_id(&self) -> ThreadId {
-        self.tid
-    }
-
     /// Charges `cycles` of application compute to the simulated CPU.
     pub fn compute(&mut self, cycles: u64) {
         self.state.borrow_mut().charge_app(cycles);

@@ -57,11 +57,6 @@ impl<P: SchedPolicy> Fuzzed<P> {
         self.perturbed
     }
 
-    /// Perturbations still allowed.
-    pub fn remaining_budget(&self) -> u32 {
-        self.budget
-    }
-
     /// Draws from the decision stream and debits the budget if the draw
     /// says "perturb here" (roughly one decision in four).
     fn roll(&mut self) -> bool {

@@ -89,7 +89,7 @@ fn main() {
         }
     }
     if let Some(dir) = &config.journal_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
+        if let Err(e) = regwin_sweep::create_dir(dir) {
             eprintln!("error: cannot create journal dir {}: {e}", dir.display());
             std::process::exit(1);
         }

@@ -9,11 +9,12 @@
 //! (tables, figures, artifacts) is byte-identical.
 
 use crate::protocol::{
-    frame_type, quarantine_from_value, spec_to_value, summary_from_value, write_frame, FrameReader,
-    EVENT_PREFIX, PROTO_VERSION,
+    frame_type, spec_to_value, summary_from_value, write_frame, FrameReader, EVENT_PREFIX,
+    PROTO_VERSION,
 };
 use regwin_core::{MatrixSpec, RunRecord};
 use regwin_sweep::json::{members, obj, parse, Value};
+use regwin_sweep::serial::quarantine_from_json;
 use regwin_sweep::{records_from_json, QuarantineRecord, SweepSummary};
 use std::fmt;
 use std::io::Write;
@@ -222,7 +223,7 @@ impl ServeClient {
                 let small = |name: &str| parse(part(name)?).map_err(bad_frame);
                 self.summary = summary_from_value(&small("summary")?)
                     .map_err(|e| ClientError::Protocol(e.0))?;
-                self.quarantine = quarantine_from_value(&small("quarantine")?)
+                self.quarantine = quarantine_from_json(part("quarantine")?)
                     .map_err(|e| ClientError::Protocol(e.0))?;
                 return records_from_json(part("records")?)
                     .map_err(|e| ClientError::Protocol(e.to_string()));

@@ -33,9 +33,11 @@
 //! takes its line from the [`FrameReader`]'s buffer without a copy,
 //! splits it into members with [`regwin_sweep::json::members`], and
 //! decodes the run records straight from their text with
-//! [`regwin_sweep::records_from_json`]. Only `summary` and `quarantine`
-//! go through a tree. An `event` frame is not decoded at all: the client
-//! counts the `end` events by their line's prefix.
+//! [`regwin_sweep::records_from_json`], and the quarantine list with
+//! [`regwin_sweep::serial::quarantine_from_json`], the decoder the
+//! journal's quarantine lines share. Only `summary` goes through a
+//! tree. An `event` frame is not decoded at all: the client counts the
+//! `end` events by their line's prefix.
 //!
 //! The daemon writes a sweep's events in batches, each batch in one
 //! socket write: the engine hands over what it holds after the cache
@@ -44,12 +46,12 @@
 //! without its `end`. The events stay in order, and every event of a
 //! sweep is written before its `records` frame.
 
-use regwin_core::{Behavior, MatrixSpec};
-use regwin_machine::{SchemeKind, TimingKind};
+use regwin_core::MatrixSpec;
+use regwin_machine::TimingKind;
 use regwin_rt::SchedulingPolicy;
 use regwin_spell::CorpusSpec;
 use regwin_sweep::json::{obj, parse, Value};
-use regwin_sweep::{serial, QuarantineRecord, SweepSummary};
+use regwin_sweep::{serial, SweepSummary};
 use std::borrow::Cow;
 use std::fmt;
 use std::io::Write;
@@ -218,17 +220,6 @@ pub fn spec_to_value(spec: &MatrixSpec) -> Value {
     ])
 }
 
-fn behavior_from_name(name: &str) -> Result<Behavior, ProtoError> {
-    serial::behavior_from_name(name).map_err(|e| bad(e.0))
-}
-
-fn scheme_from_name(name: &str) -> Result<SchemeKind, ProtoError> {
-    SchemeKind::ALL
-        .into_iter()
-        .find(|s| s.name() == name)
-        .ok_or_else(|| bad(format!("unknown scheme '{name}'")))
-}
-
 /// Decodes the `spec` of a `sweep` frame.
 ///
 /// # Errors
@@ -245,13 +236,19 @@ pub(crate) fn spec_from_value(v: &Value) -> Result<MatrixSpec, ProtoError> {
         .as_arr()
         .ok_or_else(|| bad("'behaviors' not an array"))?
         .iter()
-        .map(|b| behavior_from_name(b.as_str().ok_or_else(|| bad("behavior not a string"))?))
+        .map(|b| {
+            let name = b.as_str().ok_or_else(|| bad("behavior not a string"))?;
+            serial::behavior_from_name(name).map_err(|e| bad(e.0))
+        })
         .collect::<Result<Vec<_>, _>>()?;
     let schemes = need(v, "schemes")?
         .as_arr()
         .ok_or_else(|| bad("'schemes' not an array"))?
         .iter()
-        .map(|s| scheme_from_name(s.as_str().ok_or_else(|| bad("scheme not a string"))?))
+        .map(|s| {
+            let name = s.as_str().ok_or_else(|| bad("scheme not a string"))?;
+            serial::scheme_from_name(name).map_err(|e| bad(e.0))
+        })
         .collect::<Result<Vec<_>, _>>()?;
     let windows = need(v, "windows")?
         .as_arr()
@@ -292,60 +289,11 @@ pub(crate) fn summary_from_value(v: &Value) -> Result<SweepSummary, ProtoError> 
     })
 }
 
-/// Encodes the quarantine list for a `records` frame.
-pub(crate) fn quarantine_to_value(quarantine: &[QuarantineRecord]) -> Value {
-    Value::Arr(
-        quarantine
-            .iter()
-            .map(|q| {
-                obj(vec![
-                    ("id", Value::Str(q.id.clone())),
-                    ("key", Value::Str(q.key.clone())),
-                    ("label", Value::Str(q.label.clone())),
-                    ("reason", Value::Str(q.reason.into())),
-                    ("attempts", Value::Int(u64::from(q.attempts))),
-                    ("detail", Value::Str(q.detail.clone())),
-                    ("repro", Value::Str(q.repro.clone())),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// Decodes a `records` frame's quarantine list.
-///
-/// The `reason` field round-trips through the three static reason
-/// strings the engine emits; anything else maps to `"error"`.
-///
-/// # Errors
-///
-/// Fails on missing or mistyped fields.
-pub(crate) fn quarantine_from_value(v: &Value) -> Result<Vec<QuarantineRecord>, ProtoError> {
-    v.as_arr()
-        .ok_or_else(|| bad("'quarantine' not an array"))?
-        .iter()
-        .map(|q| {
-            Ok(QuarantineRecord {
-                id: need_str(q, "id")?.to_string(),
-                key: need_str(q, "key")?.to_string(),
-                label: need_str(q, "label")?.to_string(),
-                reason: match need_str(q, "reason")? {
-                    "panic" => "panic",
-                    "timeout" => "timeout",
-                    _ => "error",
-                },
-                attempts: need_u64(q, "attempts")? as u32,
-                detail: need_str(q, "detail")?.to_string(),
-                repro: need_str(q, "repro")?.to_string(),
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regwin_core::{Concurrency, Granularity};
+    use regwin_core::{Behavior, Concurrency, Granularity};
+    use regwin_machine::SchemeKind;
     use regwin_sweep::records_to_json;
 
     fn spec() -> MatrixSpec {
@@ -378,10 +326,10 @@ mod tests {
     #[test]
     fn every_behavior_name_parses_back() {
         for b in Behavior::ALL {
-            assert_eq!(behavior_from_name(&b.to_string()).unwrap(), b);
+            assert_eq!(serial::behavior_from_name(&b.to_string()).unwrap(), b);
         }
-        assert!(behavior_from_name("high").is_err());
-        assert!(behavior_from_name("high/blurry").is_err());
+        assert!(serial::behavior_from_name("high").is_err());
+        assert!(serial::behavior_from_name("high/blurry").is_err());
     }
 
     #[test]
@@ -393,7 +341,7 @@ mod tests {
             ("type", Value::Str("records".into())),
             ("records", Value::Raw(records_to_json(&records))),
             ("summary", summary_to_value(&SweepSummary::default())),
-            ("quarantine", quarantine_to_value(&[])),
+            ("quarantine", serial::quarantine_to_value(&[])),
         ]);
         let mut bytes = Vec::new();
         write_frame(&mut bytes, &frame).unwrap();
@@ -489,20 +437,9 @@ mod tests {
     }
 
     #[test]
-    fn summaries_and_quarantines_round_trip() {
+    fn summaries_round_trip() {
         let s = SweepSummary { jobs: 9, cache_hits: 4, cache_misses: 5, quarantined: 1 };
         let back = summary_from_value(&summary_to_value(&s)).unwrap();
         assert_eq!(back, s);
-        let q = vec![QuarantineRecord {
-            id: "deadbeef".into(),
-            key: "v6|exp=matrix".into(),
-            label: "SP FIFO w=8".into(),
-            reason: "timeout",
-            attempts: 3,
-            detail: "wedged".into(),
-            repro: "v6|... --fault-seed 1".into(),
-        }];
-        let back = quarantine_from_value(&quarantine_to_value(&q)).unwrap();
-        assert_eq!(back, q);
     }
 }

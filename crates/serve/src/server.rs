@@ -23,13 +23,14 @@
 //! once every session thread has unwound.
 
 use crate::protocol::{
-    frame_type, quarantine_to_value, spec_from_value, summary_to_value, write_frame, FrameReader,
-    EVENT_PREFIX, PROTO_VERSION,
+    frame_type, spec_from_value, summary_to_value, write_frame, FrameReader, EVENT_PREFIX,
+    PROTO_VERSION,
 };
 use regwin_core::MatrixSpec;
 use regwin_obs::{Probe, StreamProbe};
 use regwin_sweep::json::{obj, Value};
-use regwin_sweep::{fnv1a, AdmissionGate, SweepConfigError, SweepEngine};
+use regwin_sweep::serial::quarantine_to_value;
+use regwin_sweep::{fnv1a, remove_socket, AdmissionGate, SweepConfigError, SweepEngine};
 use std::io::{ErrorKind, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -178,7 +179,7 @@ impl Server {
                         format!("a daemon is already listening on {}", config.socket.display()),
                     ));
                 }
-                std::fs::remove_file(&config.socket)?;
+                remove_socket(&config.socket)?;
                 UnixListener::bind(&config.socket)?
             }
             Err(e) => return Err(e),
@@ -252,7 +253,7 @@ impl Server {
         for handle in sessions {
             let _ = handle.join();
         }
-        let _ = std::fs::remove_file(&self.shared.config.socket);
+        let _ = remove_socket(&self.shared.config.socket);
         Ok(())
     }
 }

@@ -26,8 +26,12 @@
 //! entry. Since no reader ever renames or removes an entry, a reader
 //! holding stale bytes cannot destroy an entry that a concurrent store
 //! has just published.
+//!
+//! A store goes through the disk module's replace policy (one directory
+//! creation, a temporary write and a rename, no fsync), so a crash
+//! leaves the old entry, the new one or none, never a torn one.
 
-use crate::engine::write_file_atomic;
+use crate::disk::{self, write_file_atomic};
 use crate::json::write_string;
 use crate::key::{fnv1a, JobKey, KeyNames, FORMAT_VERSION};
 use crate::serial::{report_from_json, report_to_json};
@@ -67,7 +71,7 @@ impl ResultCache {
     /// returning the entry's report bytes: the exact text the checksum
     /// was verified over and the report was decoded from.
     pub(crate) fn load_verified(&self, names: &KeyNames) -> Option<(RunReport, String)> {
-        let text = std::fs::read_to_string(self.path_for(names)).ok()?;
+        let text = String::from_utf8(disk::read(&self.path_for(names)).ok()?).ok()?;
         decode_entry(text, &names.canonical)
     }
 
@@ -81,10 +85,6 @@ impl ResultCache {
     /// [`ResultCache::store`] for a key whose strings are built and a
     /// report already serialized by [`report_to_json`].
     pub(crate) fn store_json(&self, names: &KeyNames, report_json: &str) {
-        if let Err(e) = std::fs::create_dir_all(&self.dir) {
-            eprintln!("warning: cannot create cache dir {}: {e}", self.dir.display());
-            return;
-        }
         let mut entry = entry_head(&names.canonical, fnv1a(report_json.as_bytes()));
         entry.push_str(report_json);
         entry.push('}');

@@ -1,14 +1,17 @@
-//! Cross-process advisory file locks for shared sweep state.
+//! The lock-file policy: cross-process advisory file locks for shared
+//! sweep state.
 //!
 //! A [`DirLock`] is an exclusive kernel lock (std's [`File::try_lock`]
 //! and [`File::lock`]) on a lock file, held through the open [`File`].
 //! It guards the two pieces of sweep state that several engines may
 //! share through one directory: the write-ahead journal and the cache
-//! directory's `wall_hints.json`. The kernel releases the lock when the
-//! file closes, whether its holder drops it, exits, is killed or
-//! crashes, so a dead holder never wedges a later run and nothing is
-//! written into the file. Two opens are separate open file
-//! descriptions, so two lockers in one process exclude each other too.
+//! directory's `wall_hints.json`. Taking one creates the lock file's
+//! directory, which is also the journal's, so a journal opens no other.
+//! The kernel releases the lock when the file closes, whether its
+//! holder drops it, exits, is killed or crashes, so a dead holder never
+//! wedges a later run and nothing is written into the file, or synced.
+//! Two opens are separate open file descriptions, so two lockers in one
+//! process exclude each other too.
 //!
 //! Dropping the guard removes the file while the lock is still held, so
 //! a finished holder leaves nothing behind. A locker that opened the
@@ -51,13 +54,11 @@ impl DirLock {
         path: PathBuf,
         mut lock: impl FnMut(&File) -> Result<(), TryLockError>,
     ) -> io::Result<Option<DirLock>> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
+        super::create_parent(&path)?;
         loop {
+            seam!(Open, &path);
             let file = File::options().write(true).create(true).truncate(false).open(&path)?;
+            seam!(Lock, &path);
             match lock(&file) {
                 Ok(()) => {}
                 Err(TryLockError::WouldBlock) => return Ok(None),
@@ -72,13 +73,14 @@ impl DirLock {
 
 impl Drop for DirLock {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        let _ = super::remove(&self.path);
     }
 }
 
 /// Whether `file` is the file at `path`: a holder's drop may have
 /// removed it between our open and our lock.
 fn is_at(file: &File, path: &Path) -> io::Result<bool> {
+    seam!(Stat, path);
     let held = file.metadata()?;
     Ok(std::fs::metadata(path).is_ok_and(|at| (at.dev(), at.ino()) == (held.dev(), held.ino())))
 }
@@ -127,7 +129,7 @@ mod tests {
         let path = tmplock("killed");
         let _ = std::fs::remove_file(&path);
         let mut child = Command::new(std::env::current_exe().unwrap())
-            .args(["--exact", "lock::tests::a_child_holds_the_lock_until_killed"])
+            .args(["--exact", "disk::lock::tests::a_child_holds_the_lock_until_killed"])
             .args(["--ignored", "--nocapture", "--test-threads=1"])
             .env(HELD_LOCK_ENV, &path)
             .stdout(Stdio::piped())

@@ -14,12 +14,12 @@
 //! trace when at least one of its cells actually missed the cache.
 
 use crate::cache::ResultCache;
+use crate::disk::{self, write_file_atomic, DirLock};
 use crate::gate::AdmissionGate;
 use crate::journal::{replay_journal, JournalOpenError, JournalReplay, SweepJournal};
 use crate::json::{obj, Value};
 use crate::key::{JobKey, KeyNames};
-use crate::lock::DirLock;
-use crate::serial::{report_to_json, write_records};
+use crate::serial::{quarantine_to_value, report_to_json, write_records};
 use regwin_core::{Behavior, MatrixSpec, RunRecord};
 use regwin_machine::MachineConfig;
 use regwin_obs::jsonl::Row;
@@ -760,7 +760,9 @@ impl SweepEngine {
     /// unparseable files degrade scheduling quality, never correctness.
     fn load_wall_hints(&self) -> BTreeMap<String, f64> {
         let Some(cache) = &self.cache else { return BTreeMap::new() };
-        let Ok(text) = std::fs::read_to_string(cache.dir().join(WALL_HINTS_FILE)) else {
+        let path = cache.dir().join(WALL_HINTS_FILE);
+        let Some(text) = disk::read(&path).ok().and_then(|bytes| String::from_utf8(bytes).ok())
+        else {
             return BTreeMap::new();
         };
         match crate::json::parse(&text) {
@@ -1287,25 +1289,7 @@ impl SweepEngine {
             fields.push(("timings", self.timings_value()));
         }
         fields.push(("jobs", jobs));
-        fields.push((
-            "quarantine",
-            Value::Arr(
-                quarantine
-                    .iter()
-                    .map(|q| {
-                        obj(vec![
-                            ("id", Value::Str(q.id.clone())),
-                            ("key", Value::Str(q.key.clone())),
-                            ("label", Value::Str(q.label.clone())),
-                            ("reason", Value::Str(q.reason.into())),
-                            ("attempts", Value::Int(u64::from(q.attempts))),
-                            ("detail", Value::Str(q.detail.clone())),
-                            ("repro", Value::Str(q.repro.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
+        fields.push(("quarantine", quarantine_to_value(&quarantine)));
         obj(fields)
     }
 
@@ -1434,36 +1418,6 @@ impl SweepEngine {
     pub fn write_artifact(&self, path: &Path) -> std::io::Result<()> {
         write_file_atomic(path, &self.artifact_value().to_json())
     }
-}
-
-/// Writes `contents` to `path` atomically: the bytes land in a `.tmp`
-/// sibling unique to this write (pid and a process-wide sequence
-/// number) and are renamed into place, so a crash mid-write can never
-/// leave a torn file at `path`. Parent directories are created as
-/// needed; concurrent writers of identical bytes, in one process or
-/// several, race benignly (either rename winning leaves the same file).
-///
-/// # Errors
-///
-/// Propagates filesystem errors (the temporary file is cleaned up).
-pub fn write_file_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "out".to_string());
-    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-    let tmp = path.with_file_name(format!("{name}.tmp.{}.{seq}", std::process::id()));
-    let result = std::fs::write(&tmp, contents).and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
 }
 
 /// A [`MetricSet`] as a JSON object: nonzero counters in canonical
@@ -2319,44 +2273,5 @@ mod tests {
         assert_eq!(engine.shutdown_skipped() as usize, spec2.len());
         assert_eq!(engine.summary().jobs, before, "skipped jobs must not be logged");
         assert!(engine.quarantine().is_empty(), "skipped jobs must not quarantine");
-    }
-
-    #[test]
-    fn concurrent_atomic_writes_of_one_path_are_whole() {
-        let dir = std::env::temp_dir()
-            .join(format!("regwin-sweep-atomic-write-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("entry.json");
-        // Large enough that a write is not one page: a shared temporary
-        // file would be truncated under a rename and read torn.
-        let payload = "0123456789abcdef".repeat(1 << 17);
-        let (done, failed, torn) = (AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0));
-        std::thread::scope(|scope| {
-            let writers = 4;
-            for _ in 0..writers {
-                scope.spawn(|| {
-                    for _ in 0..25 {
-                        if write_file_atomic(&path, &payload).is_err() {
-                            failed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    done.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-            while done.load(Ordering::Relaxed) < writers {
-                match std::fs::read_to_string(&path) {
-                    Ok(read) if !read.is_empty() && read != payload => {
-                        torn.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Ok(_) => {}
-                    Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
-                }
-            }
-        });
-        assert_eq!(failed.into_inner(), 0, "every write must succeed");
-        assert_eq!(torn.into_inner(), 0, "every read must be empty or whole");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), payload);
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "no temporary file is left");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

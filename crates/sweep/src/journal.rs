@@ -16,6 +16,12 @@
 //! line (the only kind of damage an append-then-fsync discipline can
 //! leave) fails its checksum and is skipped.
 //!
+//! Lines go through the disk module's durable-append policy: reopening
+//! a journal to resume reads only its last byte, and terminates a torn
+//! tail so that the next line does not glue onto it. The unit test
+//! `every_crash_point_of_a_journaled_sweep_resumes_byte_identically`
+//! fails, and tears then kills, every disk operation of a small sweep.
+//!
 //! Line format: `{"sum":"<16-hex>","payload":{...}}` where `sum` is the
 //! FNV-1a hash of the payload bytes exactly as written. Payloads carry a
 //! `"type"` of `"job"` (a [`JobRecord`] plus its full [`RunReport`]) or
@@ -37,20 +43,19 @@
 //! A journal is a **single-writer** file: two engines appending to the
 //! same path would interleave torn lines and corrupt each other's
 //! resume state. Opening one therefore takes an advisory kernel lock on
-//! `<path>.lock` and fails typed, [`JournalOpenError::Busy`], while
-//! another engine holds it. The kernel releases the lock with its
-//! holder, so the lock file a killed writer leaves behind does not
-//! block the resume.
+//! `<path>.lock`, which also creates the journal's directory, and fails
+//! typed, [`JournalOpenError::Busy`], while another engine holds it.
+//! The kernel releases the lock with its holder, so the lock file a
+//! killed writer leaves behind does not block the resume.
 
+use crate::disk::{self, Appender, DirLock};
 use crate::engine::{JobRecord, QuarantineRecord};
-use crate::json::{obj, ParseError, Reader, Value};
+use crate::json::{obj, Reader, Value};
 use crate::key::{fnv1a, FORMAT_VERSION};
-use crate::lock::DirLock;
-use crate::serial::{read_report, report_to_json, DecodeError};
+use crate::serial::{quarantine_members, read_quarantine_members, read_report, report_to_json};
+use crate::serial::{string_member, DecodeError};
 use regwin_rt::RunReport;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -60,7 +65,7 @@ use std::sync::Mutex;
 pub struct SweepJournal {
     /// The open file: `None` until a resumed journal's first append
     /// opens it, so a session that journals nothing creates no file.
-    file: Mutex<Option<File>>,
+    file: Mutex<Option<Appender>>,
     path: PathBuf,
     /// Released (file removed) when the journal drops.
     _lock: DirLock,
@@ -133,13 +138,8 @@ impl SweepJournal {
     /// journal's single-writer lock; filesystem errors otherwise.
     pub fn create(path: impl Into<PathBuf>) -> Result<Self, JournalOpenError> {
         let path = path.into();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
         let lock = lock_journal(&path)?;
-        let file = File::create(&path)?;
+        let file = Appender::create(&path)?;
         Ok(SweepJournal { file: Mutex::new(Some(file)), path, _lock: lock })
     }
 
@@ -153,29 +153,8 @@ impl SweepJournal {
     /// journal's single-writer lock; filesystem errors otherwise.
     pub fn append_to(path: impl Into<PathBuf>) -> Result<Self, JournalOpenError> {
         let path = path.into();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
         let lock = lock_journal(&path)?;
         Ok(SweepJournal { file: Mutex::new(None), path, _lock: lock })
-    }
-
-    /// Opens the journal file for appending, creating it if missing. A
-    /// kill -9 mid-append can leave a torn, newline-less final line;
-    /// terminate it so fresh appends start a new line (the torn one then
-    /// simply fails its checksum on the next replay) instead of gluing
-    /// onto the garbage and corrupting themselves.
-    fn open_for_append(&self) -> std::io::Result<File> {
-        let torn_tail = std::fs::read(&self.path)
-            .map(|bytes| bytes.last().is_some_and(|&b| b != b'\n'))
-            .unwrap_or(false);
-        let mut file = OpenOptions::new().create(true).append(true).open(&self.path)?;
-        if torn_tail {
-            file.write_all(b"\n")?;
-        }
-        Ok(file)
     }
 
     /// The journal's path.
@@ -220,17 +199,12 @@ impl SweepJournal {
     /// Propagates filesystem errors (flushed and fsync'd like
     /// [`SweepJournal::append_job`]).
     pub fn append_quarantine(&self, q: &QuarantineRecord) -> std::io::Result<()> {
-        self.append_payload(obj(vec![
+        let mut fields = vec![
             ("type", Value::Str("quarantine".into())),
             ("version", Value::Int(u64::from(FORMAT_VERSION))),
-            ("id", Value::Str(q.id.clone())),
-            ("key", Value::Str(q.key.clone())),
-            ("label", Value::Str(q.label.clone())),
-            ("reason", Value::Str(q.reason.into())),
-            ("attempts", Value::Int(u64::from(q.attempts))),
-            ("detail", Value::Str(q.detail.clone())),
-            ("repro", Value::Str(q.repro.clone())),
-        ]))
+        ];
+        fields.extend(quarantine_members(q));
+        self.append_payload(obj(fields))
     }
 
     /// Appends one checksummed line and fsyncs it.
@@ -243,11 +217,9 @@ impl SweepJournal {
         let mut guard = self.file.lock().unwrap_or_else(|e| e.into_inner());
         let file = match &mut *guard {
             Some(file) => file,
-            None => guard.insert(self.open_for_append()?),
+            None => guard.insert(Appender::open(&self.path)?),
         };
-        file.write_all(line.as_bytes())?;
-        file.flush()?;
-        file.sync_data()
+        file.append(line.as_bytes())
     }
 }
 
@@ -257,7 +229,7 @@ impl SweepJournal {
 /// was finished).
 pub fn replay_journal(path: &Path) -> JournalReplay {
     let mut replay = JournalReplay::default();
-    let Ok(bytes) = std::fs::read(path) else {
+    let Ok(bytes) = disk::read(path) else {
         return replay;
     };
     // A damaged byte that is not UTF-8 fails its own line's checksum,
@@ -295,12 +267,6 @@ fn decode_line(line: &str) -> Option<Entry> {
     decode_payload(payload).ok()
 }
 
-/// Reads the string member named `key`.
-fn string_member(r: &mut Reader<'_>, key: &str) -> Result<String, ParseError> {
-    r.key(key)?;
-    Ok(r.str()?.into_owned())
-}
-
 /// Decodes a checksummed payload of this build's format version.
 fn decode_payload(payload: &str) -> Result<Entry, DecodeError> {
     let mut r = Reader::new(payload);
@@ -312,13 +278,13 @@ fn decode_payload(payload: &str) -> Result<Entry, DecodeError> {
     if version != u64::from(FORMAT_VERSION) {
         return Err(DecodeError(format!("format version {version}")));
     }
-    let (id, key, label) = (
-        string_member(&mut r, "id")?,
-        string_member(&mut r, "key")?,
-        string_member(&mut r, "label")?,
-    );
     let entry = match &*kind {
         "job" => {
+            let (id, key, label) = (
+                string_member(&mut r, "id")?,
+                string_member(&mut r, "key")?,
+                string_member(&mut r, "label")?,
+            );
             let cache_hit = string_member(&mut r, "cache")? == "hit";
             r.key("total_cycles")?;
             let total_cycles = r.u64()?;
@@ -327,22 +293,7 @@ fn decode_payload(payload: &str) -> Result<Entry, DecodeError> {
             let record = JobRecord { id, key, label, cache_hit, wall_ms: 0.0, total_cycles };
             Entry::Job(record, Box::new(report))
         }
-        "quarantine" => {
-            // `reason` needs a `&'static str`; map through the known set
-            // so a hand-edited journal cannot smuggle in an arbitrary
-            // string.
-            let reason = match &*string_member(&mut r, "reason")? {
-                "panic" => "panic",
-                "timeout" => "timeout",
-                "error" => "error",
-                other => return Err(DecodeError(format!("unknown quarantine reason '{other}'"))),
-            };
-            r.key("attempts")?;
-            let attempts = r.u64()? as u32;
-            let (detail, repro) =
-                (string_member(&mut r, "detail")?, string_member(&mut r, "repro")?);
-            Entry::Quarantine(QuarantineRecord { id, key, label, reason, attempts, detail, repro })
-        }
+        "quarantine" => Entry::Quarantine(read_quarantine_members(&mut r)?),
         other => return Err(DecodeError(format!("unknown journal entry type '{other}'"))),
     };
     r.end_object()?;

@@ -51,19 +51,20 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod cache;
+mod disk;
 pub mod engine;
 pub mod gate;
 pub mod journal;
 pub mod json;
 pub mod key;
-mod lock;
 pub mod serial;
 pub mod studies;
 
 pub use cache::ResultCache;
+pub use disk::{create_dir, remove_socket, write_file_atomic};
 pub use engine::{
-    write_file_atomic, Job, JobRecord, QuarantineRecord, SweepConfig, SweepConfigBuilder,
-    SweepConfigError, SweepEngine, SweepSummary,
+    Job, JobRecord, QuarantineRecord, SweepConfig, SweepConfigBuilder, SweepConfigError,
+    SweepEngine, SweepSummary,
 };
 pub use gate::{AdmissionGate, GateClosed, GateTicket};
 pub use journal::{replay_journal, JournalOpenError, JournalReplay, SweepJournal};

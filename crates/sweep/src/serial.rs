@@ -19,7 +19,8 @@
 //! matrix's run records, each a report plus its cell: the daemon's
 //! `records` frame carries that text and its client decodes it here.
 
-use crate::json::{write_f64, write_string, write_u64, ParseError, Reader};
+use crate::engine::QuarantineRecord;
+use crate::json::{obj, write_f64, write_string, write_u64, ParseError, Reader, Value};
 use regwin_core::{Behavior, Concurrency, Granularity, RunRecord};
 use regwin_machine::{
     CycleCategory, CycleCounter, MachineStats, SchemeKind, SwitchShape, ThreadStats,
@@ -214,7 +215,12 @@ fn array<T>(
     out.push(']');
 }
 
-fn scheme_from_name(name: &str) -> Result<SchemeKind, DecodeError> {
+/// Parses a scheme from its name, e.g. `"SP"`.
+///
+/// # Errors
+///
+/// Fails on an unknown scheme name.
+pub fn scheme_from_name(name: &str) -> Result<SchemeKind, DecodeError> {
     SchemeKind::ALL
         .into_iter()
         .find(|s| s.name() == name)
@@ -437,6 +443,70 @@ pub fn records_from_json(text: &str) -> Result<Vec<RunRecord>, DecodeError> {
     })?;
     r.finish()?;
     Ok(records)
+}
+
+/// The members of a [`QuarantineRecord`], in the one order every
+/// encoding of one writes them: the artifact's `quarantine` list, a
+/// journal's quarantine line and a daemon's `records` frame.
+pub(crate) fn quarantine_members(q: &QuarantineRecord) -> Vec<(&'static str, Value)> {
+    vec![
+        ("id", Value::Str(q.id.clone())),
+        ("key", Value::Str(q.key.clone())),
+        ("label", Value::Str(q.label.clone())),
+        ("reason", Value::Str(q.reason.into())),
+        ("attempts", Value::Int(u64::from(q.attempts))),
+        ("detail", Value::Str(q.detail.clone())),
+        ("repro", Value::Str(q.repro.clone())),
+    ]
+}
+
+/// A quarantine list as the artifact and a daemon's `records` frame
+/// carry it: one object of [`QuarantineRecord`] members per record.
+pub fn quarantine_to_value(list: &[QuarantineRecord]) -> Value {
+    Value::Arr(list.iter().map(|q| obj(quarantine_members(q))).collect())
+}
+
+/// Decodes the quarantine list [`quarantine_to_value`] wrote, straight
+/// from the text and in its canonical field order.
+///
+/// # Errors
+///
+/// Fails on text out of that layout and on a `reason` other than
+/// `"panic"`, `"timeout"` or `"error"`.
+pub fn quarantine_from_json(text: &str) -> Result<Vec<QuarantineRecord>, DecodeError> {
+    let mut r = Reader::new(text);
+    let mut list = Vec::new();
+    r.array(|r| -> Result<(), DecodeError> {
+        r.begin_object()?;
+        list.push(read_quarantine_members(r)?);
+        r.end_object()?;
+        Ok(())
+    })?;
+    r.finish()?;
+    Ok(list)
+}
+
+/// Reads a quarantine record's members in the order
+/// [`quarantine_members`] writes them.
+pub(crate) fn read_quarantine_members(r: &mut Reader<'_>) -> Result<QuarantineRecord, DecodeError> {
+    let (id, key, label) =
+        (string_member(r, "id")?, string_member(r, "key")?, string_member(r, "label")?);
+    // `reason` needs a `&'static str`: one of the known set, so edited
+    // text cannot smuggle in an arbitrary string.
+    let name = string_member(r, "reason")?;
+    let reason = ["panic", "timeout", "error"].into_iter().find(|&known| known == name);
+    let reason =
+        reason.ok_or_else(|| DecodeError(format!("unknown quarantine reason '{name}'")))?;
+    r.key("attempts")?;
+    let attempts = r.u64()? as u32;
+    let (detail, repro) = (string_member(r, "detail")?, string_member(r, "repro")?);
+    Ok(QuarantineRecord { id, key, label, reason, attempts, detail, repro })
+}
+
+/// Reads the string member named `key`.
+pub(crate) fn string_member(r: &mut Reader<'_>, key: &str) -> Result<String, ParseError> {
+    r.key(key)?;
+    Ok(r.str()?.into_owned())
 }
 
 /// The tree decoders the pull decoders replaced, kept as their
@@ -946,5 +1016,23 @@ mod tests {
         // Whitespace between tokens is not a layout change.
         let spaced = text.replace(",\"", ", \"").replace("\":", "\" : ");
         assert_eq!(report_from_json(&spaced).unwrap(), report);
+    }
+
+    #[test]
+    fn quarantine_lists_round_trip_and_an_unknown_reason_is_an_error() {
+        let q = vec![QuarantineRecord {
+            id: "deadbeef".into(),
+            key: "v6|exp=matrix".into(),
+            label: "SP FIFO w=8".into(),
+            reason: "timeout",
+            attempts: 3,
+            detail: "wedged".into(),
+            repro: "v6|... --fault-seed 1".into(),
+        }];
+        let text = quarantine_to_value(&q).to_json();
+        assert_eq!(quarantine_from_json(&text).unwrap(), q);
+        assert_eq!(quarantine_from_json("[]").unwrap(), []);
+        let err = quarantine_from_json(&text.replace("timeout", "boredom")).unwrap_err();
+        assert!(err.0.contains("unknown quarantine reason 'boredom'"), "{err}");
     }
 }

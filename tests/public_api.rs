@@ -11,7 +11,8 @@
 //! it records the first line of every declaration whose visibility is
 //! exactly `pub` — `pub(crate)`/`pub(super)` items are internal and
 //! ignored — and stops at each file's `#[cfg(test)]` module, which by
-//! workspace convention is the last item in a file.
+//! workspace convention is the last item in a file. A `#[cfg(test)]` on
+//! a statement, a `use` or a macro's expansion does not stop it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -63,6 +64,17 @@ fn public_decl(line: &str) -> Option<String> {
     Some(head.to_string())
 }
 
+/// Whether `line` declares a module (`mod x {` or `mod x;`, with any
+/// visibility): the `#[cfg(test)]` above such a line starts a file's
+/// tests, while one on a statement or a `use` does not.
+fn declares_mod(line: &str) -> bool {
+    let line = line.trim_start();
+    let line = line.strip_prefix("pub").map_or(line, |rest| {
+        rest.strip_prefix("(crate)").or(rest.strip_prefix("(super)")).unwrap_or(rest).trim_start()
+    });
+    line.starts_with("mod ")
+}
+
 fn surface() -> String {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut roots: Vec<(String, PathBuf)> = vec![("regwin".into(), root.join("src"))];
@@ -85,8 +97,11 @@ fn surface() -> String {
         for file in files {
             let rel = file.strip_prefix(&src).unwrap().display().to_string();
             let text = fs::read_to_string(&file).expect("source file must be readable");
-            for line in text.lines() {
-                if line.trim() == "#[cfg(test)]" {
+            let mut lines_of_file = text.lines().peekable();
+            while let Some(line) = lines_of_file.next() {
+                if line.trim() == "#[cfg(test)]"
+                    && lines_of_file.peek().is_some_and(|l| declares_mod(l))
+                {
                     break;
                 }
                 if let Some(decl) = public_decl(line) {

@@ -9,13 +9,11 @@
 //! (tables, figures, artifacts) is byte-identical.
 
 use crate::protocol::{
-    frame_type, spec_to_value, summary_from_value, write_frame, FrameReader, EVENT_PREFIX,
-    PROTO_VERSION,
+    frame_type, spec_to_value, write_frame, FrameReader, EVENT_PREFIX, PROTO_VERSION,
 };
 use regwin_core::{MatrixSpec, RunRecord};
-use regwin_sweep::json::{members, obj, parse, Value};
-use regwin_sweep::serial::quarantine_from_json;
-use regwin_sweep::{records_from_json, QuarantineRecord, SweepSummary};
+use regwin_sweep::json::{obj, parse, Value};
+use regwin_sweep::{records_frame_from_json, QuarantineRecord, SweepSummary};
 use std::fmt;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
@@ -204,31 +202,19 @@ impl ServeClient {
                 }
                 continue;
             }
-            // Every other frame is split into its members first, so a
-            // `records` frame's run records decode straight from their
-            // text in the reader's buffer, with no tree and no copy.
-            let parts = members(&line).map_err(bad_frame)?;
-            let part = |name: &str| {
-                parts
-                    .iter()
-                    .find(|(key, _)| key == name)
-                    .map(|&(_, text)| text)
-                    .ok_or_else(|| ClientError::Protocol(format!("frame without '{name}'")))
-            };
-            let kind = parse(part("type")?).map_err(bad_frame)?;
-            if kind.as_str() == Some("records") {
+            // A `records` frame decodes in one pass over its text in the
+            // reader's buffer, with no tree and no copy.
+            let frame =
+                records_frame_from_json(line).map_err(|e| ClientError::Protocol(e.to_string()))?;
+            if let Some(frame) = frame {
                 if drawn.0 != done {
                     draw_progress(done, total);
                 }
-                let small = |name: &str| parse(part(name)?).map_err(bad_frame);
-                self.summary = summary_from_value(&small("summary")?)
-                    .map_err(|e| ClientError::Protocol(e.0))?;
-                self.quarantine = quarantine_from_json(part("quarantine")?)
-                    .map_err(|e| ClientError::Protocol(e.0))?;
-                return records_from_json(part("records")?)
-                    .map_err(|e| ClientError::Protocol(e.to_string()));
+                self.summary = frame.summary;
+                self.quarantine = frame.quarantine;
+                return Ok(frame.records);
             }
-            let frame = parse(&line).map_err(bad_frame)?;
+            let frame = parse(line).map_err(bad_frame)?;
             match frame_type(&frame).unwrap_or("?") {
                 // An event in another layout than the daemon writes.
                 "event" => {}

@@ -29,15 +29,22 @@
 //! | `ok` | — | acknowledges `shutdown` |
 //!
 //! Control frames decode through a [`Value`] tree: they are small. A
-//! `records` frame is not (about 220 KB for 108 cells), so the client
-//! takes its line from the [`FrameReader`]'s buffer without a copy,
-//! splits it into members with [`regwin_sweep::json::members`], and
-//! decodes the run records straight from their text with
-//! [`regwin_sweep::records_from_json`], and the quarantine list with
-//! [`regwin_sweep::serial::quarantine_from_json`], the decoder the
-//! journal's quarantine lines share. Only `summary` goes through a
-//! tree. An `event` frame is not decoded at all: the client counts the
-//! `end` events by their line's prefix.
+//! `records` frame is not (about 220 KB for 108 cells), so the daemon
+//! writes it with [`regwin_sweep::write_records_frame`] and the client
+//! decodes it with [`regwin_sweep::records_frame_from_json`], the pair
+//! beside the report codec: one pass over the line in the
+//! [`FrameReader`]'s buffer pulls `type`, the run records, `summary` and
+//! `quarantine` in the order they were written, with no tree and no
+//! copy. Only a frame whose first member is not `"type":"records"` goes
+//! on to the tree. An `event` frame is not decoded at all: the client
+//! counts the `end` events by their line's prefix.
+//!
+//! The reader reads each byte once. It keeps an offset into its buffer
+//! and moves the unread bytes to the front once, before a read, not
+//! after every line; it finds a newline a word at a time, and checks the
+//! line is UTF-8 once. A line that is not UTF-8 is an
+//! [`std::io::ErrorKind::InvalidData`] error, as a line that is not JSON
+//! is.
 //!
 //! The daemon writes a sweep's events in batches, each batch in one
 //! socket write: the engine hands over what it holds after the cache
@@ -51,8 +58,7 @@ use regwin_machine::TimingKind;
 use regwin_rt::SchedulingPolicy;
 use regwin_spell::CorpusSpec;
 use regwin_sweep::json::{obj, parse, Value};
-use regwin_sweep::{serial, SweepSummary};
-use std::borrow::Cow;
+use regwin_sweep::serial;
 use std::fmt;
 use std::io::Write;
 
@@ -124,25 +130,19 @@ const READ_CHUNK: usize = 64 << 10;
 #[derive(Debug)]
 pub struct FrameReader<R> {
     inner: R,
+    /// `buf[start..end]` is received and not yet handed out as a line;
+    /// `buf[end..]` is room for the next read.
     buf: Vec<u8>,
-    /// Leading bytes of `buf` already handed out as a line, dropped at
-    /// the next read.
-    consumed: usize,
-    /// Bytes of `buf` after `consumed` already searched for a newline.
+    start: usize,
+    end: usize,
+    /// `buf[start..scanned]` holds no newline.
     scanned: usize,
-    chunk: Box<[u8]>,
 }
 
 impl<R: std::io::Read> FrameReader<R> {
     /// Wraps a byte stream.
     pub fn new(inner: R) -> Self {
-        FrameReader {
-            inner,
-            buf: Vec::new(),
-            consumed: 0,
-            scanned: 0,
-            chunk: vec![0; READ_CHUNK].into(),
-        }
+        FrameReader { inner, buf: Vec::new(), start: 0, end: 0, scanned: 0 }
     }
 
     /// The next frame; `Ok(None)` at end of stream.
@@ -150,39 +150,59 @@ impl<R: std::io::Read> FrameReader<R> {
     /// # Errors
     ///
     /// Timeouts (`WouldBlock`/`TimedOut`) propagate with the partial
-    /// frame retained — call again to continue. Unparseable lines, and
-    /// lines longer than [`MAX_FRAME_BYTES`], surface as
-    /// [`std::io::ErrorKind::InvalidData`]; the reader never buffers
-    /// more than one byte past the limit.
+    /// frame retained — call again to continue. Lines that are not
+    /// UTF-8 or not JSON, and lines longer than [`MAX_FRAME_BYTES`],
+    /// surface as [`std::io::ErrorKind::InvalidData`]; the reader never
+    /// buffers more than one byte past the limit.
     pub fn next_frame(&mut self) -> std::io::Result<Option<Value>> {
         let Some(line) = self.next_line()? else { return Ok(None) };
-        parse(&line).map(Some).map_err(|e| invalid(format!("bad frame: {e}")))
+        parse(line).map(Some).map_err(|e| invalid(format!("bad frame: {e}")))
     }
 
     /// The next frame's text, borrowed from the reader's buffer: a
     /// caller that decodes the text itself (the client, for `records`
     /// frames) gets it without a copy. Errors as
     /// [`FrameReader::next_frame`], except that the text is not parsed.
-    pub(crate) fn next_line(&mut self) -> std::io::Result<Option<Cow<'_, str>>> {
-        self.buf.drain(..std::mem::take(&mut self.consumed));
+    pub(crate) fn next_line(&mut self) -> std::io::Result<Option<&str>> {
         loop {
-            if let Some(pos) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
-                let end = self.scanned + pos;
-                self.consumed = end + 1;
-                self.scanned = 0;
-                return Ok(Some(String::from_utf8_lossy(&self.buf[..end])));
+            if let Some(at) = find_newline(&self.buf[self.scanned..self.end]) {
+                let (line, newline) = (self.start, self.scanned + at);
+                (self.start, self.scanned) = (newline + 1, newline + 1);
+                return match std::str::from_utf8(&self.buf[line..newline]) {
+                    Ok(text) => Ok(Some(text)),
+                    Err(e) => Err(invalid(format!("frame is not UTF-8: {e}"))),
+                };
             }
-            self.scanned = self.buf.len();
-            if self.buf.len() > MAX_FRAME_BYTES {
+            let unread = self.end - self.start;
+            if unread > MAX_FRAME_BYTES {
                 return Err(invalid(format!("frame longer than {MAX_FRAME_BYTES} bytes")));
             }
-            let want = self.chunk.len().min(MAX_FRAME_BYTES + 1 - self.buf.len());
-            match self.inner.read(&mut self.chunk[..want])? {
+            // The unread bytes move to the front once, before a read,
+            // not after every line.
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                (self.start, self.end) = (0, unread);
+            }
+            self.scanned = unread;
+            let want = READ_CHUNK.min(MAX_FRAME_BYTES + 1 - unread);
+            if self.buf.len() < unread + want {
+                self.buf.resize(unread + want, 0);
+            }
+            match self.inner.read(&mut self.buf[unread..unread + want])? {
                 0 => return Ok(None),
-                n => self.buf.extend_from_slice(&self.chunk[..n]),
+                n => self.end += n,
             }
         }
     }
+}
+
+/// Where the first `\n` of `bytes` is. `contains` on a byte slice is
+/// core's `memchr`, which tests a word at a time; only the chunk that
+/// holds the newline is walked byte by byte.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const CHUNK: usize = 64;
+    let (i, chunk) = bytes.chunks(CHUNK).enumerate().find(|(_, c)| c.contains(&b'\n'))?;
+    chunk.iter().position(|&b| b == b'\n').map(|at| i * CHUNK + at)
 }
 
 fn invalid(detail: String) -> std::io::Error {
@@ -265,36 +285,14 @@ pub(crate) fn spec_from_value(v: &Value) -> Result<MatrixSpec, ProtoError> {
     Ok(MatrixSpec { corpus, behaviors, schemes, windows, policy, timing })
 }
 
-/// Encodes a sweep summary for a `records` frame.
-pub(crate) fn summary_to_value(s: &SweepSummary) -> Value {
-    obj(vec![
-        ("jobs", Value::Int(s.jobs as u64)),
-        ("cache_hits", Value::Int(s.cache_hits as u64)),
-        ("cache_misses", Value::Int(s.cache_misses as u64)),
-        ("quarantined", Value::Int(s.quarantined as u64)),
-    ])
-}
-
-/// Decodes a `records` frame's summary.
-///
-/// # Errors
-///
-/// Fails on missing or mistyped fields.
-pub(crate) fn summary_from_value(v: &Value) -> Result<SweepSummary, ProtoError> {
-    Ok(SweepSummary {
-        jobs: need_u64(v, "jobs")? as usize,
-        cache_hits: need_u64(v, "cache_hits")? as usize,
-        cache_misses: need_u64(v, "cache_misses")? as usize,
-        quarantined: need_u64(v, "quarantined")? as usize,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use regwin_core::{Behavior, Concurrency, Granularity};
     use regwin_machine::SchemeKind;
-    use regwin_sweep::records_to_json;
+    use regwin_sweep::{
+        records_frame_from_json, records_to_json, write_records_frame, SweepSummary,
+    };
 
     fn spec() -> MatrixSpec {
         MatrixSpec {
@@ -337,23 +335,21 @@ mod tests {
         let mut s = spec();
         s.windows = vec![4];
         let records = regwin_core::run_matrix(&s).expect("matrix runs");
-        let frame = obj(vec![
-            ("type", Value::Str("records".into())),
-            ("records", Value::Raw(records_to_json(&records))),
-            ("summary", summary_to_value(&SweepSummary::default())),
-            ("quarantine", serial::quarantine_to_value(&[])),
-        ]);
-        let mut bytes = Vec::new();
-        write_frame(&mut bytes, &frame).unwrap();
-        let mut reader = FrameReader::new(&bytes[..]);
+        let summary = SweepSummary { jobs: 9, cache_hits: 4, cache_misses: 5, quarantined: 1 };
+        let mut bytes = String::new();
+        write_records_frame(&mut bytes, |out| {
+            out.push_str(&records_to_json(&records));
+            Ok::<_, ProtoError>((summary, Vec::new()))
+        })
+        .unwrap();
+        bytes.push('\n');
+        let mut reader = FrameReader::new(bytes.as_bytes());
         let line = reader.next_line().unwrap().expect("one frame");
-        assert!(matches!(line, Cow::Borrowed(_)), "the line borrows the reader's buffer");
-        let parts = regwin_sweep::json::members(&line).unwrap();
-        let keys: Vec<&str> = parts.iter().map(|(k, _)| &**k).collect();
-        assert_eq!(keys, ["type", "records", "summary", "quarantine"]);
-        let back = regwin_sweep::records_from_json(parts[1].1).unwrap();
-        assert_eq!(back.len(), records.len());
-        for (a, b) in back.iter().zip(&records) {
+        let back = records_frame_from_json(line).unwrap().expect("a records frame");
+        assert_eq!(back.summary, summary);
+        assert!(back.quarantine.is_empty());
+        assert_eq!(back.records.len(), records.len());
+        for (a, b) in back.records.iter().zip(&records) {
             assert_eq!(a.behavior, b.behavior);
             assert_eq!(a.scheme, b.scheme);
             assert_eq!(a.policy, b.policy);
@@ -436,10 +432,136 @@ mod tests {
         assert_eq!(reader.inner.served, MAX_FRAME_BYTES + 1);
     }
 
+    /// splitmix64: the seeded generator of the reader's property test.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A stream cut at random read boundaries, with a `WouldBlock` before
+    /// about one read in four; counts the bytes it has served.
+    struct Chopped<'a> {
+        bytes: &'a [u8],
+        served: usize,
+        rng: u64,
+    }
+
+    impl std::io::Read for Chopped<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let roll = splitmix64(&mut self.rng);
+            if roll.is_multiple_of(4) {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            // Mostly short reads, sometimes as long as the caller allows.
+            let most =
+                if roll.is_multiple_of(3) { out.len() } else { 1 + (roll >> 8) as usize % 300 };
+            let n = most.min(out.len()).min(self.bytes.len() - self.served);
+            out[..n].copy_from_slice(&self.bytes[self.served..self.served + n]);
+            self.served += n;
+            Ok(n)
+        }
+    }
+
+    /// Every line `reader` yields up to the end of its stream, waiting
+    /// out `WouldBlock`s; the first other error ends the list.
+    fn lines(reader: &mut FrameReader<Chopped<'_>>) -> (Vec<Vec<u8>>, Option<std::io::Error>) {
+        let mut got = Vec::new();
+        loop {
+            match reader.next_line() {
+                Ok(Some(line)) => got.push(line.as_bytes().to_vec()),
+                Ok(None) => return (got, None),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) => return (got, Some(e)),
+            }
+        }
+    }
+
+    /// A line of `len` bytes of printable ASCII and two- and four-byte
+    /// characters: UTF-8 with no newline.
+    fn random_line(rng: &mut u64, len: usize) -> String {
+        let mut line = String::with_capacity(len + 3);
+        while line.len() < len {
+            match splitmix64(rng) % 16 {
+                0 => line.push('é'),
+                1 => line.push('🦀'),
+                r => line.push(char::from(b' ' + (r * 7 % 95) as u8)),
+            }
+        }
+        line
+    }
+
     #[test]
-    fn summaries_round_trip() {
-        let s = SweepSummary { jobs: 9, cache_hits: 4, cache_misses: 5, quarantined: 1 };
-        let back = summary_from_value(&summary_to_value(&s)).unwrap();
-        assert_eq!(back, s);
+    fn random_streams_cut_at_random_reads_yield_exactly_their_lines() {
+        for seed in 0..200u64 {
+            let mut rng = seed;
+            let mut stream = String::new();
+            let count = splitmix64(&mut rng) % 40;
+            for i in 0..count {
+                let len = match splitmix64(&mut rng) % 10 {
+                    0 => 0,
+                    1 => (splitmix64(&mut rng) % (3 * READ_CHUNK as u64)) as usize,
+                    _ => (splitmix64(&mut rng) % 300) as usize,
+                };
+                stream.push_str(&random_line(&mut rng, len));
+                // Sometimes the stream ends without a newline.
+                if i + 1 < count || !seed.is_multiple_of(5) {
+                    stream.push('\n');
+                }
+            }
+            // Hundreds of short lines, then one long one.
+            if seed.is_multiple_of(7) {
+                for _ in 0..300 {
+                    let len = (splitmix64(&mut rng) % 40) as usize;
+                    stream.push_str(&random_line(&mut rng, len));
+                    stream.push('\n');
+                }
+                stream.push_str(&random_line(&mut rng, 5 * READ_CHUNK / 2));
+                stream.push('\n');
+            }
+            let bytes = stream.as_bytes();
+            let mut reader = FrameReader::new(Chopped { bytes, served: 0, rng: !seed });
+            let (got, err) = lines(&mut reader);
+            assert!(err.is_none(), "seed {seed}: {err:?}");
+            // The reference: every piece `split` makes but the last, which
+            // is empty or a line the stream never ended.
+            let mut want: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+            want.pop();
+            assert_eq!(got, want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_line_of_max_frame_bytes_is_read_and_one_byte_more_is_refused() {
+        for extra in [0, 1] {
+            let mut bytes = vec![b'x'; MAX_FRAME_BYTES + extra];
+            bytes.extend_from_slice(b"\n{}\n");
+            let mut reader = FrameReader::new(Chopped { bytes: &bytes, served: 0, rng: 9 });
+            let (got, err) = lines(&mut reader);
+            if extra == 0 {
+                assert!(err.is_none(), "{err:?}");
+                assert_eq!(got.iter().map(Vec::len).collect::<Vec<_>>(), [MAX_FRAME_BYTES, 2]);
+            } else {
+                let err = err.expect("a line one byte too long is refused");
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+                assert!(err.to_string().contains("longer than"), "{err}");
+                assert!(got.is_empty());
+                assert_eq!(reader.inner.served, MAX_FRAME_BYTES + 1, "nothing past the limit");
+            }
+            assert!(reader.buf.len() <= MAX_FRAME_BYTES + 1, "{}", reader.buf.len());
+        }
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_a_typed_error_and_the_next_line_still_reads() {
+        let bytes = b"{\"type\":\"\xff\xfe\"}\n{\"type\":\"bye\"}\n";
+        let mut reader = FrameReader::new(&bytes[..]);
+        let err = reader.next_frame().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not UTF-8"), "{err}");
+        assert_eq!(frame_type(&reader.next_frame().unwrap().unwrap()).unwrap(), "bye");
+        assert!(reader.next_frame().unwrap().is_none(), "clean EOF");
     }
 }

@@ -23,14 +23,14 @@
 //! once every session thread has unwound.
 
 use crate::protocol::{
-    frame_type, spec_from_value, summary_to_value, write_frame, FrameReader, EVENT_PREFIX,
-    PROTO_VERSION,
+    frame_type, spec_from_value, write_frame, FrameReader, EVENT_PREFIX, PROTO_VERSION,
 };
 use regwin_core::MatrixSpec;
 use regwin_obs::{Probe, StreamProbe};
 use regwin_sweep::json::{obj, Value};
-use regwin_sweep::serial::quarantine_to_value;
-use regwin_sweep::{fnv1a, remove_socket, AdmissionGate, SweepConfigError, SweepEngine};
+use regwin_sweep::{
+    fnv1a, remove_socket, write_records_frame, AdmissionGate, SweepConfigError, SweepEngine,
+};
 use std::io::{ErrorKind, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -260,9 +260,9 @@ impl Server {
 
 /// Reads frames off `reader`, treating the poll timeout as "check the
 /// shutdown flag and keep waiting". Returns `None` on EOF, a dead peer,
-/// daemon shutdown, or a frame that is not JSON or too long — the last
-/// answered with a `sweep_error`, since the stream cannot be trusted to
-/// resynchronize.
+/// daemon shutdown, or a frame that is not UTF-8, not JSON or too long —
+/// the last answered with a `sweep_error`, since the stream cannot be
+/// trusted to resynchronize.
 fn next_frame(
     reader: &mut FrameReader<UnixStream>,
     writer: &Mutex<UnixStream>,
@@ -306,8 +306,10 @@ fn send(writer: &Mutex<UnixStream>, frame: &Value) -> bool {
 fn sweep_reply(engine: &SweepEngine, spec: &MatrixSpec) -> String {
     let skipped_before = engine.shutdown_skipped();
     let mut line = String::with_capacity(2304 * spec.len() + 1024);
-    line.push_str("{\"type\":\"records\",\"records\":");
-    let outcome = engine.run_matrix_json(spec, &mut line);
+    let outcome = write_records_frame(&mut line, |out| {
+        engine.run_matrix_json(spec, out)?;
+        Ok::<_, regwin_rt::RtError>((engine.summary(), engine.quarantine()))
+    });
     let skipped = engine.shutdown_skipped() - skipped_before;
     let error = match outcome {
         Ok(()) if skipped > 0 => sweep_error(
@@ -318,11 +320,7 @@ fn sweep_reply(engine: &SweepEngine, spec: &MatrixSpec) -> String {
             true,
         ),
         Ok(()) => {
-            line.push_str(",\"summary\":");
-            line.push_str(&summary_to_value(&engine.summary()).to_json());
-            line.push_str(",\"quarantine\":");
-            line.push_str(&quarantine_to_value(&engine.quarantine()).to_json());
-            line.push_str("}\n");
+            line.push('\n');
             return line;
         }
         Err(e) => sweep_error(e.to_string(), false),

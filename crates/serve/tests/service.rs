@@ -8,8 +8,11 @@ use regwin_rt::SchedulingPolicy;
 use regwin_serve::protocol::{frame_type, spec_to_value, write_frame, FrameReader, PROTO_VERSION};
 use regwin_serve::{ClientError, ServeClient, Server, ServerConfig};
 use regwin_spell::CorpusSpec;
-use regwin_sweep::json::{members, obj, parse, Value};
-use regwin_sweep::{records_to_json, JobKey, SweepConfig, SweepEngine};
+use regwin_sweep::json::{obj, parse, Value};
+use regwin_sweep::{
+    records_frame_from_json, records_to_json, write_records_frame, JobKey, RecordsFrame,
+    SweepConfig, SweepEngine,
+};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::os::unix::net::UnixStream;
@@ -251,9 +254,12 @@ fn the_client_limit_turns_extra_connections_away_with_busy() {
     daemon.cleanup();
 }
 
-#[test]
-fn a_deeply_nested_frame_closes_only_its_own_session() {
-    let daemon = TestDaemon::start("nesting", 4);
+/// Sends `line` from a hostile session while a well-behaved client
+/// sweeps: the daemon answers with a `sweep_error` whose detail names
+/// `why` and closes the hostile session, and the well-behaved client
+/// still gets a byte-identical artifact.
+fn a_hostile_line_closes_only_its_own_session(tag: &str, line: &[u8], why: &str) {
+    let daemon = TestDaemon::start(tag, 4);
     let (_, want_artifact) = reference(&[spec_a()]);
 
     std::thread::scope(|scope| {
@@ -281,22 +287,36 @@ fn a_deeply_nested_frame_closes_only_its_own_session() {
         .unwrap();
         let ready = reader.next_frame().unwrap().expect("ready frame");
         assert_eq!(frame_type(&ready).unwrap(), "ready");
-        // One mebibyte of `[`: without a nesting limit the parser
-        // recurses until the session thread's stack overflows, which
-        // aborts the whole daemon.
-        let mut line = vec![b'['; 1 << 20];
-        line.push(b'\n');
-        writer.write_all(&line).unwrap();
+        writer.write_all(line).unwrap();
         let reply = reader.next_frame().unwrap().expect("an error frame");
         assert_eq!(frame_type(&reply).unwrap(), "sweep_error");
         let detail = reply.get("detail").and_then(Value::as_str).unwrap();
-        assert!(detail.contains("nesting"), "{detail}");
+        assert!(detail.contains(why), "{detail}");
         assert!(reader.next_frame().unwrap().is_none(), "the daemon closes the session");
 
         let artifact = good.join().unwrap();
         assert_eq!(artifact, want_artifact, "a concurrent client is unaffected");
     });
     daemon.cleanup();
+}
+
+#[test]
+fn a_deeply_nested_frame_closes_only_its_own_session() {
+    // One mebibyte of `[`: without a nesting limit the parser recurses
+    // until the session thread's stack overflows, which aborts the whole
+    // daemon.
+    let mut line = vec![b'['; 1 << 20];
+    line.push(b'\n');
+    a_hostile_line_closes_only_its_own_session("nesting", &line, "nesting");
+}
+
+#[test]
+fn a_frame_that_is_not_utf8_closes_only_its_own_session() {
+    // Valid JSON but for two bytes that are no UTF-8 at all: read as
+    // replacement characters, it would be a `sweep` with a bad spec and
+    // the session would go on.
+    let line = b"{\"type\":\"sweep\",\"spec\":\"\xff\xfe\"}\n";
+    a_hostile_line_closes_only_its_own_session("utf8", line, "UTF-8");
 }
 
 #[test]
@@ -350,9 +370,10 @@ fn raw_sweep_lines(socket: &Path, session: &str, spec: &MatrixSpec) -> Vec<Strin
 
 /// Checks a sweep's lines: exactly one `start` and one `end` event per
 /// cell, each start before its end, and every event before the
-/// `records` frame, which comes last. Returns the frame's `records`
-/// text and its summary.
-fn events_then_records(lines: &[String], spec: &MatrixSpec) -> (String, Value) {
+/// `records` frame, which comes last and is exactly what the frame
+/// encoder writes for what it decodes to. Returns the frame's `records`
+/// text and the decoded frame.
+fn events_then_records(lines: &[String], spec: &MatrixSpec) -> (String, RecordsFrame) {
     let (records, events) = lines.split_last().expect("a records frame");
     assert_eq!(events.len(), 2 * spec.len(), "two events per cell");
     // Job name → whether its end has arrived.
@@ -370,10 +391,17 @@ fn events_then_records(lines: &[String], spec: &MatrixSpec) -> (String, Value) {
     }
     assert_eq!(ended.len(), spec.len(), "one start per cell");
     assert!(ended.values().all(|&end| end), "every start has its end");
-    let parts = members(records.trim_end()).unwrap();
-    let keys: Vec<&str> = parts.iter().map(|(key, _)| &**key).collect();
-    assert_eq!(keys, ["type", "records", "summary", "quarantine"]);
-    (parts[1].1.to_string(), parse(parts[2].1).unwrap())
+    let line = records.strip_suffix('\n').expect("one line");
+    let frame = records_frame_from_json(line).unwrap().expect("a records frame");
+    let records = records_to_json(&frame.records);
+    let mut encoded = String::new();
+    write_records_frame(&mut encoded, |out| {
+        out.push_str(&records);
+        Ok::<_, ()>((frame.summary, frame.quarantine.clone()))
+    })
+    .unwrap();
+    assert_eq!(encoded, line, "the frame is the encoder's bytes");
+    (records, frame)
 }
 
 #[test]
@@ -381,7 +409,7 @@ fn cold_warm_and_mixed_sweeps_send_two_events_per_cell_then_the_in_process_recor
     let daemon = TestDaemon::start("frames", 4);
     let spec = spec_b();
     let want = records_to_json(&reference(std::slice::from_ref(&spec)).0[0]);
-    let hits = |summary: &Value| summary.get("cache_hits").and_then(Value::as_u64).unwrap();
+    let hits = |frame: &RecordsFrame| frame.summary.cache_hits as u64;
 
     let (records, summary) =
         events_then_records(&raw_sweep_lines(&daemon.socket, "cold", &spec), &spec);

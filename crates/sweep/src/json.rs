@@ -7,13 +7,12 @@
 //! (cycle counts exceed `f64`'s 53-bit integer range in principle), and
 //! object keys keep their insertion order so output is byte-stable.
 //!
-//! Reading has one tokenizer and three ways in. [`parse`] builds a
+//! Reading has one tokenizer and two ways in. [`parse`] builds a
 //! [`Value`] tree, for small documents: control frames, specs, wall
-//! hints. [`members`] splits an object into its keys and the raw text of
-//! each value, so a caller can decode one large member by itself. The
-//! crate's report decoders pull fields straight from the text, in the
-//! order their encoder wrote them, with no tree at all. All three share
-//! the same scanning code and the same [`MAX_DEPTH`] bound.
+//! hints. The crate's report and `records` frame decoders pull fields
+//! straight from the text, in the order their encoder wrote them, with
+//! no tree at all. Both share the same scanning code and the same
+//! [`MAX_DEPTH`] bound.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -193,11 +192,11 @@ pub(crate) fn write_string(s: &str, out: &mut String) {
 }
 
 /// The deepest array/object nesting this module's reader accepts, in
-/// [`parse`], [`members`] and every report decode alike. [`parse`]
-/// recurses once per level, so without a bound one line of `[[[[…`
-/// would overflow the parsing thread's stack and abort the process. The
-/// deepest document the workspace writes (a run report's switch shapes
-/// inside a `records` frame) nests seven levels.
+/// [`parse`] and every report decode alike. [`parse`] recurses once per
+/// level, so without a bound one line of `[[[[…` would overflow the
+/// parsing thread's stack and abort the process. The deepest document
+/// the workspace writes (a run report's switch shapes inside a `records`
+/// frame) nests seven levels.
 pub const MAX_DEPTH: usize = 128;
 
 /// A parse failure with byte position.
@@ -230,31 +229,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
     Ok(v)
 }
 
-/// Splits a JSON object into its members without decoding their
-/// values: each key with the text of its value. Every value is still
-/// checked to be well formed and no deeper than [`MAX_DEPTH`], so a
-/// caller can decode the one it wants (a `records` frame's records,
-/// say) straight from its text.
-///
-/// # Errors
-///
-/// Fails where [`parse`] would, and on a document that is not an
-/// object.
-pub fn members(text: &str) -> Result<Vec<(Cow<'_, str>, &str)>, ParseError> {
-    let mut r = Reader::new(text);
-    let mut out = Vec::new();
-    r.open(b'{')?;
-    r.seq(b'}', |r| -> Result<(), ParseError> {
-        let key = r.member_key()?;
-        out.push((key, r.raw_value()?));
-        Ok(())
-    })?;
-    r.finish()?;
-    Ok(out)
-}
-
 /// A forward-only pull reader over one JSON text: the one tokenizer
-/// behind [`parse`], [`members`] and every report decode.
+/// behind [`parse`] and every report decode.
 ///
 /// A pull consumer reads the document in the order it was written:
 /// [`Reader::key`] demands the next member by name, so a decoder that
@@ -377,11 +353,29 @@ impl<'a> Reader<'a> {
 
     /// Reads the open object's next member key, which must be `name`,
     /// and its colon; the member's value comes next.
+    ///
+    /// `"name":` is compared in place; only other text (an escape,
+    /// whitespace before the colon, a wrong key) takes the decoding
+    /// path. Every `name` a decoder asks for is plain: no `"` or `\`.
     pub(crate) fn key(&mut self, name: &str) -> Result<(), ParseError> {
         if !std::mem::take(&mut self.first) {
             self.expect(b',')?;
         }
         self.skip_ws();
+        debug_assert!(!name.contains(['"', '\\']), "key {name:?} is not plain");
+        let n = name.len();
+        let quoted = self.text.as_bytes().get(self.pos..self.pos + n + 3);
+        if quoted
+            .is_some_and(|k| k[0] == b'"' && k[1..=n] == *name.as_bytes() && k[n + 1..] == *b"\":")
+        {
+            self.pos += n + 3;
+            return Ok(());
+        }
+        self.decoded_key(name)
+    }
+
+    /// [`Reader::key`] after its comma, by decoding the key.
+    fn decoded_key(&mut self, name: &str) -> Result<(), ParseError> {
         let at = self.pos;
         if self.member_key()? == name {
             Ok(())
@@ -410,9 +404,27 @@ impl<'a> Reader<'a> {
         Ok(key)
     }
 
-    /// Reads a non-negative integer that fits a `u64`.
+    /// Reads a non-negative integer that fits a `u64`, accumulating its
+    /// digits in one pass; a fraction, an exponent, a sign or an
+    /// overflow takes the [`Reader::number`] path, which rejects it.
     pub(crate) fn u64(&mut self) -> Result<u64, ParseError> {
         self.skip_ws();
+        let (bytes, mut end, mut n) = (self.text.as_bytes(), self.pos, 0u64);
+        while let Some(d) = bytes.get(end).filter(|b| b.is_ascii_digit()) {
+            match n.checked_mul(10).and_then(|n| n.checked_add(u64::from(d - b'0'))) {
+                Some(next) => (n, end) = (next, end + 1),
+                None => return self.number_u64(),
+            }
+        }
+        if end > self.pos && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E')) {
+            self.pos = end;
+            return Ok(n);
+        }
+        self.number_u64()
+    }
+
+    /// [`Reader::u64`] through the general number scan.
+    fn number_u64(&mut self) -> Result<u64, ParseError> {
         let at = self.pos;
         match self.number()? {
             Value::Int(n) => Ok(n),
@@ -434,31 +446,6 @@ impl<'a> Reader<'a> {
             Ok(false)
         } else {
             Err(self.err("expected a boolean"))
-        }
-    }
-
-    /// Skips one value, checking it is well formed, and returns its
-    /// text.
-    pub(crate) fn raw_value(&mut self) -> Result<&'a str, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        self.skip_value()?;
-        Ok(&self.text[start..self.pos])
-    }
-
-    fn skip_value(&mut self) -> Result<(), ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'[') => self.array(Self::skip_value),
-            Some(b'{') => {
-                self.open(b'{')?;
-                self.seq(b'}', |r| {
-                    r.member_key()?;
-                    r.skip_value()
-                })
-            }
-            Some(b'"') => self.str().map(drop),
-            _ => self.scalar().map(drop),
         }
     }
 
@@ -608,6 +595,48 @@ pub fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
+/// The member split the `records` frame decoder replaced, kept for its
+/// differential oracle.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// Splits a JSON object into its members without decoding their
+    /// values: each key with the text of its value, every value checked
+    /// to be well formed and no deeper than [`MAX_DEPTH`].
+    pub(crate) fn members(text: &str) -> Result<Vec<(Cow<'_, str>, &str)>, ParseError> {
+        let mut r = Reader::new(text);
+        let mut out = Vec::new();
+        r.open(b'{')?;
+        r.seq(b'}', |r| -> Result<(), ParseError> {
+            let key = r.member_key()?;
+            r.skip_ws();
+            let start = r.pos;
+            skip_value(r)?;
+            out.push((key, &r.text[start..r.pos]));
+            Ok(())
+        })?;
+        r.finish()?;
+        Ok(out)
+    }
+
+    fn skip_value(r: &mut Reader<'_>) -> Result<(), ParseError> {
+        r.skip_ws();
+        match r.peek() {
+            Some(b'[') => r.array(skip_value),
+            Some(b'{') => {
+                r.open(b'{')?;
+                r.seq(b'}', |r| {
+                    r.member_key()?;
+                    skip_value(r)
+                })
+            }
+            Some(b'"') => r.str().map(drop),
+            _ => r.scalar().map(drop),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,18 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn members_split_an_object_without_decoding_its_values() {
-        let text = " {\"a\" : [1, {\"b\":\"}\"}] ,\"c\\u0021\":\"x\"} ";
-        let parts = members(text).unwrap();
-        assert_eq!(parts[0], (Cow::Borrowed("a"), "[1, {\"b\":\"}\"}]"));
-        assert_eq!(parts[1], (Cow::Owned("c!".to_string()), "\"x\""));
-        assert_eq!(parts.len(), 2);
-        for bad in ["[1]", "{\"a\":1} x", "{\"a\":[1,]}", "{\"a\"}", "{\"a\":.5}"] {
-            assert!(members(bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
     fn the_pull_reader_demands_members_in_order() {
         let mut r = Reader::new("{\"a\":1, \"b\":[true,false],\"c\":-2.5}");
         r.begin_object().unwrap();
@@ -774,5 +791,86 @@ mod tests {
         assert_eq!((err.at, err.message.as_str()), (1, "expected key \"a\""));
         let mut r = Reader::new("[-1, 1.5, 18446744073709551616]");
         r.array(|r| -> Result<(), ParseError> { r.u64().map(drop) }).unwrap_err();
+    }
+
+    /// The parent's `Reader::key`: the comma, then the decoded key.
+    fn decoding_key(r: &mut Reader<'_>, name: &str) -> Result<(), ParseError> {
+        if !std::mem::take(&mut r.first) {
+            r.expect(b',')?;
+        }
+        r.skip_ws();
+        r.decoded_key(name)
+    }
+
+    #[test]
+    fn the_key_and_u64_fast_paths_accept_and_reject_what_the_decoding_paths_do() {
+        // Each text is one object's tail after its first member's value:
+        // the reader stands where a decoder asks for the next key.
+        let keys = [
+            "{\"scheme\":1",
+            "{\"sch\\u0065me\":1",
+            "{ \"scheme\" : 1",
+            "{\"scheme\"",
+            "{\"scheme",
+            "{\"schemes\":1",
+            "{\"schem\":1",
+            "{\"policy\":1",
+            "{\"\":1",
+            "{",
+            "{}",
+        ];
+        for text in keys {
+            for first in [true, false] {
+                // `first == false` reads the key after a comma.
+                let text =
+                    if first { text.to_string() } else { text.replacen('{', "{\"a\":0,", 1) };
+                let mut fast = Reader::new(&text);
+                let mut slow = Reader::new(&text);
+                for r in [&mut fast, &mut slow] {
+                    r.begin_object().unwrap();
+                    if !first {
+                        r.key("a").unwrap();
+                        r.u64().unwrap();
+                    }
+                }
+                let got = fast.key("scheme");
+                assert_eq!(got, decoding_key(&mut slow, "scheme"), "{text}");
+                assert_eq!(fast.pos, slow.pos, "{text}");
+                if text.contains("\\u0065") {
+                    assert!(got.is_ok(), "an escaped key decodes: {text}");
+                }
+            }
+        }
+        // Each text with the value both paths must read from it.
+        let numbers = [
+            ("0", Some(0)),
+            ("007", Some(7)),
+            (" 42 ", Some(42)),
+            ("12,", Some(12)),
+            ("12]", Some(12)),
+            ("12-3", Some(12)),
+            ("18446744073709551615", Some(u64::MAX)),
+            ("18446744073709551616", None),
+            ("99999999999999999999999", None),
+            ("1.0", None),
+            ("1.", None),
+            ("1e3", None),
+            ("1E3", None),
+            ("-1", None),
+            ("-", None),
+            ("", None),
+            ("x", None),
+        ];
+        for (text, want) in numbers {
+            let mut fast = Reader::new(text);
+            let mut slow = Reader::new(text);
+            slow.skip_ws();
+            let got = fast.u64();
+            assert_eq!(got, slow.number_u64(), "{text:?}");
+            assert_eq!(got.ok(), want, "{text:?}");
+            if want.is_some() {
+                assert_eq!(fast.pos, slow.pos, "{text:?}");
+            }
+        }
     }
 }

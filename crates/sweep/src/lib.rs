@@ -70,6 +70,7 @@ pub use gate::{AdmissionGate, GateClosed, GateTicket};
 pub use journal::{replay_journal, JournalOpenError, JournalReplay, SweepJournal};
 pub use key::{fnv1a, JobKey, FORMAT_VERSION};
 pub use serial::{
-    records_from_json, records_to_json, report_from_json, report_to_json, DecodeError,
+    records_frame_from_json, records_to_json, report_from_json, report_to_json,
+    write_records_frame, DecodeError, RecordsFrame,
 };
 pub use studies::run_ablation;

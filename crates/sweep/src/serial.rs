@@ -15,11 +15,13 @@
 //! job: the cache and the journal store those exact bytes, and a cache
 //! hit hands its verified bytes to a daemon's `records` frame unchanged.
 //!
-//! [`records_to_json`] and [`records_from_json`] are the same pair for a
-//! matrix's run records, each a report plus its cell: the daemon's
-//! `records` frame carries that text and its client decodes it here.
+//! [`write_records_frame`] and [`records_frame_from_json`] are the same
+//! pair for a daemon's `records` frame: its type, a matrix's run records
+//! (each a report plus its cell, the text [`records_to_json`] writes),
+//! the sweep summary and the quarantine list. The client pulls all four
+//! in one pass over the frame's line, in the order they were written.
 
-use crate::engine::QuarantineRecord;
+use crate::engine::{QuarantineRecord, SweepSummary};
 use crate::json::{obj, write_f64, write_string, write_u64, ParseError, Reader, Value};
 use regwin_core::{Behavior, Concurrency, Granularity, RunRecord};
 use regwin_machine::{
@@ -149,8 +151,7 @@ fn write_report(report: &RunReport, out: &mut String) {
 /// Serializes run records (without any timing data) to deterministic
 /// JSON: the same matrix produces byte-identical output no matter the
 /// worker count or cache state. The one encoder of the per-record
-/// shape, which [`records_from_json`] decodes; the daemon's `records`
-/// frame embeds its output.
+/// shape; the daemon's `records` frame embeds its output.
 pub fn records_to_json(records: &[RunRecord]) -> String {
     let mut out = String::with_capacity(2048 * records.len() + 2);
     write_records(&mut out, records.iter().map(|r| (r, None)));
@@ -177,6 +178,89 @@ pub(crate) fn write_records<'a>(
         }
         out.push('}');
     });
+}
+
+/// A daemon's reply to a sweep that finished: what a `records` frame
+/// carries.
+#[derive(Debug, Clone)]
+pub struct RecordsFrame {
+    /// The run records, in the matrix's cell order.
+    pub records: Vec<RunRecord>,
+    /// The session engine's summary after the sweep.
+    pub summary: SweepSummary,
+    /// The session engine's quarantine list after the sweep.
+    pub quarantine: Vec<QuarantineRecord>,
+}
+
+/// Appends a `records` frame, without its newline, to `out`: the type,
+/// the records text `records` appends (what [`records_to_json`] writes),
+/// then the summary and quarantine list it returns. The one encoder of
+/// the frame, which [`records_frame_from_json`] decodes; an error from
+/// `records` leaves a partial frame in `out`.
+///
+/// # Errors
+///
+/// Passes on the error of `records`.
+pub fn write_records_frame<E>(
+    out: &mut String,
+    records: impl FnOnce(&mut String) -> Result<(SweepSummary, Vec<QuarantineRecord>), E>,
+) -> Result<(), E> {
+    out.push_str("{\"type\":\"records\",\"records\":");
+    let (summary, quarantine) = records(out)?;
+    field(out, "summary");
+    out.push('{');
+    int_field(out, "jobs", summary.jobs as u64);
+    int_field(out, "cache_hits", summary.cache_hits as u64);
+    int_field(out, "cache_misses", summary.cache_misses as u64);
+    int_field(out, "quarantined", summary.quarantined as u64);
+    out.push('}');
+    field(out, "quarantine");
+    out.push_str(&quarantine_to_value(&quarantine).to_json());
+    out.push('}');
+    Ok(())
+}
+
+/// Decodes a `records` frame in one pass, pulling its members in the
+/// order [`write_records_frame`] writes them, as [`report_from_json`]
+/// pulls a report's.
+///
+/// `Ok(None)` means another frame: the text is not an object whose first
+/// member is `"type":"records"`.
+///
+/// # Errors
+///
+/// Fails on a `records` frame that is malformed, nested deeper than
+/// [`crate::json::MAX_DEPTH`], out of canonical member order, or that
+/// carries a member the encoder never writes.
+pub fn records_frame_from_json(text: &str) -> Result<Option<RecordsFrame>, DecodeError> {
+    let mut r = Reader::new(text);
+    let kind = r.begin_object().and_then(|()| r.key("type")).and_then(|()| r.str());
+    if kind.ok().as_deref() != Some("records") {
+        return Ok(None);
+    }
+    r.key("records")?;
+    let records = read_records(&mut r)?;
+    r.key("summary")?;
+    r.begin_object()?;
+    let [mut jobs, mut hits, mut misses, mut quarantined] = [0; 4];
+    read_u64s(
+        &mut r,
+        [
+            ("jobs", &mut jobs),
+            ("cache_hits", &mut hits),
+            ("cache_misses", &mut misses),
+            ("quarantined", &mut quarantined),
+        ],
+    )?;
+    r.end_object()?;
+    r.key("quarantine")?;
+    let quarantine = read_quarantine_list(&mut r)?;
+    r.end_object()?;
+    r.finish()?;
+    let [jobs, cache_hits, cache_misses, quarantined] =
+        [jobs, hits, misses, quarantined].map(|n| n as usize);
+    let summary = SweepSummary { jobs, cache_hits, cache_misses, quarantined };
+    Ok(Some(RecordsFrame { records, summary, quarantine }))
 }
 
 /// Starts an object member: a separating comma unless the member opens
@@ -415,15 +499,9 @@ pub fn report_from_json(text: &str) -> Result<RunReport, DecodeError> {
     Ok(report)
 }
 
-/// Decodes the run records [`records_to_json`] wrote, straight from the
-/// text and in its canonical field order, like [`report_from_json`].
-///
-/// # Errors
-///
-/// Fails as [`report_from_json`] does, and on an unknown behaviour,
-/// scheme or policy name.
-pub fn records_from_json(text: &str) -> Result<Vec<RunRecord>, DecodeError> {
-    let mut r = Reader::new(text);
+/// Reads the run records [`records_to_json`] wrote, in its canonical
+/// field order, like [`read_report`].
+fn read_records(r: &mut Reader<'_>) -> Result<Vec<RunRecord>, DecodeError> {
     let mut records = Vec::new();
     r.array(|r| -> Result<(), DecodeError> {
         r.begin_object()?;
@@ -441,7 +519,6 @@ pub fn records_from_json(text: &str) -> Result<Vec<RunRecord>, DecodeError> {
         records.push(RunRecord { behavior, scheme, policy, nwindows, report });
         Ok(())
     })?;
-    r.finish()?;
     Ok(records)
 }
 
@@ -462,19 +539,14 @@ pub(crate) fn quarantine_members(q: &QuarantineRecord) -> Vec<(&'static str, Val
 
 /// A quarantine list as the artifact and a daemon's `records` frame
 /// carry it: one object of [`QuarantineRecord`] members per record.
-pub fn quarantine_to_value(list: &[QuarantineRecord]) -> Value {
+pub(crate) fn quarantine_to_value(list: &[QuarantineRecord]) -> Value {
     Value::Arr(list.iter().map(|q| obj(quarantine_members(q))).collect())
 }
 
-/// Decodes the quarantine list [`quarantine_to_value`] wrote, straight
-/// from the text and in its canonical field order.
-///
-/// # Errors
-///
-/// Fails on text out of that layout and on a `reason` other than
-/// `"panic"`, `"timeout"` or `"error"`.
-pub fn quarantine_from_json(text: &str) -> Result<Vec<QuarantineRecord>, DecodeError> {
-    let mut r = Reader::new(text);
+/// Reads the quarantine list [`quarantine_to_value`] wrote, in its
+/// canonical field order. A `reason` other than `"panic"`, `"timeout"`
+/// or `"error"` is an error.
+fn read_quarantine_list(r: &mut Reader<'_>) -> Result<Vec<QuarantineRecord>, DecodeError> {
     let mut list = Vec::new();
     r.array(|r| -> Result<(), DecodeError> {
         r.begin_object()?;
@@ -482,7 +554,6 @@ pub fn quarantine_from_json(text: &str) -> Result<Vec<QuarantineRecord>, DecodeE
         r.end_object()?;
         Ok(())
     })?;
-    r.finish()?;
     Ok(list)
 }
 
@@ -646,8 +717,8 @@ pub(crate) mod oracle {
     }
 
     /// Every truncation and every single-bit flip of `text`, as a reader
-    /// sees it: bytes that are no longer UTF-8 are replaced, as the frame
-    /// reader and journal replay replace them.
+    /// sees it: bytes that are no longer UTF-8 are replaced, as journal
+    /// replay replaces them (the frame reader refuses such a line).
     pub(crate) fn damaged(text: &str) -> impl Iterator<Item = String> + '_ {
         let bytes = text.as_bytes();
         let cuts = (0..bytes.len()).map(move |n| bytes[..n].to_vec());
@@ -657,6 +728,54 @@ pub(crate) mod oracle {
             flipped
         });
         cuts.chain(flips).map(|b| String::from_utf8_lossy(&b).into_owned())
+    }
+
+    /// The records decoder the client ran on a `records` frame's
+    /// `records` member, split out of the frame by its member split.
+    pub(crate) fn records_from_json(text: &str) -> Result<Vec<RunRecord>, DecodeError> {
+        let mut r = Reader::new(text);
+        let records = read_records(&mut r)?;
+        r.finish()?;
+        Ok(records)
+    }
+
+    /// The quarantine list decoder the client ran on a `records` frame's
+    /// `quarantine` member.
+    pub(crate) fn quarantine_from_json(text: &str) -> Result<Vec<QuarantineRecord>, DecodeError> {
+        let mut r = Reader::new(text);
+        let list = read_quarantine_list(&mut r)?;
+        r.finish()?;
+        Ok(list)
+    }
+
+    /// The client's path before the one-pass decoder: split the frame
+    /// into its members (in any order), decode `records` and
+    /// `quarantine` from their text and `summary` through a tree.
+    /// `Ok(None)` is a frame of another type.
+    pub(crate) fn member_split_frame(text: &str) -> Result<Option<RecordsFrame>, DecodeError> {
+        let parts = crate::json::oracle::members(text)?;
+        let part = |name: &str| {
+            parts
+                .iter()
+                .find(|(key, _)| key == name)
+                .map(|&(_, text)| text)
+                .ok_or_else(|| DecodeError(format!("frame without '{name}'")))
+        };
+        if crate::json::parse(part("type")?)?.as_str() != Some("records") {
+            return Ok(None);
+        }
+        let summary = crate::json::parse(part("summary")?)?;
+        let summary = SweepSummary {
+            jobs: need_u64(&summary, "jobs")? as usize,
+            cache_hits: need_u64(&summary, "cache_hits")? as usize,
+            cache_misses: need_u64(&summary, "cache_misses")? as usize,
+            quarantined: need_u64(&summary, "quarantined")? as usize,
+        };
+        Ok(Some(RecordsFrame {
+            records: records_from_json(part("records")?)?,
+            summary,
+            quarantine: quarantine_from_json(part("quarantine")?)?,
+        }))
     }
 
     /// Decodes the records of a `records` frame from a parsed tree.
@@ -686,10 +805,14 @@ pub(crate) mod oracle {
 
 #[cfg(test)]
 mod tests {
-    use super::oracle::{damaged, records_from_value, tree_report};
+    use super::oracle::{
+        damaged, member_split_frame, quarantine_from_json, records_from_json, records_from_value,
+        tree_report,
+    };
     use super::*;
-    use crate::json::{members, obj, parse, Value, MAX_DEPTH};
-    use crate::SweepEngine;
+    use crate::json::oracle::members;
+    use crate::json::{obj, parse, Value, MAX_DEPTH};
+    use crate::{JobKey, SweepConfig, SweepEngine};
     use regwin_cluster::{run_spell_cluster, ClusterConfig};
     use regwin_core::figures::Sweep;
     use regwin_core::MatrixSpec;
@@ -896,25 +1019,52 @@ mod tests {
         )
     }
 
-    /// The `records` frame the daemon sends for `records`.
-    fn records_frame(records: &[RunRecord]) -> String {
-        obj(vec![
-            ("type", Value::Str("records".into())),
-            ("records", Value::Raw(records_to_json(records))),
-            ("summary", obj(vec![("jobs", Value::Int(records.len() as u64))])),
-            ("quarantine", Value::Arr(Vec::new())),
-        ])
-        .to_json()
+    fn quarantined() -> QuarantineRecord {
+        QuarantineRecord {
+            id: "deadbeef".into(),
+            key: "v6|exp=matrix".into(),
+            label: "SP FIFO w=8".into(),
+            reason: "timeout",
+            attempts: 3,
+            detail: "wedged \"hard\"".into(),
+            repro: "v6|... --fault-seed 1".into(),
+        }
     }
 
-    /// The client's path: split the frame, decode its `records` member.
+    /// `frame` through the one encoder.
+    fn encode(frame: &RecordsFrame) -> String {
+        let mut text = String::new();
+        write_records_frame(&mut text, |out| {
+            out.push_str(&records_to_json(&frame.records));
+            Ok::<_, DecodeError>((frame.summary, frame.quarantine.clone()))
+        })
+        .unwrap();
+        text
+    }
+
+    /// A `records` frame for `records`, with one quarantine record.
+    fn records_frame(records: &[RunRecord]) -> String {
+        let summary =
+            SweepSummary { jobs: records.len(), cache_hits: 1, cache_misses: 2, quarantined: 1 };
+        encode(&RecordsFrame {
+            records: records.to_vec(),
+            summary,
+            quarantine: vec![quarantined()],
+        })
+    }
+
+    /// The client's path: pull the frame in one pass.
     fn pull_records(frame: &str) -> Result<Vec<RunRecord>, DecodeError> {
-        let parts = members(frame)?;
-        let (_, text) = parts
-            .iter()
-            .find(|(key, _)| key == "records")
-            .ok_or_else(|| DecodeError("no records".into()))?;
-        records_from_json(text)
+        let frame = records_frame_from_json(frame)?;
+        Ok(frame.ok_or_else(|| DecodeError("not a records frame".into()))?.records)
+    }
+
+    /// Asserts that two decoded `records` frames carry the same cells,
+    /// summary and quarantine list.
+    fn assert_same_frame(a: &RecordsFrame, b: &RecordsFrame, what: &str) {
+        assert_eq!(cells(&a.records), cells(&b.records), "{what}");
+        assert_eq!(a.summary, b.summary, "{what}");
+        assert_eq!(a.quarantine, b.quarantine, "{what}");
     }
 
     /// The tree path the client took before: parse the frame, walk it.
@@ -974,12 +1124,83 @@ mod tests {
         let frame = records_frame(&[record]);
         decoded = 0;
         for d in damaged(&frame) {
-            if let Ok(pulled) = pull_records(&d) {
-                assert_eq!(cells(&pulled), cells(&tree_records(&d).unwrap()), "{d}");
+            // One pass gives the member split's result or a typed error.
+            if let Ok(Some(pulled)) = records_frame_from_json(&d) {
+                let split = member_split_frame(&d).unwrap().expect("a records frame");
+                assert_same_frame(&pulled, &split, &d);
+                assert_eq!(cells(&pulled.records), cells(&tree_records(&d).unwrap()), "{d}");
                 decoded += 1;
             }
         }
         assert!(decoded > 0, "some flips (a digit for a digit) still decode");
+    }
+
+    /// The `records` frame a daemon session sends for `spec`: the engine
+    /// writes the records text into the frame, as `regwin-serve` does.
+    fn daemon_frame(engine: &SweepEngine, spec: &MatrixSpec) -> String {
+        let mut frame = String::new();
+        write_records_frame(&mut frame, |out| {
+            engine.run_matrix_json(spec, out)?;
+            Ok::<_, regwin_rt::RtError>((engine.summary(), engine.quarantine()))
+        })
+        .unwrap();
+        frame
+    }
+
+    #[test]
+    fn one_pass_and_member_split_agree_on_cold_warm_and_mixed_daemon_frames() {
+        let dir = std::env::temp_dir().join(format!("regwin-frame-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = Sweep::high_spec(CorpusSpec::small(), &[4, 8], SchedulingPolicy::Fifo);
+        let want = SweepEngine::quiet().run_matrix(&spec).unwrap();
+        let session = || {
+            let config = SweepConfig::builder()
+                .cache_dir(dir.clone())
+                .deterministic_artifact(true)
+                .build()
+                .unwrap();
+            SweepEngine::with_config(config)
+        };
+        let check = |what: &str, hits: usize| {
+            let frame = daemon_frame(&session(), &spec);
+            let pulled = records_frame_from_json(&frame).unwrap().expect("a records frame");
+            let split = member_split_frame(&frame).unwrap().expect("a records frame");
+            assert_same_frame(&pulled, &split, what);
+            assert_eq!(cells(&pulled.records), cells(&want), "{what}");
+            assert_eq!(pulled.summary.cache_hits, hits, "{what}");
+            assert_eq!(encode(&pulled), frame, "{what}: re-encoding gives back the bytes");
+        };
+        check("cold", 0);
+        check("warm", spec.len());
+        for scheme in [SchemeKind::Ns, SchemeKind::Sp] {
+            let key = JobKey::for_cell(&spec, spec.behaviors[0], scheme, 8);
+            std::fs::remove_file(dir.join(format!("{}.json", key.id()))).unwrap();
+        }
+        check("mixed", spec.len() - 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_records_frame_out_of_canonical_member_order_is_a_decode_error() {
+        let records = SweepEngine::quiet()
+            .run_matrix(&Sweep::high_spec(CorpusSpec::small(), &[4], SchedulingPolicy::Fifo))
+            .unwrap();
+        let frame = records_frame(&records);
+        let Value::Obj(mut members) = parse(&frame).unwrap() else {
+            panic!("a frame is an object")
+        };
+        // type, summary, records, quarantine.
+        members.swap(1, 2);
+        let reordered = Value::Obj(members).to_json();
+        let split =
+            member_split_frame(&reordered).unwrap().expect("the member split takes any order");
+        assert_same_frame(&split, &records_frame_from_json(&frame).unwrap().unwrap(), "split");
+        let err = records_frame_from_json(&reordered).unwrap_err();
+        assert!(err.0.contains("expected key \"records\""), "{err}");
+        // A frame of another type is not a records frame at all.
+        for other in ["{\"type\":\"sweep_error\",\"detail\":\"x\"}", "[1]", "{}", ""] {
+            assert!(records_frame_from_json(other).unwrap().is_none(), "{other}");
+        }
     }
 
     #[test]
@@ -993,7 +1214,7 @@ mod tests {
             let frame = format!("{{\"type\":\"records\",\"records\":{records}}}");
             let err = members(&frame).unwrap_err();
             assert!(err.message.contains("nesting"), "{err}");
-            assert!(pull_records(&frame).is_err());
+            assert!(records_frame_from_json(&frame).is_err());
             assert!(records_from_json(&records).is_err());
             assert!(report_from_json(&deep).is_err());
         }
@@ -1020,15 +1241,7 @@ mod tests {
 
     #[test]
     fn quarantine_lists_round_trip_and_an_unknown_reason_is_an_error() {
-        let q = vec![QuarantineRecord {
-            id: "deadbeef".into(),
-            key: "v6|exp=matrix".into(),
-            label: "SP FIFO w=8".into(),
-            reason: "timeout",
-            attempts: 3,
-            detail: "wedged".into(),
-            repro: "v6|... --fault-seed 1".into(),
-        }];
+        let q = vec![quarantined()];
         let text = quarantine_to_value(&q).to_json();
         assert_eq!(quarantine_from_json(&text).unwrap(), q);
         assert_eq!(quarantine_from_json("[]").unwrap(), []);

@@ -16,7 +16,7 @@ use crate::backing::BackingStore;
 use crate::cost::{CostModel, CycleCategory, CycleCounter, SchemeKind};
 use crate::error::MachineError;
 use crate::fault::{corrupt_frame, FaultSchedule};
-use crate::regfile::{Frame, RegisterFile, REGS_PER_FRAME};
+use crate::regfile::{RegisterFile, REGS_PER_FRAME};
 use crate::slot::SlotUse;
 use crate::stats::MachineStats;
 use crate::thread::{ThreadId, ThreadState};
@@ -1549,12 +1549,6 @@ impl Machine {
     pub fn backing_of(&self, t: ThreadId) -> Result<&BackingStore, MachineError> {
         Ok(self.thread(t)?.backing())
     }
-
-    /// Reads the stored frame of an arbitrary physical window (tests and
-    /// diagnostics).
-    pub fn frame_at(&self, w: WindowIndex) -> Frame {
-        self.regfile.frame(w)
-    }
 }
 
 #[cfg(test)]
@@ -1867,7 +1861,7 @@ mod tests {
         m.save_outs_to_tcb(t).unwrap();
         // Clobber the physical location, then restore from the TCB.
         let above = m.thread(t).unwrap().top().unwrap().above(8);
-        assert_eq!(m.frame_at(above).ins[5], 321);
+        assert_eq!(m.regfile.frame(above).ins[5], 321);
         m.restore_outs_from_tcb(t).unwrap();
         assert_eq!(m.read_out(5).unwrap(), 321);
     }
@@ -2029,7 +2023,7 @@ mod tests {
         m.spill_bottom(t, TransferReason::Switch).unwrap();
         m.restore_into(t, bottom, TransferReason::Switch).unwrap();
         // The outer frame (the corrupted+restored one) holds 0xabcd.
-        assert_eq!(m.frame_at(bottom).locals[0], 0xabcd);
+        assert_eq!(m.regfile.frame(bottom).locals[0], 0xabcd);
         m.check_invariants().unwrap();
     }
 
@@ -2105,7 +2099,7 @@ mod tests {
         let bottom = m.thread(t).unwrap().bottom(8).unwrap();
         m.spill_bottom(t, TransferReason::Switch).unwrap();
         m.restore_into(t, bottom, TransferReason::Switch).unwrap();
-        assert_eq!(m.frame_at(bottom).locals[0], 0xabcd ^ 0xff);
+        assert_eq!(m.regfile.frame(bottom).locals[0], 0xabcd ^ 0xff);
         // Structural invariants hold even with corrupted data — the
         // fault perturbs values, never bookkeeping.
         m.check_invariants().unwrap();
@@ -2122,14 +2116,14 @@ mod tests {
             FaultSchedule::new().on_spill(0, TransferFault::Corrupt { xor: 0xff }),
         ));
         let bottom = m.thread(t).unwrap().bottom(8).unwrap();
-        let pristine = m.frame_at(bottom);
+        let pristine = m.regfile.frame(bottom);
         m.spill_bottom(t, TransferReason::Switch).unwrap();
         // The corrupted transfer was detected against the pristine
         // checksum and repaired before the pristine copy was lost.
         assert_eq!(m.backing_of(t).unwrap().peek(), Some(&pristine));
         assert_eq!(m.auditor().unwrap().repairs(), 1);
         m.restore_into(t, bottom, TransferReason::Switch).unwrap();
-        assert_eq!(m.frame_at(bottom).locals[0], 0xabcd);
+        assert_eq!(m.regfile.frame(bottom).locals[0], 0xabcd);
         m.check_invariants().unwrap();
     }
 
@@ -2147,9 +2141,9 @@ mod tests {
         m.spill_bottom(t, TransferReason::Switch).unwrap();
         m.restore_into(t, bottom, TransferReason::Switch).unwrap();
         // Corrupted in transfer: the live frame is wrong until audited.
-        assert_eq!(m.frame_at(bottom).locals[0], 0xabcd ^ 0xff);
+        assert_eq!(m.regfile.frame(bottom).locals[0], 0xabcd ^ 0xff);
         assert_eq!(m.audit_thread(t).unwrap(), 1);
-        assert_eq!(m.frame_at(bottom).locals[0], 0xabcd);
+        assert_eq!(m.regfile.frame(bottom).locals[0], 0xabcd);
         assert_eq!(m.auditor().unwrap().repairs(), 1);
         // A second pass finds nothing left to repair.
         assert_eq!(m.audit_thread(t).unwrap(), 0);
@@ -2303,7 +2297,7 @@ mod tests {
             let live = audited.live_windows_of(t).unwrap();
             assert_eq!(live, clean.live_windows_of(t).unwrap());
             for w in live {
-                assert_eq!(audited.frame_at(w), clean.frame_at(w), "window {w} of {t:?}");
+                assert_eq!(audited.regfile.frame(w), clean.regfile.frame(w), "window {w} of {t:?}");
             }
         }
     }

@@ -335,14 +335,8 @@ impl FaultPlan {
 
     /// Adds one fault event targeting PE 0 (builder style).
     #[must_use]
-    pub fn with_event(self, kind: FaultKind, at: u64) -> Self {
-        self.with_event_on_pe(kind, at, 0)
-    }
-
-    /// Adds one fault event targeting cluster PE `pe` (builder style).
-    #[must_use]
-    pub fn with_event_on_pe(mut self, kind: FaultKind, at: u64, pe: u64) -> Self {
-        self.events.push(FaultEvent { kind, at, pe });
+    pub fn with_event(mut self, kind: FaultKind, at: u64) -> Self {
+        self.events.push(FaultEvent { kind, at, pe: 0 });
         self
     }
 
@@ -374,11 +368,6 @@ impl FaultPlan {
     /// stream faults, as opposed to worker faults).
     pub fn has_sim_faults(&self) -> bool {
         self.events.iter().any(|e| !e.kind.is_worker())
-    }
-
-    /// Whether any planned fault targets sweep workers.
-    pub fn has_worker_faults(&self) -> bool {
-        self.events.iter().any(|e| e.kind.is_worker())
     }
 
     /// The canonical `kind@index` spec string ([`FaultPlan::parse`]
@@ -522,7 +511,7 @@ mod tests {
         let again = FaultPlan::parse(&plan.canonical()).unwrap();
         assert_eq!(plan, again);
         assert!(plan.has_sim_faults());
-        assert!(plan.has_worker_faults());
+        assert!(plan.events().iter().any(|e| e.kind.is_worker()));
     }
 
     #[test]
@@ -595,7 +584,7 @@ mod tests {
         assert_ne!(FaultPlan::from_seed(42), FaultPlan::from_seed(43));
         let plan = FaultPlan::from_seed(7);
         assert!(plan.has_sim_faults());
-        assert!(plan.has_worker_faults());
+        assert!(plan.events().iter().any(|e| e.kind.is_worker()));
         // Seeded sim faults are all masked: safe to run anywhere.
         assert!(plan.events().iter().filter(|e| !e.kind.is_worker()).all(|e| e.kind.is_masked()));
     }

@@ -136,41 +136,26 @@ impl Trace {
         config: MachineConfig,
         scheme: Box<dyn Scheme>,
     ) -> Result<RunReport, RtError> {
-        self.replay_with_faults(config, scheme, None)
+        self.replay_with_options(config, scheme, None, false)
     }
 
-    /// Like [`Trace::replay`], but with an optional machine-level fault
+    /// Like [`Trace::replay`], with an optional machine-level fault
     /// schedule installed on the fresh CPU before replay begins — the
-    /// sweep engine's path for fault-injection runs over cached traces.
-    /// (Stream faults cannot apply here: a trace contains no stream
-    /// operations, only their cycle costs.)
+    /// sweep engine's path for fault-injection runs over cached traces
+    /// — and window integrity auditing optionally enabled on it. (Stream
+    /// faults cannot apply here: a trace contains no stream operations,
+    /// only their cycle costs.) Auditing never touches the cycle counter
+    /// or statistics, so an audited replay's report is byte-identical to
+    /// an unaudited one; a masked corruption from the fault schedule is
+    /// repaired silently, while unrecoverable corruption surfaces as an
+    /// error (replay has no scheduler to quarantine the owning thread).
     ///
     /// # Errors
     ///
     /// Propagates scheme/machine errors, including typed
     /// [`regwin_machine::MachineError::FaultInjected`] errors from
-    /// unmasked faults, and [`RtError::CorruptTrace`] for a trace whose
-    /// events reference unknown threads.
-    pub fn replay_with_faults(
-        &self,
-        config: MachineConfig,
-        scheme: Box<dyn Scheme>,
-        faults: Option<FaultSchedule>,
-    ) -> Result<RunReport, RtError> {
-        self.replay_with_options(config, scheme, faults, false)
-    }
-
-    /// Like [`Trace::replay_with_faults`], with window integrity auditing
-    /// optionally enabled on the replay CPU. Auditing never touches the
-    /// cycle counter or statistics, so an audited replay's report is
-    /// byte-identical to an unaudited one; a masked corruption from the
-    /// fault schedule is repaired silently, while unrecoverable
-    /// corruption surfaces as an error (replay has no scheduler to
-    /// quarantine the owning thread).
-    ///
-    /// # Errors
-    ///
-    /// As [`Trace::replay_with_faults`], plus
+    /// unmasked faults, [`RtError::CorruptTrace`] for a trace whose
+    /// events reference unknown threads,
     /// [`regwin_machine::MachineError::UnrecoverableCorruption`] when the
     /// auditor detects a dirty-frame mismatch, and
     /// [`RtError::DeadlineExceeded`] when the [`crate::with_deadline`]

@@ -5,12 +5,11 @@
 //! and its error policy.
 //!
 //! - **Replace** ([`write_file_atomic`]): cache entries, artifacts,
-//!   traces, CSVs and `wall_hints.json`. A crash leaves the old file or
-//!   the new one at the path, never a torn one. Nothing is synced.
+//!   traces and CSVs. A crash leaves the old file or the new one at the
+//!   path, never a torn one. Nothing is synced.
 //! - **Durable append** ([`Appender`]): the journal. An append that
 //!   returned survives a crash.
-//! - **Lock file** ([`DirLock`]): the journal's and the wall hints'
-//!   single-writer locks.
+//! - **Lock file** ([`DirLock`]): the journal's single-writer lock.
 //! - **Read whole file** ([`read`]) and the daemon's socket file
 //!   ([`remove_socket`]).
 //!

@@ -1,12 +1,11 @@
-//! The lock-file policy: cross-process advisory file locks for shared
-//! sweep state.
+//! The lock-file policy: the write-ahead journal's cross-process
+//! single-writer lock.
 //!
-//! A [`DirLock`] is an exclusive kernel lock (std's [`File::try_lock`]
-//! and [`File::lock`]) on a lock file, held through the open [`File`].
-//! It guards the two pieces of sweep state that several engines may
-//! share through one directory: the write-ahead journal and the cache
-//! directory's `wall_hints.json`. Taking one creates the lock file's
-//! directory, which is also the journal's, so a journal opens no other.
+//! A [`DirLock`] is an exclusive kernel lock (std's [`File::try_lock`])
+//! on a lock file beside the journal, held through the open [`File`].
+//! Taking one never waits: a journal another engine holds is refused.
+//! Taking one creates the lock file's directory, which is also the
+//! journal's, so a journal opens no other.
 //! The kernel releases the lock when the file closes, whether its
 //! holder drops it, exits, is killed or crashes, so a dead holder never
 //! wedges a later run and nothing is written into the file, or synced.
@@ -42,14 +41,9 @@ impl DirLock {
         DirLock::take(path.into(), File::try_lock)
     }
 
-    /// Takes the lock at `path`, waiting until its holder releases it.
-    pub(crate) fn acquire(path: impl Into<PathBuf>) -> io::Result<DirLock> {
-        DirLock::take(path.into(), |file| file.lock().map_err(TryLockError::Error))
-            .map(|lock| lock.expect("a blocking lock returns once it is held"))
-    }
-
     /// Opens `path` and locks it with `lock` until the locked file is
-    /// the one at `path`.
+    /// the one at `path`. `lock` is [`File::try_lock`]; a test passes one
+    /// that removes the file between the open and the lock.
     fn take(
         path: PathBuf,
         mut lock: impl FnMut(&File) -> Result<(), TryLockError>,
@@ -169,24 +163,6 @@ mod tests {
         assert!(path.exists(), "the retry locks a file at the path");
         assert!(DirLock::try_acquire(&path).unwrap().is_none(), "and that file is held");
         drop(lock);
-        assert!(!path.exists());
-    }
-
-    #[test]
-    fn contended_acquire_succeeds_once_the_holder_releases() {
-        let path = tmplock("contended");
-        let _ = std::fs::remove_file(&path);
-        let first = DirLock::try_acquire(&path).unwrap().expect("fresh lock");
-        let path2 = path.clone();
-        let waiter = std::thread::spawn(move || {
-            let lock = DirLock::acquire(&path2).unwrap();
-            let held = path2.exists() && DirLock::try_acquire(&path2).unwrap().is_none();
-            drop(lock);
-            held
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        drop(first);
-        assert!(waiter.join().unwrap(), "waiter must hold the lock at the path after release");
         assert!(!path.exists());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A test installs a [`Seam`] on a root directory. From then on every
 //! operation the disk module makes on a path under that root is
-//! recorded in order, and one of them can be made to go wrong
+//! recorded in order with its path, and one of them can be made to go wrong
 //! ([`Fault`]). Operations under other roots, such as those of tests
 //! running in parallel, pass untouched.
 
@@ -51,7 +51,7 @@ struct Plan {
     root: PathBuf,
     fault: Fault,
     seed: u64,
-    ops: Vec<Op>,
+    ops: Vec<(Op, PathBuf)>,
     dead: bool,
 }
 
@@ -73,6 +73,12 @@ impl Seam {
 
     /// The operations made under the root so far, in order.
     pub(crate) fn ops(&self) -> Vec<Op> {
+        self.trace().into_iter().map(|(op, _)| op).collect()
+    }
+
+    /// The operations made under the root so far, in order, each with
+    /// the path it was made on.
+    pub(crate) fn trace(&self) -> Vec<(Op, PathBuf)> {
         plans().iter().find(|p| p.root == self.root).map(|p| p.ops.clone()).unwrap_or_default()
     }
 }
@@ -116,7 +122,7 @@ fn verdict(op: Op, path: &Path, len: usize) -> Option<Option<usize>> {
     let mut plans = plans();
     let plan = plans.iter_mut().find(|p| path.starts_with(&p.root))?;
     let n = plan.ops.len();
-    plan.ops.push(op);
+    plan.ops.push((op, path.to_path_buf()));
     if plan.dead {
         return Some(None);
     }
@@ -144,7 +150,6 @@ mod tests {
     use crate::cache::ResultCache;
     use crate::engine::{SweepConfig, SweepEngine};
     use crate::journal::replay_journal;
-    use crate::json::{parse, Value};
     use crate::key::JobKey;
     use crate::serial::records_to_json;
     use regwin_core::{Behavior, Concurrency, Granularity, MatrixSpec};
@@ -220,8 +225,8 @@ mod tests {
     }
 
     /// A crash leaves no torn file at a final path: the artifact is
-    /// absent or whole, every cache entry loads and the wall hints
-    /// parse. Temporaries and lock files may be left.
+    /// absent or whole and every cache entry loads. Temporaries may be
+    /// left; any other file in the cache directory is a stray.
     fn assert_whole_at_final_paths(dirs: &Dirs, artifact: &str, context: &str) {
         if let Ok(text) = std::fs::read_to_string(&dirs.artifact) {
             assert_eq!(text, artifact, "{context}: a torn artifact");
@@ -230,12 +235,7 @@ mod tests {
         let (cache, keys) = (ResultCache::new(&dirs.cache), keys());
         for entry in entries {
             let name = entry.unwrap().file_name().to_string_lossy().into_owned();
-            if name.contains(".tmp.") || name.ends_with(".lock") {
-                continue;
-            }
-            if name == "wall_hints.json" {
-                let text = std::fs::read_to_string(dirs.cache.join(&name)).unwrap();
-                assert!(matches!(parse(&text), Ok(Value::Obj(_))), "{context}: torn hints");
+            if name.contains(".tmp.") {
                 continue;
             }
             let key = keys.iter().find(|k| format!("{}.json", k.id()) == name);
@@ -312,6 +312,50 @@ mod tests {
         ResultCache::new(&dirs.cache).store(&keys()[0], &report);
         assert_eq!(seam.ops(), [Op::Mkdir, Op::Open, Op::Write, Op::Rename]);
         drop(seam);
+        let _ = std::fs::remove_dir_all(&dirs.root);
+    }
+
+    /// A cold cached sweep on one worker, without a journal, touches its
+    /// cache entries and nothing else: each miss's load fails, then each
+    /// store creates the directory, opens and writes its temporary and
+    /// renames it onto the entry. The directory then holds one entry per
+    /// job.
+    #[test]
+    fn a_cold_cached_sweep_touches_only_its_entries() {
+        let dirs = Dirs::fresh("cold-sweep");
+        let config = SweepConfig::builder().workers(1).cache_dir(&dirs.cache);
+        let seam = Seam::install(&dirs.root, Fault::None, 0);
+        let engine = SweepEngine::with_config(config.build().unwrap());
+        assert_eq!(engine.run_matrix(&spec()).unwrap().len(), keys().len());
+        drop(engine);
+        // Paths relative to the root, a temporary's unique suffix cut.
+        let trace: Vec<(Op, String)> = seam
+            .trace()
+            .into_iter()
+            .map(|(op, path)| {
+                let path = path.strip_prefix(&dirs.root).unwrap().display().to_string();
+                (op, path.find(".tmp.").map_or(path.clone(), |at| format!("{}.tmp", &path[..at])))
+            })
+            .collect();
+        drop(seam);
+        let entries: Vec<String> = keys().iter().map(|k| format!("{}.json", k.id())).collect();
+        let mut want: Vec<(Op, String)> =
+            entries.iter().map(|name| (Op::Read, format!("cache/{name}"))).collect();
+        for name in &entries {
+            want.push((Op::Mkdir, "cache".to_string()));
+            want.push((Op::Open, format!("cache/{name}.tmp")));
+            want.push((Op::Write, format!("cache/{name}.tmp")));
+            want.push((Op::Rename, format!("cache/{name}")));
+        }
+        assert_eq!(trace, want);
+        let mut names: Vec<String> = std::fs::read_dir(&dirs.cache)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        let mut want_names = entries;
+        want_names.sort();
+        assert_eq!(names, want_names, "the cache directory holds one entry per job");
         let _ = std::fs::remove_dir_all(&dirs.root);
     }
 

@@ -14,7 +14,7 @@
 //! trace when at least one of its cells actually missed the cache.
 
 use crate::cache::ResultCache;
-use crate::disk::{self, write_file_atomic, DirLock};
+use crate::disk::write_file_atomic;
 use crate::gate::AdmissionGate;
 use crate::journal::{replay_journal, JournalOpenError, JournalReplay, SweepJournal};
 use crate::json::{obj, Value};
@@ -34,12 +34,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// File inside the cache directory holding LPT scheduling hints: a JSON
-/// object mapping job id → wall ms measured the last time the job
-/// actually ran. Purely advisory — it orders cold-sweep execution,
-/// never results.
-const WALL_HINTS_FILE: &str = "wall_hints.json";
 
 /// Engine configuration.
 #[derive(Debug, Clone, Default)]
@@ -504,10 +498,8 @@ struct LogEntry {
 /// What one cache-missing job came to, handed back from its worker to
 /// the orchestrating thread.
 enum MissOutcome {
-    /// It ran: what it served and its log entry, then its real wall
-    /// time in milliseconds (the LPT hint, even when the artifact zeroes
-    /// it).
-    Done(Box<(Served, LogEntry)>, f64),
+    /// It ran: what it served and its log entry.
+    Done(Box<(Served, LogEntry)>),
     /// Every attempt failed.
     Quarantined(QuarantineRecord),
 }
@@ -755,51 +747,6 @@ impl SweepEngine {
         }
     }
 
-    /// Loads the persisted LPT scheduling hints (job id → wall ms of a
-    /// prior cache miss) from the cache directory. Absent or
-    /// unparseable files degrade scheduling quality, never correctness.
-    fn load_wall_hints(&self) -> BTreeMap<String, f64> {
-        let Some(cache) = &self.cache else { return BTreeMap::new() };
-        let path = cache.dir().join(WALL_HINTS_FILE);
-        let Some(text) = disk::read(&path).ok().and_then(|bytes| String::from_utf8(bytes).ok())
-        else {
-            return BTreeMap::new();
-        };
-        match crate::json::parse(&text) {
-            Ok(Value::Obj(pairs)) => {
-                pairs.into_iter().filter_map(|(id, v)| v.as_f64().map(|ms| (id, ms))).collect()
-            }
-            _ => BTreeMap::new(),
-        }
-    }
-
-    /// Merges a batch's measured wall times (job id → ms) into the cache
-    /// directory's hint store. Write failures cost future scheduling
-    /// quality, not correctness, so they are silently ignored.
-    ///
-    /// The read-merge-write runs under the hint store's advisory lock:
-    /// without it, two engines sharing a cache dir could both read the
-    /// old file and the second rename would clobber the first engine's
-    /// hints (last-write-wins). With the lock, concurrent engines'
-    /// hints accumulate as a union. The lock is waited for: the kernel
-    /// releases it with a holder that dies.
-    fn persist_wall_hints(&self, fresh: &[(&str, f64)]) {
-        let Some(cache) = &self.cache else { return };
-        if fresh.is_empty() {
-            return;
-        }
-        let Ok(_lock) = DirLock::acquire(cache.dir().join(format!("{WALL_HINTS_FILE}.lock")))
-        else {
-            return;
-        };
-        let mut merged = self.load_wall_hints();
-        for &(id, ms) in fresh {
-            merged.insert(id.to_string(), ms);
-        }
-        let value = Value::Obj(merged.into_iter().map(|(id, ms)| (id, Value::Float(ms))).collect());
-        let _ = write_file_atomic(&cache.dir().join(WALL_HINTS_FILE), &value.to_json());
-    }
-
     /// Runs a batch of keyed jobs: probes the cache, executes the misses
     /// across the worker pool, stores fresh results, and returns the
     /// reports in input order.
@@ -844,7 +791,7 @@ impl SweepEngine {
         let lookups: Vec<Lookup<'_>> = names.iter().map(|names| self.lookup(names)).collect();
         let missing: Vec<usize> =
             (0..names.len()).filter(|&i| matches!(lookups[i], Lookup::Miss)).collect();
-        let mut jobs = build(&missing)?;
+        let jobs = build(&missing)?;
 
         let mut results: Vec<Option<Served>> = (0..names.len()).map(|_| None).collect();
         let mut log = Vec::new();
@@ -874,13 +821,11 @@ impl SweepEngine {
         self.flush_probe();
         let mut quarantined = Vec::new();
         if !jobs.is_empty() {
-            let outcomes = self.run_misses(&names, &mut jobs);
-            let mut hints = Vec::new();
+            let outcomes = self.run_misses(&names, &jobs);
             for ((i, _), outcome) in jobs.iter().zip(outcomes) {
                 match outcome {
-                    Some(MissOutcome::Done(done, wall_ms)) => {
+                    Some(MissOutcome::Done(done)) => {
                         let (served, entry) = *done;
-                        hints.push((names[*i].id.as_str(), wall_ms));
                         log.push(entry);
                         results[*i] = Some(served);
                     }
@@ -888,7 +833,6 @@ impl SweepEngine {
                     None => {}
                 }
             }
-            self.persist_wall_hints(&hints);
         }
         // Poisoned mutexes are recovered: an append leaves either list
         // whole, so a panicking job cannot take the engine's reporting
@@ -901,36 +845,14 @@ impl SweepEngine {
     }
 
     /// Executes the cache-missing `jobs` (each paired with its slot in
-    /// `names`) across the worker pool, and returns each one's outcome;
-    /// `None` for a job a closed admission gate skipped. `jobs` is left
-    /// in dispatch order, the order of the outcomes.
+    /// `names`) across the worker pool in the caller's order, and
+    /// returns each one's outcome; `None` for a job a closed admission
+    /// gate skipped.
     fn run_misses<J: Borrow<Job> + Sync>(
         &self,
         names: &[KeyNames],
-        jobs: &mut [(usize, J)],
+        jobs: &[(usize, J)],
     ) -> Vec<Option<MissOutcome>> {
-        // LPT (longest-processing-time-first): when prior runs left
-        // wall-time hints in the cache directory, start the
-        // expected-longest misses first so the pool's tail stays short.
-        // Ordering only affects which worker picks which job — results
-        // return in input order and deterministic artifacts sort by
-        // key — so a missing or stale hint file costs schedule quality,
-        // nothing else. Unhinted jobs follow the hinted ones in
-        // canonical key order; with no hint file at all the misses keep
-        // the caller's deterministic matrix order (which also keeps
-        // worker-fault sequence targeting stable — fault plans disable
-        // the cache, so they can never load hints).
-        if jobs.len() > 1 {
-            let hints = self.load_wall_hints();
-            if !hints.is_empty() {
-                let hint = |i: usize| hints.get(&names[i].id).copied().unwrap_or(0.0);
-                jobs.sort_by(|(a, _), (b, _)| {
-                    hint(*b)
-                        .total_cmp(&hint(*a))
-                        .then_with(|| names[*a].canonical.cmp(&names[*b].canonical))
-                });
-            }
-        }
         let base_seq = self.seq.fetch_add(jobs.len() as u64, Ordering::Relaxed);
         self.fan_out(jobs.len(), |d| {
             let (i, job) = &jobs[d];
@@ -1527,11 +1449,10 @@ fn execute_job(engine: &SweepEngine, job: &Job, names: &KeyNames, seq: u64) -> M
         }
         match run_attempt(engine, job, injected, seq) {
             AttemptOutcome::Done(report) => {
-                let real_ms = t0.elapsed().as_secs_f64() * 1e3;
                 // Deterministic (journaled) artifacts zero the one
-                // nondeterministic per-job field; the real time still
-                // seeds LPT scheduling of future cold sweeps.
-                let wall_ms = if engine.deterministic { 0.0 } else { real_ms };
+                // nondeterministic per-job field.
+                let wall_ms =
+                    if engine.deterministic { 0.0 } else { t0.elapsed().as_secs_f64() * 1e3 };
                 // The report's one serialization, made only when a cache
                 // or a journal will keep the bytes.
                 let json = (engine.cache.is_some() || engine.journal.is_some())
@@ -1545,7 +1466,7 @@ fn execute_job(engine: &SweepEngine, job: &Job, names: &KeyNames, seq: u64) -> M
                     engine.journal_job(&record, json);
                 }
                 let entry = engine.log_entry(names, &report, record);
-                return MissOutcome::Done(Box::new(((*report, json), entry)), real_ms);
+                return MissOutcome::Done(Box::new(((*report, json), entry)));
             }
             AttemptOutcome::Error(e) => last_failure = ("error", e.to_string()),
             AttemptOutcome::Panic(msg) => last_failure = ("panic", msg),
@@ -1766,42 +1687,6 @@ mod tests {
         assert_eq!(reports[0].as_ref().unwrap().nwindows, 12);
         assert_eq!(reports[1].as_ref().unwrap().nwindows, 4);
         assert!(engine.quarantine().is_empty());
-    }
-
-    #[test]
-    fn lpt_scheduling_keeps_the_deterministic_artifact_byte_identical() {
-        let dir =
-            std::env::temp_dir().join(format!("regwin-sweep-lpt-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spec = small_spec();
-        let config = |journal: &str| SweepConfig {
-            cache_dir: Some(dir.clone()),
-            journal_path: Some(dir.join(journal)),
-            ..SweepConfig::default()
-        };
-        // Cold pass one: no wall hints exist yet, so the misses run in
-        // canonical key order.
-        let first = SweepEngine::with_config(config("j1.jsonl"));
-        first.run_matrix(&spec).unwrap();
-        assert_eq!(first.summary().cache_misses, spec.len());
-        let baseline = first.artifact_value().to_json();
-        assert!(dir.join(WALL_HINTS_FILE).exists(), "cold pass persists wall hints");
-        // Drop the cached results but keep the hints: pass two is cold
-        // again, and this time schedules its misses longest-first.
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            if name.ends_with(".json") && name != WALL_HINTS_FILE {
-                std::fs::remove_file(&path).unwrap();
-            }
-        }
-        let second = SweepEngine::with_config(config("j2.jsonl"));
-        second.run_matrix(&spec).unwrap();
-        assert_eq!(second.summary().cache_misses, spec.len());
-        // Scheduling order is pure wall-clock policy: the deterministic
-        // artifact must not change by a byte.
-        assert_eq!(second.artifact_value().to_json(), baseline);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2176,50 +2061,6 @@ mod tests {
         drop(first);
         // Releasing the first engine frees the journal.
         SweepEngine::try_with_config(config()).expect("released journal must reopen");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn concurrent_engines_accumulate_wall_hints_instead_of_clobbering() {
-        let dir = std::env::temp_dir()
-            .join(format!("regwin-sweep-hint-merge-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Two engines share one cache dir but run disjoint job sets
-        // concurrently; each persists its own wall hints at batch end.
-        // Merge-on-save under the hint lock means the union survives —
-        // the old last-write-wins save would keep only one engine's.
-        let spec_a = small_spec();
-        let mut spec_b = small_spec();
-        spec_b.windows = vec![6, 12];
-        std::thread::scope(|scope| {
-            for spec in [&spec_a, &spec_b] {
-                let dir = &dir;
-                scope.spawn(move || {
-                    let engine = SweepEngine::with_config(
-                        SweepConfig::builder().cache_dir(dir).build().unwrap(),
-                    );
-                    engine.run_matrix(spec).unwrap();
-                });
-            }
-        });
-        let hints = std::fs::read_to_string(dir.join(WALL_HINTS_FILE)).unwrap();
-        let parsed = crate::json::parse(&hints).unwrap();
-        let Value::Obj(pairs) = parsed else { panic!("hints must be an object") };
-        let ids: std::collections::BTreeSet<String> = pairs.into_iter().map(|(id, _)| id).collect();
-        for spec in [&spec_a, &spec_b] {
-            for behavior in &spec.behaviors {
-                for &scheme in &spec.schemes {
-                    for &w in &spec.windows {
-                        let key = JobKey::for_cell(spec, *behavior, scheme, w);
-                        assert!(
-                            ids.contains(&key.id()),
-                            "hint for {} must survive the concurrent save",
-                            key.canonical()
-                        );
-                    }
-                }
-            }
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -405,8 +405,9 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a non-negative integer that fits a `u64`, accumulating its
-    /// digits in one pass; a fraction, an exponent, a sign or an
-    /// overflow takes the [`Reader::number`] path, which rejects it.
+    /// digits in one pass; a fraction, an exponent, a sign, a leading
+    /// zero or an overflow takes the [`Reader::number`] path, which
+    /// rejects it.
     pub(crate) fn u64(&mut self) -> Result<u64, ParseError> {
         self.skip_ws();
         let (bytes, mut end, mut n) = (self.text.as_bytes(), self.pos, 0u64);
@@ -416,7 +417,8 @@ impl<'a> Reader<'a> {
                 None => return self.number_u64(),
             }
         }
-        if end > self.pos && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E')) {
+        let leading_zero = end > self.pos + 1 && bytes[self.pos] == b'0';
+        if end > self.pos && !leading_zero && !matches!(bytes.get(end), Some(b'.' | b'e' | b'E')) {
             self.pos = end;
             return Ok(n);
         }
@@ -522,12 +524,18 @@ impl<'a> Reader<'a> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
+                            // Exactly four hex digits, digit by digit:
+                            // `u32::from_str_radix` would also take a sign.
+                            let code = self
                                 .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                                .and_then(|hex| {
+                                    hex.iter().try_fold(0, |code, &b| {
+                                        char::from(b).to_digit(16).map(|d| code * 16 + d)
+                                    })
+                                })
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             // Surrogates never occur in the engine's own
                             // output; reject rather than mis-decode.
                             let c = char::from_u32(code)
@@ -547,28 +555,40 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a number: an [`Value::Int`] when it is a non-negative
-    /// integer that fits, a [`Value::Float`] otherwise.
+    /// Reads a number in JSON's grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`: an
+    /// [`Value::Int`] when it is a non-negative integer that fits, a
+    /// [`Value::Float`] otherwise.
     fn number(&mut self) -> Result<Value, ParseError> {
         self.skip_ws();
         if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
             return Err(self.err("expected a number"));
         }
         let start = self.pos;
+        let bad = || ParseError { at: start, message: "bad number".into() };
+        // Skips one or more digits, returning how many.
         let digits = |r: &mut Self| {
+            let from = r.pos;
             while matches!(r.peek(), Some(c) if c.is_ascii_digit()) {
                 r.pos += 1;
+            }
+            match r.pos - from {
+                0 => Err(bad()),
+                n => Ok(n),
             }
         };
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        digits(self);
+        let int_start = self.pos;
+        if digits(self)? > 1 && self.text.as_bytes()[int_start] == b'0' {
+            return Err(bad());
+        }
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            digits(self);
+            digits(self)?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -576,7 +596,7 @@ impl<'a> Reader<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            digits(self);
+            digits(self)?;
         }
         let text = &self.text[start..self.pos];
         if !is_float && !text.starts_with('-') {
@@ -584,9 +604,7 @@ impl<'a> Reader<'a> {
                 return Ok(Value::Int(n));
             }
         }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| ParseError { at: start, message: "bad number".into() })
+        text.parse::<f64>().map(Value::Float).map_err(|_| bad())
     }
 }
 
@@ -762,6 +780,39 @@ mod tests {
     fn negative_and_exponent_numbers() {
         assert_eq!(parse("-3").unwrap(), Value::Float(-3.0));
         assert_eq!(parse("1e3").unwrap(), Value::Float(1000.0));
+        assert_eq!(parse("-0").unwrap(), Value::Float(-0.0));
+        assert_eq!(parse("0.5").unwrap(), Value::Float(0.5));
+        assert_eq!(parse("1E+3").unwrap(), Value::Float(1000.0));
+        assert_eq!(parse("-1.5e-7").unwrap(), Value::Float(-1.5e-7));
+        assert_eq!(parse("\"\\u0041\"").unwrap(), Value::Str("A".into()));
+        // Text outside JSON's number and `\u` grammars is a typed error
+        // through the tree parser and through the pull reader alike.
+        let rejected = [
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u004\"",
+            "\"\\u00g1\"",
+            "-.5",
+            ".5",
+            "1.",
+            "1.e3",
+            "01",
+            "-01",
+            "00",
+            "-",
+            "1e",
+            "1e+",
+            "+1",
+        ];
+        for text in rejected {
+            assert!(parse(text).is_err(), "{text}");
+            let mut r = Reader::new(text);
+            let pulled = match text.as_bytes()[0] {
+                b'"' => r.str().map(drop),
+                _ => r.f64().map(drop),
+            };
+            assert!(pulled.and_then(|()| r.finish()).is_err(), "{text}");
+        }
     }
 
     #[test]
@@ -844,7 +895,10 @@ mod tests {
         // Each text with the value both paths must read from it.
         let numbers = [
             ("0", Some(0)),
-            ("007", Some(7)),
+            ("0]", Some(0)),
+            ("007", None),
+            ("01", None),
+            ("-0", None),
             (" 42 ", Some(42)),
             ("12,", Some(12)),
             ("12]", Some(12)),

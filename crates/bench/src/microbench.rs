@@ -402,7 +402,7 @@ fn bench_sched(cfg: MicrobenchConfig, audit: bool) -> [OpMeasurement; 2] {
             for i in 0..QUEUE {
                 // Every other wake still has resident windows, so both
                 // queue segments see traffic.
-                let wake = WakeInfo { resident: (i % 2) as usize, free_windows: 4, nwindows: 8 };
+                let wake = WakeInfo { resident: (i % 2) as usize, free_windows: 4 };
                 queue.enqueue_woken(ThreadId::new(i as usize), wake);
             }
             e_ns += t0.elapsed().as_nanos() as f64;

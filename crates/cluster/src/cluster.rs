@@ -2,8 +2,8 @@
 //!
 //! A [`ClusterBuilder`] collects one [`StartedSim`] per PE plus the
 //! routes between their outbound and inbound streams, then
-//! [`ClusterBuilder::run`] drives everything through the event
-//! scheduler and folds the per-PE reports and bus counters into a
+//! [`ClusterBuilder::run`] drives the PEs and the bus in one event loop
+//! and folds the per-PE reports and bus counters into a
 //! [`ClusterReport`].
 //!
 //! **The 1-PE differential oracle.** A cluster of one PE has no routes
@@ -15,101 +15,17 @@
 //! single-machine simulator by construction — the anchor every
 //! determinism test in `tests/cluster_determinism.rs` leans on.
 
-use crate::bus::{Bus, BusConfig};
-use crate::component::{Component, ComponentId, Message, Outbox, Status};
-use crate::run_components;
+use crate::bus::{Bus, BusConfig, Request, ToPe};
 use regwin_machine::{CycleCategory, CycleCounter, MachineStats};
 use regwin_rt::{BusSummary, RtError, RunReport, StartedSim, StepOutcome, StreamId, ThreadReport};
-
-/// One PE of the cluster: a started simulation plus its event-protocol
-/// adapter.
-struct ClusterPe {
-    id: ComponentId,
-    bus_id: ComponentId,
-    sim: StartedSim,
-    done: bool,
-}
-
-impl ClusterPe {
-    /// Forwards every completed send to the bus as a request.
-    fn flush_outbound(&mut self, out: &mut Outbox) {
-        for ev in self.sim.drain_outbound() {
-            out.send(
-                self.bus_id,
-                ev.tick,
-                Message::Request { from_pe: self.id, stream: ev.stream, payload: ev.payload },
-            );
-        }
-    }
-}
-
-impl Component for ClusterPe {
-    fn on_tick(&mut self, _now: u64, inbox: Vec<(u64, Message)>, out: &mut Outbox) -> Status {
-        for (tick, msg) in inbox {
-            match msg {
-                Message::Grant { stream } => self.sim.grant_send(stream),
-                Message::Deliver { stream, payload } => self.sim.deliver(stream, payload, tick),
-                Message::Request { .. } => unreachable!("only the bus receives requests"),
-            }
-        }
-        match self.sim.step() {
-            Ok(StepOutcome::Done) => {
-                self.flush_outbound(out);
-                self.done = true;
-                Status::Done
-            }
-            Ok(StepOutcome::Blocked) => {
-                self.flush_outbound(out);
-                Status::Idle
-            }
-            Err(e) => Status::Failed(e),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.done
-    }
-
-    fn blocked_detail(&self) -> Option<String> {
-        Some(format!("PE {}: {}", self.id, self.sim.blocked_detail()))
-    }
-}
-
-/// Either node kind the event loop drives (PEs first, the bus last —
-/// so at equal ticks PEs fire in PE order before the bus arbitrates).
-enum Node {
-    Pe(ClusterPe),
-    Bus(Bus),
-}
-
-impl Component for Node {
-    fn on_tick(&mut self, now: u64, inbox: Vec<(u64, Message)>, out: &mut Outbox) -> Status {
-        match self {
-            Node::Pe(pe) => pe.on_tick(now, inbox, out),
-            Node::Bus(bus) => bus.on_tick(now, inbox, out),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        match self {
-            Node::Pe(pe) => pe.is_done(),
-            Node::Bus(bus) => Component::is_done(bus),
-        }
-    }
-
-    fn blocked_detail(&self) -> Option<String> {
-        match self {
-            Node::Pe(pe) => pe.blocked_detail(),
-            Node::Bus(bus) => Component::blocked_detail(bus),
-        }
-    }
-}
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Assembles PEs and routes, then runs the cluster.
 pub struct ClusterBuilder {
     cfg: BusConfig,
     sims: Vec<StartedSim>,
-    routes: Vec<(ComponentId, StreamId, ComponentId, StreamId)>,
+    routes: Vec<(usize, StreamId, usize, StreamId)>,
 }
 
 impl ClusterBuilder {
@@ -120,7 +36,7 @@ impl ClusterBuilder {
 
     /// Adds a PE (a simulation already started via
     /// [`regwin_rt::Simulation::start`]); returns its PE number.
-    pub fn add_pe(&mut self, sim: StartedSim) -> ComponentId {
+    pub fn add_pe(&mut self, sim: StartedSim) -> usize {
         self.sims.push(sim);
         self.sims.len() - 1
     }
@@ -128,13 +44,7 @@ impl ClusterBuilder {
     /// Routes `outbound` (marked via
     /// [`regwin_rt::Simulation::mark_stream_outbound`] on PE
     /// `from_pe`) to `inbound` (marked inbound on PE `to_pe`).
-    pub fn route(
-        &mut self,
-        from_pe: ComponentId,
-        outbound: StreamId,
-        to_pe: ComponentId,
-        inbound: StreamId,
-    ) {
+    pub fn route(&mut self, from_pe: usize, outbound: StreamId, to_pe: usize, inbound: StreamId) {
         self.routes.push((from_pe, outbound, to_pe, inbound));
     }
 
@@ -158,47 +68,27 @@ impl ClusterBuilder {
                 detail: format!("route references PE {} of {npes}", f.max(t)),
             });
         }
-        let bus_id = npes;
         let mut bus = Bus::new(self.cfg, npes);
         for (f, o, t, i) in self.routes {
             bus.add_route(f, o, t, i);
         }
-        let mut nodes: Vec<Node> = self
-            .sims
-            .into_iter()
-            .enumerate()
-            .map(|(id, sim)| Node::Pe(ClusterPe { id, bus_id, sim, done: false }))
-            .collect();
-        nodes.push(Node::Bus(bus));
-        run_components(&mut nodes)?;
+        let mut sims = self.sims;
+        drive(&mut sims, &mut bus)?;
 
-        let mut reports = Vec::with_capacity(npes);
-        let mut grants = 0;
-        let mut messages = 0;
-        let mut arb_stall = vec![0u64; npes];
-        for node in nodes {
-            match node {
-                Node::Pe(pe) => {
-                    let (report, _) = pe.sim.finish()?;
-                    reports.push(report);
-                }
-                Node::Bus(bus) => {
-                    grants = bus.grants();
-                    messages = bus.messages();
-                    arb_stall.copy_from_slice(bus.per_pe_stall());
-                }
-            }
-        }
+        let reports = sims
+            .into_iter()
+            .map(|sim| sim.finish().map(|(report, _)| report))
+            .collect::<Result<Vec<_>, _>>()?;
         let per_pe_cycles: Vec<u64> = reports.iter().map(|r| r.cycles.total()).collect();
         let per_pe_stalls: Vec<u64> = reports
             .iter()
-            .zip(&arb_stall)
+            .zip(bus.per_pe_stall())
             .map(|(r, &arb)| arb + r.cycles.category(CycleCategory::BusStall))
             .collect();
         let summary = BusSummary {
             pes: npes,
-            grants,
-            messages,
+            grants: bus.grants(),
+            messages: bus.messages(),
             stall_cycles: per_pe_stalls.iter().sum(),
             makespan_cycles: per_pe_cycles.iter().copied().max().unwrap_or(0),
             per_pe_cycles,
@@ -206,6 +96,78 @@ impl ClusterBuilder {
         };
         Ok(ClusterReport { reports, summary })
     }
+}
+
+/// The cluster's event loop. Node `i < n` is PE `i` and node `n` the
+/// bus; a min-heap of `(tick, node)` firings orders every step, so equal
+/// ticks fire the PEs in PE order before the bus arbitrates, on every
+/// run. Every node fires at tick 0, then once per message sent to it,
+/// at the message's tick; a firing takes the node's messages due by
+/// then in `(tick, send order)` order. A PE fires by applying its
+/// grants and deliveries, stepping its simulation and raising a bus
+/// request per completed send. A PE that reported done is never fired
+/// again. The bus fires by arbitrating every queued request, so it
+/// holds none once the heap drains.
+///
+/// # Errors
+///
+/// The first PE error, or a cluster deadlock naming every PE left
+/// unfinished when no firing is due.
+fn drive(pes: &mut [StartedSim], bus: &mut Bus) -> Result<(), RtError> {
+    let n = pes.len();
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..=n).map(|id| Reverse((0, id))).collect();
+    let mut pe_mail: Vec<Vec<(u64, u64, ToPe)>> = (0..n).map(|_| Vec::new()).collect();
+    let mut bus_mail: Vec<(u64, u64, Request)> = Vec::new();
+    let mut done = vec![false; n];
+    let mut seq = 0u64;
+    while let Some(Reverse((now, id))) = heap.pop() {
+        if id == n {
+            for (tick, req) in take_due(&mut bus_mail, now) {
+                bus.push(tick, req);
+            }
+            bus.arbitrate(|to, tick, msg| {
+                pe_mail[to].push((tick, seq, msg));
+                seq += 1;
+                heap.push(Reverse((tick, to)));
+            });
+            continue;
+        }
+        if done[id] {
+            continue;
+        }
+        let sim = &mut pes[id];
+        for (tick, msg) in take_due(&mut pe_mail[id], now) {
+            match msg {
+                ToPe::Grant(stream) => sim.grant_send(stream),
+                ToPe::Deliver(stream, payload) => sim.deliver(stream, payload, tick),
+            }
+        }
+        done[id] = sim.step()? == StepOutcome::Done;
+        for ev in sim.drain_outbound() {
+            let req = Request { from_pe: id, stream: ev.stream, payload: ev.payload };
+            bus_mail.push((ev.tick, seq, req));
+            seq += 1;
+            heap.push(Reverse((ev.tick, n)));
+        }
+    }
+    // Quarantine records carry this text, so its format stays fixed.
+    let stuck: Vec<String> = (0..n)
+        .filter(|&i| !done[i])
+        .map(|i| format!("component {i}: PE {i}: {}", pes[i].blocked_detail()))
+        .collect();
+    if stuck.is_empty() {
+        Ok(())
+    } else {
+        Err(RtError::Deadlock { detail: format!("cluster deadlock — {}", stuck.join("; ")) })
+    }
+}
+
+/// Takes the messages due by `now` out of a mailbox, in `(tick, send
+/// order)` order.
+fn take_due<M>(mail: &mut Vec<(u64, u64, M)>, now: u64) -> Vec<(u64, M)> {
+    mail.sort_by_key(|&(tick, seq, _)| (tick, seq));
+    let split = mail.iter().position(|&(tick, _, _)| tick > now).unwrap_or(mail.len());
+    mail.drain(..split).map(|(tick, _, m)| (tick, m)).collect()
 }
 
 /// The complete result of a cluster run: every PE's own report plus
@@ -271,5 +233,71 @@ impl ClusterReport {
             avg_parallel_slackness: slack / self.reports.len() as f64,
             bus: Some(self.summary.clone()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use regwin_rt::{Ctx, Simulation};
+    use regwin_traps::SchemeKind;
+    use std::sync::{Arc, Mutex};
+
+    /// Every node is due at tick 0, and the PEs fire in PE order: each
+    /// PE's one thread runs in its PE's first firing and logs its PE.
+    #[test]
+    fn equal_ticks_fire_the_pes_in_pe_order() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut cluster = ClusterBuilder::new(BusConfig::default());
+        for pe in 0..4 {
+            let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
+            let log = Arc::clone(&log);
+            sim.spawn_async("log", async move |_: &mut Ctx| {
+                log.lock().unwrap().push(pe);
+                Ok(())
+            });
+            cluster.add_pe(sim.start());
+        }
+        cluster.run().unwrap();
+        assert_eq!(*log.lock().unwrap(), [0, 1, 2, 3]);
+    }
+
+    /// PE 1's only thread returns at once, so PE 1 is done after its
+    /// tick-0 firing; PE 0's bytes still reach its inbound stream over
+    /// the bus afterwards. Firing PE 1 again for those deliveries would
+    /// advance its idle clock to their arrival tick, so its report must
+    /// equal the same simulation run alone.
+    #[test]
+    fn a_finished_pe_is_never_fired_again() {
+        let receiver = || {
+            let mut sim = Simulation::new(8, SchemeKind::Sp).unwrap();
+            let inbound = sim.add_stream("in", 4, 1);
+            sim.mark_stream_inbound(inbound);
+            sim.spawn_async("idle", async |ctx: &mut Ctx| {
+                ctx.compute(5);
+                Ok(())
+            });
+            (sim, inbound)
+        };
+        let mut sender = Simulation::new(8, SchemeKind::Sp).unwrap();
+        let outbound = sender.add_stream("out", 4, 1);
+        sender.mark_stream_outbound(outbound);
+        sender.spawn_async("send", async move |ctx: &mut Ctx| {
+            ctx.compute(100);
+            ctx.write_all(outbound, b"late").await?;
+            ctx.close_writer(outbound)
+        });
+        let (sim, inbound) = receiver();
+        let mut cluster = ClusterBuilder::new(BusConfig::default());
+        cluster.add_pe(sender.start());
+        cluster.add_pe(sim.start());
+        cluster.route(0, outbound, 1, inbound);
+        let report = cluster.run().unwrap();
+        assert_eq!(report.summary.messages, 4, "every byte crossed the bus");
+        let mut alone = ClusterBuilder::new(BusConfig::default());
+        alone.add_pe(receiver().0.start());
+        let alone = alone.run().unwrap();
+        assert_eq!(report.reports[1], alone.reports[0]);
+        assert_eq!(report.reports[1].cycles.category(CycleCategory::BusStall), 0);
     }
 }

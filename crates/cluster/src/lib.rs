@@ -7,19 +7,19 @@
 //! Hidaka, Koike, Tanaka — ISCA 1993, §2: PIE64 couples hundreds of
 //! inference PEs through shared network resources).
 //!
-//! Three layers:
-//!
-//! * [`Component`] / [`EventScheduler`] — the deterministic
-//!   discrete-event substrate. Components exchange messages through
-//!   mailboxes; a min-heap keyed `(tick, component_id)` orders every
-//!   firing, with stable id-order tie-breaks.
-//! * [`Bus`] — per-PE FIFO request queues, fixed-priority or
-//!   round-robin arbitration, wire occupancy and delivery latency.
-//!   Contention stalls are charged to the requesting PE.
-//! * [`ClusterBuilder`] / [`run_spell_cluster`] — composition: each PE
-//!   is a [`regwin_rt::StartedSim`] stepped between bus interactions;
-//!   the spell workload shards its corpus across PEs and routes every
-//!   remote PE's misspelling report to a collector on PE 0.
+//! * [`ClusterBuilder`] — composition: each PE is a
+//!   [`regwin_rt::StartedSim`] stepped between bus interactions. One
+//!   event loop drives the PEs and the bus: PEs send the bus requests
+//!   and the bus sends PEs grants and deliveries, through typed
+//!   mailboxes, and a min-heap keyed `(tick, node)` orders every
+//!   firing, PEs in PE order before the bus at equal ticks.
+//! * The bus — per-PE FIFO request queues, fixed-priority or
+//!   round-robin arbitration ([`Arbitration`]), wire occupancy and
+//!   delivery latency ([`BusConfig`]). Contention stalls are charged
+//!   to the requesting PE.
+//! * [`run_spell_cluster`] — the spell workload shards its corpus
+//!   across PEs and routes every remote PE's misspelling report to a
+//!   collector on PE 0.
 //!
 //! A 1-PE cluster is **byte-identical** to the legacy single-machine
 //! path by construction (see [`ClusterReport::merged`]) — the
@@ -30,12 +30,8 @@
 
 mod bus;
 mod cluster;
-mod component;
 mod spell;
 
-pub use bus::{Arbitration, Bus, BusConfig};
+pub use bus::{Arbitration, BusConfig};
 pub use cluster::{ClusterBuilder, ClusterReport};
-pub use component::{
-    run_components, Component, ComponentId, EventScheduler, Message, Outbox, Status,
-};
 pub use spell::{run_spell_cluster, ClusterConfig, ClusterOutcome, PeConfig};

@@ -16,8 +16,8 @@
 //!    unmodified through machine, rt and cluster under any scheduling
 //!    policy × timing backend.
 //! 2. **Schedule fuzzing** — a [`Scenario`] can name a fuzz seed,
-//!    wrapping its policy in [`regwin_rt::Fuzzed`] for seeded,
-//!    bounded, fully replayable ready-queue perturbations.
+//!    running its policy in a [`regwin_rt::fuzzed_policy`] queue for
+//!    seeded, bounded, fully replayable ready-queue perturbations.
 //! 3. **The invariant bundle** — [`run_bundle`] executes each
 //!    scenario several independent ways (direct, trace replay, 1-PE
 //!    cluster, masked-fault, injected-fault) and errors on the first

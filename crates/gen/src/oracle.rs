@@ -47,8 +47,8 @@ pub struct Scenario {
     pub nwindows: usize,
     /// Window auditing on the direct run.
     pub audit: bool,
-    /// Schedule-fuzz seed: when set, every leg runs under
-    /// [`Fuzzed`](regwin_rt::Fuzzed) around `policy` with
+    /// Schedule-fuzz seed: when set, every leg runs `policy` in a
+    /// [`fuzzed_policy`](regwin_rt::fuzzed_policy) queue with
     /// [`FUZZ_BUDGET`] perturbations.
     pub fuzz: Option<u64>,
     /// Externally injected fault plan (the sweep's `--fault-plan`),

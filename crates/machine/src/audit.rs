@@ -124,7 +124,7 @@ impl WindowAuditor {
     }
 
     /// Whether window `w` holds a tracked live frame.
-    pub fn is_tracked(&self, w: WindowIndex) -> bool {
+    pub(crate) fn is_tracked(&self, w: WindowIndex) -> bool {
         self.tags[w.index()] != WindowTag::Untracked
     }
 
@@ -132,12 +132,6 @@ impl WindowAuditor {
     /// cost of auditing.
     pub(crate) fn note_pending(&mut self, w: WindowIndex) {
         self.pending |= 1u64 << w.index();
-    }
-
-    /// Whether window `w` has a legitimate write pending (its reference
-    /// checksum is stale).
-    pub fn is_pending(&self, w: WindowIndex) -> bool {
-        self.pending & (1u64 << w.index()) != 0
     }
 
     /// Takes (tests and clears) window `w`'s pending-write bit.
@@ -156,13 +150,14 @@ impl WindowAuditor {
     }
 
     /// Whether window `w` must be verified at the next audit point.
-    pub fn is_suspect(&self, w: WindowIndex) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_suspect(&self, w: WindowIndex) -> bool {
         self.suspect & (1u64 << w.index()) != 0
     }
 
     /// Whether any window at all awaits verification — the audit-point
     /// fast path: when this is false the whole pass is skipped.
-    pub fn any_suspect(&self) -> bool {
+    pub(crate) fn any_suspect(&self) -> bool {
         self.suspect != 0
     }
 
@@ -296,31 +291,36 @@ pub(crate) mod tests {
         assert_eq!(a.repairs(), 2);
     }
 
+    /// Whether window `w` has a legitimate write pending.
+    fn is_pending(a: &WindowAuditor, w: WindowIndex) -> bool {
+        a.pending & (1u64 << w.index()) != 0
+    }
+
     #[test]
     fn pending_bits_are_per_window_and_cleared_by_tag_transitions() {
         let mut a = WindowAuditor::new(64);
         let w2 = WindowIndex::new(2);
         let w63 = WindowIndex::new(63);
-        assert!(!a.is_pending(w2));
+        assert!(!is_pending(&a, w2));
         a.note_pending(w2);
         a.note_pending(w63);
-        assert!(a.is_pending(w2) && a.is_pending(w63));
+        assert!(is_pending(&a, w2) && is_pending(&a, w63));
         // take is test-and-clear, per window.
         assert!(a.take_pending(w2));
-        assert!(!a.is_pending(w2) && a.is_pending(w63));
+        assert!(!is_pending(&a, w2) && is_pending(&a, w63));
         assert!(!a.take_pending(w2));
         // Every tag transition clears the bit: a stale pending mark must
         // never survive into a fresh Clean/Dirty reference (it would make
         // the next audit re-baseline a corrupted frame).
         a.note_pending(w2);
         a.mark_clean(w2, 0, Frame::zeroed());
-        assert!(!a.is_pending(w2));
+        assert!(!is_pending(&a, w2));
         a.note_pending(w2);
         a.mark_dirty(w2, 1);
-        assert!(!a.is_pending(w2));
+        assert!(!is_pending(&a, w2));
         a.note_pending(w2);
         a.untrack(w2);
-        assert!(!a.is_pending(w2));
+        assert!(!is_pending(&a, w2));
         // w63 was untouched throughout.
         assert!(a.take_pending(w63));
     }

@@ -23,8 +23,8 @@
 //!   (implemented in the `regwin-traps` crate),
 //! * per-thread **memory save areas** (the register-save stacks that trap
 //!   handlers spill windows into and restore windows from), and
-//! * a **cycle counter** driven by a pluggable [`TimingModel`] backend:
-//!   the flat [`TimingKind::S20`] preset charges the [`CostModel`]
+//! * a **cycle counter** driven by one of two crate-private timing
+//!   backends, chosen by [`TimingKind`]: the flat [`TimingKind::S20`] preset charges the [`CostModel`]
 //!   calibrated against the paper's S-20 measurements (paper Table 2),
 //!   while [`TimingKind::Pipeline`] re-prices window transfers through a
 //!   scoreboard-plus-load/store-queue pipeline model.
@@ -88,6 +88,6 @@ pub use regfile::{
 pub use slot::SlotUse;
 pub use stats::{MachineStats, SwitchShape, ThreadStats};
 pub use thread::{ThreadId, ThreadState};
-pub use timing::{Charge, PipelineTiming, S20Timing, TimingKind, TimingModel};
+pub use timing::TimingKind;
 pub use trap::WindowTrap;
 pub use window::{Wim, WindowIndex, MAX_WINDOWS, MIN_WINDOWS};

@@ -1572,7 +1572,7 @@ mod tests {
         match m.try_save().unwrap() {
             ExecOutcome::Completed => {}
             ExecOutcome::Trapped(trap) => {
-                assert!(trap.is_overflow());
+                assert!(matches!(trap, WindowTrap::Overflow { .. }));
                 m.force_reserved_walk().unwrap();
                 m.complete_save().unwrap();
             }
@@ -1585,7 +1585,7 @@ mod tests {
         match m.try_restore().unwrap() {
             ExecOutcome::Completed => {}
             ExecOutcome::Trapped(trap) => {
-                assert!(trap.is_underflow());
+                assert!(matches!(trap, WindowTrap::Underflow { .. }));
                 let target = trap.target();
                 // Conventional: restore into the reserved slot and move
                 // the reservation one below (paper Figure 4).
@@ -1615,7 +1615,7 @@ mod tests {
         let m = Machine::new(8).unwrap();
         assert_eq!(m.reserved(), Some(WindowIndex::new(0)));
         assert_eq!(m.slot_use(WindowIndex::new(0)), SlotUse::Reserved);
-        assert_eq!(m.wim().count_set(), 8); // no current thread: all invalid
+        assert_eq!(m.wim().bits().count_ones(), 8); // no current thread: all invalid
     }
 
     #[test]
@@ -1705,7 +1705,7 @@ mod tests {
             match m.try_restore().unwrap() {
                 ExecOutcome::Completed => {}
                 ExecOutcome::Trapped(trap) => {
-                    assert!(trap.is_underflow());
+                    assert!(matches!(trap, WindowTrap::Underflow { .. }));
                     m.write_in(0, 4242).unwrap(); // "return value"
                     m.inplace_underflow(true).unwrap();
                     // Caller must see the return value in its outs.
@@ -1739,7 +1739,7 @@ mod tests {
         let (mut m, _t) = machine_with_thread(8);
         match m.try_restore().unwrap() {
             ExecOutcome::Trapped(trap) => {
-                assert!(trap.is_underflow());
+                assert!(matches!(trap, WindowTrap::Underflow { .. }));
                 assert_eq!(
                     m.inplace_underflow(true),
                     Err(MachineError::BackingEmpty(ThreadId::new(0)))
@@ -1777,7 +1777,7 @@ mod tests {
         m.start_initial_frame(b, r.below(4).below(4)).unwrap();
         m.set_current(Some(a)).unwrap();
         match m.try_restore().unwrap() {
-            ExecOutcome::Trapped(trap) => assert!(trap.is_underflow()),
+            ExecOutcome::Trapped(trap) => assert!(matches!(trap, WindowTrap::Underflow { .. })),
             other => panic!("expected underflow into B's window, got {other:?}"),
         }
     }
@@ -1826,7 +1826,7 @@ mod tests {
         m.set_current(Some(t)).unwrap();
         match m.try_save().unwrap() {
             ExecOutcome::Trapped(trap) => {
-                assert!(trap.is_overflow());
+                assert!(matches!(trap, WindowTrap::Overflow { .. }));
                 let (spills, steals) = m.force_prw_walk().unwrap();
                 assert_eq!((spills, steals), (0, 0)); // slot above was free
                 m.complete_save().unwrap();

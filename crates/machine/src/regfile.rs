@@ -177,7 +177,7 @@ impl RegisterFile {
     /// Figure 8): before the caller's window is restored *in place*, the
     /// callee's live `in` registers (return values, stack pointer) must
     /// move to where the caller will see them as `out` registers.
-    pub fn copy_ins_to_outs(&mut self, w: WindowIndex) {
+    pub(crate) fn copy_ins_to_outs(&mut self, w: WindowIndex) {
         let ins = self.frames[w.index()].ins;
         let above = w.above(self.nwindows);
         self.frames[above.index()].ins = ins;
@@ -188,7 +188,7 @@ impl RegisterFile {
     /// outs — the "partial copy" variant of paper §3.2, which notes that
     /// "the registers to be copied are usually only the values returned
     /// from the procedure, and the stack pointer".
-    pub fn copy_return_ins_to_outs(&mut self, w: WindowIndex) {
+    pub(crate) fn copy_return_ins_to_outs(&mut self, w: WindowIndex) {
         let above = w.above(self.nwindows);
         for reg in [0usize, 1, 6, 7] {
             let v = self.frames[w.index()].ins[reg];
@@ -198,7 +198,7 @@ impl RegisterFile {
 
     /// Zeroes the stored frame of `w` (used when granting a window to a
     /// fresh thread so no stale data leaks between threads).
-    pub fn clear_frame(&mut self, w: WindowIndex) {
+    pub(crate) fn clear_frame(&mut self, w: WindowIndex) {
         self.frames[w.index()] = Frame::zeroed();
     }
 }

@@ -32,16 +32,6 @@ impl WindowTrap {
             WindowTrap::Overflow { target } | WindowTrap::Underflow { target } => target,
         }
     }
-
-    /// Whether this is an overflow trap.
-    pub fn is_overflow(self) -> bool {
-        matches!(self, WindowTrap::Overflow { .. })
-    }
-
-    /// Whether this is an underflow trap.
-    pub fn is_underflow(self) -> bool {
-        matches!(self, WindowTrap::Underflow { .. })
-    }
 }
 
 impl fmt::Display for WindowTrap {
@@ -60,12 +50,11 @@ mod tests {
     #[test]
     fn accessors() {
         let t = WindowTrap::Overflow { target: WindowIndex::new(3) };
-        assert!(t.is_overflow());
-        assert!(!t.is_underflow());
+        assert!(matches!(t, WindowTrap::Overflow { .. }));
         assert_eq!(t.target(), WindowIndex::new(3));
 
         let u = WindowTrap::Underflow { target: WindowIndex::new(5) };
-        assert!(u.is_underflow());
+        assert!(matches!(u, WindowTrap::Underflow { .. }));
         assert_eq!(u.target(), WindowIndex::new(5));
     }
 

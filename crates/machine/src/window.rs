@@ -144,7 +144,7 @@ pub(crate) fn windows_in(mut mask: u64) -> impl Iterator<Item = WindowIndex> {
 /// let machine = Machine::new(8).unwrap();
 /// let wim = machine.wim();
 /// // No thread is current, so every window is invalid.
-/// assert_eq!(wim.count_set(), 8);
+/// assert_eq!(wim.bits().count_ones(), 8);
 /// assert_eq!(wim.to_string(), "11111111");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -169,11 +169,6 @@ impl Wim {
     pub fn is_set(&self, w: WindowIndex) -> bool {
         debug_assert!(w.index() < self.nwindows);
         self.bits & w.bit() != 0
-    }
-
-    /// Number of invalid windows.
-    pub fn count_set(&self) -> u32 {
-        self.bits.count_ones()
     }
 
     /// The raw bit pattern (bit *i* = window *i*).
@@ -402,12 +397,12 @@ mod tests {
         // exercises bit 63, where an off-by-one shift would overflow.
         for n in [MIN_WINDOWS, 4, 32, MAX_WINDOWS] {
             let full = Wim::new(low_bits(n), n);
-            assert_eq!(full.count_set() as usize, n);
+            assert_eq!(full.bits().count_ones() as usize, n);
             assert_eq!(full.to_string(), "1".repeat(n));
             let top = WindowIndex::new(n - 1);
             let ends = Wim::new(top.bit() | 1, n);
             assert!(ends.is_set(top) && ends.is_set(top.below(n)));
-            assert_eq!(ends.count_set(), 2);
+            assert_eq!(ends.bits().count_ones(), 2);
             assert!(ends.to_string().starts_with('1') && ends.to_string().ends_with('1'));
         }
     }

@@ -100,7 +100,7 @@ impl FaultKind {
     }
 
     /// Parses a canonical spec name.
-    pub fn from_name(name: &str) -> Option<Self> {
+    fn from_name(name: &str) -> Option<Self> {
         FaultKind::ALL.into_iter().find(|k| k.name() == name)
     }
 
@@ -112,7 +112,7 @@ impl FaultKind {
 
     /// Whether this fault targets the sweep worker rather than the
     /// simulation itself.
-    pub fn is_worker(self) -> bool {
+    fn is_worker(self) -> bool {
         matches!(self, FaultKind::WorkerPanic | FaultKind::WorkerStall)
     }
 }

@@ -12,9 +12,10 @@
 //!   until an input (output) buffer becomes empty (full)";
 //! * the base scheduler is **FIFO**; the **working-set** refinement
 //!   (§4.6) dispatches awoken threads whose windows are still resident
-//!   ahead of everything else (FIFO among themselves). Scheduling is a
-//!   pluggable [`SchedPolicy`]: the crate also ships a conflict-aware
-//!   **WindowGreedy** policy and a starvation-bounded **Aging** hybrid;
+//!   ahead of everything else (FIFO among themselves). The one
+//!   [`ReadyQueue`] also runs a conflict-aware **WindowGreedy** policy
+//!   and a starvation-bounded **Aging** hybrid, each named by a
+//!   [`SchedulingPolicy`] id;
 //! * every procedure call in a thread body maps to a `save`/`restore`
 //!   pair on the simulated CPU (via [`Ctx::call`]), so the window
 //!   activity of the workload is what drives the schemes' behaviour.
@@ -65,7 +66,6 @@
 mod ctx;
 mod error;
 mod fault;
-pub mod fuzz;
 pub mod report;
 mod sched;
 mod sim;
@@ -76,12 +76,8 @@ mod trace_io;
 pub use ctx::Ctx;
 pub use error::RtError;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanError, WorkerFault, MAX_FAULT_PES};
-pub use fuzz::{fuzzed_policy, Fuzzed};
 pub use report::{BusSummary, RunReport, ThreadReport};
-pub use sched::{
-    AgingPolicy, FifoPolicy, ReadyQueue, SchedPolicy, SchedulingPolicy, WakeInfo,
-    WindowGreedyPolicy, WorkingSetPolicy, AGING_LIMIT,
-};
+pub use sched::{fuzzed_policy, ReadyQueue, SchedulingPolicy, WakeInfo, AGING_LIMIT};
 pub use sim::{with_deadline, SendEvent, SimOptions, Simulation, StartedSim, StepOutcome};
 pub use stream::StreamId;
 pub use trace::{Trace, TraceEvent};

@@ -1,13 +1,37 @@
-//! Pluggable scheduling policies for the non-preemptive runtime.
+//! The ready queue of the non-preemptive runtime.
 //!
 //! The paper evaluates FIFO against the §4.6 working-set refinement, but
 //! which thread runs next is exactly the knob that decides how window
-//! contention plays out when the register file is oversubscribed. This
-//! module makes that knob a first-class axis: the scheduler consults a
-//! [`SchedPolicy`] object through [`ReadyQueue`], and ships four
-//! implementations selectable by the [`SchedulingPolicy`] id that flows
-//! through reports, job keys and artifacts.
+//! contention plays out when the register file is oversubscribed. The
+//! [`SchedulingPolicy`] id names one of four rules for where a thread
+//! joins the queue, and it flows through reports, job keys and
+//! artifacts. [`ReadyQueue`] holds the FIFO segments those rules need
+//! and applies the rule with a `match` on the id.
+//!
+//! ## Schedule fuzzing
+//!
+//! Every schedule is a pure function of the ready queue's decisions. A
+//! queue built by [`fuzzed_policy`] perturbs a bounded number of those
+//! decisions using a splitmix64 stream advanced **only** at decision
+//! points — never from time, thread ids or addresses — so a
+//! `(seed, budget)` pair names exactly one execution order. Replaying
+//! the same scenario with the same pair reproduces the same schedule
+//! byte-for-byte, which is what lets the fuzz farm quarantine a
+//! divergent run with a working reproducer.
+//!
+//! Three perturbation kinds, drawn uniformly while budget remains:
+//!
+//! | kind | decision point | effect |
+//! |------|----------------|--------|
+//! | wake demotion | [`ReadyQueue::enqueue_woken`] | the woken thread is admitted as if freshly spawned (its residency snapshot is ignored), reordering it behind whatever the policy favours |
+//! | dispatch delay | [`ReadyQueue::pop`] | the policy's chosen thread is re-admitted at the back and the runner-up dispatches instead |
+//! | spawn hold | [`ReadyQueue::enqueue_new`] | the spawned thread is parked in a one-slot side pocket and admitted at the *next* decision point, shifting its arrival by one scheduling event |
+//!
+//! With `budget == 0` no draws are taken, so a fuzzed queue with an
+//! empty budget dispatches exactly as the plain queue does (a property
+//! test pins this down).
 
+use crate::fault::splitmix64;
 use regwin_machine::ThreadId;
 use std::collections::VecDeque;
 use std::fmt;
@@ -19,35 +43,26 @@ use std::fmt;
 pub const AGING_LIMIT: u64 = 8;
 
 /// Snapshot of the window-residency situation at the instant a thread
-/// is woken, taken by the scheduler and handed to the policy. Policies
-/// never touch the machine directly: everything they may react to is
-/// captured here, which keeps them trivially deterministic and testable
-/// without a CPU.
+/// is woken, taken by the scheduler and handed to the ready queue. The
+/// queue never touches the machine directly: everything it may react to
+/// is captured here, which keeps it trivially deterministic and
+/// testable without a CPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WakeInfo {
-    /// Windows of the woken thread still resident in the register file.
+    /// Windows of the woken thread still resident in the register file
+    /// (above zero is the §4.6 working-set signal).
     pub resident: usize,
     /// Physical windows currently free or discardable — what a dispatch
     /// could consume without evicting another thread's live state.
     pub free_windows: usize,
-    /// Total physical windows in the register file.
-    pub nwindows: usize,
-}
-
-impl WakeInfo {
-    /// Whether the woken thread still has windows resident — the §4.6
-    /// working-set signal.
-    pub fn has_windows(&self) -> bool {
-        self.resident > 0
-    }
 }
 
 /// The identifier of a shipped scheduling policy.
 ///
 /// Scheduling is non-preemptive under every policy; they differ only in
 /// where a thread is placed when it becomes ready. The id is what
-/// reports, job keys and serialized artifacts carry — the behaviour
-/// lives in the [`SchedPolicy`] object the id builds.
+/// reports, job keys and serialized artifacts carry, and what
+/// [`ReadyQueue`] matches on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulingPolicy {
     /// Plain first-in-first-out, the paper's base scheduler.
@@ -92,16 +107,6 @@ impl SchedulingPolicy {
         }
     }
 
-    /// Builds the policy's ready-queue implementation.
-    pub fn build(self) -> Box<dyn SchedPolicy> {
-        match self {
-            SchedulingPolicy::Fifo => Box::new(FifoPolicy::default()),
-            SchedulingPolicy::WorkingSet => Box::new(WorkingSetPolicy::default()),
-            SchedulingPolicy::WindowGreedy => Box::new(WindowGreedyPolicy::default()),
-            SchedulingPolicy::Aging => Box::new(AgingPolicy::default()),
-        }
-    }
-
     /// Parses a display name (case-insensitive), for CLI flags.
     pub fn parse(name: &str) -> Option<SchedulingPolicy> {
         SchedulingPolicy::ALL.into_iter().find(|p| p.name().eq_ignore_ascii_case(name))
@@ -114,76 +119,88 @@ impl fmt::Display for SchedulingPolicy {
     }
 }
 
-/// A scheduling policy: decides where ready threads wait and which runs
-/// next. The scheduler owns exactly one and calls it with the state
-/// snapshots it needs, so implementations are plain sequential data
-/// structures — no locking, no machine access.
+/// The ready queue: where ready threads wait and which runs next.
 ///
-/// Implementations must be deterministic: the pop sequence may depend
-/// only on the sequence of `enqueue_new` / `enqueue_woken` / `pop`
-/// calls and the [`WakeInfo`] snapshots, never on time, randomness or
-/// addresses. Every simulated schedule (and therefore every cached
-/// sweep artifact) inherits its reproducibility from this contract.
-pub trait SchedPolicy: Send + fmt::Debug {
-    /// The id this policy runs under in reports and job keys. Shipped
-    /// policies return their own variant; an experimental out-of-tree
-    /// policy must return the shipped variant it refines (and must not
-    /// be used with the sweep result cache, which trusts the id).
-    fn kind(&self) -> SchedulingPolicy;
-
-    /// Admits a newly created thread (spawn order is dispatch order for
-    /// fresh threads under every shipped policy).
-    fn enqueue_new(&mut self, t: ThreadId);
-
-    /// Admits a thread that just became ready again, with the
-    /// window-residency snapshot taken at the wake instant.
-    fn enqueue_woken(&mut self, t: ThreadId, wake: WakeInfo);
-
-    /// Takes the next thread to run.
-    fn pop(&mut self) -> Option<ThreadId>;
-
-    /// Number of queued threads.
-    fn len(&self) -> usize;
-
-    /// Whether no thread is queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether the scheduler should bother computing the window fields
-    /// of [`WakeInfo`] (two machine queries) before calling
-    /// [`SchedPolicy::enqueue_woken`]. Policies that ignore residency
-    /// return `false` and receive a default snapshot.
-    fn uses_residency(&self) -> bool {
-        true
-    }
-}
-
-/// The ready queue: the [`SchedulingPolicy`] id paired with the
-/// [`SchedPolicy`] object doing the work.
-#[derive(Debug)]
+/// Three FIFO segments serve every policy:
+///
+/// - `resident`: threads woken with windows still resident (every
+///   policy but FIFO). The paper's one-liner — "it is enqueued in front
+///   of the ready queue" — taken literally as a `push_front` would
+///   dispatch consecutive resident wakes LIFO; the separate segment
+///   keeps them in wake order. Preference is between classes, order
+///   within a class is arrival order.
+/// - `back`: fresh threads and every other wake, each with the dispatch
+///   tick it was enqueued at. Under [`SchedulingPolicy::Aging`] its
+///   front is force-promoted once it has been overtaken for
+///   [`AGING_LIMIT`] pops, so a thread enqueued behind `k` earlier
+///   `back` entries is dispatched within `AGING_LIMIT + k + 1` pops of
+///   its enqueue, no matter how many resident threads keep arriving.
+/// - `penalty`: [`SchedulingPolicy::WindowGreedy`]'s conflict losers —
+///   threads woken without resident windows when no discardable window
+///   is left and a ready thread still holds a working set. Dispatching
+///   one would evict a ready peer's windows, so it runs last.
+///
+/// The queue is deterministic: its pop sequence depends only on the
+/// sequence of `enqueue_new` / `enqueue_woken` / `pop` calls and their
+/// [`WakeInfo`] snapshots (and, for a [`fuzzed_policy`] queue, its seed
+/// and budget). Every simulated schedule, and so every cached sweep
+/// artifact, inherits its reproducibility from this.
+#[derive(Debug, Default)]
 pub struct ReadyQueue {
     policy: SchedulingPolicy,
-    imp: Box<dyn SchedPolicy>,
+    resident: VecDeque<ThreadId>,
+    back: VecDeque<(ThreadId, u64)>,
+    penalty: VecDeque<ThreadId>,
+    /// Dispatches so far — the aging clock.
+    tick: u64,
+    fuzz: Option<Fuzz>,
+    /// The fuzz layer's held spawn.
+    held: Option<ThreadId>,
 }
 
-impl Default for ReadyQueue {
-    fn default() -> Self {
-        ReadyQueue::new(SchedulingPolicy::default())
+/// The fuzz layer's decision stream and the perturbations it has left.
+#[derive(Debug)]
+struct Fuzz {
+    state: u64,
+    budget: u32,
+}
+
+impl Fuzz {
+    /// Draws from the decision stream and debits the budget if the draw
+    /// says "perturb here" (roughly one decision in four).
+    fn roll(&mut self) -> bool {
+        if self.budget == 0 {
+            return false;
+        }
+        let hit = splitmix64(&mut self.state).is_multiple_of(4);
+        if hit {
+            self.budget -= 1;
+        }
+        hit
     }
+}
+
+/// A ready queue running the shipped policy `kind` whose decisions are
+/// perturbed by a seeded fuzz layer allowing at most `budget`
+/// perturbations over the whole run. At about one decision point in
+/// four, as a splitmix64 stream seeded with `seed` picks, it admits a
+/// woken thread as a fresh arrival, holds a spawn back for one
+/// decision, or dispatches the runner-up instead of the policy's
+/// choice. The stream advances only at decision points, so
+/// `(seed, budget)` names exactly one schedule; with `budget == 0` the
+/// queue dispatches as [`ReadyQueue::new`]'s does.
+///
+/// The queue reports `kind` as its policy, so a fuzzed run files under
+/// the policy it perturbs; sweep job keys must therefore carry the fuzz
+/// seed separately (the v6 `JobKey` does) or disable the result cache.
+pub fn fuzzed_policy(kind: SchedulingPolicy, seed: u64, budget: u32) -> ReadyQueue {
+    ReadyQueue { fuzz: Some(Fuzz { state: seed, budget }), ..ReadyQueue::new(kind) }
 }
 
 impl ReadyQueue {
     /// An empty queue running the given shipped policy.
     pub fn new(policy: SchedulingPolicy) -> Self {
-        ReadyQueue { policy, imp: policy.build() }
-    }
-
-    /// An empty queue running a caller-supplied policy object (the
-    /// plug-in point for policies not shipped in this crate). The
-    /// reporting id is taken from [`SchedPolicy::kind`].
-    pub fn with_impl(imp: Box<dyn SchedPolicy>) -> Self {
-        ReadyQueue { policy: imp.kind(), imp }
+        ReadyQueue { policy, ..ReadyQueue::default() }
     }
 
     /// The policy id in use.
@@ -192,226 +209,320 @@ impl ReadyQueue {
     }
 
     /// Whether [`ReadyQueue::enqueue_woken`] wants a real [`WakeInfo`]
-    /// snapshot (see [`SchedPolicy::uses_residency`]).
+    /// snapshot (two machine queries). FIFO ignores residency, so the
+    /// scheduler hands it a default snapshot.
     pub fn uses_residency(&self) -> bool {
-        self.imp.uses_residency()
+        self.policy != SchedulingPolicy::Fifo
     }
 
-    /// Enqueues a newly created thread.
+    /// Enqueues a newly created thread (spawn order is dispatch order
+    /// for fresh threads under every policy).
     pub fn enqueue_new(&mut self, t: ThreadId) {
-        self.imp.enqueue_new(t);
+        self.release_held();
+        if self.roll() {
+            self.held = Some(t);
+        } else {
+            self.push_new(t);
+        }
     }
 
     /// Enqueues a thread that was just awoken, with the residency
     /// snapshot taken at the wake instant.
     pub fn enqueue_woken(&mut self, t: ThreadId, wake: WakeInfo) {
-        self.imp.enqueue_woken(t, wake);
+        self.release_held();
+        if self.roll() {
+            self.push_new(t);
+        } else {
+            self.push_woken(t, wake);
+        }
     }
 
     /// Takes the next thread to run.
     pub fn pop(&mut self) -> Option<ThreadId> {
-        self.imp.pop()
+        self.release_held();
+        let first = self.take()?;
+        if !self.is_empty() && self.roll() {
+            let second = self.take().expect("the queue was non-empty");
+            self.push_new(first);
+            Some(second)
+        } else {
+            Some(first)
+        }
     }
 
     /// Number of ready threads — the paper's *parallel slackness* at this
     /// instant ("the number of threads available for execution at a given
-    /// time, excepting currently executed threads", §5).
+    /// time, excepting currently executed threads", §5). A held spawn
+    /// counts: excluding it would fake an idle queue and trip the
+    /// deadlock detector.
     pub fn len(&self) -> usize {
-        self.imp.len()
+        self.resident.len()
+            + self.back.len()
+            + self.penalty.len()
+            + usize::from(self.held.is_some())
     }
 
     /// Whether no thread is ready.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-/// Plain FIFO: wake order is dispatch order.
-#[derive(Debug, Default)]
-pub struct FifoPolicy {
-    queue: VecDeque<ThreadId>,
-}
-
-impl SchedPolicy for FifoPolicy {
-    fn kind(&self) -> SchedulingPolicy {
-        SchedulingPolicy::Fifo
+    /// Whether the fuzz layer perturbs this decision (never for an
+    /// unfuzzed queue).
+    fn roll(&mut self) -> bool {
+        self.fuzz.as_mut().is_some_and(Fuzz::roll)
     }
 
-    fn enqueue_new(&mut self, t: ThreadId) {
-        self.queue.push_back(t);
-    }
-
-    fn enqueue_woken(&mut self, t: ThreadId, _wake: WakeInfo) {
-        self.queue.push_back(t);
-    }
-
-    fn pop(&mut self) -> Option<ThreadId> {
-        self.queue.pop_front()
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn uses_residency(&self) -> bool {
-        false
-    }
-}
-
-/// The §4.6 working-set policy as a two-segment queue: threads woken
-/// with windows still resident dispatch before everything else but stay
-/// FIFO *among themselves*; threads without resident windows (and fresh
-/// threads) queue FIFO behind them.
-///
-/// The paper's one-liner — "it is enqueued in front of the ready queue"
-/// — taken literally as `push_front` made consecutive resident wakes
-/// dispatch LIFO (the last-woken jumped the first-woken), an accidental
-/// inversion the two segments remove: preference is between classes,
-/// order within a class is arrival order.
-#[derive(Debug, Default)]
-pub struct WorkingSetPolicy {
-    /// Woken-with-resident-windows segment, FIFO.
-    resident: VecDeque<ThreadId>,
-    /// Everything else, FIFO.
-    back: VecDeque<ThreadId>,
-}
-
-impl SchedPolicy for WorkingSetPolicy {
-    fn kind(&self) -> SchedulingPolicy {
-        SchedulingPolicy::WorkingSet
-    }
-
-    fn enqueue_new(&mut self, t: ThreadId) {
-        self.back.push_back(t);
-    }
-
-    fn enqueue_woken(&mut self, t: ThreadId, wake: WakeInfo) {
-        if wake.has_windows() {
-            self.resident.push_back(t);
-        } else {
-            self.back.push_back(t);
+    /// Admits a held spawn, if any. Called at every decision point so a
+    /// parked thread is delayed by exactly one scheduling event and can
+    /// never be lost.
+    fn release_held(&mut self) {
+        if let Some(t) = self.held.take() {
+            self.push_new(t);
         }
     }
 
-    fn pop(&mut self) -> Option<ThreadId> {
-        self.resident.pop_front().or_else(|| self.back.pop_front())
-    }
-
-    fn len(&self) -> usize {
-        self.resident.len() + self.back.len()
-    }
-}
-
-/// Window-based greedy contention management, after Sharma et al.:
-/// resident-window overlap is treated like a transactional conflict.
-/// Three FIFO segments — resident threads first (they own windows;
-/// running them exploits and then frees those windows soonest), then
-/// non-conflicting threads, then *conflicting* threads: woken threads
-/// with no resident windows at a moment when the register file has no
-/// discardable window left while some ready thread still holds a
-/// working set. Dispatching such a thread would necessarily evict a
-/// ready peer's windows, so the greedy manager makes it lose the
-/// conflict and run last.
-#[derive(Debug, Default)]
-pub struct WindowGreedyPolicy {
-    /// Woken-with-resident-windows segment, FIFO.
-    resident: VecDeque<ThreadId>,
-    /// Non-conflicting threads, FIFO.
-    back: VecDeque<ThreadId>,
-    /// Conflict losers, FIFO, dispatched only when nothing else is ready.
-    penalty: VecDeque<ThreadId>,
-}
-
-impl SchedPolicy for WindowGreedyPolicy {
-    fn kind(&self) -> SchedulingPolicy {
-        SchedulingPolicy::WindowGreedy
-    }
-
-    fn enqueue_new(&mut self, t: ThreadId) {
-        self.back.push_back(t);
-    }
-
-    fn enqueue_woken(&mut self, t: ThreadId, wake: WakeInfo) {
-        if wake.has_windows() {
-            self.resident.push_back(t);
-        } else if wake.free_windows == 0 && !self.resident.is_empty() {
-            // No discardable window anywhere and a ready thread still
-            // holds a working set: running `t` first would evict it.
-            self.penalty.push_back(t);
-        } else {
-            self.back.push_back(t);
-        }
-    }
-
-    fn pop(&mut self) -> Option<ThreadId> {
-        self.resident
-            .pop_front()
-            .or_else(|| self.back.pop_front())
-            .or_else(|| self.penalty.pop_front())
-    }
-
-    fn len(&self) -> usize {
-        self.resident.len() + self.back.len() + self.penalty.len()
-    }
-}
-
-/// The priority/aging hybrid: working-set preference with a starvation
-/// bound. Entries carry the dispatch tick at which they were enqueued;
-/// once the back-segment front has been overtaken for [`AGING_LIMIT`]
-/// pops it is force-promoted ahead of the residency preference.
-///
-/// The bound this buys: a thread enqueued behind `k` earlier
-/// back-segment entries is dispatched within `AGING_LIMIT + k + 1`
-/// pops of its enqueue, no matter how many resident threads keep
-/// arriving (each pop retires one thread, and after `AGING_LIMIT`
-/// pops every aged entry ahead of it drains first).
-#[derive(Debug, Default)]
-pub struct AgingPolicy {
-    /// Woken-with-resident-windows segment, FIFO.
-    resident: VecDeque<ThreadId>,
-    /// Everything else with its enqueue tick, FIFO (ticks ascending).
-    back: VecDeque<(ThreadId, u64)>,
-    /// Dispatches so far — the policy's clock.
-    tick: u64,
-}
-
-impl SchedPolicy for AgingPolicy {
-    fn kind(&self) -> SchedulingPolicy {
-        SchedulingPolicy::Aging
-    }
-
-    fn enqueue_new(&mut self, t: ThreadId) {
+    fn push_new(&mut self, t: ThreadId) {
         self.back.push_back((t, self.tick));
     }
 
-    fn enqueue_woken(&mut self, t: ThreadId, wake: WakeInfo) {
-        if wake.has_windows() {
-            self.resident.push_back(t);
-        } else {
-            self.back.push_back((t, self.tick));
+    fn push_woken(&mut self, t: ThreadId, wake: WakeInfo) {
+        match self.policy {
+            SchedulingPolicy::Fifo => self.push_new(t),
+            _ if wake.resident > 0 => self.resident.push_back(t),
+            // No discardable window anywhere and a ready thread still
+            // holds a working set: running `t` first would evict it.
+            SchedulingPolicy::WindowGreedy
+                if wake.free_windows == 0 && !self.resident.is_empty() =>
+            {
+                self.penalty.push_back(t);
+            }
+            _ => self.push_new(t),
         }
     }
 
-    fn pop(&mut self) -> Option<ThreadId> {
+    /// The policy's own dispatch choice; advances the aging clock.
+    fn take(&mut self) -> Option<ThreadId> {
         self.tick += 1;
-        // Ticks are assigned monotonically, so the back front is the
-        // oldest non-resident entry; promote it once it has aged out.
-        if let Some(&(t, enqueued)) = self.back.front() {
-            if self.tick.saturating_sub(enqueued) > AGING_LIMIT {
-                self.back.pop_front();
-                return Some(t);
+        if self.policy == SchedulingPolicy::Aging {
+            // Ticks are assigned monotonically, so the back front is the
+            // oldest non-resident entry; promote it once it has aged out.
+            if let Some(&(t, enqueued)) = self.back.front() {
+                if self.tick.saturating_sub(enqueued) > AGING_LIMIT {
+                    self.back.pop_front();
+                    return Some(t);
+                }
             }
         }
-        self.resident.pop_front().or_else(|| self.back.pop_front().map(|(t, _)| t))
+        self.resident
+            .pop_front()
+            .or_else(|| self.back.pop_front().map(|(t, _)| t))
+            .or_else(|| self.penalty.pop_front())
+    }
+}
+
+/// The policy objects and the fuzz wrapper the queue replaced, kept as
+/// the reference for the differential test below.
+#[cfg(test)]
+mod oracle {
+    use super::{splitmix64, SchedulingPolicy, ThreadId, WakeInfo, AGING_LIMIT};
+    use std::collections::VecDeque;
+
+    pub trait SchedPolicy {
+        fn enqueue_new(&mut self, t: ThreadId);
+        fn enqueue_woken(&mut self, t: ThreadId, wake: WakeInfo);
+        fn pop(&mut self) -> Option<ThreadId>;
+        fn len(&self) -> usize;
+        fn is_empty(&self) -> bool {
+            self.len() == 0
+        }
     }
 
-    fn len(&self) -> usize {
-        self.resident.len() + self.back.len()
+    pub fn build(policy: SchedulingPolicy) -> Box<dyn SchedPolicy> {
+        match policy {
+            SchedulingPolicy::Fifo => Box::new(FifoPolicy::default()),
+            SchedulingPolicy::WorkingSet => Box::new(WorkingSetPolicy::default()),
+            SchedulingPolicy::WindowGreedy => Box::new(WindowGreedyPolicy::default()),
+            SchedulingPolicy::Aging => Box::new(AgingPolicy::default()),
+        }
+    }
+
+    #[derive(Default)]
+    struct FifoPolicy {
+        queue: VecDeque<ThreadId>,
+    }
+
+    impl SchedPolicy for FifoPolicy {
+        fn enqueue_new(&mut self, t: ThreadId) {
+            self.queue.push_back(t);
+        }
+        fn enqueue_woken(&mut self, t: ThreadId, _wake: WakeInfo) {
+            self.queue.push_back(t);
+        }
+        fn pop(&mut self) -> Option<ThreadId> {
+            self.queue.pop_front()
+        }
+        fn len(&self) -> usize {
+            self.queue.len()
+        }
+    }
+
+    #[derive(Default)]
+    struct WorkingSetPolicy {
+        resident: VecDeque<ThreadId>,
+        back: VecDeque<ThreadId>,
+    }
+
+    impl SchedPolicy for WorkingSetPolicy {
+        fn enqueue_new(&mut self, t: ThreadId) {
+            self.back.push_back(t);
+        }
+        fn enqueue_woken(&mut self, t: ThreadId, wake: WakeInfo) {
+            if wake.resident > 0 {
+                self.resident.push_back(t);
+            } else {
+                self.back.push_back(t);
+            }
+        }
+        fn pop(&mut self) -> Option<ThreadId> {
+            self.resident.pop_front().or_else(|| self.back.pop_front())
+        }
+        fn len(&self) -> usize {
+            self.resident.len() + self.back.len()
+        }
+    }
+
+    #[derive(Default)]
+    struct WindowGreedyPolicy {
+        resident: VecDeque<ThreadId>,
+        back: VecDeque<ThreadId>,
+        penalty: VecDeque<ThreadId>,
+    }
+
+    impl SchedPolicy for WindowGreedyPolicy {
+        fn enqueue_new(&mut self, t: ThreadId) {
+            self.back.push_back(t);
+        }
+        fn enqueue_woken(&mut self, t: ThreadId, wake: WakeInfo) {
+            if wake.resident > 0 {
+                self.resident.push_back(t);
+            } else if wake.free_windows == 0 && !self.resident.is_empty() {
+                self.penalty.push_back(t);
+            } else {
+                self.back.push_back(t);
+            }
+        }
+        fn pop(&mut self) -> Option<ThreadId> {
+            self.resident
+                .pop_front()
+                .or_else(|| self.back.pop_front())
+                .or_else(|| self.penalty.pop_front())
+        }
+        fn len(&self) -> usize {
+            self.resident.len() + self.back.len() + self.penalty.len()
+        }
+    }
+
+    #[derive(Default)]
+    struct AgingPolicy {
+        resident: VecDeque<ThreadId>,
+        back: VecDeque<(ThreadId, u64)>,
+        tick: u64,
+    }
+
+    impl SchedPolicy for AgingPolicy {
+        fn enqueue_new(&mut self, t: ThreadId) {
+            self.back.push_back((t, self.tick));
+        }
+        fn enqueue_woken(&mut self, t: ThreadId, wake: WakeInfo) {
+            if wake.resident > 0 {
+                self.resident.push_back(t);
+            } else {
+                self.back.push_back((t, self.tick));
+            }
+        }
+        fn pop(&mut self) -> Option<ThreadId> {
+            self.tick += 1;
+            if let Some(&(t, enqueued)) = self.back.front() {
+                if self.tick.saturating_sub(enqueued) > AGING_LIMIT {
+                    self.back.pop_front();
+                    return Some(t);
+                }
+            }
+            self.resident.pop_front().or_else(|| self.back.pop_front().map(|(t, _)| t))
+        }
+        fn len(&self) -> usize {
+            self.resident.len() + self.back.len()
+        }
+    }
+
+    pub struct Fuzzed {
+        inner: Box<dyn SchedPolicy>,
+        state: u64,
+        budget: u32,
+        held: Option<ThreadId>,
+    }
+
+    impl Fuzzed {
+        pub fn new(inner: Box<dyn SchedPolicy>, seed: u64, budget: u32) -> Self {
+            Fuzzed { inner, state: seed, budget, held: None }
+        }
+
+        fn roll(&mut self) -> bool {
+            if self.budget == 0 {
+                return false;
+            }
+            let hit = splitmix64(&mut self.state).is_multiple_of(4);
+            if hit {
+                self.budget -= 1;
+            }
+            hit
+        }
+
+        fn release_held(&mut self) {
+            if let Some(t) = self.held.take() {
+                self.inner.enqueue_new(t);
+            }
+        }
+    }
+
+    impl SchedPolicy for Fuzzed {
+        fn enqueue_new(&mut self, t: ThreadId) {
+            self.release_held();
+            if self.roll() {
+                self.held = Some(t);
+            } else {
+                self.inner.enqueue_new(t);
+            }
+        }
+        fn enqueue_woken(&mut self, t: ThreadId, wake: WakeInfo) {
+            self.release_held();
+            if self.roll() {
+                self.inner.enqueue_new(t);
+            } else {
+                self.inner.enqueue_woken(t, wake);
+            }
+        }
+        fn pop(&mut self) -> Option<ThreadId> {
+            self.release_held();
+            let first = self.inner.pop()?;
+            if !self.inner.is_empty() && self.roll() {
+                let second = self.inner.pop().expect("inner queue was non-empty");
+                self.inner.enqueue_new(first);
+                Some(second)
+            } else {
+                Some(first)
+            }
+        }
+        fn len(&self) -> usize {
+            self.inner.len() + usize::from(self.held.is_some())
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::{self, SchedPolicy};
     use super::*;
 
     fn t(i: usize) -> ThreadId {
@@ -421,7 +532,56 @@ mod tests {
     /// A wake snapshot with `resident` windows still in the file and
     /// `free` discardable slots.
     fn wake(resident: usize, free: usize) -> WakeInfo {
-        WakeInfo { resident, free_windows: free, nwindows: 8 }
+        WakeInfo { resident, free_windows: free }
+    }
+
+    /// The differential property: under every policy, unfuzzed and with
+    /// budgets 1, 8 and 64, the queue and the replaced policy objects
+    /// pop the same threads and report the same length after every call
+    /// of a random stream of spawns, wakes and dispatches.
+    #[test]
+    fn the_one_queue_matches_the_policy_objects_it_replaced() {
+        for policy in SchedulingPolicy::ALL {
+            for budget in [0u32, 1, 8, 64] {
+                for seed in 0..200u64 {
+                    let (mut q, mut o): (ReadyQueue, Box<dyn SchedPolicy>) = if budget == 0 {
+                        (ReadyQueue::new(policy), oracle::build(policy))
+                    } else {
+                        let fuzz_seed = seed.wrapping_mul(0x2545_F491_4F6C_DD1D);
+                        (
+                            fuzzed_policy(policy, fuzz_seed, budget),
+                            Box::new(oracle::Fuzzed::new(oracle::build(policy), fuzz_seed, budget)),
+                        )
+                    };
+                    let mut rng = seed;
+                    for step in 0..300 {
+                        let r = splitmix64(&mut rng);
+                        let id = t((r >> 8) as usize % 16);
+                        match r % 8 {
+                            0 | 1 => {
+                                q.enqueue_new(id);
+                                o.enqueue_new(id);
+                            }
+                            2..=4 => {
+                                let w = wake((r >> 16) as usize % 3, (r >> 24) as usize % 3);
+                                q.enqueue_woken(id, w);
+                                o.enqueue_woken(id, w);
+                            }
+                            _ => assert_eq!(
+                                q.pop(),
+                                o.pop(),
+                                "{policy} budget {budget} seed {seed} step {step}"
+                            ),
+                        }
+                        assert_eq!(q.len(), o.len(), "{policy} budget {budget} seed {seed}");
+                    }
+                    while !o.is_empty() {
+                        assert_eq!(q.pop(), o.pop(), "{policy} budget {budget} seed {seed}");
+                    }
+                    assert!(q.is_empty() && q.pop().is_none());
+                }
+            }
+        }
     }
 
     #[test]
@@ -557,37 +717,101 @@ mod tests {
         assert_eq!(SchedulingPolicy::parse("nope"), None);
     }
 
-    #[test]
-    fn custom_policy_plugs_in_through_with_impl() {
-        /// LIFO — deliberately not shipped; stands in for an
-        /// out-of-tree experiment refining FIFO.
-        #[derive(Debug, Default)]
-        struct Lifo(Vec<ThreadId>);
-        impl SchedPolicy for Lifo {
-            fn kind(&self) -> SchedulingPolicy {
-                SchedulingPolicy::Fifo
-            }
-            fn enqueue_new(&mut self, t: ThreadId) {
-                self.0.push(t);
-            }
-            fn enqueue_woken(&mut self, t: ThreadId, _wake: WakeInfo) {
-                self.0.push(t);
-            }
-            fn pop(&mut self) -> Option<ThreadId> {
-                self.0.pop()
-            }
-            fn len(&self) -> usize {
-                self.0.len()
-            }
-            fn uses_residency(&self) -> bool {
-                false
+    /// Runs an enqueue/pop script: op 0 spawns, op 1 wakes with an empty
+    /// snapshot, anything else pops.
+    fn drive(q: &mut ReadyQueue, script: &[(u8, usize)]) -> Vec<Option<ThreadId>> {
+        let mut popped = Vec::new();
+        for &(op, n) in script {
+            match op {
+                0 => q.enqueue_new(t(n)),
+                1 => q.enqueue_woken(t(n), WakeInfo::default()),
+                _ => popped.push(q.pop()),
             }
         }
-        let mut q = ReadyQueue::with_impl(Box::new(Lifo::default()));
+        popped
+    }
+
+    // A deterministic enqueue/pop script mixing all three call kinds.
+    const SCRIPT: &[(u8, usize)] = &[
+        (0, 0),
+        (0, 1),
+        (2, 0),
+        (1, 2),
+        (0, 3),
+        (2, 0),
+        (2, 0),
+        (1, 0),
+        (1, 1),
+        (2, 0),
+        (2, 0),
+        (2, 0),
+        (2, 0),
+    ];
+
+    #[test]
+    fn zero_budget_is_a_strict_pass_through() {
+        for seed in 0..32u64 {
+            let mut plain = ReadyQueue::new(SchedulingPolicy::Fifo);
+            let mut fuzzed = fuzzed_policy(SchedulingPolicy::Fifo, seed, 0);
+            assert_eq!(drive(&mut plain, SCRIPT), drive(&mut fuzzed, SCRIPT));
+            assert_eq!(fuzzed.fuzz.as_ref().map(|f| f.state), Some(seed), "no draw was taken");
+        }
+    }
+
+    #[test]
+    fn same_seed_same_schedule_and_seeds_differ() {
+        let run = |seed: u64| drive(&mut fuzzed_policy(SchedulingPolicy::Fifo, seed, 8), SCRIPT);
+        let mut distinct = std::collections::HashSet::new();
+        for seed in 0..64u64 {
+            assert_eq!(run(seed), run(seed), "seed {seed} not reproducible");
+            distinct.insert(run(seed));
+        }
+        assert!(distinct.len() > 1, "64 seeds never perturbed the schedule");
+    }
+
+    #[test]
+    fn no_thread_is_lost_or_duplicated() {
+        for seed in 0..64u64 {
+            let mut q = fuzzed_policy(SchedulingPolicy::Fifo, seed, 16);
+            for n in 0..6 {
+                q.enqueue_new(t(n));
+            }
+            let mut seen = std::collections::BTreeSet::new();
+            while let Some(id) = q.pop() {
+                assert!(seen.insert(id), "thread {id:?} popped twice (seed {seed})");
+            }
+            assert_eq!(seen.len(), 6, "threads lost under seed {seed}");
+            assert!(q.is_empty());
+        }
+    }
+
+    #[test]
+    fn budget_bounds_the_perturbation_count() {
+        for budget in [1u32, 2, 5] {
+            let mut q = fuzzed_policy(SchedulingPolicy::Fifo, 0xDEAD_BEEF, budget);
+            for round in 0..50 {
+                q.enqueue_new(t(round % 7));
+                q.enqueue_woken(t((round + 1) % 7), WakeInfo::default());
+                q.pop();
+            }
+            while q.pop().is_some() {}
+            // 150 decision points at a one-in-four hit rate spend every
+            // perturbation, and the stream stops drawing at zero.
+            let state = q.fuzz.as_ref().map(|f| (f.budget, f.state));
+            q.enqueue_new(t(0));
+            q.pop();
+            assert_eq!(q.fuzz.as_ref().map(|f| (f.budget, f.state)), state);
+            assert_eq!(state.map(|(left, _)| left), Some(0), "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn a_fuzzed_queue_reports_the_policy_it_perturbs() {
+        let q = fuzzed_policy(SchedulingPolicy::Fifo, 1, 4);
         assert_eq!(q.policy(), SchedulingPolicy::Fifo);
-        q.enqueue_new(t(0));
-        q.enqueue_new(t(1));
-        assert_eq!(q.pop(), Some(t(1)));
-        assert_eq!(q.pop(), Some(t(0)));
+        assert!(!q.uses_residency());
+        let q = fuzzed_policy(SchedulingPolicy::Aging, 1, 4);
+        assert_eq!(q.policy(), SchedulingPolicy::Aging);
+        assert!(q.uses_residency());
     }
 }

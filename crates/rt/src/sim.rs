@@ -31,7 +31,7 @@ use crate::ctx::Ctx;
 use crate::error::RtError;
 use crate::fault::{FaultKind, FaultPlan, StreamFaults};
 use crate::report::{RunReport, ThreadReport};
-use crate::sched::{ReadyQueue, SchedPolicy, SchedulingPolicy, WakeInfo};
+use crate::sched::{ReadyQueue, SchedulingPolicy, WakeInfo};
 use crate::stream::{RemoteEnd, Stream, StreamId, WaiterSet};
 use crate::trace::{Trace, TraceEvent};
 use regwin_machine::{MachineConfig, ThreadId};
@@ -178,7 +178,6 @@ impl SimState {
         WakeInfo {
             resident: machine.thread(t).map(|ts| ts.resident()).unwrap_or(0),
             free_windows: machine.discardable_windows(),
-            nwindows: machine.nwindows(),
         }
     }
 
@@ -287,9 +286,9 @@ impl SimState {
 pub struct SimOptions {
     /// Shipped scheduling policy id (ignored when `sched` is set).
     pub policy: SchedulingPolicy,
-    /// A caller-supplied ready-queue implementation — the plug-in point
-    /// custom and [fuzzed](crate::Fuzzed) policies use.
-    pub sched: Option<Box<dyn SchedPolicy>>,
+    /// A prepared ready queue, such as a
+    /// [`fuzzed_policy`](crate::fuzzed_policy) one.
+    pub sched: Option<ReadyQueue>,
     /// Enable checksummed window auditing (detect–repair–quarantine).
     pub audit: bool,
     /// Record an event trace for later replay.
@@ -366,10 +365,7 @@ impl Simulation {
         opts: SimOptions,
     ) -> Result<Self, RtError> {
         let mut sim = Simulation::with_config(config, scheme)?;
-        sim = match opts.sched {
-            Some(imp) => sim.with_sched_policy(imp),
-            None => sim.with_policy(opts.policy),
-        };
+        sim.state.ready = opts.sched.unwrap_or_else(|| ReadyQueue::new(opts.policy));
         if opts.audit {
             sim = sim.with_window_audit();
         }
@@ -386,17 +382,6 @@ impl Simulation {
     #[must_use]
     pub fn with_policy(mut self, policy: SchedulingPolicy) -> Self {
         self.state.ready = ReadyQueue::new(policy);
-        self
-    }
-
-    /// Installs a caller-supplied [`SchedPolicy`] object — the plug-in
-    /// point for scheduling experiments not shipped in this crate. Must
-    /// be called before any [`Simulation::spawn`] (spawned threads are
-    /// already queued and would be lost with the old queue).
-    #[must_use]
-    pub fn with_sched_policy(mut self, imp: Box<dyn SchedPolicy>) -> Self {
-        debug_assert!(self.state.ready.is_empty(), "install the policy before spawning threads");
-        self.state.ready = ReadyQueue::with_impl(imp);
         self
     }
 

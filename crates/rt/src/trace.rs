@@ -113,12 +113,12 @@ impl Trace {
     }
 
     /// Times thread `i` blocked on an empty input stream while recording.
-    pub fn blocked_on_read_of(&self, i: usize) -> u64 {
+    pub(crate) fn blocked_on_read_of(&self, i: usize) -> u64 {
         self.blocked_on_read.get(i).copied().unwrap_or(0)
     }
 
     /// Times thread `i` blocked on a full output stream while recording.
-    pub fn blocked_on_write_of(&self, i: usize) -> u64 {
+    pub(crate) fn blocked_on_write_of(&self, i: usize) -> u64 {
         self.blocked_on_write.get(i).copied().unwrap_or(0)
     }
 

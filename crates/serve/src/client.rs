@@ -268,27 +268,6 @@ impl ServeClient {
         }
     }
 
-    /// Asks the daemon to drain and exit.
-    ///
-    /// # Errors
-    ///
-    /// I/O and protocol errors.
-    pub fn shutdown_daemon(&mut self) -> Result<(), ClientError> {
-        write_frame(&mut self.writer, &obj(vec![("type", Value::Str("shutdown".into()))]))?;
-        loop {
-            let frame = self.expect_frame()?;
-            match frame_type(&frame).unwrap_or("?") {
-                "event" => {}
-                "ok" => return Ok(()),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "unexpected frame '{other}' awaiting shutdown ack"
-                    )));
-                }
-            }
-        }
-    }
-
     /// Closes the session politely.
     pub fn bye(mut self) {
         let _ = write_frame(&mut self.writer, &obj(vec![("type", Value::Str("bye".into()))]));

@@ -13,7 +13,6 @@
 //! | `hello` | `proto`, `session` | open a session; `session` is a stable client-chosen string |
 //! | `sweep` | `spec` | run one matrix through the session's engine |
 //! | `artifact` | — | request the session's `BENCH_sweep.json` bytes |
-//! | `shutdown` | — | ask the daemon to drain and exit |
 //! | `bye` | — | close the session |
 //!
 //! Server → client frames:
@@ -26,7 +25,6 @@
 //! | `records` | `records`, `summary`, `quarantine` | a sweep finished |
 //! | `sweep_error` | `detail`, `draining` | a sweep failed (or was cut short by a drain) |
 //! | `artifact` | `data` | the artifact bytes (exactly what the engine would write) |
-//! | `ok` | — | acknowledges `shutdown` |
 //!
 //! Control frames decode through a [`Value`] tree: they are small. A
 //! `records` frame is not (about 220 KB for 108 cells), so the daemon

@@ -16,11 +16,11 @@
 //! reconnecting after a daemon restart resumes its journal and re-runs
 //! only unfinished jobs.
 //!
-//! Shutdown ([`Server::run`]'s flag, typically set from SIGTERM, or a
-//! client `shutdown` frame) closes the admission gate: in-flight jobs
-//! finish and journal, not-yet-admitted jobs are skipped, affected
-//! sweeps report a draining error to their client, and the daemon exits
-//! once every session thread has unwound.
+//! Shutdown ([`Server::run`]'s flag, typically set from SIGTERM) closes
+//! the admission gate: in-flight jobs finish and journal,
+//! not-yet-admitted jobs are skipped, affected sweeps report a draining
+//! error to their client, and the daemon exits once every session
+//! thread has unwound.
 
 use crate::protocol::{
     frame_type, spec_from_value, write_frame, FrameReader, EVENT_PREFIX, PROTO_VERSION,
@@ -448,11 +448,6 @@ fn serve_session(stream: UnixStream, shared: &Shared) {
                 ) {
                     return;
                 }
-            }
-            "shutdown" => {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.gate.close();
-                let _ = send(&writer, &obj(vec![("type", Value::Str("ok".into()))]));
             }
             "bye" => return,
             other => {

@@ -254,6 +254,26 @@ fn the_client_limit_turns_extra_connections_away_with_busy() {
     daemon.cleanup();
 }
 
+/// Opens a session by hand: connects, says `hello` and reads `ready`.
+fn raw_session(socket: &Path, session: &str) -> (UnixStream, FrameReader<UnixStream>) {
+    let stream = UnixStream::connect(socket).expect("raw client connects");
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = FrameReader::new(stream);
+    write_frame(
+        &mut writer,
+        &obj(vec![
+            ("type", Value::Str("hello".into())),
+            ("proto", Value::Int(PROTO_VERSION)),
+            ("session", Value::Str(session.into())),
+        ]),
+    )
+    .unwrap();
+    let ready = reader.next_frame().unwrap().expect("ready frame");
+    assert_eq!(frame_type(&ready).unwrap(), "ready");
+    (writer, reader)
+}
+
 /// Sends `line` from a hostile session while a well-behaved client
 /// sweeps: the daemon answers with a `sweep_error` whose detail names
 /// `why` and closes the hostile session, and the well-behaved client
@@ -272,21 +292,7 @@ fn a_hostile_line_closes_only_its_own_session(tag: &str, line: &[u8], why: &str)
             artifact
         });
 
-        let stream = UnixStream::connect(socket).expect("hostile client connects");
-        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = FrameReader::new(stream);
-        write_frame(
-            &mut writer,
-            &obj(vec![
-                ("type", Value::Str("hello".into())),
-                ("proto", Value::Int(PROTO_VERSION)),
-                ("session", Value::Str("hostile".into())),
-            ]),
-        )
-        .unwrap();
-        let ready = reader.next_frame().unwrap().expect("ready frame");
-        assert_eq!(frame_type(&ready).unwrap(), "ready");
+        let (mut writer, mut reader) = raw_session(socket, "hostile");
         writer.write_all(line).unwrap();
         let reply = reader.next_frame().unwrap().expect("an error frame");
         assert_eq!(frame_type(&reply).unwrap(), "sweep_error");
@@ -317,6 +323,28 @@ fn a_frame_that_is_not_utf8_closes_only_its_own_session() {
     // the session would go on.
     let line = b"{\"type\":\"sweep\",\"spec\":\"\xff\xfe\"}\n";
     a_hostile_line_closes_only_its_own_session("utf8", line, "UTF-8");
+}
+
+/// No frame stops the daemon: a client's `shutdown` frame is an unknown
+/// frame type like any other, and a client that connects afterwards
+/// still gets a byte-identical artifact.
+#[test]
+fn a_shutdown_frame_does_not_stop_the_daemon() {
+    let daemon = TestDaemon::start("shutdown-frame", 4);
+    let (_, want_artifact) = reference(&[spec_a()]);
+    let (mut writer, mut reader) = raw_session(&daemon.socket, "would-stop");
+    write_frame(&mut writer, &obj(vec![("type", Value::Str("shutdown".into()))])).unwrap();
+    let reply = reader.next_frame().unwrap().expect("an error frame");
+    assert_eq!(frame_type(&reply).unwrap(), "sweep_error");
+    let detail = reply.get("detail").and_then(Value::as_str).unwrap();
+    assert!(detail.contains("unknown frame type 'shutdown'"), "{detail}");
+    drop((writer, reader));
+
+    let mut client = daemon.connect("after-shutdown").expect("the daemon still accepts");
+    client.run_matrix(&spec_a()).expect("sweeps");
+    assert_eq!(client.artifact().expect("artifact"), want_artifact);
+    client.bye();
+    daemon.cleanup();
 }
 
 #[test]

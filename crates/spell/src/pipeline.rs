@@ -37,14 +37,6 @@ impl SpellConfig {
         SpellConfig::new(CorpusSpec::small(), 4, 4)
     }
 
-    /// Replaces the buffer sizes.
-    #[must_use]
-    pub fn with_buffers(mut self, m: usize, n: usize) -> Self {
-        self.m = m;
-        self.n = n;
-        self
-    }
-
     /// Replaces the scheduling policy.
     #[must_use]
     pub fn with_policy(mut self, policy: SchedulingPolicy) -> Self {

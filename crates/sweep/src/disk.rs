@@ -40,23 +40,30 @@ pub(crate) use lock::DirLock;
 /// bytes land in a `.tmp` sibling unique to this write (pid and a
 /// process-wide sequence number) and are renamed into place, so a crash
 /// mid-write can never leave a torn file at `path`. The parent
-/// directory is created as needed; concurrent writers of identical
-/// bytes, in one process or several, race benignly (either rename
-/// winning leaves the same file).
+/// directory is created only when the temporary cannot be opened for
+/// want of it, and the open is then retried once. Concurrent writers of
+/// identical bytes, in one process or several, race benignly (either
+/// rename winning leaves the same file).
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors (the temporary file is cleaned up).
 pub fn write_file_atomic(path: &Path, contents: &str) -> io::Result<()> {
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    create_parent(path)?;
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "out".to_string());
     let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
     let tmp = path.with_file_name(format!("{name}.tmp.{}.{seq}", std::process::id()));
-    let result = write_new(&tmp, contents.as_bytes()).and_then(|()| {
+    let result = match create_file(&tmp) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            create_parent(path).and_then(|()| create_file(&tmp))
+        }
+        opened => opened,
+    }
+    .and_then(|mut file| write_all(&mut file, &tmp, contents.as_bytes()))
+    .and_then(|()| {
         seam!(Rename, path);
         std::fs::rename(&tmp, path)
     });
@@ -146,11 +153,10 @@ fn create_parent(path: &Path) -> io::Result<()> {
     }
 }
 
-/// Creates (or truncates) the file at `path` and writes `bytes` to it.
-fn write_new(path: &Path, bytes: &[u8]) -> io::Result<()> {
+/// Creates (or truncates) the file at `path`.
+fn create_file(path: &Path) -> io::Result<File> {
     seam!(Open, path);
-    let mut file = File::create(path)?;
-    write_all(&mut file, path, bytes)
+    File::create(path)
 }
 
 /// Writes all of `bytes` to `file`, the file at `path`. Under the test

@@ -303,23 +303,29 @@ mod tests {
         );
     }
 
+    /// The first store into a missing cache directory finds its
+    /// temporary's open failing, creates the directory and opens it
+    /// again; the next store only opens, writes and renames.
     #[test]
     fn a_cold_cache_store_is_one_mkdir_a_write_and_a_rename() {
         let dirs = Dirs::fresh("cold-store");
         let report =
             SpellPipeline::new(SpellConfig::small()).run(8, SchemeKind::Sp).unwrap().report;
         let seam = Seam::install(&dirs.root, Fault::None, 0);
-        ResultCache::new(&dirs.cache).store(&keys()[0], &report);
-        assert_eq!(seam.ops(), [Op::Mkdir, Op::Open, Op::Write, Op::Rename]);
+        let cache = ResultCache::new(&dirs.cache);
+        cache.store(&keys()[0], &report);
+        assert_eq!(seam.ops(), [Op::Open, Op::Mkdir, Op::Open, Op::Write, Op::Rename]);
+        cache.store(&keys()[1], &report);
+        assert_eq!(seam.ops()[5..], [Op::Open, Op::Write, Op::Rename]);
         drop(seam);
         let _ = std::fs::remove_dir_all(&dirs.root);
     }
 
     /// A cold cached sweep on one worker, without a journal, touches its
     /// cache entries and nothing else: each miss's load fails, then each
-    /// store creates the directory, opens and writes its temporary and
-    /// renames it onto the entry. The directory then holds one entry per
-    /// job.
+    /// store opens and writes its temporary and renames it onto the
+    /// entry, and the first store also creates the missing directory.
+    /// The directory then holds one entry per job.
     #[test]
     fn a_cold_cached_sweep_touches_only_its_entries() {
         let dirs = Dirs::fresh("cold-sweep");
@@ -341,8 +347,13 @@ mod tests {
         let entries: Vec<String> = keys().iter().map(|k| format!("{}.json", k.id())).collect();
         let mut want: Vec<(Op, String)> =
             entries.iter().map(|name| (Op::Read, format!("cache/{name}"))).collect();
-        for name in &entries {
-            want.push((Op::Mkdir, "cache".to_string()));
+        for (i, name) in entries.iter().enumerate() {
+            // The cold directory is created once, when the first store
+            // finds it missing; later stores open their temporary at once.
+            if i == 0 {
+                want.push((Op::Open, format!("cache/{name}.tmp")));
+                want.push((Op::Mkdir, "cache".to_string()));
+            }
             want.push((Op::Open, format!("cache/{name}.tmp")));
             want.push((Op::Write, format!("cache/{name}.tmp")));
             want.push((Op::Rename, format!("cache/{name}")));

@@ -56,8 +56,8 @@ pub struct JobKey {
     /// (`regwin_gen::Scenario::canonical`); `None` for spell-corpus
     /// jobs.
     pub gen: Option<String>,
-    /// Schedule-fuzz seed when the job's ready queue is wrapped in
-    /// `regwin_rt::Fuzzed`; `None` for unperturbed schedules.
+    /// Schedule-fuzz seed when the job's ready queue comes from
+    /// `regwin_rt::fuzzed_policy`; `None` for unperturbed schedules.
     pub fuzz: Option<u64>,
 }
 

@@ -4,9 +4,7 @@
 use crate::error::SchemeError;
 use crate::restore_emul::RestoreInstr;
 use crate::scheme::{Scheme, UnderflowResolution};
-use regwin_machine::{
-    ExecOutcome, FaultSchedule, Machine, MachineConfig, MachineStats, SchemeKind, ThreadId,
-};
+use regwin_machine::{ExecOutcome, FaultSchedule, Machine, MachineConfig, MachineStats, ThreadId};
 use regwin_obs::{Probe, ProbeEvent, SpanKind};
 use std::sync::Arc;
 
@@ -72,15 +70,6 @@ impl Cpu {
     /// Registers a new thread.
     pub fn add_thread(&mut self) -> ThreadId {
         self.machine.add_thread()
-    }
-
-    /// Which scheme this CPU runs.
-    pub fn scheme_kind(&self) -> SchemeKind {
-        self.machine_scheme_kind()
-    }
-
-    fn machine_scheme_kind(&self) -> SchemeKind {
-        self.scheme.kind()
     }
 
     /// The underlying machine (read-only).
@@ -464,7 +453,7 @@ mod tests {
                 cpu.write_local(0, 30).unwrap();
                 let instr = RestoreInstr::new(Reg::L(0), Operand::Imm(5), Reg::O(3));
                 cpu.restore_with(&instr).unwrap();
-                assert_eq!(cpu.read_out(3).unwrap(), 35, "{:?}", cpu.scheme_kind());
+                assert_eq!(cpu.read_out(3).unwrap(), 35, "{:?}", cpu.scheme.kind());
             }
             assert!(cpu.stats().underflow_traps > traps_before);
             cpu.check_invariants().unwrap();
@@ -533,9 +522,9 @@ mod tests {
             let trap_cycles = cpu.machine().cycles().category(CycleCategory::OverflowTrap)
                 + cpu.machine().cycles().category(CycleCategory::UnderflowTrap);
             let traps = cpu.stats().overflow_traps + cpu.stats().underflow_traps;
-            assert_eq!(probe.span_count(SpanKind::Trap) as u64, traps, "{:?}", cpu.scheme_kind());
-            assert!(span_cycles >= trap_cycles, "{:?}", cpu.scheme_kind());
-            assert!(trap_cycles > 0, "{:?}", cpu.scheme_kind());
+            assert_eq!(probe.span_count(SpanKind::Trap) as u64, traps, "{:?}", cpu.scheme.kind());
+            assert!(span_cycles >= trap_cycles, "{:?}", cpu.scheme.kind());
+            assert!(trap_cycles > 0, "{:?}", cpu.scheme.kind());
             cpu.check_invariants().unwrap();
         }
     }
@@ -556,7 +545,7 @@ mod tests {
                 probe.span_count(SpanKind::Switch) as u64,
                 cpu.stats().context_switches,
                 "{:?}",
-                cpu.scheme_kind()
+                cpu.scheme.kind()
             );
         }
     }
@@ -649,10 +638,10 @@ mod tests {
                     cpu.read_local(0).unwrap(),
                     100 * depth,
                     "{:?} depth {depth}",
-                    cpu.scheme_kind()
+                    cpu.scheme.kind()
                 );
             }
-            assert!(cpu.window_repairs() > 0, "{:?}", cpu.scheme_kind());
+            assert!(cpu.window_repairs() > 0, "{:?}", cpu.scheme.kind());
             cpu.check_invariants().unwrap();
         }
     }
